@@ -1,7 +1,8 @@
 """Probes the benchmark installs on crackid from outside the program.
 
 Nothing under ``src/`` knows about them. Each probe replaces a module or
-class attribute and ``Patches.restore`` puts the original back. A name bound
+class attribute with ``mock.patch.object`` entered on an ``ExitStack``;
+closing the stack puts the originals back. A name bound
 with ``from ... import`` is a separate attribute of the importing module, so
 a wrapped function is replaced under every name that refers to it:
 ``build_mesh``, for example, is bound in ``geometry``, ``driver``, ``cli``
@@ -14,6 +15,7 @@ import statistics
 import sys
 import time
 from collections import Counter
+from unittest import mock
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -25,20 +27,9 @@ LAYERS = ("geometry", "fem", "solvers", "shape", "driver", "svgplot", "cli")
 _NEWTON_SOLVES = ("solvers.solve_penalty_state", "solvers.solve_adjoint")
 
 
-class Patches:
-    """Attribute replacements that can be undone in reverse order."""
-
-    def __init__(self):
-        self._saved = []
-
-    def set(self, owner, name, value):
-        self._saved.append((owner, name, getattr(owner, name)))
-        setattr(owner, name, value)
-
-    def restore(self):
-        for owner, name, value in reversed(self._saved):
-            setattr(owner, name, value)
-        self._saved.clear()
+# Reference kernel time, in seconds, of the machine end-to-end times are
+# scaled to.
+REFERENCE_S = 0.05
 
 
 class ReferenceKernel:
@@ -52,7 +43,8 @@ class ReferenceKernel:
     state systems that take most of the loop's time.
     """
 
-    def __init__(self, n=63):
+    def __init__(self):
+        n = 63     # grid points per side: 2 n^2 = 7938 rows
         grid = sp.kron(sp.eye(n), sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n)))
         grid = grid + sp.kron(sp.diags([-1.0, -1.0], [-1, 1], shape=(n, n)), sp.eye(n))
         self.matrix = sp.kron(grid, sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]])).tocsc()
@@ -65,9 +57,9 @@ class ReferenceKernel:
         self.samples.append((t1, t1 - t0))
         return t1 - t0
 
-    def scaled_span(self, t0, t1, reference_s):
+    def scaled_span(self, t0, t1):
         """(raw, scaled) seconds from ``t0`` to ``t1`` outside the kernel's
-        timings. Each stretch between timings is scaled by ``reference_s``
+        timings. Each stretch between timings is scaled by ``REFERENCE_S``
         over the timing that precedes it; the first by the first timing."""
         inside = [(t, dt) for t, dt in self.samples if t0 <= t <= t1]
         if not inside:
@@ -76,10 +68,10 @@ class ReferenceKernel:
         start, ref = t0, inside[0][1]
         for t_end, dt in inside:
             raw += t_end - dt - start
-            scaled += (t_end - dt - start) * reference_s / ref
+            scaled += (t_end - dt - start) * REFERENCE_S / ref
             start, ref = t_end, dt
         raw += t1 - start
-        scaled += (t1 - start) * reference_s / ref
+        scaled += (t1 - start) * REFERENCE_S / ref
         return raw, scaled
 
 
@@ -95,7 +87,7 @@ class StepTimer:
     (operation seconds, reference seconds or None) pairs.
     """
 
-    def __init__(self, reference=None):
+    def __init__(self, reference):
         self.steps = []
         self.reference = reference
         self._start = None
@@ -128,8 +120,8 @@ class StepTimer:
                 self._close()
                 self._inside = False
 
-        patches.set(driver, "build_mesh", build_mesh)
-        patches.set(driver, "identify", run_identify)
+        patches.enter_context(mock.patch.object(driver, "build_mesh", build_mesh))
+        patches.enter_context(mock.patch.object(driver, "identify", run_identify))
 
     def install_probes(self, patches, cli, driver):
         build, objective = cli.build_mesh, driver.objective
@@ -144,8 +136,9 @@ class StepTimer:
             finally:
                 self._close()
 
-        patches.set(cli, "build_mesh", build_mesh)
-        patches.set(driver, "objective", probe_objective)
+        patches.enter_context(mock.patch.object(cli, "build_mesh", build_mesh))
+        patches.enter_context(
+            mock.patch.object(driver, "objective", probe_objective))
 
 
 class Tally:
@@ -190,11 +183,14 @@ class LayerTracer:
                 for owner in modules:
                     for alias, obj in list(vars(owner).items()):
                         if obj is fn:
-                            patches.set(owner, alias, wrapped)
+                            patches.enter_context(
+                                mock.patch.object(owner, alias, wrapped))
         factorized = sys.modules["crackid.fem"].FactorizedSPD
-        patches.set(factorized, "__init__",
-                    self._wrap("fem.lu_factor", factorized.__init__, _after_factor))
-        patches.set(factorized, "solve", self._wrap("fem.lu_solve", factorized.solve))
+        patches.enter_context(mock.patch.object(
+            factorized, "__init__",
+            self._wrap("fem.lu_factor", factorized.__init__, _after_factor)))
+        patches.enter_context(mock.patch.object(
+            factorized, "solve", self._wrap("fem.lu_solve", factorized.solve)))
 
     def _wrap(self, key, fn, after=None):
         module = key.split(".", 1)[0]

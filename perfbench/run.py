@@ -43,6 +43,7 @@ import platform  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -53,17 +54,17 @@ try:
 except ImportError as exc:
     sys.exit("perfbench: cannot import crackid from %s: %s" % (ROOT / "src", exc))
 
-from instrument import (LayerTracer, Patches, ReferenceKernel, StepTimer,  # noqa: E402
-                        per_layer_metrics)
+from instrument import (REFERENCE_S, LayerTracer, ReferenceKernel,  # noqa: E402
+                        StepTimer, per_layer_metrics)
 
 T_IMPORTED = time.perf_counter()
 
 PREFIX = 10          # identification iterations per round (n_max)
+NODES = 9            # interior interface nodes the gradient check probes
 SETUP_REPEATS = 3
 GRADIENT_TOL = 0.05  # the CLI's own agreement tolerance
 VI_PRODUCT_TOL = 1e-8
 WORK = ROOT / ".perfbench"
-REFERENCE_S = 0.05   # reference kernel time of the machine times are scaled to
 
 
 # ----------------------------------------------------------------------
@@ -91,16 +92,16 @@ def read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def check_identify_log(text, prefix=PREFIX):
+def check_identify_log(text):
     """(failed operations, problems) of one iterations.csv.
 
-    Every iteration 0..prefix must be logged, J must fall strictly at each
+    Every iteration 0..PREFIX must be logged, J must fall strictly at each
     one, and the final shape-error ratio must be below 1.
     """
     rows = read_rows(text)
-    failed, problems = set(range(len(rows), prefix + 1)), []
+    failed, problems = set(range(len(rows), PREFIX + 1)), []
     if failed:
-        problems.append("%d of %d iterations missing" % (len(failed), prefix + 1))
+        problems.append("%d of %d iterations missing" % (len(failed), PREFIX + 1))
     J = [float(r["J"]) for r in rows]
     for n in range(1, len(rows)):
         if not J[n] < J[n - 1]:
@@ -114,7 +115,7 @@ def check_identify_log(text, prefix=PREFIX):
     return len(failed), problems
 
 
-def check_gradient_csv(text, nodes=9):
+def check_gradient_csv(text):
     """(failed operations, problems) of one gradient_check.csv.
 
     Recomputes the agreement: the analytic derivative must lie within 5% of
@@ -122,9 +123,9 @@ def check_gradient_csv(text, nodes=9):
     differences within 5% of each other. A failing node fails its 4 probes.
     """
     rows = read_rows(text)
-    bad, problems = max(0, nodes - len(rows)), []
+    bad, problems = max(0, NODES - len(rows)), []
     if bad:
-        problems.append("%d of %d nodes missing" % (bad, nodes))
+        problems.append("%d of %d nodes missing" % (bad, NODES))
     for r in rows:
         ana, coarse, fine = (float(r[k]) for k in ("analytic", "fd_coarse", "fd_fine"))
         rel = abs(ana - fine) / max(abs(ana), abs(fine), 1e-30)
@@ -167,7 +168,8 @@ class Identify:
             self.pdas = config, result
             return result
 
-        patches.set(driver, "synthesize_measurement", capture)
+        patches.enter_context(
+            mock.patch.object(driver, "synthesize_measurement", capture))
 
     def setup(self, work):
         cfg = work / "identify.cfg"
@@ -195,7 +197,7 @@ class Identify:
 class GradientCheck:
     """The reference gradient-check under the contact load."""
 
-    ops = 36    # 9 interior nodes x 2 steps x 2 central-difference probes
+    ops = 4 * NODES    # 2 steps x 2 central-difference probes per node
 
     def install(self, patches, timer):
         timer.install_probes(patches, cli, driver)
@@ -251,8 +253,9 @@ def fresh_dir(path):
 
 def instrument(workload, trace, reference=None):
     """Install the step timer and, if ``trace``, the layer tracer under it;
-    returns (patches, timer, tracer or None)."""
-    patches, timer = Patches(), StepTimer(reference)
+    returns (patches, timer, tracer or None). Closing the ``ExitStack``
+    ``patches`` removes them."""
+    patches, timer = contextlib.ExitStack(), StepTimer(reference)
     tracer = LayerTracer() if trace else None
     if tracer:
         tracer.install(patches)
@@ -263,8 +266,8 @@ def instrument(workload, trace, reference=None):
 def end_to_end(imports, setups, rounds, steps, k):
     """The end-to-end metrics from (raw, scaled) second pairs: raw for
     ``k`` = 0, scaled to the reference machine speed for ``k`` = 1."""
-    def median(pairs):
-        return statistics.median(p[k] for p in pairs)
+    def median(pairs):    # 0 only where a round raised before its first step
+        return statistics.median(p[k] for p in pairs) if pairs else 0.0
 
     return {
         "setup_s": {"value": median([imports]) + median(setups), "unit": "s"},
@@ -279,6 +282,8 @@ def run(name, seconds, trace):
     Untraced, the reference kernel is timed before every operation and
     after the imports and each set-up; its own time is kept out of the
     times it scales. Traced, it is not run and scaled times equal raw ones.
+    An exception in a set-up or a round is reported as a problem, and a
+    round that raises fails all its operations.
     """
     workload = WORKLOADS[name]()
     work = fresh_dir(WORK / "work" / name)
@@ -297,42 +302,48 @@ def run(name, seconds, trace):
     attempted = failed = 0
     first = None
     imports = timed_alone(T_IMPORTED - T_START)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for _ in range(SETUP_REPEATS):
-                begin("setup")
-                t0 = time.perf_counter()
+    with patches, contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(SETUP_REPEATS):
+            begin("setup")
+            t0 = time.perf_counter()
+            try:
                 problems += workload.setup(work)
-                setups.append(timed_alone(time.perf_counter() - t0))
-            timed = time.perf_counter()
-            while not walls or (time.perf_counter() - timed
-                                + statistics.median(walls) <= seconds):
-                out = workload.output(work)
-                out.unlink(missing_ok=True)
-                begin("round")
-                t0 = time.perf_counter()
-                rc = workload.round(work)
-                t1 = time.perf_counter()
-                walls.append(t1 - t0)
-                rounds.append(reference.scaled_span(t0, t1, REFERENCE_S)
-                              if reference else (t1 - t0, t1 - t0))
-                data = out.read_bytes() if out.exists() else b""
-                text = data.decode()
+            except Exception as exc:
+                problems.append("set-up raised %r" % exc)
+            setups.append(timed_alone(time.perf_counter() - t0))
+        timed = time.perf_counter()
+        while not walls or (time.perf_counter() - timed
+                            + statistics.median(walls) <= seconds):
+            out = workload.output(work)
+            out.unlink(missing_ok=True)
+            begin("round")
+            t0 = time.perf_counter()
+            try:
+                rc, raised = workload.round(work), None
+            except Exception as exc:
+                rc, raised = None, exc
+            t1 = time.perf_counter()
+            walls.append(t1 - t0)
+            rounds.append(reference.scaled_span(t0, t1)
+                          if reference else (t1 - t0, t1 - t0))
+            data = out.read_bytes() if out.exists() else b""
+            text = data.decode()
+            if raised is None:
                 bad, why = workload.check(text)
-                attempted += workload.ops
-                failed += bad
-                problems += why
-                if rc != 0 and not bad:
-                    problems.append("exit code %d with outputs that pass" % rc)
-                if first is None:
-                    first = data
-                elif data != first:
-                    problems.append("round %d output differs from round 1" % len(walls))
-                if tracer and isinstance(workload, Identify):
-                    problems += check_newton_steps(
-                        text, tracer.phases[-1][1].counts["newton_steps"])
-    finally:
-        patches.restore()
+            else:
+                bad, why = workload.ops, ["round raised %r" % raised]
+            attempted += workload.ops
+            failed += bad
+            problems += why
+            if raised is None and rc != 0 and not bad:
+                problems.append("exit code %d with outputs that pass" % rc)
+            if first is None:
+                first = data
+            elif data != first:
+                problems.append("round %d output differs from round 1" % len(walls))
+            if tracer and isinstance(workload, Identify) and raised is None:
+                problems += check_newton_steps(
+                    text, tracer.phases[-1][1].counts["newton_steps"])
     if len(timer.steps) != len(rounds) * workload.ops:
         problems.append("timed %d operations, expected %d"
                         % (len(timer.steps), len(rounds) * workload.ops))

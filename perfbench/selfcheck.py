@@ -15,7 +15,9 @@ the expected number of failed operations or a reported problem:
 * a log whose ``penalty_iters`` disagree with the traced Newton steps;
 * PDAS states with a positive multiplier, a penetrating node, and a gap
   where the multiplier is nonzero;
-* the output of ``crackid gradient-check --corrupt-sign``.
+* the output of ``crackid gradient-check --corrupt-sign``;
+* a gradient-check whose measurement synthesis raises, which must still
+  give a result with every operation failed.
 
 Exits 0 if every case behaves as expected, 1 otherwise.
 """
@@ -26,34 +28,31 @@ import io
 import sys
 import time
 
+from unittest import mock
+
 from run import (PREFIX, WORK, WORKLOADS, check_contact_vi, check_gradient_csv,
                  check_identify_log, check_newton_steps, fresh_dir, instrument,
-                 read_rows)
+                 read_rows, run)
+from crackid import driver  # importable once run has put src/ on the path
 
 
 def one_round(workload, work, trace):
     """(output text, wall seconds, traced Newton steps) of one round."""
     patches, _, tracer = instrument(workload, trace)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if tracer:
-                tracer.begin("round")
-            t0 = time.perf_counter()
-            workload.round(work)
-            wall = time.perf_counter() - t0
-    finally:
-        patches.restore()
+    with patches, contextlib.redirect_stdout(io.StringIO()):
+        if tracer:
+            tracer.begin("round")
+        t0 = time.perf_counter()
+        workload.round(work)
+        wall = time.perf_counter() - t0
     steps = tracer.phases[-1][1].counts["newton_steps"] if tracer else None
     return workload.output(work).read_text(), wall, steps
 
 
 def set_up(workload, work):
     patches, _, _ = instrument(workload, False)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            return workload.setup(work)
-    finally:
-        patches.restore()
+    with patches, contextlib.redirect_stdout(io.StringIO()):
+        return workload.setup(work)
 
 
 def to_csv(rows):
@@ -126,6 +125,15 @@ def main():
                         ("gap under a nonzero multiplier", (gap, aset))):
         why = check_contact_vi(*state, mesh, mu)
         expect("PDAS state with a %s is reported" % case, bool(why), "; ".join(why))
+
+    def fault(config):
+        raise RuntimeError("factor is exactly singular")
+
+    with mock.patch.object(driver, "synthesize_measurement", fault):
+        result, record = run("gradient-check", 0, 0)
+    expect("a round that raises fails all its operations",
+           not result["correct"] and result["failed"] == result["attempted"] == 36,
+           "; ".join(record["problems"]))
 
     print("selfcheck: %d of %d cases as expected (prefix %d)"
           % (sum(results), len(results), PREFIX))
