@@ -9,7 +9,7 @@ adjoint-based boundary gradients.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    BoundViolated, ConfigError, CrackidError, Cycling, DegenerateElement,
+    BoundViolated, ConfigError, CrackidError, DegenerateElement,
     InterfaceTooClose, InvalidPoisson, LineSearchFailed, MaxIterations,
     MissingAdjacentTriangle, NoConvergence, NotPositiveDefinite,
 )

@@ -340,21 +340,7 @@ def build_parser():
     return parser
 
 
-def _cap_threads():
-    cap = os.environ.get("CRACKID_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        pass  # env vars above remain the best-effort cap
-
-
 def main(argv=None):
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,7 +9,6 @@ ratios. The two meshes use different column counts (h_identify defaults to
 h_measure * 8/7) so synthetic data is never inverted on its own grid.
 """
 
-import io
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,7 +51,6 @@ class ExperimentConfig:
     psi0: float = 0.25
     n_max: int = 200
     max_outer: int = 50
-    solver_tol: float = 1.0e-10
     curvature: str = "coarse"            # or "zero"
     single_endpoint_factor: bool = False
     endpoint_cap: bool = True
@@ -64,8 +62,13 @@ class ExperimentConfig:
             raise ConfigError("unknown true interface %r" % self.true_interface)
         if self.load_case not in LOAD_SLOPES:
             raise ConfigError("unknown load case %r" % self.load_case)
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError("eps must be finite and > 0, got %r" % self.eps)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
+        if self.snapshot_every < 1:
+            raise ConfigError("snapshot_every must be >= 1, got %r"
+                              % self.snapshot_every)
         if self.resolved_h_identify() == self.h_measure:
             raise ConfigError(
                 "h_identify must differ from h_measure (inverse-crime guard)")
@@ -172,12 +175,6 @@ def read_measurement(path_or_fh):
                        points=data[:, 0:2], disp=data[:, 2:4])
 
 
-def measurement_to_text(meas):
-    buf = io.StringIO()
-    write_measurement(buf, meas)
-    return buf.getvalue()
-
-
 def interp_measurement(mesh, meas):
     """Arclength-linear interpolation of the measurement onto the current
     observation nodes; returns a full-length dof vector (zero elsewhere)."""
@@ -273,7 +270,7 @@ def identify(config, meas, record_gradients=False):
             mesh = build_mesh(psi, h)
             u, rep, op, factor = solvers.solve_penalty_state(
                 mesh, laws, elast, g, config.eps, max_outer=config.max_outer,
-                tol=config.solver_tol, return_operator=True)
+                return_operator=True)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break

@@ -29,10 +29,6 @@ class NoConvergence(CrackidError):
     """Nonlinear interface solver failed to reach its tolerance."""
 
 
-class Cycling(CrackidError):
-    """Active-set iteration oscillates and could not be stabilised."""
-
-
 class LineSearchFailed(CrackidError):
     """Damped update could not reduce the residual above the minimal step."""
 

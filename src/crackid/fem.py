@@ -139,8 +139,11 @@ def _scatter(ke_blocks, dof_table, n_dofs):
     rows = np.repeat(dof_table, nd, axis=1).reshape(-1)
     cols = np.tile(dof_table, (1, nd)).reshape(-1)
     mat = sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
-                        shape=(n_dofs, n_dofs))
-    return mat.tocsr()
+                        shape=(n_dofs, n_dofs)).tocsr()
+    # entries that sum to exactly zero would otherwise stay in the pattern
+    # of a Dirichlet selection (but not of a product) and reorder the LU
+    mat.eliminate_zeros()
+    return mat
 
 
 def _dof_table(triangles):

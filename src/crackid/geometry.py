@@ -135,7 +135,6 @@ class BrokenMesh:
     dirichlet_vertices: np.ndarray
     dirichlet_edges: np.ndarray   # (nd, 2)
     neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
-    neumann_group: np.ndarray     # (nn,) 0 = bottom, 1 = top
     iface_minus: np.ndarray       # (n_cols+1,) vertex ids on the minus side
     iface_plus: np.ndarray        # (n_cols+1,)
     pair_minus: np.ndarray        # (n_cols, 2) edge vertex ids
@@ -288,41 +287,16 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
     topE = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
     neumann_edges = np.array(bottom + topE, dtype=np.int64)
-    neumann_group = np.concatenate([
-        np.zeros(len(bottom), dtype=np.int64),
-        np.ones(len(topE), dtype=np.int64),
-    ])
 
     return BrokenMesh(
         vertices=vertices, triangles=triangles, tri_sub=tri_sub,
         h=float(h), n_cols=n_cols,
         dirichlet_vertices=dirichlet_vertices,
         dirichlet_edges=np.array(dir_edges, dtype=np.int64),
-        neumann_edges=neumann_edges, neumann_group=neumann_group,
+        neumann_edges=neumann_edges,
         iface_minus=iface_minus, iface_plus=iface_plus,
         pair_minus=pair_minus, pair_plus=pair_plus,
         pair_tri_minus=pair_tri_minus, pair_tri_plus=pair_tri_plus,
         normals=normals, tangents=tangents, pair_lengths=lengths,
         tri_area=area,
     )
-
-
-def interface_frame(mesh):
-    """Per-pair (nu, tau, length) with nu unit from the minus into the plus
-    side and tau the unit tangent with positive x1-component."""
-    return mesh.normals.copy(), mesh.tangents.copy(), mesh.pair_lengths.copy()
-
-
-def write_mesh_debug(path, mesh):
-    """Offset-based vertex/triangle dump, one record per line (debug aid)."""
-    with open(path, "w") as fh:
-        fh.write("# mesh v1\n")
-        fh.write("vertices %d\n" % mesh.n_vertices)
-        for v in mesh.vertices:
-            fh.write("%.17g %.17g\n" % (v[0], v[1]))
-        fh.write("triangles %d\n" % mesh.triangles.shape[0])
-        for t, s in zip(mesh.triangles, mesh.tri_sub):
-            fh.write("%d %d %d %d\n" % (t[0], t[1], t[2], s))
-        fh.write("interface_pairs %d\n" % mesh.pair_minus.shape[0])
-        for pm, pp in zip(mesh.pair_minus, mesh.pair_plus):
-            fh.write("%d %d %d %d\n" % (pm[0], pm[1], pp[0], pp[1]))

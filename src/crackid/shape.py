@@ -39,7 +39,6 @@ class VelocityField:
     s: np.ndarray
     lam2: np.ndarray
     h: float
-    k_scale: float = 1.0
     zero_gradient: bool = False
 
     def __call__(self, x):
@@ -62,7 +61,6 @@ class BoundaryGradient:
     grad_pf_nu: np.ndarray   # nu . grad p_f
     grad_pc_nu: np.ndarray
     energy_jump: np.ndarray  # [[sigma(u) : eps(v)]]
-    d2: np.ndarray           # tangential density, identically 0 for discrete laws
     d4_left: float           # rho - (p_f + p_c) at the interface endpoints
     d4_right: float
 
@@ -171,18 +169,9 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps,
         s=s.copy(), d3=d3, d1_left=d1_left, d1_right=d1_right, kappa=kap,
         edge_x=xm, edge_len=L.copy(), p_f=p_f, p_c=p_c,
         grad_pf_nu=grad_pf_nu, grad_pc_nu=grad_pc_nu,
-        energy_jump=energy_jump, d2=np.zeros_like(p_f),
+        energy_jump=energy_jump,
         d4_left=float(rho - p_f[0] - p_c[0]),
         d4_right=float(rho - p_f[-1] - p_c[-1]))
-
-
-def hadamard_estimate(grad, vel):
-    """Coarse-node quadrature of the boundary form int (nu . Lambda) D3 dS
-    restricted to interior nodes (endpoint motion is driven by D1)."""
-    s = grad.s
-    w = np.zeros(s.size)
-    w[1:-1] = 0.5 * (s[2:] - s[:-2])
-    return float(np.sum(vel.lam2 * grad.d3 * w))
 
 
 def descent_velocity(grad, h, single_endpoint_factor=False, endpoint_cap=True):
@@ -214,10 +203,10 @@ def descent_velocity(grad, h, single_endpoint_factor=False, endpoint_cap=True):
     mx = mx_int if (endpoint_cap and mx_int >= 1e-30) else mx_all
     if mx < 1e-30:
         return VelocityField(grad.s.copy(), np.zeros_like(raw), h,
-                             k_scale=0.0, zero_gradient=True)
+                             zero_gradient=True)
     k = cap / mx
     lam2 = np.clip(k * raw, -cap, cap)
-    return VelocityField(grad.s.copy(), lam2, h, k_scale=k)
+    return VelocityField(grad.s.copy(), lam2, h)
 
 
 def update_interface(psi, vel):

@@ -1,22 +1,26 @@
 """Nonlinear interface solvers on the broken mesh.
 
-Three related problems share the same bulk stiffness and nodal interface
-quadrature:
+One active-set engine, ``_active_set_solve``, solves both nonlinear
+interface problems; they share the bulk stiffness, the nodal interface
+quadrature, the friction and cohesion iteration and the stopping rule, and
+differ only in the normal law:
 
-* ``solve_vi_pdas``      -- the contact variational inequality used to
-  synthesise measurements, via a primal-dual active-set iteration;
-* ``solve_penalty_state`` -- the penalty-regularised state equation, via a
-  semismooth Newton step on the penetration set (the penalty term is
-  piecewise linear, so each step is an exact solve);
-* ``solve_adjoint``      -- the linear adjoint equation, whose matrix equals
-  the final state Newton matrix.
+* ``solve_vi_pdas``      -- exact contact, the variational inequality used
+  to synthesise measurements: the contact set is merged shut and re-guessed
+  from the multiplier estimate (a primal-dual active-set iteration);
+* ``solve_penalty_state`` -- the penalty-regularised state equation: the
+  penetration set carries a w/eps nodal jump mass (the penalty term is
+  piecewise linear, so each semismooth Newton step is an exact solve).
 
-Friction runs in both nonlinear solvers as a stick/slip set iteration:
-sticking nodes have zero slip enforced by dof merging and release when
-their trial traction exceeds the bound, while slipping nodes carry the
-lagged traction F_b * sgn. The cohesion indicator is lagged. Nonlinear
-interface terms are integrated with the nodal (trapezoid) rule, which
-makes active sets nodewise and residuals exactly representable.
+``solve_adjoint`` solves the linear adjoint equation, whose matrix equals
+the final state Newton matrix.
+
+Friction runs as a stick/slip set iteration: sticking nodes have zero slip
+enforced by dof merging and release when their trial traction exceeds the
+bound, while slipping nodes carry the lagged traction F_b * sgn. The
+cohesion indicator is lagged. Nonlinear interface terms are integrated with
+the nodal (trapezoid) rule, which makes active sets nodewise and residuals
+exactly representable.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +37,7 @@ STATUS_COHESIVE = "cohesive"
 STATUS_OPEN = "open"
 
 SIGN_DEADBAND = 1e-14  # keep the previous lagged sign below this magnitude
+PENALTY_TOL = 1e-10    # relative residual a penalty state must reach
 
 
 @dataclass
@@ -40,7 +45,6 @@ class SolveReport:
     iterations: int
     residual: float
     active_sizes: list = field(default_factory=list)
-    converged: bool = True
     damped_steps: int = 0
 
 
@@ -95,9 +99,18 @@ class _InterfaceOperator:
         return f
 
     def merged_solve(self, matrix, f, slaves, masters):
-        """Solve with the given jump dofs merged shut (slave -> master);
-        returns the expanded solution (Dirichlet dofs zero)."""
+        """Solve with the given jump dofs merged shut (slave -> master).
+
+        Returns the expanded solution (Dirichlet dofs zero) and the factor
+        of the Dirichlet-reduced ``matrix``, or None in its place when
+        anything is merged: the adjoint can reuse only the unmerged one.
+        """
         n = self.mesh.n_dofs
+        if slaves.size == 0:
+            factor = fem.FactorizedSPD(matrix[self.free][:, self.free])
+            x = np.zeros(n)
+            x[self.free] = factor.solve(f[self.free])
+            return x, factor
         rep = np.arange(n)
         rep[slaves] = masters
         keep = self.free_mask.copy()
@@ -110,7 +123,7 @@ class _InterfaceOperator:
                           shape=(n, kept.size)).tocsr()
         A = (R.T @ matrix @ R).tocsc()
         x = fem.FactorizedSPD(A).solve(R.T @ f)
-        return R @ x
+        return R @ x, None
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -140,8 +153,16 @@ class _InterfaceOperator:
             new_flips[jdx[cycling]] = 0
         return new, new_flips
 
-    def residual(self, values, eps=None):
-        """True nonlinear residual K u + f_int(u) - F (full-length)."""
+    def stationarity(self, values, eps, stick, shut):
+        """Relative residual of K u + f_int(u) - F on the free rows, with
+        f_int the discrete friction and cohesion laws plus, for a penalty
+        ``eps``, the penalty law; Euclidean, relative to the load norm.
+
+        Rows that carry constraint reactions are excused: the x2 rows of
+        the ``shut`` (contact-merged) pairs drop out, and sticking nodes,
+        whose zero slip admits a tangential reaction |t| <= F_b that the
+        pointwise sgn law cannot express, count only the excess above it.
+        """
         j1, j2 = self.jumps(values)
         t1 = self.w * friction_discrete_prime(j1, self.laws)
         t2 = self.w * cohesion_discrete_prime(j2, self.laws)
@@ -152,25 +173,17 @@ class _InterfaceOperator:
         np.add.at(r, self.m1, -t1)
         np.add.at(r, self.p2, t2)
         np.add.at(r, self.m2, -t2)
-        return r
-
-    def rel_residual(self, values, eps=None, stick=None):
-        """Euclidean dual-norm residual, relative to the load norm.
-
-        Sticking nodes (zero slip enforced) carry an admissible tangential
-        reaction |t| <= F_b that the pointwise sgn law cannot express;
-        their tangential rows count only the excess above the bound.
-        """
-        r = self.residual(values, eps)
-        if stick is not None:
-            idx = np.nonzero(stick)[0]
-            if idx.size:
-                t = (r[self.p1[idx]] - r[self.m1[idx]]) / (2.0 * self.w[idx])
-                excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
-                r[self.p1[idx]] = excess
-                r[self.m1[idx]] = -excess
+        idx = np.nonzero(stick)[0]
+        if idx.size:
+            t = (r[self.p1[idx]] - r[self.m1[idx]]) / (2.0 * self.w[idx])
+            excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
+            r[self.p1[idx]] = excess
+            r[self.m1[idx]] = -excess
+        rows = self.free_mask.copy()
+        rows[self.p2[shut]] = False
+        rows[self.m2[shut]] = False
         scale = self.Fnorm if self.Fnorm > 0.0 else 1.0
-        return float(np.linalg.norm(r[self.free]) / scale)
+        return float(np.linalg.norm(r[rows]) / scale)
 
     def cohesion_update(self, j2, ind):
         at_edge = np.abs(np.abs(j2) - self.laws.kappa) < SIGN_DEADBAND
@@ -184,149 +197,65 @@ def _statuses(jump2, active, kappa):
 
 
 # ----------------------------------------------------------------------
-# PDAS for the variational inequality
+# The active-set engine and its two normal laws
 # ----------------------------------------------------------------------
 
-def solve_vi_pdas(mesh, laws, elast, g, max_outer=50, c=None, tol=1e-10):
-    """Solve the discrete contact VI by a primal-dual active-set iteration.
+def _active_set_solve(op, eps, max_outer):
+    """One active-set iteration for both normal laws.
 
-    Contact-active nodes ([[u]]_2 = 0) and friction-stick nodes
-    ([[u]]_1 = 0) are enforced by dof merging. The contact set is
-    re-guessed from lambda + c*[[u]]_2 < 0 with c = mu_L/h by default;
-    stick nodes release when their trial traction exceeds the friction
-    bound, slipping nodes whose slip vanishes or flips sign stick again,
-    and the cohesion indicator is lagged. Convergence means contact set,
-    stick/slip signs and indicator all repeat. Period-2 cycling of the
+    ``closed`` is the normal set. With ``eps=None`` (exact contact) its x2
+    pairs are merged shut; it starts fully closed and is re-guessed from
+    lambda + (mu_L/h) [[u]]_2 < 0. With a penalty ``eps`` it is the
+    penetration set {[[u]]_2 < 0}, carrying the w/eps jump mass. The loop
+    stops when the normal set, signs and indicator repeat and, for the
+    penalty, the stationarity residual passes ``PENALTY_TOL``; a contact
+    solve reports its residual unchecked. A repeat without progress takes
+    a halving damped step (floor 2^-20); a period-2 oscillation of the
     contact set is broken once by keeping the union of the two sets.
-    """
-    op = _InterfaceOperator(mesh, laws, elast, g)
-    if c is None:
-        c = elast.mu_L / mesh.h
-    n_if = mesh.iface_minus.size
-    interior = op.interior
 
-    active = interior.copy()            # start from the fully closed guess
+    Returns (values, closed, lam, report, factor), with ``lam`` the contact
+    multiplier estimate and ``factor`` as from ``merged_solve``.
+    """
+    contact = eps is None
+    tol = np.inf if contact else PENALTY_TOL
+    interior = op.interior
+    n_if = interior.size
+    c = op.elast.mu_L / op.mesh.h
+    closed = interior.copy() if contact else np.zeros(n_if, dtype=bool)
+    none_shut = np.zeros(n_if, dtype=bool)
     sgn = np.zeros(n_if)                # 0 = sticking
     flips = np.zeros(n_if, dtype=np.int64)
     ind = np.ones(n_if)
     lam = np.zeros(n_if)
-    jump2 = np.zeros(n_if)
-    values = np.zeros(mesh.n_dofs)
-    history = []
-    prev_active_bytes = None
-    union_used = False
-
-    for it in range(1, max_outer + 1):
-        f = op.F - op.lagged_load(sgn, ind)
-        stick = interior & (sgn == 0.0)
-        slaves = np.concatenate([op.m2[active], op.m1[stick]])
-        masters = np.concatenate([op.p2[active], op.p1[stick]])
-        values = op.merged_solve(op.K, f, slaves, masters)
-        r = f - op.K @ values
-        jump1, jump2 = op.jumps(values)
-        lam = np.zeros(n_if)
-        lam[interior] = (r[op.p2[interior]] - r[op.m2[interior]]) / (2.0 * op.w[interior])
-
-        new_active = interior & (lam + c * jump2 < 0.0)
-        new_sgn, flips = op.friction_update(r, jump1, sgn, flips)
-        new_ind = op.cohesion_update(jump2, ind)
-        history.append(int(np.count_nonzero(new_active)))
-
-        if (np.array_equal(new_active, active) and np.array_equal(new_sgn, sgn)
-                and np.array_equal(new_ind, ind)):
-            break
-        if (not union_used and prev_active_bytes is not None
-                and new_active.tobytes() == prev_active_bytes
-                and not np.array_equal(new_active, active)):
-            # period-2 oscillation: keep the larger (union) active set once
-            new_active = new_active | active
-            union_used = True
-        prev_active_bytes = active.tobytes()
-        active, sgn, ind = new_active, new_sgn, new_ind
-    else:
-        raise NoConvergence("PDAS did not stabilise in %d iterations" % max_outer)
-
-    rel = _stationarity_residual(op, values, sgn, ind, active)
-    z = fem.DofField(mesh, values)
-    lam = np.where(active, lam, 0.0)  # inactive nodes carry no multiplier
-    aset = ActiveSet(statuses=_statuses(jump2, active, laws.kappa),
-                     lam=lam, active=active)
-    report = SolveReport(iterations=it, residual=rel, active_sizes=history)
-    return z, aset, report
-
-
-def _stationarity_residual(op, values, sgn, ind, active):
-    """Relative stationarity residual on free dofs, excluding the rows that
-    carry constraint reactions (contact-pair x2 dofs; stick-pair x1 dofs
-    count only the traction excess above the friction bound)."""
-    r = op.K @ values + op.lagged_load(sgn, ind) - op.F
-    stick = op.interior & (sgn == 0.0)
-    idx = np.nonzero(stick)[0]
-    if idx.size:
-        t = (r[op.p1[idx]] - r[op.m1[idx]]) / (-2.0 * op.w[idx])
-        excess = op.w[idx] * np.maximum(0.0, np.abs(t) - op.laws.F_b)
-        r[op.p1[idx]] = excess
-        r[op.m1[idx]] = -excess
-    mask = op.free_mask.copy()
-    mask[op.p2[active]] = False
-    mask[op.m2[active]] = False
-    scale = op.Fnorm if op.Fnorm > 0 else 1.0
-    return float(np.linalg.norm(r[mask]) / scale)
-
-
-# ----------------------------------------------------------------------
-# Penalty state and adjoint
-# ----------------------------------------------------------------------
-
-def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, tol=1e-10,
-                        return_operator=False):
-    """Solve the penalty-regularised state equation.
-
-    Semismooth Newton on the penalty term: the penetration set
-    {[[u]]_2 < 0} contributes a 1/eps nodal jump mass, and since the
-    discrete penalty is piecewise linear each Newton step solves the
-    current linearisation exactly. Friction and cohesion are lagged as in
-    PDAS. A halving damped step (floor 2^-20) guards against residual
-    growth; termination requires the penetration set and lagged fields to
-    repeat and the true residual to pass ``tol`` (relative).
-    """
-    op = _InterfaceOperator(mesh, laws, elast, g)
-    n_if = mesh.iface_minus.size
-    interior = op.interior
-
-    values = np.zeros(mesh.n_dofs)
-    pset = np.zeros(n_if, dtype=bool)
-    sgn = np.zeros(n_if)                # 0 = sticking
-    flips = np.zeros(n_if, dtype=np.int64)
-    ind = np.ones(n_if)
+    values = np.zeros(op.mesh.n_dofs)
     res = np.inf
     history = []
     damped = 0
-    factor = None
     prev_config = None
+    prev_closed = None
+    union_used = False
 
     for it in range(1, max_outer + 1):
-        nodes = np.nonzero(pset)[0]
-        Mp = fem.interface_nodal_jump_matrix(mesh, op.w / eps, comp=1, nodes=nodes)
-        A = op.K + Mp
+        if contact:
+            A, shut = op.K, closed
+        else:
+            A = op.K + fem.interface_nodal_jump_matrix(
+                op.mesh, op.w / eps, comp=1, nodes=np.nonzero(closed)[0])
+            shut = none_shut
         f = op.F - op.lagged_load(sgn, ind)
         stick = interior & (sgn == 0.0)
-        if np.any(stick):
-            factor = None
-            new_values = op.merged_solve(A, f, op.m1[stick], op.p1[stick])
-        else:
-            system = fem.reduce_system(A, f, mesh)
-            factor = fem.FactorizedSPD(system.matrix)
-            new_values = system.expand(factor.solve(system.rhs))
-        new_res = op.rel_residual(new_values, eps, stick=stick)
+        new_values, factor = op.merged_solve(
+            A, f, np.concatenate([op.m2[shut], op.m1[stick]]),
+            np.concatenate([op.p2[shut], op.p1[stick]]))
+        new_res = op.stationarity(new_values, eps, stick, shut)
 
-        config = (pset.tobytes(), sgn.tobytes(), ind.tobytes())
+        config = (closed.tobytes(), sgn.tobytes(), ind.tobytes())
         if config == prev_config and new_res >= res and res > tol:
             # repeating configuration without progress: damped fallback
             t, ok = 0.5, False
             while t >= 2.0**-20:
                 trial = values + t * (new_values - values)
-                trial_res = op.rel_residual(trial, eps, stick=stick)
+                trial_res = op.stationarity(trial, eps, stick, shut)
                 if trial_res < res:
                     new_values, new_res = trial, trial_res
                     ok, damped = True, damped + 1
@@ -340,24 +269,67 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, tol=1e-10,
 
         r = f - A @ values
         jump1, jump2 = op.jumps(values)
-        new_pset = interior & (jump2 < 0.0)
+        if contact:
+            lam = np.zeros(n_if)
+            lam[interior] = ((r[op.p2[interior]] - r[op.m2[interior]])
+                             / (2.0 * op.w[interior]))
+            new_closed = interior & (lam + c * jump2 < 0.0)
+        else:
+            new_closed = interior & (jump2 < 0.0)
         new_sgn, flips = op.friction_update(r, jump1, sgn, flips)
         new_ind = op.cohesion_update(jump2, ind)
-        history.append(int(np.count_nonzero(new_pset)))
-        stable = (np.array_equal(new_pset, pset)
-                  and np.array_equal(new_sgn, sgn)
-                  and np.array_equal(new_ind, ind))
-        pset, sgn, ind = new_pset, new_sgn, new_ind
-        if stable and res <= tol:
+        history.append(int(np.count_nonzero(new_closed)))
+        if (np.array_equal(new_closed, closed) and np.array_equal(new_sgn, sgn)
+                and np.array_equal(new_ind, ind) and res <= tol):
             break
+        if (contact and not union_used and prev_closed is not None
+                and np.array_equal(new_closed, prev_closed)
+                and not np.array_equal(new_closed, closed)):
+            # period-2 oscillation: keep the larger (union) contact set once
+            new_closed = new_closed | closed
+            union_used = True
+        prev_closed = closed
+        closed, sgn, ind = new_closed, new_sgn, new_ind
     else:
         raise NoConvergence(
-            "penalty solver did not stabilise in %d iterations (residual %.3e)"
-            % (max_outer, res))
+            "%s did not stabilise in %d iterations (residual %.3e)"
+            % ("PDAS" if contact else "penalty solver", max_outer, res))
 
-    u = fem.DofField(mesh, values)
     report = SolveReport(iterations=it, residual=res, active_sizes=history,
                          damped_steps=damped)
+    return values, closed, lam, report, factor
+
+
+def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
+    """Solve the discrete contact VI by a primal-dual active-set iteration.
+
+    Returns the solution, its ``ActiveSet`` and the ``SolveReport``; the
+    report's residual leaves out the rows that carry contact reactions.
+    """
+    op = _InterfaceOperator(mesh, laws, elast, g)
+    values, active, lam, report, _ = _active_set_solve(op, None, max_outer)
+    aset = ActiveSet(statuses=_statuses(mesh.jump(values, 1), active, laws.kappa),
+                     lam=np.where(active, lam, 0.0),  # inactive: no multiplier
+                     active=active)
+    return fem.DofField(mesh, values), aset, report
+
+
+# ----------------------------------------------------------------------
+# Penalty state and adjoint
+# ----------------------------------------------------------------------
+
+def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50,
+                        return_operator=False):
+    """Solve the penalty-regularised state equation.
+
+    Semismooth Newton on the penalty term; termination also requires the
+    true residual to pass ``PENALTY_TOL`` (relative). ``return_operator``
+    adds the operator and the factor of the final Newton matrix (None when
+    stick dofs were merged) for reuse by ``solve_adjoint``.
+    """
+    op = _InterfaceOperator(mesh, laws, elast, g)
+    values, _, _, report, factor = _active_set_solve(op, eps, max_outer)
+    u = fem.DofField(mesh, values)
     if return_operator:
         return u, report, op, factor
     return u, report
@@ -388,8 +360,6 @@ def solve_adjoint(mesh, laws, elast, u_eps, z_obs, eps, stiffness=None,
     Mobs = fem.assemble_boundary_mass(mesh)
     rhs = Mobs @ (u_eps.values - np.asarray(z_obs).reshape(-1))
     system = fem.reduce_system(A, rhs, mesh)
-    if factor is None:
-        factor = fem.FactorizedSPD(system.matrix)
     v = fem.solve_spd(system, factor=factor)
     res = np.linalg.norm(system.matrix @ v.values[system.free] - system.rhs)
     nrm = np.linalg.norm(system.rhs)

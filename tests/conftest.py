@@ -61,7 +61,7 @@ def contact_state(contact_config, contact_measurement):
     v, _ = solvers.solve_adjoint(mesh, laws, elast, u, z_vec, cfg.eps,
                                  stiffness=op.K, factor=factor)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
-                u=u, v=v, z_vec=z_vec, report=rep, op=op)
+                u=u, v=v, z_vec=z_vec, report=rep, op=op, factor=factor)
 
 
 @pytest.fixture(scope="session")

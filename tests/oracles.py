@@ -153,3 +153,12 @@ def dense_adjoint_solve(mesh, laws, elast, u, z, eps):
     v = np.zeros(mesh.n_dofs)
     v[free] = np.linalg.solve(K[np.ix_(free, free)], rhs[free])
     return v
+
+
+def hadamard_estimate(grad, vel):
+    """Coarse-node quadrature of the boundary form int (nu . Lambda) D3 dS
+    restricted to interior nodes (endpoint motion is driven by D1)."""
+    s = grad.s
+    w = np.zeros(s.size)
+    w[1:-1] = 0.5 * (s[2:] - s[:-2])
+    return float(np.sum(vel.lam2 * grad.d3 * w))

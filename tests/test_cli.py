@@ -162,3 +162,28 @@ class TestLawsCheck:
                     "--eps", "1e-6"]) == 0
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["parameters"]["eps"] == 1e-6
+
+
+INVALID_CONFIGS = [
+    # (id, config text, extra CLI arguments)
+    ("eps-negative", "[penalty]\neps = -1\n", []),
+    ("eps-zero", "[penalty]\neps = 0\n", []),
+    ("eps-nan", "[penalty]\neps = nan\n", []),
+    ("eps-inf", "[penalty]\neps = inf\n", []),
+    ("eps-override-negative", "", ["--eps", "-1"]),
+    ("snapshot-every-zero", "[algorithm]\nsnapshot_every = 0\n", []),
+    ("snapshot-every-negative", "[algorithm]\nsnapshot_every = -3\n", []),
+]
+
+
+@pytest.mark.parametrize("text,extra", [c[1:] for c in INVALID_CONFIGS],
+                         ids=[c[0] for c in INVALID_CONFIGS])
+def test_invalid_config_exit_2(tmp_path, capsys, text, extra):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = run(["measure", "--config", str(cfg), "--out", str(tmp_path / "m")]
+             + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@
 identification loop behaviour."""
 
 
+import io
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,10 @@ class TestMeasurement:
         assert np.array_equal(back.points, meas.points)
         assert np.array_equal(back.disp, meas.disp)
         assert back.h == meas.h and back.load_case == meas.load_case
-        # and the in-memory text writer matches the file byte for byte
-        assert driver.measurement_to_text(meas) == path.read_text()
+        # and writing to an open text stream matches the file byte for byte
+        buf = io.StringIO()
+        driver.write_measurement(buf, meas)
+        assert buf.getvalue() == path.read_text()
 
     def test_interp_identity_on_same_mesh(self, contact_measurement):
         meas = contact_measurement["meas"]

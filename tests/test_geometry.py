@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from crackid import geometry
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (InterfaceGraph, build_mesh, coarse_curvature,
-                              constant_graph, interface_frame, read_interface,
+                              constant_graph, read_interface,
                               uniform_graph, write_interface)
 
 KINKED = InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3]))
@@ -132,26 +131,18 @@ class TestBuildMesh:
         assert mesh.triangles.shape[0] == 8
         assert abs(mesh.tri_area.sum() - 0.5) < 1e-14
 
-    def test_mesh_debug_dump(self, tmp_path):
-        mesh = build_mesh(constant_graph(0.25), 0.1)
-        path = tmp_path / "mesh.txt"
-        geometry.write_mesh_debug(path, mesh)
-        text = path.read_text().splitlines()
-        assert text[0] == "# mesh v1"
-        assert text[1] == "vertices %d" % mesh.n_vertices
-
 
 class TestInterfaceFrame:
     def test_flat_edge(self):
         mesh = build_mesh(constant_graph(0.25), 0.1)
-        nu, tau, L = interface_frame(mesh)
+        nu, tau, L = mesh.normals, mesh.tangents, mesh.pair_lengths
         assert np.allclose(nu, [0.0, 1.0])
         assert np.allclose(tau, [1.0, 0.0])
         assert np.allclose(L, 0.1)
 
     def test_sloped_edge(self):
         mesh = build_mesh(KINKED, 0.01)
-        nu, tau, _ = interface_frame(mesh)
+        nu, tau = mesh.normals, mesh.tangents
         w = np.sqrt(10.0 / 9.0)
         sloped = mesh.interface_x[:-1] < 0.59
         assert np.allclose(nu[sloped], np.array([-1.0 / 3.0, 1.0]) / w)
@@ -159,7 +150,7 @@ class TestInterfaceFrame:
 
     def test_orthonormal(self):
         mesh = build_mesh(KINKED, 0.02)
-        nu, tau, _ = interface_frame(mesh)
+        nu, tau = mesh.normals, mesh.tangents
         assert np.max(np.abs(np.sum(nu * tau, axis=1))) < 1e-14
         assert np.allclose(np.hypot(nu[:, 0], nu[:, 1]), 1.0, atol=1e-14)
         assert np.all(tau[:, 0] > 0.0)

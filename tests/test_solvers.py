@@ -3,6 +3,7 @@ complementarity/consistency properties."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crackid import driver, fem, solvers
 from crackid.geometry import build_mesh, constant_graph
@@ -131,6 +132,46 @@ class TestPenaltyState:
         u2, r2 = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
         assert np.array_equal(u1.values, u2.values)
         assert r1.residual == r2.residual and r1.iterations == r2.iterations
+
+
+class TestSolvePath:
+    def test_empty_merge_is_the_dirichlet_selection(self):
+        # with nothing merged the solve takes the plain free-dof selection;
+        # it must be the very matrix the R^T A R merge builds
+        mesh = build_mesh(constant_graph(0.25), 0.05)
+        _, _, op, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
+                                                  1e-8, return_operator=True)
+        none = np.zeros(0, dtype=np.int64)
+        _, factor = op.merged_solve(op.K, op.F, none, none)
+        free = op.free
+        R = sp.csr_matrix((np.ones(free.size), (free, np.arange(free.size))),
+                          shape=(mesh.n_dofs, free.size))
+        ref = (R.T @ op.K @ R).tocsc()
+        got = factor.matrix.tocsc()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+    def test_adjoint_reuses_state_factor_bitwise(self, contact_state):
+        st = contact_state
+        assert st["factor"] is not None
+        args = (st["mesh"], st["laws"], st["elast"], st["u"], st["z_vec"],
+                st["cfg"].eps)
+        reused, _ = solvers.solve_adjoint(*args, stiffness=st["op"].K,
+                                          factor=st["factor"])
+        fresh, _ = solvers.solve_adjoint(*args)
+        assert np.array_equal(reused.values, fresh.values)
+
+    def test_sticking_state_returns_no_factor(self):
+        # at zero load the interior nodes away from the clamped ends stick,
+        # so the final Newton matrix is merged and has no factor the
+        # adjoint could reuse
+        mesh = build_mesh(constant_graph(0.25), 0.05)
+        u, _, _, factor = solvers.solve_penalty_state(
+            mesh, LAWS, ELAST, ZERO_LOAD, 1e-8, return_operator=True)
+        slip = mesh.jump(u.values, 0)[mesh.interface_interior()]
+        assert np.count_nonzero(slip == 0.0) > slip.size // 2
+        assert factor is None
 
 
 @pytest.fixture(scope="module")
