@@ -211,20 +211,22 @@ def cmd_gradient_check(args):
     psi = config.initial_graph()
     eps = config.eps
 
-    def objective_of(graph):
-        m = build_mesh(graph, h)
-        u, _ = solvers.solve_penalty_state(m, laws, elast, g, eps,
-                                           max_outer=config.max_outer)
-        zv = driver.interp_measurement(m, meas)
-        return driver.objective(m, u, zv, elast.rho_reg, graph)
-
     mesh = build_mesh(psi, h)
-    u, _, op, factor = solvers.solve_penalty_state(
+    u, base, op, factor = solvers.solve_penalty_state(
         mesh, laws, elast, g, eps, max_outer=config.max_outer,
         return_operator=True)
     zv = driver.interp_measurement(mesh, meas)
-    v, _ = solvers.solve_adjoint(mesh, laws, elast, u, zv, eps,
+    v, _ = solvers.solve_adjoint(mesh, elast, u, zv, eps,
                                  stiffness=op.K, factor=factor)
+
+    def objective_of(graph):
+        # every probe perturbs the base line, so it starts from its sets
+        m = build_mesh(graph, h)
+        u, _ = solvers.solve_penalty_state(m, laws, elast, g, eps,
+                                           max_outer=config.max_outer,
+                                           start=base.configuration)
+        zv = driver.interp_measurement(m, meas)
+        return driver.objective(m, u, zv, elast.rho_reg, graph)
     manifest.phase("state")
 
     steps = (1e-3 * h, 1e-4 * h)

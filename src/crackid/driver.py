@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ConfigError("unknown load case %r" % self.load_case)
         if not (np.isfinite(self.eps) and self.eps > 0.0):
             raise ConfigError("eps must be finite and > 0, got %r" % self.eps)
+        if not 0.0 < self.psi0 < 0.5:
+            raise ConfigError("psi0 must lie strictly inside (0, 0.5), got %r"
+                              % self.psi0)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
         if self.snapshot_every < 1:
@@ -247,7 +250,9 @@ def identify(config, meas, record_gradients=False):
     """Run the breaking-line identification loop.
 
     Starts from the flat coarse graph, and per iteration: meshes the
-    current line, solves the penalty state and adjoint, forms the boundary
+    current line, solves the penalty state (seeded with the previous
+    iterate's active sets; the column count, hence the interface node
+    numbering, is fixed) and the adjoint, forms the boundary
     gradient and scaled descent velocity, and updates the grid function.
     The measurement's load case governs the forward solves. Stops after
     ``n_max`` updates (fixed-budget stopping rule); solver failures abort
@@ -264,17 +269,19 @@ def identify(config, meas, record_gradients=False):
     J0 = None
     err0 = shape_error(psi, psi_true)
     clamped = 0
+    start = None   # the previous iterate's converged active sets
 
     for n in range(config.n_max + 1):
         try:
             mesh = build_mesh(psi, h)
             u, rep, op, factor = solvers.solve_penalty_state(
                 mesh, laws, elast, g, config.eps, max_outer=config.max_outer,
-                return_operator=True)
+                return_operator=True, start=start)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break
 
+        start = rep.configuration
         z_vec = interp_measurement(mesh, meas)
         J = objective(mesh, u, z_vec, elast.rho_reg, psi)
         if J0 is None:
@@ -294,9 +301,8 @@ def identify(config, meas, record_gradients=False):
             break
 
         try:
-            v, _ = solvers.solve_adjoint(mesh, laws, elast, u, z_vec,
-                                         config.eps, stiffness=op.K,
-                                         factor=factor)
+            v, _ = solvers.solve_adjoint(mesh, elast, u, z_vec, config.eps,
+                                         stiffness=op.K, factor=factor)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
                                            config.eps,
                                            curvature=config.curvature)

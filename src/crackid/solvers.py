@@ -46,6 +46,7 @@ class SolveReport:
     residual: float
     active_sizes: list = field(default_factory=list)
     damped_steps: int = 0
+    configuration: tuple = None   # converged (closed, sgn, ind), a seed
 
 
 @dataclass
@@ -200,7 +201,7 @@ def _statuses(jump2, active, kappa):
 # The active-set engine and its two normal laws
 # ----------------------------------------------------------------------
 
-def _active_set_solve(op, eps, max_outer):
+def _active_set_solve(op, eps, max_outer, start=None):
     """One active-set iteration for both normal laws.
 
     ``closed`` is the normal set. With ``eps=None`` (exact contact) its x2
@@ -213,6 +214,13 @@ def _active_set_solve(op, eps, max_outer):
     a halving damped step (floor 2^-20); a period-2 oscillation of the
     contact set is broken once by keeping the union of the two sets.
 
+    ``start`` seeds the normal set, the signs and the indicator with a
+    converged ``(closed, sgn, ind)`` (``SolveReport.configuration``); a
+    seed whose arrays do not match the interface node count is ignored.
+    The active-set Newton method converges superlinearly from a nearby set
+    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); a seed equal
+    to the converged configuration makes the first step the last.
+
     Returns (values, closed, lam, report, factor), with ``lam`` the contact
     multiplier estimate and ``factor`` as from ``merged_solve``.
     """
@@ -221,11 +229,14 @@ def _active_set_solve(op, eps, max_outer):
     interior = op.interior
     n_if = interior.size
     c = op.elast.mu_L / op.mesh.h
-    closed = interior.copy() if contact else np.zeros(n_if, dtype=bool)
+    if start is not None and all(np.size(a) == n_if for a in start):
+        closed, sgn, ind = start   # the loop never writes into these
+    else:
+        closed = interior.copy() if contact else np.zeros(n_if, dtype=bool)
+        sgn = np.zeros(n_if)            # 0 = sticking
+        ind = np.ones(n_if)
     none_shut = np.zeros(n_if, dtype=bool)
-    sgn = np.zeros(n_if)                # 0 = sticking
     flips = np.zeros(n_if, dtype=np.int64)
-    ind = np.ones(n_if)
     lam = np.zeros(n_if)
     values = np.zeros(op.mesh.n_dofs)
     res = np.inf
@@ -296,7 +307,7 @@ def _active_set_solve(op, eps, max_outer):
             % ("PDAS" if contact else "penalty solver", max_outer, res))
 
     report = SolveReport(iterations=it, residual=res, active_sizes=history,
-                         damped_steps=damped)
+                         damped_steps=damped, configuration=(closed, sgn, ind))
     return values, closed, lam, report, factor
 
 
@@ -319,16 +330,20 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
 # ----------------------------------------------------------------------
 
 def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50,
-                        return_operator=False):
+                        return_operator=False, start=None):
     """Solve the penalty-regularised state equation.
 
     Semismooth Newton on the penalty term; termination also requires the
-    true residual to pass ``PENALTY_TOL`` (relative). ``return_operator``
-    adds the operator and the factor of the final Newton matrix (None when
+    true residual to pass ``PENALTY_TOL`` (relative). ``start`` seeds the
+    active sets with the ``configuration`` of an earlier report on a mesh
+    with the same interface nodes (the previous identification iterate, or
+    the base state of a finite-difference probe). ``return_operator`` adds
+    the operator and the factor of the final Newton matrix (None when
     stick dofs were merged) for reuse by ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g)
-    values, _, _, report, factor = _active_set_solve(op, eps, max_outer)
+    values, _, _, report, factor = _active_set_solve(op, eps, max_outer,
+                                                     start)
     u = fem.DofField(mesh, values)
     if return_operator:
         return u, report, op, factor
@@ -344,8 +359,7 @@ def penalty_newton_matrix(mesh, u_eps, eps):
     return fem.interface_nodal_jump_matrix(mesh, w / eps, comp=1, nodes=nodes)
 
 
-def solve_adjoint(mesh, laws, elast, u_eps, z_obs, eps, stiffness=None,
-                  factor=None):
+def solve_adjoint(mesh, elast, u_eps, z_obs, eps, stiffness=None, factor=None):
     """Solve the linear adjoint equation for the misfit against ``z_obs``.
 
     The system matrix is the bulk stiffness plus the collapsed penalty

@@ -162,7 +162,8 @@ def test_criterion_5_gradient_check(contact_state, contact_measurement):
     def objective_of(graph):
         m = build_mesh(graph, h)
         u, _ = solvers.solve_penalty_state(m, st["laws"], st["elast"], st["g"],
-                                           cfg.eps)
+                                           cfg.eps,
+                                           start=st["report"].configuration)
         zv = driver.interp_measurement(m, meas)
         return driver.objective(m, u, zv, st["elast"].rho_reg, graph)
 

@@ -173,6 +173,9 @@ INVALID_CONFIGS = [
     ("eps-override-negative", "", ["--eps", "-1"]),
     ("snapshot-every-zero", "[algorithm]\nsnapshot_every = 0\n", []),
     ("snapshot-every-negative", "[algorithm]\nsnapshot_every = -3\n", []),
+    ("psi0-above-half", "[geometry]\npsi0 = 0.6\n", []),
+    ("psi0-zero", "[geometry]\npsi0 = 0\n", []),
+    ("psi0-negative", "[geometry]\npsi0 = -0.1\n", []),
 ]
 
 

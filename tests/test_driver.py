@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from crackid import driver, fem
+from crackid import driver, fem, solvers
 from crackid.errors import ConfigError
 from crackid.geometry import build_mesh, constant_graph
 
@@ -46,7 +46,6 @@ class TestMeasurement:
     def test_zero_load_trace(self):
         cfg = driver.ExperimentConfig()
         mesh = build_mesh(cfg.true_graph(), 0.05)
-        from crackid import solvers
         z, _, _ = solvers.solve_vi_pdas(mesh, cfg.cohesive(), cfg.elasticity(),
                                         lambda x, y: (0.0 * x, 0.0 * x))
         ids = driver.observation_nodes(mesh)
@@ -174,6 +173,26 @@ class TestIdentify:
         log1 = driver.identify(cfg, contact_measurement["meas"])
         log2 = driver.identify(cfg, contact_measurement["meas"])
         assert log1.to_csv() == log2.to_csv()
+
+    def test_seeded_iterations_log_the_cold_objective(self):
+        # each iteration seeds its state solve with the previous one's
+        # active sets; the logged J must be the cold solve's, bit for bit
+        cfg = driver.ExperimentConfig(h_measure=0.05, n_max=3,
+                                      snapshot_every=1)
+        meas = driver.synthesize_measurement(cfg)[0]
+        log = driver.identify(cfg, meas)
+        assert log.aborted is None and sorted(log.snapshots) == [0, 1, 2, 3]
+        laws, elast = cfg.cohesive(), cfg.elasticity()
+        h = cfg.resolved_h_identify()
+        for row in log.rows:
+            psi = log.snapshots[row["n"]]
+            mesh = build_mesh(psi, h)
+            u, rep = solvers.solve_penalty_state(mesh, laws, elast,
+                                                 cfg.traction(), cfg.eps)
+            J = driver.objective(mesh, u, driver.interp_measurement(mesh, meas),
+                                 elast.rho_reg, psi)
+            assert row["J"] == J
+            assert row["penalty_iters"] <= rep.iterations
 
     def test_eps_sensitivity_rebound(self, eps_sensitivity_run):
         J = eps_sensitivity_run.column("J_ratio")

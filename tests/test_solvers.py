@@ -155,8 +155,7 @@ class TestSolvePath:
     def test_adjoint_reuses_state_factor_bitwise(self, contact_state):
         st = contact_state
         assert st["factor"] is not None
-        args = (st["mesh"], st["laws"], st["elast"], st["u"], st["z_vec"],
-                st["cfg"].eps)
+        args = (st["mesh"], st["elast"], st["u"], st["z_vec"], st["cfg"].eps)
         reused, _ = solvers.solve_adjoint(*args, stiffness=st["op"].K,
                                           factor=st["factor"])
         fresh, _ = solvers.solve_adjoint(*args)
@@ -172,6 +171,54 @@ class TestSolvePath:
         slip = mesh.jump(u.values, 0)[mesh.interface_interior()]
         assert np.count_nonzero(slip == 0.0) > slip.size // 2
         assert factor is None
+
+
+class TestWarmStart:
+    """A state solve seeded with a converged configuration ends on the
+    matrix a cold solve ends on, so it returns the very same values."""
+
+    def _base(self):
+        psi = constant_graph(0.25)
+        mesh = build_mesh(psi, 0.05)
+        u, rep = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
+        closed, sgn, _ = rep.configuration
+        # a seed worth the name: nodes penetrate and slip
+        assert closed.any() and np.any(sgn != 0.0)
+        return psi, mesh, u, rep
+
+    def test_own_configuration_is_one_step(self):
+        _, mesh, u, rep = self._base()
+        u2, rep2 = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
+                                               1e-8, start=rep.configuration)
+        assert rep2.iterations == 1 < rep.iterations
+        assert np.array_equal(u2.values, u.values)
+        assert rep2.residual == rep.residual
+        for a, b in zip(rep2.configuration, rep.configuration):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k,sign", [(2, 1.0), (5, -1.0), (8, 1.0)])
+    def test_perturbed_interface_matches_cold(self, k, sign):
+        psi, mesh, _, rep = self._base()
+        hat = np.zeros(psi.s.size)
+        hat[k] = sign * 1e-4 * mesh.h
+        moved = build_mesh(psi.with_psi(psi.psi + hat), mesh.h)
+        cold, rep_c = solvers.solve_penalty_state(moved, LAWS, ELAST,
+                                                  G_CONTACT, 1e-8)
+        warm, rep_w = solvers.solve_penalty_state(moved, LAWS, ELAST,
+                                                  G_CONTACT, 1e-8,
+                                                  start=rep.configuration)
+        assert np.array_equal(warm.values, cold.values)
+        assert rep_w.residual == rep_c.residual
+        assert rep_w.iterations < rep_c.iterations
+
+    def test_wrong_length_seed_is_cold(self):
+        _, mesh, u, rep = self._base()
+        short = tuple(a[:-1] for a in rep.configuration)
+        u2, rep2 = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
+                                               1e-8, start=short)
+        assert np.array_equal(u2.values, u.values)
+        assert rep2.iterations == rep.iterations
+        assert rep2.active_sizes == rep.active_sizes
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +240,8 @@ class TestAdjoint:
     def test_zero_misfit_gives_zero(self, contact_state):
         st = contact_state
         z_eq_u = st["u"].values.copy()
-        v, rep = solvers.solve_adjoint(st["mesh"], st["laws"], st["elast"],
-                                       st["u"], z_eq_u, st["cfg"].eps)
+        v, rep = solvers.solve_adjoint(st["mesh"], st["elast"], st["u"],
+                                       z_eq_u, st["cfg"].eps)
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_dense_oracle(self):
@@ -206,7 +253,7 @@ class TestAdjoint:
         obs = np.unique(mesh.observation_edges)
         z[2 * obs] = 0.01 * rng.standard_normal(obs.size)
         z[2 * obs + 1] = 0.01 * rng.standard_normal(obs.size)
-        v, _ = solvers.solve_adjoint(mesh, LAWS, ELAST, u, z, eps)
+        v, _ = solvers.solve_adjoint(mesh, ELAST, u, z, eps)
         v_ref = oracles.dense_adjoint_solve(mesh, LAWS, ELAST, u.values, z, eps)
         assert np.max(np.abs(v.values - v_ref)) < 1e-10 * max(np.max(np.abs(v_ref)), 1e-30)
 
@@ -219,12 +266,12 @@ class TestAdjoint:
     def test_linearity_in_misfit(self, contact_state):
         st = contact_state
         mesh, eps = st["mesh"], st["cfg"].eps
-        v1, _ = solvers.solve_adjoint(mesh, st["laws"], st["elast"], st["u"],
-                                      st["z_vec"], eps, stiffness=st["op"].K)
+        v1, _ = solvers.solve_adjoint(mesh, st["elast"], st["u"], st["z_vec"],
+                                      eps, stiffness=st["op"].K)
         # scale the misfit: z' = u - 3 (u - z)  =>  v' = 3 v
         z_scaled = st["u"].values - 3.0 * (st["u"].values - st["z_vec"])
-        v3, _ = solvers.solve_adjoint(mesh, st["laws"], st["elast"], st["u"],
-                                      z_scaled, eps, stiffness=st["op"].K)
+        v3, _ = solvers.solve_adjoint(mesh, st["elast"], st["u"], z_scaled,
+                                      eps, stiffness=st["op"].K)
         assert np.allclose(v3.values, 3.0 * v1.values, rtol=1e-9, atol=1e-14)
 
 
