@@ -152,7 +152,7 @@ def cmd_identify(args):
     manifest.data["measurement_path"] = os.path.abspath(args.measurement)
     try:
         meas = driver.read_measurement(args.measurement)
-    except (OSError, ValueError) as exc:
+    except (OSError, ConfigError) as exc:
         raise ConfigError("cannot read measurement %s: %s" % (args.measurement, exc))
 
     log = driver.identify(config, meas, record_gradients=args.dump_gradients)

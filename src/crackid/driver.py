@@ -9,14 +9,15 @@ ratios. The two meshes use different column counts (h_identify defaults to
 h_measure * 8/7) so synthetic data is never inverted on its own grid.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import fem, shape, solvers
-from .errors import ConfigError, CrackidError
-from .geometry import InterfaceGraph, build_mesh, uniform_graph
+from .errors import ConfigError, CrackidError, InvalidPoisson
+from .geometry import HEIGHT, InterfaceGraph, build_mesh, uniform_graph
 from .laws import CohesiveParams
 
 MEASUREMENT_HEADER = "# measurement v1"
@@ -62,11 +63,27 @@ class ExperimentConfig:
             raise ConfigError("unknown true interface %r" % self.true_interface)
         if self.load_case not in LOAD_SLOPES:
             raise ConfigError("unknown load case %r" % self.load_case)
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise ConfigError("eps must be finite and > 0, got %r" % self.eps)
-        if not 0.0 < self.psi0 < 0.5:
-            raise ConfigError("psi0 must lie strictly inside (0, 0.5), got %r"
-                              % self.psi0)
+        for name in ("E_Y", "eps", "h_measure", "h_identify", "H"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ConfigError("%s must be finite and > 0, got %r" % (name, value))
+        try:
+            self.elasticity()
+        except InvalidPoisson as exc:
+            raise ConfigError(str(exc)) from exc
+        n_coarse = 1.0 / self.H
+        if round(n_coarse) < 1 or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
+            raise ConfigError("1/H must be a positive integer, got H = %r" % self.H)
+        # build_mesh needs each interface 2h clear of the top and bottom
+        margin = 2.0 * self.resolved_h_identify()
+        if not margin <= self.psi0 <= HEIGHT - margin:
+            raise ConfigError("psi0 must lie in [2h, 0.5 - 2h] = [%.4g, %.4g] "
+                              "at h_identify, got %r"
+                              % (margin, HEIGHT - margin, self.psi0))
+        true_psi = self.true_graph().psi
+        if 2.0 * self.h_measure > min(np.min(true_psi), HEIGHT - np.max(true_psi)):
+            raise ConfigError("h_measure = %r meshes the true interface closer "
+                              "than 2h to the boundary" % self.h_measure)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
         if self.snapshot_every < 1:
@@ -163,17 +180,35 @@ def write_measurement(path_or_fh, meas):
 
 
 def read_measurement(path_or_fh):
+    """Read a measurement v1 file; a malformed one raises ConfigError."""
     fh = path_or_fh if hasattr(path_or_fh, "read") else open(path_or_fh)
     try:
         header = fh.readline().strip()
         if header != MEASUREMENT_HEADER:
-            raise ValueError("not a measurement v1 file: %r" % header)
+            raise ConfigError("not a measurement v1 file: %r" % header)
         h = float(fh.readline().split("=")[1])
         load_case = fh.readline().split("=")[1].strip()
-        data = np.loadtxt(fh, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows gets a warning from loadtxt, not an error
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(fh, ndmin=2)
+    except (IndexError, ValueError, UserWarning) as exc:
+        raise ConfigError("malformed measurement: %s" % exc) from exc
     finally:
         if fh is not path_or_fh:
             fh.close()
+    if not (np.isfinite(h) and h > 0.0):
+        raise ConfigError("measurement h must be finite and > 0, got %r" % h)
+    if load_case not in LOAD_SLOPES:
+        raise ConfigError("unknown measurement load case %r" % load_case)
+    if data.shape[1] != 4:
+        raise ConfigError("measurement rows need 4 columns (x1 x2 u1 u2), got %d"
+                          % data.shape[1])
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("measurement holds non-finite values")
+    for y in (0.0, HEIGHT):    # the observation (bottom and top) edges
+        if not np.any(np.abs(data[:, 1] - y) < 1e-12):
+            raise ConfigError("measurement has no samples on the edge x2 = %g" % y)
     return Measurement(h=h, load_case=load_case,
                        points=data[:, 0:2], disp=data[:, 2:4])
 

@@ -2,18 +2,23 @@
 mesh, boundary/interface integrals, Dirichlet elimination and sparse solves.
 
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
-and produces deterministic matrices (fixed summation order in the sparse
-conversion). Dirichlet conditions are handled by row/column elimination so
-reduced systems stay symmetric positive definite.
+and reads the element areas and shape gradients the mesh carries. The CSR
+pattern of the stiffness, and the order in which scipy's COO -> CSR
+conversion would sum each entry's element contributions, are derived once
+per mesh topology; each assembly then only gathers and sums the element
+blocks in that order, so the matrix equals the plain COO conversion bit for
+bit. Dirichlet conditions are handled by row/column elimination so reduced
+systems stay symmetric positive definite.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateElement, InvalidPoisson, MaxIterations, NotPositiveDefinite
+from .errors import InvalidPoisson, MaxIterations, NotPositiveDefinite
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
 
@@ -101,49 +106,18 @@ class SparseSymSystem:
 # Element quantities
 # ----------------------------------------------------------------------
 
-def triangle_geometry(vertices, triangles):
-    """Areas and P1 shape gradients. grads[e, i] = grad of hat i on tri e."""
-    p = vertices[triangles]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1])
-    if np.any(area <= 0.0):
-        raise DegenerateElement("nonpositive triangle area in assembly")
-    grads = np.empty((triangles.shape[0], 3, 2))
-    # grad lambda_i = rot90(opposite edge) / (2 A)
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    for i, e in enumerate((e0, e1, e2)):
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return area, grads
-
-
-def element_stiffness(vertices, triangles, dmat):
+def element_stiffness(area, grads, dmat):
     """Per-element 6x6 plane-strain stiffness blocks (vectorised)."""
-    area, grads = triangle_geometry(vertices, triangles)
-    nt = triangles.shape[0]
+    nt = area.shape[0]
     B = np.zeros((nt, 3, 6))
     B[:, 0, 0::2] = grads[:, :, 0]
     B[:, 1, 1::2] = grads[:, :, 1]
     B[:, 2, 0::2] = grads[:, :, 1]
     B[:, 2, 1::2] = grads[:, :, 0]
-    ke = np.einsum("eji,jk,ekl->eil", B, dmat, B) * area[:, None, None]
-    return ke, area, grads
-
-
-def _scatter(ke_blocks, dof_table, n_dofs):
-    nt, nd, _ = ke_blocks.shape
-    rows = np.repeat(dof_table, nd, axis=1).reshape(-1)
-    cols = np.tile(dof_table, (1, nd)).reshape(-1)
-    mat = sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
-                        shape=(n_dofs, n_dofs)).tocsr()
-    # entries that sum to exactly zero would otherwise stay in the pattern
-    # of a Dirichlet selection (but not of a product) and reorder the LU
-    mat.eliminate_zeros()
-    return mat
+    # two plain einsums give the same bits as one three-operand einsum at
+    # less than half its time; optimize=True or matmul would reorder sums
+    BtD = np.einsum("eji,jk->eik", B, dmat)
+    return np.einsum("eik,ekl->eil", BtD, B) * area[:, None, None]
 
 
 def _dof_table(triangles):
@@ -153,15 +127,61 @@ def _dof_table(triangles):
                             2 * t[:, 2], 2 * t[:, 2] + 1])
 
 
-def assemble_stiffness(mesh, elast, triangles=None):
+@functools.lru_cache(maxsize=8)
+def _stiffness_pattern(topology, n_dofs):
+    """CSR pattern of the stiffness of one mesh topology, with the gather
+    that sums the flattened element blocks into it.
+
+    ``coo_matrix(...).tocsr()`` places the entries row by row in input
+    order, sorts each row by column (not stably) and sums each run of equal
+    columns left to right. Replaying it on entry numbers instead of values
+    gives the permutation it applies; the assembly then repeats that sum
+    exactly. Returns (indptr, indices, first, tails): entry k of the data
+    is flat[first[k]] plus flat[src] for each (dst, src) in ``tails``
+    whose dst holds k, in order -- at most one per term of the run.
+    """
+    table = _dof_table(topology.triangles)
+    nd = table.shape[1]
+    rows = np.repeat(table, nd, axis=1).reshape(-1)
+    cols = np.tile(table, (1, nd)).reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    bounds = np.arange(n_dofs + 1)
+    probe = sp.csr_matrix((order, cols[order], np.searchsorted(rows, bounds)),
+                          shape=(n_dofs, n_dofs))
+    probe.sort_indices()
+    perm, cols = probe.data, probe.indices
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
+    run = np.diff(np.append(starts, perm.size))
+    tails = []
+    for k in range(1, int(run.max())):
+        dst = np.flatnonzero(run > k)
+        tails.append((dst, perm[starts[dst] + k]))
+    indptr = np.searchsorted(rows[starts], bounds).astype(cols.dtype)
+    out = (indptr, cols[starts], perm[starts], tuple(tails))
+    for arr in out[:3] + tuple(a for pair in tails for a in pair):
+        arr.setflags(write=False)
+    return out
+
+
+def assemble_stiffness(mesh, elast):
     """Bulk stiffness over the broken domain (full, pre-elimination).
 
-    ``triangles`` restricts assembly to a subset of elements; by default
-    all elements of both subdomains are used.
+    The CSR pattern and summation order are those of the mesh's topology,
+    built once; each call only gathers and sums the element blocks.
     """
-    tris = mesh.triangles if triangles is None else np.asarray(triangles)
-    ke, _, _ = element_stiffness(mesh.vertices, tris, elast.dmatrix())
-    return _scatter(ke, _dof_table(tris), mesh.n_dofs)
+    flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
+    indptr, indices, first, tails = _stiffness_pattern(mesh.topology, mesh.n_dofs)
+    data = flat[first]
+    for dst, src in tails:
+        data[dst] += flat[src]
+    mat = sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                        shape=(mesh.n_dofs, mesh.n_dofs))
+    # entries that sum to exactly zero would otherwise stay in the pattern
+    # of a Dirichlet selection (but not of a product) and reorder the LU
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_traction(mesh, g):
@@ -350,10 +370,9 @@ def solve_spd(system, factor=None, rtol=1e-10):
 
 def field_gradients(mesh, values):
     """Per-triangle constant gradient (du_i/dx_j) of a P1 dof vector."""
-    _, grads = triangle_geometry(mesh.vertices, mesh.triangles)
     vals = np.asarray(values).reshape(-1, 2)
     nodal = vals[mesh.triangles]            # (nt, 3, 2) u_i at corners
-    return np.einsum("eia,eib->eab", nodal, grads)
+    return np.einsum("eia,eib->eab", nodal, mesh.tri_grads)
 
 
 def strain_from_grad(gradu):
@@ -363,8 +382,7 @@ def strain_from_grad(gradu):
 def h1_seminorm(mesh, values):
     """Broken H1 seminorm of a dof vector over both subdomains."""
     g = field_gradients(mesh, values)
-    area, _ = triangle_geometry(mesh.vertices, mesh.triangles)
-    return float(np.sqrt(np.sum(area * np.sum(g * g, axis=(1, 2)))))
+    return float(np.sqrt(np.sum(mesh.tri_area * np.sum(g * g, axis=(1, 2)))))
 
 
 def boundary_misfit(mesh, values, z_values, edges=None):

@@ -7,11 +7,22 @@ interface height and each quadrilateral cell is cut into two triangles.
 Interface vertices are duplicated so the displacement may jump across the
 line; matched plus/minus edge pairs carry the interface frame.
 
+The identification loop re-meshes at every step, but under the
+column-preserving protocol only the vertex heights move. ``build_mesh``
+therefore splits in two: a cached, vectorised builder of the integer
+tables (triangles, subdomain tags, interface pairs, boundary vertices and
+edges), keyed on the column and row counts and returned as read-only
+arrays, and a per-graph part that computes the vertices, the interface
+frame and lengths, and the triangle areas and shape gradients -- the one
+home of the element geometry that assembly and the shape derivative read.
+
 All construction is pure arithmetic on the inputs: identical inputs yield
-bitwise-identical meshes.
+bitwise-identical meshes, whether the tables are built or come from the
+cache.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,6 +128,91 @@ def coarse_curvature(graph):
 # Broken mesh
 # ----------------------------------------------------------------------
 
+def triangle_geometry(vertices, triangles):
+    """Areas and P1 shape gradients. grads[e, i] = grad of hat i on tri e."""
+    p = vertices[triangles]
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    area = 0.5 * (v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1])
+    if np.any(area <= 0.0):
+        raise DegenerateElement("nonpositive triangle area")
+    grads = np.empty((triangles.shape[0], 3, 2))
+    # grad lambda_i = rot90(opposite edge) / (2 A)
+    e0 = p[:, 2] - p[:, 1]
+    e1 = p[:, 0] - p[:, 2]
+    e2 = p[:, 1] - p[:, 0]
+    for i, e in enumerate((e0, e1, e2)):
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * area)[:, None, None]
+    return area, grads
+
+
+@dataclass(frozen=True, eq=False)
+class _Topology:
+    """Read-only integer tables shared by every mesh of one
+    (n_cols, n_rows_below, n_rows_above); hashed by identity, so caches
+    of derived structure (the stiffness pattern) can key on it."""
+
+    triangles: np.ndarray
+    tri_sub: np.ndarray
+    dirichlet_vertices: np.ndarray
+    neumann_edges: np.ndarray
+    iface_minus: np.ndarray
+    iface_plus: np.ndarray
+    pair_minus: np.ndarray
+    pair_plus: np.ndarray
+    pair_tri_minus: np.ndarray
+    pair_tri_plus: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _topology(n_cols, n_rows_below, n_rows_above):
+    """Vertex numbering, triangles and boundary/interface tables.
+
+    Vertices run row by row (x1 fastest), the lower block first; the top
+    row of the lower block and the bottom row of the upper block are the
+    minus and plus copies of the interface nodes.
+    """
+    nx = n_cols + 1
+    off_hi = (n_rows_below + 1) * nx
+    cols = np.arange(nx)
+
+    def block_triangles(offset, n_rows):
+        # cell with lower-left corner a, counter-clockwise (a, b, c, d),
+        # is cut into (a, b, c) and (a, c, d)
+        a = (offset + nx * np.arange(n_rows)[:, None] + cols[None, :-1]).reshape(-1)
+        return np.column_stack([a, a + 1, a + nx + 1,
+                                a, a + nx + 1, a + nx]).reshape(-1, 3)
+
+    tris_lo = block_triangles(0, n_rows_below)
+    tris_hi = block_triangles(off_hi, n_rows_above)
+    vertex_col = np.arange(off_hi + (n_rows_above + 1) * nx) % nx
+    top = off_hi + n_rows_above * nx
+    iface_minus = n_rows_below * nx + cols
+    iface_plus = off_hi + cols
+    # triangle adjacent to interface edge j: minus side is the second
+    # triangle of the top lower-block cell, plus side the first triangle
+    # of the bottom upper-block cell
+    pair_cells = 2 * np.arange(n_cols)
+    tables = dict(
+        triangles=np.vstack([tris_lo, tris_hi]),
+        tri_sub=np.repeat(np.array([-1, 1]), [len(tris_lo), len(tris_hi)]),
+        dirichlet_vertices=np.flatnonzero((vertex_col == 0) | (vertex_col == n_cols)),
+        neumann_edges=np.column_stack([np.concatenate([cols[:-1], top + cols[:-1]]),
+                                       np.concatenate([cols[1:], top + cols[1:]])]),
+        iface_minus=iface_minus,
+        iface_plus=iface_plus,
+        pair_minus=np.column_stack([iface_minus[:-1], iface_minus[1:]]),
+        pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
+        pair_tri_minus=(n_rows_below - 1) * 2 * n_cols + pair_cells + 1,
+        pair_tri_plus=len(tris_lo) + pair_cells,
+    )
+    for table in tables.values():
+        table.setflags(write=False)
+    return _Topology(**tables)
+
+
 @dataclass
 class BrokenMesh:
     """Conforming triangulation of the broken rectangle.
@@ -125,15 +221,17 @@ class BrokenMesh:
     the matched node columns (below/above the line, sorted by x1), and the
     per-edge pair arrays carry the frame (nu from the minus into the plus
     side, tau with positive x1-component) plus the adjacent triangles.
+    The integer tables are the read-only arrays of ``topology``, shared by
+    every mesh with the same column and row counts.
     """
 
     vertices: np.ndarray          # (nv, 2)
+    topology: _Topology
     triangles: np.ndarray         # (nt, 3) CCW
     tri_sub: np.ndarray           # (nt,) -1 below / +1 above
     h: float
     n_cols: int
     dirichlet_vertices: np.ndarray
-    dirichlet_edges: np.ndarray   # (nd, 2)
     neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
     iface_minus: np.ndarray       # (n_cols+1,) vertex ids on the minus side
     iface_plus: np.ndarray        # (n_cols+1,)
@@ -144,7 +242,8 @@ class BrokenMesh:
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)
-    tri_area: np.ndarray = field(default=None)
+    tri_area: np.ndarray          # (nt,)
+    tri_grads: np.ndarray         # (nt, 3, 2) P1 shape gradients
 
     @property
     def n_vertices(self):
@@ -186,7 +285,9 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
 
     Column count and row counts default to round(1/h) and round(0.25/h);
     they may be pinned explicitly for tiny oracle meshes. Requires the
-    interface to keep a 2h margin from the top/bottom boundary.
+    interface to keep a 2h margin from the top/bottom boundary. Only the
+    vertex heights depend on ``graph``: the integer tables come from a
+    cache keyed on the column and row counts.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -206,97 +307,27 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
             "interface within %.3g of the boundary; need >= 2h = %.3g"
             % (margin, 2.0 * h))
 
-    nx = n_cols + 1
+    topo = _topology(n_cols, n_rows_below, n_rows_above)
 
     def block(y_bottom, y_top, n_rows):
         fr = np.linspace(0.0, 1.0, n_rows + 1)
         yy = y_bottom[None, :] + fr[:, None] * (y_top - y_bottom)[None, :]
-        verts = np.column_stack([np.tile(xs, n_rows + 1), yy.reshape(-1)])
-        return verts
+        return np.column_stack([np.tile(xs, n_rows + 1), yy.reshape(-1)])
 
-    zero = np.zeros(nx)
-    top = np.full(nx, HEIGHT)
-    verts_lo = block(zero, psi_cols, n_rows_below)
-    verts_hi = block(psi_cols, top, n_rows_above)
-    off_hi = verts_lo.shape[0]
-    vertices = np.vstack([verts_lo, verts_hi])
+    vertices = np.vstack([block(np.zeros(n_cols + 1), psi_cols, n_rows_below),
+                          block(psi_cols, np.full(n_cols + 1, HEIGHT), n_rows_above)])
 
-    def idx_lo(i, j):
-        return i * nx + j
-
-    def idx_hi(i, j):
-        return off_hi + i * nx + j
-
-    def block_triangles(idx, n_rows):
-        tris = []
-        for i in range(n_rows):
-            for j in range(n_cols):
-                a, b = idx(i, j), idx(i, j + 1)
-                c, d = idx(i + 1, j + 1), idx(i + 1, j)
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-        return tris
-
-    tris_lo = block_triangles(idx_lo, n_rows_below)
-    tris_hi = block_triangles(idx_hi, n_rows_above)
-    triangles = np.array(tris_lo + tris_hi, dtype=np.int64)
-    tri_sub = np.concatenate([
-        np.full(len(tris_lo), -1, dtype=np.int64),
-        np.full(len(tris_hi), 1, dtype=np.int64),
-    ])
-
-    p = vertices[triangles]
-    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    area, grads = triangle_geometry(vertices, topo.triangles)
     if np.any(area < 1e-6 * h * h):
         raise DegenerateElement(
             "minimum triangle area %.3g below 1e-6*h^2" % float(np.min(area)))
 
-    # interface node columns: top row of the lower block / bottom row of
-    # the upper block are geometrically coincident but distinct vertices
-    iface_minus = np.array([idx_lo(n_rows_below, j) for j in range(nx)], dtype=np.int64)
-    iface_plus = np.array([idx_hi(0, j) for j in range(nx)], dtype=np.int64)
-
-    pair_minus = np.column_stack([iface_minus[:-1], iface_minus[1:]])
-    pair_plus = np.column_stack([iface_plus[:-1], iface_plus[1:]])
-
-    # triangle adjacent to interface edge j: minus side is the second
-    # triangle of the top lower-block cell, plus side the first triangle
-    # of the bottom upper-block cell (see block_triangles ordering)
-    cells_per_row = 2 * n_cols
-    base_lo = (n_rows_below - 1) * cells_per_row
-    pair_tri_minus = np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64)
-    base_hi = len(tris_lo)
-    pair_tri_plus = np.array([base_hi + 2 * j for j in range(n_cols)], dtype=np.int64)
-
-    edge_vec = vertices[iface_minus[1:]] - vertices[iface_minus[:-1]]
+    edge_vec = vertices[topo.iface_minus[1:]] - vertices[topo.iface_minus[:-1]]
     lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     tangents = edge_vec / lengths[:, None]
     normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])  # nu = n^- points up
 
-    # outer boundary
-    dir_mask = (vertices[:, 0] == 0.0) | (vertices[:, 0] == WIDTH)
-    dirichlet_vertices = np.nonzero(dir_mask)[0].astype(np.int64)
-    dir_edges = []
-    for i in range(n_rows_below):
-        dir_edges.append((idx_lo(i, 0), idx_lo(i + 1, 0)))
-        dir_edges.append((idx_lo(i, n_cols), idx_lo(i + 1, n_cols)))
-    for i in range(n_rows_above):
-        dir_edges.append((idx_hi(i, 0), idx_hi(i + 1, 0)))
-        dir_edges.append((idx_hi(i, n_cols), idx_hi(i + 1, n_cols)))
-    bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
-    topE = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
-    neumann_edges = np.array(bottom + topE, dtype=np.int64)
-
     return BrokenMesh(
-        vertices=vertices, triangles=triangles, tri_sub=tri_sub,
-        h=float(h), n_cols=n_cols,
-        dirichlet_vertices=dirichlet_vertices,
-        dirichlet_edges=np.array(dir_edges, dtype=np.int64),
-        neumann_edges=neumann_edges,
-        iface_minus=iface_minus, iface_plus=iface_plus,
-        pair_minus=pair_minus, pair_plus=pair_plus,
-        pair_tri_minus=pair_tri_minus, pair_tri_plus=pair_tri_plus,
+        vertices=vertices, topology=topo, h=float(h), n_cols=n_cols,
         normals=normals, tangents=tangents, pair_lengths=lengths,
-        tri_area=area,
-    )
+        tri_area=area, tri_grads=grads, **vars(topo))

@@ -239,8 +239,7 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
     if bnd.size and np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
         raise ValueError("velocity extension does not vanish on the outer boundary")
 
-    area, grads = fem.triangle_geometry(mesh.vertices, mesh.triangles)
-    gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], grads)
+    gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], mesh.tri_grads)
     divL = gL[:, 0, 0] + gL[:, 1, 1]
 
     gu = fem.field_gradients(mesh, u_eps.values)
@@ -259,7 +258,7 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
     vol = divL * np.einsum("eab,eab->e", su, ev) \
         - np.einsum("eab,eab->e", su, E(gL, gv)) \
         - np.einsum("eab,eab->e", sv, E(gL, gu))
-    term_vol = -float(np.sum(area * vol))
+    term_vol = -float(np.sum(mesh.tri_area * vol))
 
     # interface term, trapezoid rule consistent with the nodal state quadrature
     ju1 = mesh.jump(u_eps.values, 0)

@@ -162,3 +162,100 @@ def hadamard_estimate(grad, vel):
     w = np.zeros(s.size)
     w[1:-1] = 0.5 * (s[2:] - s[:-2])
     return float(np.sum(vel.lam2 * grad.d3 * w))
+
+
+def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
+    """Every array field of a broken mesh, built with plain loops.
+
+    Same vertex numbering and triangle orientation as ``build_mesh``:
+    vertices row by row (x1 fastest), the lower block first, each cell
+    (a, b, c, d) counter-clockwise from its lower-left corner cut into
+    (a, b, c) and (a, c, d).
+    """
+    if n_cols is None:
+        n_cols = max(2, round(1.0 / h))
+    if n_rows_below is None:
+        n_rows_below = max(1, round(0.25 / h))
+    if n_rows_above is None:
+        n_rows_above = max(1, round(0.25 / h))
+    nx = n_cols + 1
+    xs = np.linspace(0.0, 1.0, nx)
+    psi_cols = graph(xs)
+
+    def block(y_bottom, y_top, n_rows):
+        fr = np.linspace(0.0, 1.0, n_rows + 1)
+        yy = y_bottom[None, :] + fr[:, None] * (y_top - y_bottom)[None, :]
+        return np.column_stack([np.tile(xs, n_rows + 1), yy.reshape(-1)])
+
+    verts_lo = block(np.zeros(nx), psi_cols, n_rows_below)
+    vertices = np.vstack([verts_lo, block(psi_cols, np.full(nx, 0.5), n_rows_above)])
+    off_hi = verts_lo.shape[0]
+
+    def idx_lo(i, j):
+        return i * nx + j
+
+    def idx_hi(i, j):
+        return off_hi + i * nx + j
+
+    def block_triangles(idx, n_rows):
+        tris = []
+        for i in range(n_rows):
+            for j in range(n_cols):
+                a, b = idx(i, j), idx(i, j + 1)
+                c, d = idx(i + 1, j + 1), idx(i + 1, j)
+                tris.append((a, b, c))
+                tris.append((a, c, d))
+        return tris
+
+    tris_lo = block_triangles(idx_lo, n_rows_below)
+    tris_hi = block_triangles(idx_hi, n_rows_above)
+    triangles = np.array(tris_lo + tris_hi, dtype=np.int64)
+
+    p = vertices[triangles]
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    grads = np.empty((len(triangles), 3, 2))
+    for e in range(len(triangles)):
+        for i in range(3):
+            # rot90 of the edge opposite corner i, over twice the area
+            q, r = p[e, (i + 1) % 3], p[e, (i + 2) % 3]
+            grads[e, i, 0] = -(r[1] - q[1]) / (2.0 * area[e])
+            grads[e, i, 1] = (r[0] - q[0]) / (2.0 * area[e])
+
+    iface_minus = np.array([idx_lo(n_rows_below, j) for j in range(nx)], dtype=np.int64)
+    iface_plus = np.array([idx_hi(0, j) for j in range(nx)], dtype=np.int64)
+    edge_vec = vertices[iface_minus[1:]] - vertices[iface_minus[:-1]]
+    lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
+    tangents = edge_vec / lengths[:, None]
+    base_lo = (n_rows_below - 1) * 2 * n_cols
+    dirichlet = [v for v in range(len(vertices)) if vertices[v, 0] in (0.0, 1.0)]
+    bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
+    top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
+    return dict(
+        vertices=vertices, triangles=triangles,
+        tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
+        dirichlet_vertices=np.array(dirichlet, dtype=np.int64),
+        neumann_edges=np.array(bottom + top, dtype=np.int64),
+        iface_minus=iface_minus, iface_plus=iface_plus,
+        pair_minus=np.column_stack([iface_minus[:-1], iface_minus[1:]]),
+        pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
+        pair_tri_minus=np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64),
+        pair_tri_plus=np.array([len(tris_lo) + 2 * j for j in range(n_cols)], dtype=np.int64),
+        normals=np.column_stack([-tangents[:, 1], tangents[:, 0]]),
+        tangents=tangents, pair_lengths=lengths,
+        tri_area=area, tri_grads=grads)
+
+
+def coo_stiffness(mesh, ke_blocks):
+    """Sum per-element 6x6 blocks with scipy's own COO -> CSR conversion."""
+    import scipy.sparse as sp
+
+    t = mesh.triangles
+    dofs = np.column_stack([2 * t[:, 0], 2 * t[:, 0] + 1, 2 * t[:, 1],
+                            2 * t[:, 1] + 1, 2 * t[:, 2], 2 * t[:, 2] + 1])
+    rows = np.repeat(dofs, 6, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, 6)).reshape(-1)
+    mat = sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
+                        shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+    mat.eliminate_zeros()
+    return mat

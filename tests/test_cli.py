@@ -164,28 +164,55 @@ class TestLawsCheck:
         assert manifest["parameters"]["eps"] == 1e-6
 
 
+def measurement_text(h="0.05", load_case="contact",
+                     rows="0 0 0 0\n1 0 0 0\n0 0.5 0 0\n1 0.5 0 0\n"):
+    return "# measurement v1\n# h = %s\n# load_case = %s\n%s" % (h, load_case, rows)
+
+
 INVALID_CONFIGS = [
-    # (id, config text, extra CLI arguments)
-    ("eps-negative", "[penalty]\neps = -1\n", []),
-    ("eps-zero", "[penalty]\neps = 0\n", []),
-    ("eps-nan", "[penalty]\neps = nan\n", []),
-    ("eps-inf", "[penalty]\neps = inf\n", []),
-    ("eps-override-negative", "", ["--eps", "-1"]),
-    ("snapshot-every-zero", "[algorithm]\nsnapshot_every = 0\n", []),
-    ("snapshot-every-negative", "[algorithm]\nsnapshot_every = -3\n", []),
-    ("psi0-above-half", "[geometry]\npsi0 = 0.6\n", []),
-    ("psi0-zero", "[geometry]\npsi0 = 0\n", []),
-    ("psi0-negative", "[geometry]\npsi0 = -0.1\n", []),
+    # (id, config text, extra CLI arguments, measurement text or None);
+    # a row with a measurement runs identify on it, the others measure
+    ("eps-negative", "[penalty]\neps = -1\n", [], None),
+    ("eps-zero", "[penalty]\neps = 0\n", [], None),
+    ("eps-nan", "[penalty]\neps = nan\n", [], None),
+    ("eps-inf", "[penalty]\neps = inf\n", [], None),
+    ("eps-override-negative", "", ["--eps", "-1"], None),
+    ("snapshot-every-zero", "[algorithm]\nsnapshot_every = 0\n", [], None),
+    ("snapshot-every-negative", "[algorithm]\nsnapshot_every = -3\n", [], None),
+    ("psi0-above-half", "[geometry]\npsi0 = 0.6\n", [], None),
+    ("psi0-zero", "[geometry]\npsi0 = 0\n", [], None),
+    ("psi0-negative", "[geometry]\npsi0 = -0.1\n", [], None),
+    ("psi0-within-2h-of-top", "[geometry]\npsi0 = 0.499\n", [], None),
+    ("young-negative", "[material]\nyoung = -5\n", [], None),
+    ("young-zero", "[material]\nyoung = 0\n", [], None),
+    ("poisson-above-half", "[material]\npoisson = 0.7\n", [], None),
+    ("h-measure-negative", "[geometry]\nh_measure = -0.01\n", [], None),
+    ("h-measure-nan", "[geometry]\nh_measure = nan\n", [], None),
+    ("coarse-spacing-not-1-over-integer", "[geometry]\ncoarse_spacing = 0.3\n", [], None),
+    ("measurement-3-columns", "", [], measurement_text(rows="0 0 0\n1 0.5 0\n")),
+    ("measurement-nan", "", [],
+     measurement_text(rows="0 0 0 0\n1 0 nan 0\n0 0.5 0 0\n1 0.5 0 0\n")),
+    ("measurement-unknown-load-case", "", [], measurement_text(load_case="shear")),
+    ("measurement-h-negative", "", [], measurement_text(h="-0.01")),
+    ("measurement-h-nan", "", [], measurement_text(h="nan")),
+    ("measurement-no-rows", "", [], measurement_text(rows="")),
+    ("measurement-missing-top-edge", "", [],
+     measurement_text(rows="0 0 0 0\n0.5 0 1e-6 0\n1 0 0 0\n")),
 ]
 
 
-@pytest.mark.parametrize("text,extra", [c[1:] for c in INVALID_CONFIGS],
+@pytest.mark.parametrize("text,extra,measurement", [c[1:] for c in INVALID_CONFIGS],
                          ids=[c[0] for c in INVALID_CONFIGS])
-def test_invalid_config_exit_2(tmp_path, capsys, text, extra):
+def test_invalid_config_exit_2(tmp_path, capsys, text, extra, measurement):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    rc = run(["measure", "--config", str(cfg), "--out", str(tmp_path / "m")]
-             + extra)
+    if measurement is None:
+        args = ["measure"]
+    else:
+        mpath = tmp_path / "measurement.txt"
+        mpath.write_text(measurement)
+        args = ["identify", "--measurement", str(mpath)]
+    rc = run(args + ["--config", str(cfg), "--out", str(tmp_path / "m")] + extra)
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")

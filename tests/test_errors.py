@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crackid import driver, fem, shape, solvers
+from crackid import driver, fem, geometry, shape, solvers
 from crackid.errors import (DegenerateElement, MissingAdjacentTriangle,
                             NoConvergence)
 from crackid.geometry import build_mesh, constant_graph
@@ -29,7 +29,7 @@ def test_degenerate_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear
     tris = np.array([[0, 1, 2]])
     with pytest.raises(DegenerateElement):
-        fem.triangle_geometry(verts, tris)
+        geometry.triangle_geometry(verts, tris)
 
 
 def test_missing_adjacent_triangle():

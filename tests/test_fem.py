@@ -7,7 +7,10 @@ import scipy.sparse as sp
 from crackid import fem
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
-from crackid.geometry import build_mesh, constant_graph
+from crackid.geometry import (InterfaceGraph, build_mesh, constant_graph,
+                              triangle_geometry, uniform_graph)
+
+import oracles
 
 ELAST = IsotropicElasticity.from_young(73000.0, 0.34)
 
@@ -65,7 +68,7 @@ class TestElementStiffness:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2]])
         dmat = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        ke, _, _ = fem.element_stiffness(verts, tris, dmat)
+        ke = fem.element_stiffness(*triangle_geometry(verts, tris), dmat)
         assert np.allclose(ke[0], ke_ref, atol=1e-14)
 
     def test_rigid_modes_in_kernel(self):
@@ -116,11 +119,41 @@ class TestElementStiffness:
 
     def test_assembly_additive_over_subsets(self):
         mesh = small_mesh()
-        half = mesh.triangles.shape[0] // 2
-        K1 = fem.assemble_stiffness(mesh, ELAST, triangles=mesh.triangles[:half])
-        K2 = fem.assemble_stiffness(mesh, ELAST, triangles=mesh.triangles[half:])
+        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        half = ke.shape[0] // 2
+        K1 = oracles.coo_stiffness(mesh, np.concatenate([ke[:half], 0.0 * ke[half:]]))
+        K2 = oracles.coo_stiffness(mesh, np.concatenate([0.0 * ke[:half], ke[half:]]))
         K = fem.assemble_stiffness(mesh, ELAST)
         assert abs((K1 + K2) - K).max() < 1e-12 * abs(K).max()
+
+    @pytest.mark.parametrize("graph,h,drops_zeros", [
+        (constant_graph(0.25), 0.05, True),
+        (constant_graph(0.25), 1.0 / 35.0, True),
+        (uniform_graph(0.25 + 0.01 * np.sin(np.linspace(0.0, 7.0, 11))), 1.0 / 35.0, False),
+        (InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])), 0.02, True),
+    ], ids=["flat", "flat-fine", "perturbed", "kinked"])
+    def test_cached_scatter_matches_coo_bitwise(self, graph, h, drops_zeros):
+        mesh = build_mesh(graph, h)
+        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        ref = oracles.coo_stiffness(mesh, ke)
+        fem._stiffness_pattern.cache_clear()
+        for _ in range(2):   # the cold pattern build, then the cached one
+            K = fem.assemble_stiffness(mesh, ELAST)
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(K, attr).dtype == getattr(ref, attr).dtype
+                assert np.array_equal(getattr(K, attr), getattr(ref, attr)), attr
+        # on axis-aligned cells some entries sum to exactly zero and leave
+        # the cached pattern, as they leave the COO conversion's
+        pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
+        assert (K.nnz < pattern_nnz) == drops_zeros
+
+    def test_cached_pattern_is_read_only(self):
+        mesh = small_mesh()
+        fem.assemble_stiffness(mesh, ELAST)
+        indptr, indices, first, tails = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
+        for arr in (indptr, indices, first) + tails[0]:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_symmetry(self):
         mesh = small_mesh(0.05)

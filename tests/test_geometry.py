@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from crackid import geometry
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (InterfaceGraph, build_mesh, coarse_curvature,
                               constant_graph, read_interface,
                               uniform_graph, write_interface)
+
+import oracles
 
 KINKED = InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3]))
 
@@ -121,7 +124,8 @@ class TestBuildMesh:
         # every outer boundary edge appears exactly once across the tags
         n_bottom = mesh.n_cols
         assert mesh.neumann_edges.shape[0] == 2 * n_bottom
-        assert mesh.dirichlet_edges.shape[0] > 0
+        # two Dirichlet vertices, left and right, on every vertex row
+        assert mesh.dirichlet_vertices.size == 2 * mesh.n_vertices // (mesh.n_cols + 1)
         assert np.array_equal(mesh.observation_edges, mesh.neumann_edges)
 
     def test_explicit_subdivision_override(self):
@@ -130,6 +134,40 @@ class TestBuildMesh:
         assert mesh.n_vertices == 12
         assert mesh.triangles.shape[0] == 8
         assert abs(mesh.tri_area.sum() - 0.5) < 1e-14
+
+
+ORACLE_MESHES = {
+    "kinked": (KINKED, 0.02, {}),
+    "perturbed": (uniform_graph(0.25 + 0.01 * np.sin(np.linspace(0.0, 7.0, 11))),
+                  1.0 / 35.0, {}),
+    "flat": (constant_graph(0.25), 0.05, {}),
+    "pinned": (constant_graph(0.25, n_nodes=3), 0.125,
+               dict(n_cols=2, n_rows_below=1, n_rows_above=1)),
+}
+
+
+class TestCachedTopology:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_fields_match_loop_oracle(self, name):
+        graph, h, pinned = ORACLE_MESHES[name]
+        expect = oracles.loop_mesh(graph, h, **pinned)
+        # cold, then from the cache
+        geometry._topology.cache_clear()
+        for _ in range(2):
+            mesh = build_mesh(graph, h, **pinned)
+            arrays = {f: v for f, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+            assert sorted(arrays) == sorted(expect)
+            for field, value in arrays.items():
+                assert value.dtype == expect[field].dtype, field
+                assert np.array_equal(value, expect[field]), field
+
+    def test_tables_shared_and_read_only(self):
+        m1 = build_mesh(KINKED, 0.05)
+        m2 = build_mesh(KINKED.with_psi(KINKED.psi + 0.01), 0.05)
+        assert m1.topology is m2.topology and m1.triangles is m2.triangles
+        for field in vars(m1.topology):
+            with pytest.raises(ValueError):
+                getattr(m1, field)[0] = 0
 
 
 class TestInterfaceFrame:
