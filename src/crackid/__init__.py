@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     BoundViolated, ConfigError, CrackidError, DegenerateElement,
-    InterfaceTooClose, InvalidPoisson, LineSearchFailed, MaxIterations,
+    InterfaceTooClose, InvalidPoisson, LineSearchFailed,
     MissingAdjacentTriangle, NoConvergence, NotPositiveDefinite,
 )
 from .geometry import BrokenMesh, InterfaceGraph, build_mesh  # noqa: F401

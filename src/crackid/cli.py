@@ -216,8 +216,7 @@ def cmd_gradient_check(args):
         mesh, laws, elast, g, eps, max_outer=config.max_outer,
         return_operator=True)
     zv = driver.interp_measurement(mesh, meas)
-    v, _ = solvers.solve_adjoint(mesh, elast, u, zv, eps,
-                                 stiffness=op.K, factor=factor)
+    v = solvers.solve_adjoint(op, u, zv, eps, factor=factor)
 
     def objective_of(graph):
         # every probe perturbs the base line, so it starts from its sets

@@ -336,8 +336,7 @@ def identify(config, meas, record_gradients=False):
             break
 
         try:
-            v, _ = solvers.solve_adjoint(mesh, elast, u, z_vec, config.eps,
-                                         stiffness=op.K, factor=factor)
+            v = solvers.solve_adjoint(op, u, z_vec, config.eps, factor=factor)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
                                            config.eps,
                                            curvature=config.curvature)

@@ -21,10 +21,6 @@ class NotPositiveDefinite(CrackidError):
     """Linear system is singular or indefinite on its free dofs."""
 
 
-class MaxIterations(CrackidError):
-    """Iterative linear solver exhausted its iteration budget."""
-
-
 class NoConvergence(CrackidError):
     """Nonlinear interface solver failed to reach its tolerance."""
 

@@ -1,5 +1,5 @@
 """P1 finite-element core: plane-strain elasticity assembly on the broken
-mesh, boundary/interface integrals, Dirichlet elimination and sparse solves.
+mesh, boundary/interface integrals and the one linear-solve path.
 
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
 and reads the element areas and shape gradients the mesh carries. The CSR
@@ -7,8 +7,11 @@ pattern of the stiffness, and the order in which scipy's COO -> CSR
 conversion would sum each entry's element contributions, are derived once
 per mesh topology; each assembly then only gathers and sums the element
 blocks in that order, so the matrix equals the plain COO conversion bit for
-bit. Dirichlet conditions are handled by row/column elimination so reduced
-systems stay symmetric positive definite.
+bit. Every linear solve -- state and contact Newton steps and the adjoint --
+goes through ``merged_solve``: Dirichlet dofs are eliminated by row/column
+removal, so the free block stays symmetric positive definite, and interface
+jump dofs can be merged shut. ``FactorizedSPD`` checks its rank when it
+factors and the backward error of every solve.
 """
 
 import functools
@@ -18,9 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidPoisson, MaxIterations, NotPositiveDefinite
+from .errors import InvalidPoisson, NotPositiveDefinite
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
+BACKWARD_TOL = 1e-10  # |Ax - b| <= tol (|b| + max|A| |x|) on every solve
 
 
 def lame_from_young(E_Y, nu_P):
@@ -76,30 +80,8 @@ class DofField:
     mesh: object
     values: np.ndarray
 
-    def component(self, c):
-        return self.values[c::2]
-
     def as_points(self):
         return self.values.reshape(-1, 2)
-
-
-@dataclass
-class SparseSymSystem:
-    """Dirichlet-reduced symmetric system plus the bookkeeping to expand
-    reduced solutions back to the full dof vector."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    free: np.ndarray              # free dof indices into the full vector
-    n_dofs: int
-    mesh: object = None
-    fixed_values: np.ndarray = None  # full-length, nonzero only on fixed dofs
-
-    def expand(self, x_free):
-        full = np.zeros(self.n_dofs) if self.fixed_values is None \
-            else self.fixed_values.copy()
-        full[self.free] = x_free
-        return full
 
 
 # ----------------------------------------------------------------------
@@ -290,35 +272,22 @@ def assemble_boundary_mass(mesh, edges=None):
 # Dirichlet elimination and solving
 # ----------------------------------------------------------------------
 
-def dirichlet_dofs(mesh):
-    v = mesh.dirichlet_vertices
-    return np.sort(np.concatenate([2 * v, 2 * v + 1]))
-
-
-def reduce_system(matrix, rhs, mesh, dirichlet_values=None):
-    """Eliminate Dirichlet dofs by row/column removal.
-
-    ``dirichlet_values`` (full-length vector) prescribes inhomogeneous
-    boundary values; the reduced right-hand side gets the usual lift.
-    """
-    fixed = dirichlet_dofs(mesh)
+def free_mask(mesh):
+    """Boolean mask of the dofs the Dirichlet condition leaves free."""
     mask = np.ones(mesh.n_dofs, dtype=bool)
-    mask[fixed] = False
-    free = np.nonzero(mask)[0]
-    rhs = np.asarray(rhs, dtype=float)
-    fixed_full = None
-    if dirichlet_values is not None:
-        fixed_full = np.zeros(mesh.n_dofs)
-        fixed_full[fixed] = np.asarray(dirichlet_values).reshape(-1)[fixed]
-        rhs = rhs - matrix @ fixed_full
-    mat = matrix.tocsr()[free][:, free]
-    return SparseSymSystem(matrix=mat, rhs=rhs[free], free=free,
-                           n_dofs=mesh.n_dofs, mesh=mesh,
-                           fixed_values=fixed_full)
+    v = mesh.dirichlet_vertices
+    mask[2 * v] = False
+    mask[2 * v + 1] = False
+    return mask
 
 
 class FactorizedSPD:
-    """Cached sparse LU of an SPD matrix (deterministic ordering)."""
+    """Cached sparse LU of an SPD matrix (deterministic ordering).
+
+    Raises ``NotPositiveDefinite`` on a singular or numerically rank
+    deficient matrix, and on any solve whose backward error exceeds
+    ``BACKWARD_TOL``.
+    """
 
     def __init__(self, matrix):
         try:
@@ -332,40 +301,47 @@ class FactorizedSPD:
 
     def solve(self, rhs):
         x = self.lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise NotPositiveDefinite("factorised solve produced non-finite values")
+        A = self.matrix
+        res = np.linalg.norm(A @ x - rhs)
+        scale = np.linalg.norm(rhs) + np.abs(A.data).max() * np.linalg.norm(x)
+        if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
+            raise NotPositiveDefinite(
+                "factorised solve failed its backward-error check "
+                "(residual %.3e)" % res)
         return x
 
 
-def solve_spd(system, factor=None, rtol=1e-10):
-    """Solve the reduced SPD system; returns a full-length DofField.
+def merged_solve(system, rhs, free, slaves=None, masters=None):
+    """Solve on the ``free`` dofs (a boolean mask) with zero on the others,
+    the ``slaves`` jump dofs merged shut onto their ``masters``.
 
-    Direct sparse factorisation, checked at ``rtol`` in the backward-error
-    sense (residual relative to |b| + |A| |x|, which reduces to |b| for
-    well-scaled systems); falls back to diagonally preconditioned CG,
-    raising MaxIterations if that also stalls. Deterministic across runs.
+    ``system`` is the full sparse matrix or, to reuse it, the
+    ``FactorizedSPD`` of its free block ``matrix[free][:, free]``; a factor
+    serves only an unmerged solve. A merge solves the Galerkin system
+    R^T A R, R mapping each kept free dof to itself and each slave to its
+    master. Returns the full-length solution and the factor of the free
+    block, or None in its place when anything is merged.
     """
-    A, b = system.matrix, system.rhs
-    if A.shape[0] == 0:
-        return DofField(system.mesh, system.expand(np.zeros(0)))
-    bnorm = np.linalg.norm(b)
-    if factor is None:
-        factor = FactorizedSPD(A)
-    x = factor.solve(b)
-
-    def bad(xv):
-        denom = bnorm + abs(A).max() * np.linalg.norm(xv)
-        return np.linalg.norm(A @ xv - b) > rtol * denom
-
-    if bnorm > 0.0 and bad(x):
-        dia = A.diagonal()
-        if np.any(dia <= 0.0):
-            raise NotPositiveDefinite("nonpositive diagonal on free dofs")
-        M = sp.diags(1.0 / dia)
-        x, info = spla.cg(A, b, x0=x, rtol=rtol * 1e-2, maxiter=20 * A.shape[0], M=M)
-        if info != 0 or bad(x):
-            raise MaxIterations("iterative fallback did not reach tolerance")
-    return DofField(system.mesh, system.expand(x))
+    n = rhs.size
+    rows = np.nonzero(free)[0]
+    if slaves is None or slaves.size == 0:
+        factor = system if isinstance(system, FactorizedSPD) \
+            else FactorizedSPD(system[rows][:, rows])
+        x = np.zeros(n)
+        x[rows] = factor.solve(rhs[rows])
+        return x, factor
+    rep = np.arange(n)
+    rep[slaves] = masters
+    keep = free.copy()
+    keep[slaves] = False
+    kept = np.nonzero(keep)[0]
+    col = np.full(n, -1)
+    col[kept] = np.arange(kept.size)
+    R = sp.coo_matrix((np.ones(rows.size), (rows, col[rep[rows]])),
+                      shape=(n, kept.size)).tocsr()
+    A = (R.T @ system @ R).tocsc()
+    x = FactorizedSPD(A).solve(R.T @ rhs)
+    return R @ x, None
 
 
 def field_gradients(mesh, values):

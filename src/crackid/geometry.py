@@ -43,7 +43,8 @@ class InterfaceGraph:
     """Piecewise-linear breaking line x2 = psi(x1) over x1 in [0, 1].
 
     ``s`` must be strictly increasing with s[0] = 0 and s[-1] = 1, and the
-    heights must satisfy 0 < psi < 0.5 so the line stays inside the body.
+    heights must satisfy 0 < psi < 0.5 so the line stays inside the body;
+    the checks are written so that a NaN fails them.
     ``H`` is the nominal coarse spacing (max node gap unless given).
     """
 
@@ -56,9 +57,9 @@ class InterfaceGraph:
         p = np.asarray(self.psi, dtype=float)
         if s.ndim != 1 or s.shape != p.shape or s.size < 2:
             raise ValueError("interface graph needs matching 1-d s/psi arrays")
-        if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0.0):
+        if s[0] != 0.0 or s[-1] != 1.0 or not np.all(np.diff(s) > 0.0):
             raise ValueError("s-values must increase strictly from 0 to 1")
-        if np.any(p <= 0.0) or np.any(p >= HEIGHT):
+        if not np.all((p > 0.0) & (p < HEIGHT)):
             raise ValueError("psi must lie strictly inside (0, 0.5)")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "psi", p)
@@ -101,6 +102,9 @@ def read_interface(path):
         if header != INTERFACE_HEADER:
             raise ValueError("not an interface v1 file: %r" % header)
         data = np.loadtxt(fh, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError("interface rows need 2 columns (s, psi), got %d"
+                         % data.shape[1])
     return InterfaceGraph(data[:, 0], data[:, 1])
 
 

@@ -53,16 +53,11 @@ class BoundaryGradient:
     d3: np.ndarray           # aggregated D3 per coarse node
     d1_left: float           # nu . D1 at the left Dirichlet endpoint
     d1_right: float
-    kappa: np.ndarray        # curvature used in the D3 assembly
-    edge_x: np.ndarray       # fine pair-edge midpoints (x1)
-    edge_len: np.ndarray
     p_f: np.ndarray          # per fine edge (midpoint values)
     p_c: np.ndarray
     grad_pf_nu: np.ndarray   # nu . grad p_f
     grad_pc_nu: np.ndarray
     energy_jump: np.ndarray  # [[sigma(u) : eps(v)]]
-    d4_left: float           # rho - (p_f + p_c) at the interface endpoints
-    d4_right: float
 
 
 def velocity_extension(points, psi, vel):
@@ -166,12 +161,9 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps,
     d3 = aggregate(field_core) + kap * (rho - aggregate(p_f) - aggregate(p_c))
 
     return BoundaryGradient(
-        s=s.copy(), d3=d3, d1_left=d1_left, d1_right=d1_right, kappa=kap,
-        edge_x=xm, edge_len=L.copy(), p_f=p_f, p_c=p_c,
-        grad_pf_nu=grad_pf_nu, grad_pc_nu=grad_pc_nu,
-        energy_jump=energy_jump,
-        d4_left=float(rho - p_f[0] - p_c[0]),
-        d4_right=float(rho - p_f[-1] - p_c[-1]))
+        s=s.copy(), d3=d3, d1_left=d1_left, d1_right=d1_right, p_f=p_f,
+        p_c=p_c, grad_pf_nu=grad_pf_nu, grad_pc_nu=grad_pc_nu,
+        energy_jump=energy_jump)
 
 
 def descent_velocity(grad, h, single_endpoint_factor=False, endpoint_cap=True):

@@ -12,8 +12,10 @@ differ only in the normal law:
   penetration set carries a w/eps nodal jump mass (the penalty term is
   piecewise linear, so each semismooth Newton step is an exact solve).
 
-``solve_adjoint`` solves the linear adjoint equation, whose matrix equals
-the final state Newton matrix.
+``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
+final state Newton matrix (``_InterfaceOperator.newton_matrix``); it reuses
+the state's factor when the last Newton step merged nothing. Every linear
+solve goes through ``fem.merged_solve``.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -26,7 +28,6 @@ exactly representable.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .errors import LineSearchFailed, NoConvergence
@@ -77,12 +78,8 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        fixed = fem.dirichlet_dofs(mesh)
-        mask = np.ones(mesh.n_dofs, dtype=bool)
-        mask[fixed] = False
-        self.free_mask = mask
-        self.free = np.nonzero(mask)[0]
-        self.Fnorm = np.linalg.norm(self.F[self.free])
+        self.free_mask = fem.free_mask(mesh)
+        self.Fnorm = np.linalg.norm(self.F[self.free_mask])
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
@@ -99,32 +96,11 @@ class _InterfaceOperator:
         np.add.at(f, self.m2, -t2)
         return f
 
-    def merged_solve(self, matrix, f, slaves, masters):
-        """Solve with the given jump dofs merged shut (slave -> master).
-
-        Returns the expanded solution (Dirichlet dofs zero) and the factor
-        of the Dirichlet-reduced ``matrix``, or None in its place when
-        anything is merged: the adjoint can reuse only the unmerged one.
-        """
-        n = self.mesh.n_dofs
-        if slaves.size == 0:
-            factor = fem.FactorizedSPD(matrix[self.free][:, self.free])
-            x = np.zeros(n)
-            x[self.free] = factor.solve(f[self.free])
-            return x, factor
-        rep = np.arange(n)
-        rep[slaves] = masters
-        keep = self.free_mask.copy()
-        keep[slaves] = False
-        kept = np.nonzero(keep)[0]
-        col = np.full(n, -1)
-        col[kept] = np.arange(kept.size)
-        rows = self.free
-        R = sp.coo_matrix((np.ones(rows.size), (rows, col[rep[rows]])),
-                          shape=(n, kept.size)).tocsr()
-        A = (R.T @ matrix @ R).tocsc()
-        x = fem.FactorizedSPD(A).solve(R.T @ f)
-        return R @ x, None
+    def newton_matrix(self, closed, eps):
+        """Penalty Newton matrix: K plus the w/eps nodal jump mass on the
+        penetration set ``closed``. It is also the adjoint's matrix."""
+        return self.K + fem.interface_nodal_jump_matrix(
+            self.mesh, self.w / eps, comp=1, nodes=np.nonzero(closed)[0])
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -222,7 +198,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
     to the converged configuration makes the first step the last.
 
     Returns (values, closed, lam, report, factor), with ``lam`` the contact
-    multiplier estimate and ``factor`` as from ``merged_solve``.
+    multiplier estimate and ``factor`` as from ``fem.merged_solve``.
     """
     contact = eps is None
     tol = np.inf if contact else PENALTY_TOL
@@ -250,13 +226,11 @@ def _active_set_solve(op, eps, max_outer, start=None):
         if contact:
             A, shut = op.K, closed
         else:
-            A = op.K + fem.interface_nodal_jump_matrix(
-                op.mesh, op.w / eps, comp=1, nodes=np.nonzero(closed)[0])
-            shut = none_shut
+            A, shut = op.newton_matrix(closed, eps), none_shut
         f = op.F - op.lagged_load(sgn, ind)
         stick = interior & (sgn == 0.0)
-        new_values, factor = op.merged_solve(
-            A, f, np.concatenate([op.m2[shut], op.m1[stick]]),
+        new_values, factor = fem.merged_solve(
+            A, f, op.free_mask, np.concatenate([op.m2[shut], op.m1[stick]]),
             np.concatenate([op.p2[shut], op.p1[stick]]))
         new_res = op.stationarity(new_values, eps, stick, shut)
 
@@ -350,35 +324,26 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50,
     return u, report
 
 
-def penalty_newton_matrix(mesh, u_eps, eps):
-    """Stiffness contribution of the collapsed adjoint/Newton penalty term:
-    nodal jump mass weighted 1/eps on the penetration set of ``u_eps``."""
-    jump2 = mesh.jump(u_eps.values, 1)
-    nodes = np.nonzero(mesh.interface_interior() & (jump2 < 0.0))[0]
-    w = mesh.interface_nodal_weights()
-    return fem.interface_nodal_jump_matrix(mesh, w / eps, comp=1, nodes=nodes)
-
-
-def solve_adjoint(mesh, elast, u_eps, z_obs, eps, stiffness=None, factor=None):
+def solve_adjoint(op, u_eps, z_obs, eps, factor=None):
     """Solve the linear adjoint equation for the misfit against ``z_obs``.
 
-    The system matrix is the bulk stiffness plus the collapsed penalty
-    linearisation (beta' of the state jump, exact for the discrete law);
+    The system matrix is the state's Newton matrix on the penetration set
+    of ``u_eps`` (beta' of the state jump, exact for the discrete law);
     with the discrete laws the friction/cohesion second derivatives vanish
     so no tangential coupling remains. ``z_obs`` is a full-length dof
-    vector holding the measurement trace on the observation nodes. A
-    prefactored state Newton matrix may be passed to skip factorisation.
+    vector holding the measurement trace on the observation nodes.
+    ``factor`` is the state's factor of that matrix; the matrix is built
+    and factored only without one. Returns the adjoint field.
     """
-    K = stiffness if stiffness is not None else fem.assemble_stiffness(mesh, elast)
-    A = K + penalty_newton_matrix(mesh, u_eps, eps)
-    Mobs = fem.assemble_boundary_mass(mesh)
-    rhs = Mobs @ (u_eps.values - np.asarray(z_obs).reshape(-1))
-    system = fem.reduce_system(A, rhs, mesh)
-    v = fem.solve_spd(system, factor=factor)
-    res = np.linalg.norm(system.matrix @ v.values[system.free] - system.rhs)
-    nrm = np.linalg.norm(system.rhs)
-    report = SolveReport(iterations=1, residual=float(res / nrm) if nrm > 0 else 0.0)
-    return v, report
+    mesh = op.mesh
+    rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
+                                              - np.asarray(z_obs).reshape(-1))
+    system = factor
+    if system is None:   # the state's last step merged stick dofs
+        closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
+        system = op.newton_matrix(closed, eps)
+    values, _ = fem.merged_solve(system, rhs, op.free_mask)
+    return fem.DofField(mesh, values)
 
 
 def recover_multiplier(u_eps, eps):

@@ -58,8 +58,7 @@ def contact_state(contact_config, contact_measurement):
     u, rep, op, factor = solvers.solve_penalty_state(
         mesh, laws, elast, g, cfg.eps, return_operator=True)
     z_vec = driver.interp_measurement(mesh, contact_measurement["meas"])
-    v, _ = solvers.solve_adjoint(mesh, elast, u, z_vec, cfg.eps,
-                                 stiffness=op.K, factor=factor)
+    v = solvers.solve_adjoint(op, u, z_vec, cfg.eps, factor=factor)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
                 u=u, v=v, z_vec=z_vec, report=rep, op=op, factor=factor)
 

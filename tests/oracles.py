@@ -89,6 +89,17 @@ def free_dofs(mesh):
     return np.array([d for d in range(mesh.n_dofs) if d not in fixed])
 
 
+def dirichlet_lift(matrix, rhs, free, values):
+    """Inhomogeneous Dirichlet data moved into the right-hand side.
+
+    Returns (rhs - A g, g) with g equal to ``values`` on the fixed dofs
+    (``free`` is False) and zero on the free ones; the solution is the
+    homogeneous solve of the lifted right-hand side plus g.
+    """
+    lift = np.where(free, 0.0, np.asarray(values, dtype=float))
+    return rhs - matrix @ lift, lift
+
+
 def dense_penalty_solve(mesh, laws, elast, g, eps, max_iter=100, tol=1e-13):
     """Fixed-point iteration on the lagged laws and penetration set."""
     K = dense_stiffness(mesh, elast)

@@ -210,7 +210,7 @@ def test_criterion_6_property_suites(contact_measurement):
     sym_ok = abs(K - K.T).max() < 1e-12 * abs(K).max()
     wk = np.linalg.eigvalsh(K.toarray())
     kernel_ok = int(np.count_nonzero(wk < 1e-9 * wk.max())) == 6
-    red = fem.reduce_system(K, np.zeros(tiny.n_dofs), tiny)
+    _, red = fem.merged_solve(K, np.zeros(tiny.n_dofs), fem.free_mask(tiny))
     spd_ok = np.linalg.eigvalsh(red.matrix.toarray()).min() > 0.0
 
     # patch test
@@ -227,9 +227,11 @@ def test_criterion_6_property_suites(contact_measurement):
     Kp = fem.assemble_stiffness(mesh, elast) \
         + fem.assemble_interface_linear(mesh, W, component="normal") \
         + fem.assemble_interface_linear(mesh, W, component="tangent")
-    x = fem.solve_spd(fem.reduce_system(Kp, fem.assemble_traction(mesh, g_patch),
-                                        mesh, dirichlet_values=u_exact))
-    patch_err = float(np.max(np.abs(x.values - u_exact)) / np.abs(u_exact).max())
+    free = fem.free_mask(mesh)
+    rhs, lift = oracles.dirichlet_lift(Kp, fem.assemble_traction(mesh, g_patch),
+                                       free, u_exact)
+    x, _ = fem.merged_solve(Kp, rhs, free)
+    patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8
 
     # dense-oracle equivalence on the 2-column mesh

@@ -1,4 +1,5 @@
-"""Assembly, Dirichlet handling and sparse solves against independent oracles."""
+"""Assembly, Dirichlet handling and the sparse solve path against independent
+oracles."""
 
 import numpy as np
 import pytest
@@ -255,52 +256,61 @@ class TestSolve:
     def test_identity_system(self):
         mesh = tiny_mesh()
         n_free = mesh.n_dofs - 2 * mesh.dirichlet_vertices.size
-        free = fem.reduce_system(sp.identity(mesh.n_dofs, format="csr"),
-                                 np.ones(mesh.n_dofs), mesh)
-        x = fem.solve_spd(free)
-        assert np.allclose(x.values[free.free], 1.0)
-        assert np.all(x.values[2 * mesh.dirichlet_vertices] == 0.0)
-        assert free.matrix.shape[0] == n_free
+        free = fem.free_mask(mesh)
+        x, factor = fem.merged_solve(sp.identity(mesh.n_dofs, format="csr"),
+                                     np.ones(mesh.n_dofs), free)
+        assert np.allclose(x[free], 1.0)
+        assert np.all(x[2 * mesh.dirichlet_vertices] == 0.0)
+        assert factor.matrix.shape[0] == n_free
 
     def test_dense_oracle(self):
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
         rng = np.random.default_rng(11)
         f = rng.standard_normal(mesh.n_dofs)
-        system = fem.reduce_system(K, f, mesh)
-        x = fem.solve_spd(system)
-        xd = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        assert np.linalg.norm(x.values[system.free] - xd) < 1e-10 * np.linalg.norm(xd)
+        free = fem.free_mask(mesh)
+        x, factor = fem.merged_solve(K, f, free)
+        xd = np.linalg.solve(factor.matrix.toarray(), f[free])
+        assert np.linalg.norm(x[free] - xd) < 1e-10 * np.linalg.norm(xd)
 
     def test_residual_tolerance(self):
         mesh = small_mesh(0.05)
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
-        system = fem.reduce_system(K, f, mesh)
-        x = fem.solve_spd(system)
-        r = system.matrix @ x.values[system.free] - system.rhs
-        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.rhs)
+        free = fem.free_mask(mesh)
+        x, factor = fem.merged_solve(K, f, free)
+        r = factor.matrix @ x[free] - f[free]
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f[free])
 
     def test_singular_system_rejected(self):
         # no Dirichlet dofs: pure Neumann stiffness has rigid modes
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
-        free = np.arange(mesh.n_dofs)
-        system = fem.SparseSymSystem(matrix=K.tocsr(), rhs=np.ones(mesh.n_dofs),
-                                     free=free, n_dofs=mesh.n_dofs, mesh=mesh)
         with pytest.raises(NotPositiveDefinite):
-            fem.solve_spd(system)
+            fem.FactorizedSPD(K.tocsr())
+
+    def test_mismatched_factor_rejected(self):
+        # every solve checks its backward error against the factor's matrix;
+        # a factor that no longer matches it must not hand back a solution
+        mesh = small_mesh(0.05)
+        K = fem.assemble_stiffness(mesh, ELAST)
+        f = fem.assemble_traction(
+            mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
+        free = fem.free_mask(mesh)
+        _, factor = fem.merged_solve(K, f, free)
+        factor.matrix = 2.0 * factor.matrix
+        with pytest.raises(NotPositiveDefinite):
+            fem.merged_solve(factor, f, free)
 
     def test_deterministic(self):
         mesh = small_mesh(0.05)
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(mesh, lambda x, y: (0.0 * x, 4.0 * y - 1.0))
-        s1 = fem.reduce_system(K, f, mesh)
-        s2 = fem.reduce_system(K, f, mesh)
-        x1 = fem.solve_spd(s1)
-        x2 = fem.solve_spd(s2)
-        assert np.array_equal(x1.values, x2.values)
+        free = fem.free_mask(mesh)
+        x1, _ = fem.merged_solve(K, f, free)
+        x2, _ = fem.merged_solve(K, f, free)
+        assert np.array_equal(x1, x2)
 
 
 class TestPatchAndKorn:
@@ -324,17 +334,19 @@ class TestPatchAndKorn:
         Kp = K + fem.assemble_interface_linear(mesh, W, component="normal") \
                + fem.assemble_interface_linear(mesh, W, component="tangent")
         f = fem.assemble_traction(mesh, g)
-        system = fem.reduce_system(Kp, f, mesh, dirichlet_values=u_exact)
-        x = fem.solve_spd(system)
+        free = fem.free_mask(mesh)
+        rhs, lift = oracles.dirichlet_lift(Kp, f, free, u_exact)
+        x, _ = fem.merged_solve(Kp, rhs, free)
+        x = x + lift
         scale = np.abs(u_exact).max()
-        assert np.max(np.abs(x.values - u_exact)) < 1e-8 * scale
+        assert np.max(np.abs(x - u_exact)) < 1e-8 * scale
 
     def test_discrete_korn_poincare(self):
         # Dirichlet-reduced stiffness is positive definite
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
-        system = fem.reduce_system(K, np.zeros(mesh.n_dofs), mesh)
-        w = np.linalg.eigvalsh(system.matrix.toarray())
+        _, factor = fem.merged_solve(K, np.zeros(mesh.n_dofs), fem.free_mask(mesh))
+        w = np.linalg.eigvalsh(factor.matrix.toarray())
         assert w.min() > 0.0
 
 

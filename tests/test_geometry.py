@@ -22,6 +22,10 @@ class TestInterfaceGraph:
             InterfaceGraph(np.array([0.1, 1.0]), np.full(2, 0.2))
         with pytest.raises(ValueError):
             InterfaceGraph(np.array([0.0, 1.0]), np.array([0.2, 0.6]))
+        with pytest.raises(ValueError):
+            InterfaceGraph(np.array([0.0, 1.0]), np.array([0.2, np.nan]))
+        with pytest.raises(ValueError):
+            InterfaceGraph(np.array([0.0, np.nan, 1.0]), np.full(3, 0.2))
 
     def test_kinked_matches_formula(self):
         x = np.linspace(0.0, 1.0, 501)
@@ -42,6 +46,12 @@ class TestInterfaceGraph:
             bad = tmp_path / "bad.txt"
             bad.write_text("nope\n0 0.2\n")
             read_interface(bad)
+        header = path.read_text().splitlines()[0]
+        for rows in ("0 0.2\n0.5 nan\n1 0.2\n", "0\n1\n",
+                     "0 0.2 7\n1 0.2 7\n"):
+            bad.write_text(header + "\n" + rows)
+            with pytest.raises(ValueError):
+                read_interface(bad)
 
 
 class TestBuildMesh:

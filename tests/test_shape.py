@@ -98,10 +98,9 @@ class TestDescentVelocity:
     def _grad(self, d3, d1l=0.0, d1r=0.0, s=None):
         s = np.linspace(0.0, 1.0, d3.size) if s is None else s
         return shape.BoundaryGradient(
-            s=s, d3=d3, d1_left=d1l, d1_right=d1r, kappa=np.zeros_like(d3),
-            edge_x=np.zeros(1), edge_len=np.zeros(1), p_f=np.zeros(1),
+            s=s, d3=d3, d1_left=d1l, d1_right=d1r, p_f=np.zeros(1),
             p_c=np.zeros(1), grad_pf_nu=np.zeros(1), grad_pc_nu=np.zeros(1),
-            energy_jump=np.zeros(1), d4_left=0.0, d4_right=0.0)
+            energy_jump=np.zeros(1))
 
     def test_uniform_positive_d3_moves_down(self):
         g = self._grad(np.full(11, 2.0))
@@ -235,8 +234,7 @@ class TestVolumetricDerivative:
             u, _, op, factor = solvers.solve_penalty_state(
                 mesh, LAWS, ELAST, cfg.traction(), EPS, return_operator=True)
             zv = driver.interp_measurement(mesh, meas)
-            v, _ = solvers.solve_adjoint(mesh, ELAST, u, zv, EPS,
-                                         stiffness=op.K, factor=factor)
+            v = solvers.solve_adjoint(op, u, zv, EPS, factor=factor)
             grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
             # contact/penetration sits right of x = 0.8; probe the open part
             rels = []

@@ -142,8 +142,8 @@ class TestSolvePath:
         _, _, op, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
                                                   1e-8, return_operator=True)
         none = np.zeros(0, dtype=np.int64)
-        _, factor = op.merged_solve(op.K, op.F, none, none)
-        free = op.free
+        _, factor = fem.merged_solve(op.K, op.F, op.free_mask, none, none)
+        free = np.nonzero(op.free_mask)[0]
         R = sp.csr_matrix((np.ones(free.size), (free, np.arange(free.size))),
                           shape=(mesh.n_dofs, free.size))
         ref = (R.T @ op.K @ R).tocsc()
@@ -155,10 +155,9 @@ class TestSolvePath:
     def test_adjoint_reuses_state_factor_bitwise(self, contact_state):
         st = contact_state
         assert st["factor"] is not None
-        args = (st["mesh"], st["elast"], st["u"], st["z_vec"], st["cfg"].eps)
-        reused, _ = solvers.solve_adjoint(*args, stiffness=st["op"].K,
-                                          factor=st["factor"])
-        fresh, _ = solvers.solve_adjoint(*args)
+        args = (st["op"], st["u"], st["z_vec"], st["cfg"].eps)
+        reused = solvers.solve_adjoint(*args, factor=st["factor"])
+        fresh = solvers.solve_adjoint(*args)
         assert np.array_equal(reused.values, fresh.values)
 
     def test_sticking_state_returns_no_factor(self):
@@ -240,38 +239,35 @@ class TestAdjoint:
     def test_zero_misfit_gives_zero(self, contact_state):
         st = contact_state
         z_eq_u = st["u"].values.copy()
-        v, rep = solvers.solve_adjoint(st["mesh"], st["elast"], st["u"],
-                                       z_eq_u, st["cfg"].eps)
+        v = solvers.solve_adjoint(st["op"], st["u"], z_eq_u, st["cfg"].eps)
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_dense_oracle(self):
         mesh = tiny_mesh()
         eps = 1e-8
-        u, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, eps)
+        u, _, op, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
+                                                  eps, return_operator=True)
         rng = np.random.default_rng(2)
         z = np.zeros(mesh.n_dofs)
         obs = np.unique(mesh.observation_edges)
         z[2 * obs] = 0.01 * rng.standard_normal(obs.size)
         z[2 * obs + 1] = 0.01 * rng.standard_normal(obs.size)
-        v, _ = solvers.solve_adjoint(mesh, ELAST, u, z, eps)
+        v = solvers.solve_adjoint(op, u, z, eps)
         v_ref = oracles.dense_adjoint_solve(mesh, LAWS, ELAST, u.values, z, eps)
         assert np.max(np.abs(v.values - v_ref)) < 1e-10 * max(np.max(np.abs(v_ref)), 1e-30)
 
     def test_system_symmetry(self, contact_state):
         st = contact_state
-        A = st["op"].K + solvers.penalty_newton_matrix(st["mesh"], st["u"],
-                                                       st["cfg"].eps)
+        A = st["op"].newton_matrix(st["report"].configuration[0], st["cfg"].eps)
         assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
     def test_linearity_in_misfit(self, contact_state):
         st = contact_state
-        mesh, eps = st["mesh"], st["cfg"].eps
-        v1, _ = solvers.solve_adjoint(mesh, st["elast"], st["u"], st["z_vec"],
-                                      eps, stiffness=st["op"].K)
+        eps = st["cfg"].eps
+        v1 = solvers.solve_adjoint(st["op"], st["u"], st["z_vec"], eps)
         # scale the misfit: z' = u - 3 (u - z)  =>  v' = 3 v
         z_scaled = st["u"].values - 3.0 * (st["u"].values - st["z_vec"])
-        v3, _ = solvers.solve_adjoint(mesh, st["elast"], st["u"], z_scaled,
-                                      eps, stiffness=st["op"].K)
+        v3 = solvers.solve_adjoint(st["op"], st["u"], z_scaled, eps)
         assert np.allclose(v3.values, 3.0 * v1.values, rtol=1e-9, atol=1e-14)
 
 
