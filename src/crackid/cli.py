@@ -34,51 +34,49 @@ CONFIG_SECTIONS = {
                  "coarse_spacing": "H", "true_interface": "true_interface",
                  "psi0": "psi0"},
     "algorithm": {"load_case": "load_case", "n_max": "n_max",
-                  "max_outer": "max_outer", "curvature": "curvature",
-                  "single_endpoint_factor": "single_endpoint_factor",
-                  "endpoint_cap": "endpoint_cap",
-                  "early_stop": "early_stop",
-                  "snapshot_every": "snapshot_every"},
+                  "max_outer": "max_outer", "snapshot_every": "snapshot_every"},
 }
-
-_INT_FIELDS = {"n_max", "max_outer", "snapshot_every"}
-_BOOL_FIELDS = {"single_endpoint_factor", "endpoint_cap", "early_stop"}
-_STR_FIELDS = {"true_interface", "load_case", "curvature"}
 
 
 def load_config(path, overrides=None):
-    """Parse the flat key = value config file into an ExperimentConfig."""
+    """Parse the flat key = value config file into an ExperimentConfig.
+
+    Each value takes the type of the ExperimentConfig field its key maps
+    to (int, str, otherwise float); an unknown section or key, or a value
+    of the wrong type, raises ConfigError.
+    """
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
+    if parser.defaults():
+        raise ConfigError("unknown section [%s] in %s" % (parser.default_section, path))
+    types = {f.name: f.type for f in dataclasses.fields(driver.ExperimentConfig)}
     kwargs = {}
-    for section, keys in CONFIG_SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for key, field in keys.items():
-            if not parser.has_option(section, key):
-                continue
-            raw = parser.get(section, key).strip()
+    for section in parser.sections():
+        keys = CONFIG_SECTIONS.get(section)
+        if keys is None:
+            raise ConfigError("unknown section [%s] in %s" % (section, path))
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ConfigError("unknown key [%s] %s in %s" % (section, key, path))
+            raw = raw.strip()
             if raw.lower() in ("auto", "none", ""):
                 continue
-            if field in _STR_FIELDS:
-                kwargs[field] = raw
-            elif field in _BOOL_FIELDS:
-                kwargs[field] = raw.lower() in ("1", "true", "yes", "on")
-            elif field in _INT_FIELDS:
-                kwargs[field] = int(raw)
-            else:
-                kwargs[field] = float(raw)
+            field = keys[key]
+            convert = types[field] if types[field] in (int, str) else float
+            try:
+                kwargs[field] = convert(raw)
+            except ValueError as exc:
+                raise ConfigError("invalid value of [%s] %s in %s: %s"
+                                  % (section, key, path, exc)) from exc
     if overrides:
         kwargs.update(overrides)
-    try:
-        return driver.ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("invalid configuration in %s: %s" % (path, exc)) from exc
+    return driver.ExperimentConfig(**kwargs)
 
 
 class Manifest:

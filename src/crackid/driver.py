@@ -33,7 +33,12 @@ LOAD_SLOPES = {"contact": 7.0 / 4.0, "stretch": 5.0 / 4.0}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of one identification experiment."""
+    """All settings of one identification experiment.
+
+    This dataclass is the config file's only schema: ``cli.CONFIG_SECTIONS``
+    maps each ``[section] key`` onto one field, and the field's annotation
+    gives the value's type.
+    """
 
     true_interface: str = "kinked"
     load_case: str = "contact"
@@ -52,10 +57,6 @@ class ExperimentConfig:
     psi0: float = 0.25
     n_max: int = 200
     max_outer: int = 50
-    curvature: str = "coarse"            # or "zero"
-    single_endpoint_factor: bool = False
-    endpoint_cap: bool = True
-    early_stop: bool = False
     snapshot_every: int = 10
 
     def __post_init__(self):
@@ -63,16 +64,18 @@ class ExperimentConfig:
             raise ConfigError("unknown true interface %r" % self.true_interface)
         if self.load_case not in LOAD_SLOPES:
             raise ConfigError("unknown load case %r" % self.load_case)
-        for name in ("E_Y", "eps", "h_measure", "h_identify", "H"):
+        for name in ("E_Y", "eps", "rho_reg", "h_measure", "h_identify", "H"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigError("%s must be finite and > 0, got %r" % (name, value))
         try:
             self.elasticity()
-        except InvalidPoisson as exc:
+            self.cohesive()
+        except (InvalidPoisson, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         n_coarse = 1.0 / self.H
-        if round(n_coarse) < 1 or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
+        if not np.isfinite(n_coarse) or round(n_coarse) < 1 \
+                or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
             raise ConfigError("1/H must be a positive integer, got H = %r" % self.H)
         # build_mesh needs each interface 2h clear of the top and bottom
         margin = 2.0 * self.resolved_h_identify()
@@ -86,14 +89,14 @@ class ExperimentConfig:
                               "than 2h to the boundary" % self.h_measure)
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
+        if self.max_outer < 1:
+            raise ConfigError("max_outer must be >= 1, got %r" % self.max_outer)
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1, got %r"
                               % self.snapshot_every)
         if self.resolved_h_identify() == self.h_measure:
             raise ConfigError(
                 "h_identify must differ from h_measure (inverse-crime guard)")
-        if self.curvature not in ("coarse", "zero"):
-            raise ConfigError("curvature must be 'coarse' or 'zero'")
 
     def resolved_h_identify(self):
         return self.h_identify if self.h_identify is not None \
@@ -243,9 +246,9 @@ def objective(mesh, u_eps, z_interp, rho_reg, psi):
     return misfit + rho_reg * psi.length()
 
 
-def shape_error(psi_a, psi_b, grid_step=1e-3):
-    """Sup-norm proxy: max |psi_a - psi_b| over a uniform sample grid."""
-    x = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
+def shape_error(psi_a, psi_b):
+    """Sup-norm proxy: max |psi_a - psi_b| over a uniform grid of step 1e-3."""
+    x = np.arange(0.0, 1.0 + 0.5e-3, 1e-3)
     return float(np.max(np.abs(psi_a(x) - psi_b(x))))
 
 
@@ -290,8 +293,9 @@ def identify(config, meas, record_gradients=False):
     numbering, is fixed) and the adjoint, forms the boundary
     gradient and scaled descent velocity, and updates the grid function.
     The measurement's load case governs the forward solves. Stops after
-    ``n_max`` updates (fixed-budget stopping rule); solver failures abort
-    early with the partial log preserved in ``log.aborted``.
+    ``n_max`` updates (fixed-budget stopping rule) or at a vanishing
+    gradient; solver failures abort early with the partial log preserved
+    in ``log.aborted``.
     """
     laws = config.cohesive()
     elast = config.elasticity()
@@ -338,11 +342,8 @@ def identify(config, meas, record_gradients=False):
         try:
             v = solvers.solve_adjoint(op, u, z_vec, config.eps, factor=factor)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
-                                           config.eps,
-                                           curvature=config.curvature)
-            vel = shape.descent_velocity(
-                grad, h, single_endpoint_factor=config.single_endpoint_factor,
-                endpoint_cap=config.endpoint_cap)
+                                           config.eps)
+            vel = shape.descent_velocity(grad, h)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break
@@ -351,8 +352,6 @@ def identify(config, meas, record_gradients=False):
             log.gradients.append((n, grad.s.copy(), grad.d3.copy(),
                                   vel.lam2.copy()))
         if vel.zero_gradient:
-            break
-        if config.early_stop and np.max(np.abs(vel.lam2)) < 1e-12 * h:
             break
         psi, clamped = shape.update_interface(psi, vel)
 

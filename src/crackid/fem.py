@@ -228,18 +228,17 @@ def assemble_interface_linear(mesh, weights, component="normal", lumped=False):
     return mat.tocsr()
 
 
-def interface_nodal_jump_matrix(mesh, node_weights, comp=1, nodes=None):
-    """Nodal (lumped) jump quadratic form sum_n w_n [[u]]_c(n) [[v]]_c(n).
-
-    ``nodes`` restricts to a subset of interface node indices (e.g. the
-    penetration set); weights are per interface node.
+def interface_nodal_jump_matrix(mesh, node_weights, nodes):
+    """Nodal (lumped) normal-jump quadratic form sum_n w_n [[u]]_2(n) [[v]]_2(n)
+    over the interface node indices ``nodes`` (e.g. the penetration set);
+    weights are per interface node.
     """
-    idx = np.arange(mesh.iface_minus.size) if nodes is None else np.asarray(nodes)
+    idx = np.asarray(nodes)
     if idx.size == 0:
         return sp.csr_matrix((mesh.n_dofs, mesh.n_dofs))
     w = np.asarray(node_weights, dtype=float)[idx]
-    p = 2 * mesh.iface_plus[idx] + comp
-    m = 2 * mesh.iface_minus[idx] + comp
+    p = 2 * mesh.iface_plus[idx] + 1
+    m = 2 * mesh.iface_minus[idx] + 1
     rows = np.concatenate([p, m, p, m])
     cols = np.concatenate([p, m, m, p])
     vals = np.concatenate([w, w, -w, -w])
@@ -247,11 +246,10 @@ def interface_nodal_jump_matrix(mesh, node_weights, comp=1, nodes=None):
                          shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
 
 
-def assemble_boundary_mass(mesh, edges=None):
-    """Consistent boundary mass over ``edges`` (default: observation edges),
-    acting identically on both displacement components."""
-    if edges is None:
-        edges = mesh.observation_edges
+def assemble_boundary_mass(mesh):
+    """Consistent boundary mass over the observation edges, acting
+    identically on both displacement components."""
+    edges = mesh.observation_edges
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     L = np.hypot(*(b - a).T)
@@ -361,10 +359,9 @@ def h1_seminorm(mesh, values):
     return float(np.sqrt(np.sum(mesh.tri_area * np.sum(g * g, axis=(1, 2)))))
 
 
-def boundary_misfit(mesh, values, z_values, edges=None):
+def boundary_misfit(mesh, values, z_values):
     """1/2 int |u - z|^2 over the observation boundary (2-pt Gauss)."""
-    if edges is None:
-        edges = mesh.observation_edges
+    edges = mesh.observation_edges
     d = (np.asarray(values) - np.asarray(z_values)).reshape(-1, 2)
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]

@@ -49,11 +49,12 @@ class CohesiveParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if self.F_b < 0.0 or self.K_c < 0.0:
+        # written so that a NaN fails each check
+        if not (self.F_b >= 0.0 and self.K_c >= 0.0):
             raise ValueError("F_b and K_c must be nonnegative")
-        if self.delta <= 0.0 or self.kappa <= 0.0:
+        if not (self.delta > 0.0 and self.kappa > 0.0):
             raise ValueError("delta and kappa must be positive")
-        if self.m < 1.0:
+        if not self.m >= 1.0:
             raise ValueError("cohesion exponent m must be >= 1")
 
 

@@ -47,17 +47,12 @@ class VelocityField:
 
 @dataclass
 class BoundaryGradient:
-    """Hadamard gradient densities, coarse-aggregated plus fine diagnostics."""
+    """Hadamard gradient densities aggregated to the coarse grid."""
 
     s: np.ndarray            # coarse nodes
     d3: np.ndarray           # aggregated D3 per coarse node
     d1_left: float           # nu . D1 at the left Dirichlet endpoint
     d1_right: float
-    p_f: np.ndarray          # per fine edge (midpoint values)
-    p_c: np.ndarray
-    grad_pf_nu: np.ndarray   # nu . grad p_f
-    grad_pc_nu: np.ndarray
-    energy_jump: np.ndarray  # [[sigma(u) : eps(v)]]
 
 
 def velocity_extension(points, psi, vel):
@@ -85,8 +80,7 @@ def _edge_midpoint_pairs(mesh, u_values, v_values):
     return mid(ju1), mid(ju2), mid(jv1), mid(jv2)
 
 
-def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps,
-                      curvature="coarse"):
+def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
     """Assemble the interface gradient densities from state and adjoint.
 
     Per fine pair edge the adjacent-triangle constant gradients give the
@@ -155,44 +149,40 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps,
             out[k] = (w @ field) / tot if tot > 0 else 0.0
         return out
 
-    kap = coarse_curvature(psi) if curvature == "coarse" else np.zeros(s.size)
-    rho = elast.rho_reg
+    kap = coarse_curvature(psi)
     field_core = energy_jump - grad_pf_nu - grad_pc_nu
-    d3 = aggregate(field_core) + kap * (rho - aggregate(p_f) - aggregate(p_c))
+    d3 = aggregate(field_core) \
+        + kap * (elast.rho_reg - aggregate(p_f) - aggregate(p_c))
 
-    return BoundaryGradient(
-        s=s.copy(), d3=d3, d1_left=d1_left, d1_right=d1_right, p_f=p_f,
-        p_c=p_c, grad_pf_nu=grad_pf_nu, grad_pc_nu=grad_pc_nu,
-        energy_jump=energy_jump)
+    return BoundaryGradient(s=s.copy(), d3=d3, d1_left=d1_left,
+                            d1_right=d1_right)
 
 
-def descent_velocity(grad, h, single_endpoint_factor=False, endpoint_cap=True):
+def descent_velocity(grad, h):
     """Scaled descent velocity from the boundary gradient.
 
     Interior: lam2 = -k D3. Endpoints: lam2 = (k/sqrt(h)) (2 x1 - 1) nu.D1
-    with the empirical 1/sqrt(h) Dirichlet weight; D1 itself already
-    carries one (2 x1 - 1) factor, and ``single_endpoint_factor`` drops
-    this second one (alternative reading of the printed formulas).
+    with the empirical 1/sqrt(h) Dirichlet weight, on top of the
+    (2 x1 - 1) factor that D1 itself carries.
 
-    Scaling: k = 0.1 h / sup of the raw field, so max |lam2| = 0.1 h. With
-    ``endpoint_cap`` (default) the sup is taken over the interior nodes
-    and the endpoint components saturate at the same 0.1 h bound: the
+    Scaling: k = 0.1 h / sup of the raw field over the interior nodes, and
+    the endpoint components saturate at the same 0.1 h bound: the
     pointwise corner value of D1 sits next to a boundary singularity and
     its mesh-dependent magnitude would otherwise throttle the interior
-    descent. ``endpoint_cap=False`` normalises by the global sup. Either
-    way the scaled field satisfies max |lam2| = 0.1 h exactly.
+    descent. If the interior field vanishes, the sup is taken over all
+    nodes. Either way the scaled field satisfies max |lam2| = 0.1 h
+    exactly.
 
     Returns a flagged zero field if the raw gradient vanishes.
     """
     raw = np.zeros(grad.s.size)
     raw[1:-1] = -grad.d3[1:-1]
-    fl, fr = (-1.0, 1.0) if not single_endpoint_factor else (1.0, 1.0)
-    raw[0] = fl * grad.d1_left / np.sqrt(h)
-    raw[-1] = fr * grad.d1_right / np.sqrt(h)
+    raw[0] = -grad.d1_left / np.sqrt(h)
+    raw[-1] = grad.d1_right / np.sqrt(h)
     cap = 0.1 * h
-    mx_int = float(np.max(np.abs(raw[1:-1])))
-    mx_all = float(np.max(np.abs(raw)))
-    mx = mx_int if (endpoint_cap and mx_int >= 1e-30) else mx_all
+    mx = float(np.max(np.abs(raw[1:-1])))
+    if mx < 1e-30:
+        mx = float(np.max(np.abs(raw)))
     if mx < 1e-30:
         return VelocityField(grad.s.copy(), np.zeros_like(raw), h,
                              zero_gradient=True)

@@ -100,7 +100,7 @@ class _InterfaceOperator:
         """Penalty Newton matrix: K plus the w/eps nodal jump mass on the
         penetration set ``closed``. It is also the adjoint's matrix."""
         return self.K + fem.interface_nodal_jump_matrix(
-            self.mesh, self.w / eps, comp=1, nodes=np.nonzero(closed)[0])
+            self.mesh, self.w / eps, np.nonzero(closed)[0])
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is

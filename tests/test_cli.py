@@ -189,6 +189,17 @@ INVALID_CONFIGS = [
     ("h-measure-negative", "[geometry]\nh_measure = -0.01\n", [], None),
     ("h-measure-nan", "[geometry]\nh_measure = nan\n", [], None),
     ("coarse-spacing-not-1-over-integer", "[geometry]\ncoarse_spacing = 0.3\n", [], None),
+    ("coarse-spacing-subnormal", "[geometry]\ncoarse_spacing = 1e-320\n", [], None),
+    ("n-max-not-integer", "[algorithm]\nn_max = 2.5\n", [], None),
+    ("young-not-a-number", "[material]\nyoung = abc\n", [], None),
+    ("young-percent-sign", "[material]\nyoung = 5%\n", [], None),
+    ("rho-nan", "[material]\nrho = nan\n", [], None),
+    ("max-outer-zero", "[algorithm]\nmax_outer = 0\n", [], None),
+    ("cohesion-length-negative", "[laws]\ncohesion_length = -1\n", [], None),
+    ("cohesion-length-nan", "[laws]\ncohesion_length = nan\n", [], None),
+    ("friction-delta-zero", "[laws]\nfriction_delta = 0\n", [], None),
+    ("friction-bound-negative", "[laws]\nfriction_bound = -1\n", [], None),
+    ("cohesion-exponent-below-1", "[laws]\ncohesion_exponent = 0.5\n", [], None),
     ("measurement-3-columns", "", [], measurement_text(rows="0 0 0\n1 0.5 0\n")),
     ("measurement-nan", "", [],
      measurement_text(rows="0 0 0 0\n1 0 nan 0\n0 0.5 0 0\n1 0.5 0 0\n")),

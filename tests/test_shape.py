@@ -40,7 +40,6 @@ class TestBoundaryGradient:
         # u = v = 0 leaves only kappa*rho; a flat graph has zero curvature
         assert np.allclose(grad.d3, 0.0)
         assert grad.d1_left == 0.0 and grad.d1_right == 0.0
-        assert np.allclose(grad.p_f, 0.0) and np.allclose(grad.p_c, 0.0)
 
     def test_zero_fields_curved_interface(self):
         s = np.linspace(0.0, 1.0, 11)
@@ -50,27 +49,23 @@ class TestBoundaryGradient:
         grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
         from crackid.geometry import coarse_curvature
         assert np.allclose(grad.d3, coarse_curvature(psi) * ELAST.rho_reg)
-        grad0 = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS,
-                                        curvature="zero")
-        assert np.allclose(grad0.d3, 0.0)
 
     def test_continuous_field_has_zero_energy_jump(self):
         psi = constant_graph(0.25)
         mesh = build_mesh(psi, 0.05)
         # globally affine field (interface glued): element gradients agree
-        # on both sides of every pair, so all jump quantities vanish
+        # on both sides of every pair, so all jump quantities vanish, and a
+        # flat line has no curvature term
         A = np.array([[2.0e-3, -1.0e-3], [4.0e-4, 3.0e-3]])
         u = fem.DofField(mesh, (mesh.vertices @ A.T).reshape(-1))
         grad = shape.boundary_gradient(mesh, psi, u, u, LAWS, ELAST, EPS)
-        # direct two-sided evaluation of the energy product
+        # the energy density itself is of order E |A|^2 ~ 1
         gu = fem.field_gradients(mesh, u.values)
         su = ELAST.stress(fem.strain_from_grad(gu))
         e = np.einsum("eab,eab->e", su, fem.strain_from_grad(gu))
-        direct = e[mesh.pair_tri_plus] - e[mesh.pair_tri_minus]
-        assert np.allclose(grad.energy_jump, direct, atol=1e-15)
-        assert np.allclose(grad.energy_jump, 0.0, atol=1e-9)
-        assert np.allclose(grad.p_f, 0.0, atol=1e-12)
-        assert np.allclose(grad.grad_pf_nu, 0.0, atol=1e-12)
+        assert np.min(np.abs(e)) > 0.1
+        assert np.allclose(grad.d3, 0.0, atol=1e-9)
+        assert abs(grad.d1_left) < 1e-9 and abs(grad.d1_right) < 1e-9
 
     def test_d3_sign_agrees_with_fd(self, contact_state, contact_measurement):
         st = contact_state
@@ -97,10 +92,7 @@ class TestBoundaryGradient:
 class TestDescentVelocity:
     def _grad(self, d3, d1l=0.0, d1r=0.0, s=None):
         s = np.linspace(0.0, 1.0, d3.size) if s is None else s
-        return shape.BoundaryGradient(
-            s=s, d3=d3, d1_left=d1l, d1_right=d1r, p_f=np.zeros(1),
-            p_c=np.zeros(1), grad_pf_nu=np.zeros(1), grad_pc_nu=np.zeros(1),
-            energy_jump=np.zeros(1))
+        return shape.BoundaryGradient(s=s, d3=d3, d1_left=d1l, d1_right=d1r)
 
     def test_uniform_positive_d3_moves_down(self):
         g = self._grad(np.full(11, 2.0))
@@ -120,15 +112,6 @@ class TestDescentVelocity:
                                        st["laws"], st["elast"], st["cfg"].eps)
         vel = shape.descent_velocity(grad, st["h"])
         assert np.max(np.abs(vel.lam2)) == pytest.approx(0.1 * st["h"], rel=1e-12)
-        vel2 = shape.descent_velocity(grad, st["h"], endpoint_cap=False)
-        assert np.max(np.abs(vel2.lam2)) == pytest.approx(0.1 * st["h"], rel=1e-12)
-
-    def test_endpoint_factor_switch_flips_sign(self):
-        g = self._grad(np.zeros(11), d1l=3.0, d1r=-2.0)
-        v_double = shape.descent_velocity(g, 0.01)
-        v_single = shape.descent_velocity(g, 0.01, single_endpoint_factor=True)
-        assert v_double.lam2[0] == -v_single.lam2[0]
-        assert v_double.lam2[-1] == v_single.lam2[-1]
 
     def test_velocity_extension_vanishes_on_outer_boundary(self):
         psi = constant_graph(0.25)
