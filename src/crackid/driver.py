@@ -6,7 +6,9 @@ breaking line and stores the observation-boundary trace; identification
 starts from the flat line psi = 0.25 and walks the penalty/adjoint/descent
 loop for a fixed number of iterations, logging objective and shape-error
 ratios. The two meshes use different column counts (h_identify defaults to
-h_measure * 8/7) so synthetic data is never inverted on its own grid.
+h_measure * 8/7) so synthetic data is never inverted on its own grid: the
+config refuses h_identify == h_measure, and ``identify`` refuses a
+measurement file whose recorded h equals h_identify.
 """
 
 import warnings
@@ -295,12 +297,16 @@ def identify(config, meas, record_gradients=False):
     The measurement's load case governs the forward solves. Stops after
     ``n_max`` updates (fixed-budget stopping rule) or at a vanishing
     gradient; solver failures abort early with the partial log preserved
-    in ``log.aborted``.
+    in ``log.aborted``. A measurement made on the identification grid
+    raises ``ConfigError``.
     """
     laws = config.cohesive()
     elast = config.elasticity()
     g = config.traction(meas.load_case)
     h = config.resolved_h_identify()
+    if meas.h == h:
+        raise ConfigError("measurement h = %r equals h_identify "
+                          "(inverse-crime guard)" % meas.h)
     psi_true = config.true_graph()
     psi = config.initial_graph()
     log = IterationLog()

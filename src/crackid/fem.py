@@ -10,16 +10,21 @@ blocks in that order, so the matrix equals the plain COO conversion bit for
 bit. Every linear solve -- state and contact Newton steps and the adjoint --
 goes through ``merged_solve``: Dirichlet dofs are eliminated by row/column
 removal, so the free block stays symmetric positive definite, and interface
-jump dofs can be merged shut. ``FactorizedSPD`` checks its rank when it
-factors and the backward error of every solve.
+jump dofs can be merged shut. The free dofs come in the mesh's column order
+(``mesh.free_dofs``), in which every matrix of the loop is banded, and
+``FactorizedSPD`` factors it by a band Cholesky (LAPACK ``dpbtrf``; George
+and Liu, Computer Solution of Large Sparse Positive Definite Systems,
+1981). It checks definiteness and rank when it factors and the backward
+error of every solve.
 """
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import InvalidPoisson, NotPositiveDefinite
 
@@ -161,7 +166,7 @@ def assemble_stiffness(mesh, elast):
     mat = sp.csr_matrix((data, indices.copy(), indptr.copy()),
                         shape=(mesh.n_dofs, mesh.n_dofs))
     # entries that sum to exactly zero would otherwise stay in the pattern
-    # of a Dirichlet selection (but not of a product) and reorder the LU
+    # of a Dirichlet selection but not of the R^T A R product that equals it
     mat.eliminate_zeros()
     return mat
 
@@ -272,33 +277,48 @@ def assemble_boundary_mass(mesh):
 
 def free_mask(mesh):
     """Boolean mask of the dofs the Dirichlet condition leaves free."""
-    mask = np.ones(mesh.n_dofs, dtype=bool)
-    v = mesh.dirichlet_vertices
-    mask[2 * v] = False
-    mask[2 * v + 1] = False
+    mask = np.zeros(mesh.n_dofs, dtype=bool)
+    mask[mesh.free_dofs] = True
     return mask
 
 
-class FactorizedSPD:
-    """Cached sparse LU of an SPD matrix (deterministic ordering).
+class _Band(NamedTuple):
+    """LAPACK lower band storage of a Cholesky factor: L[i + k, i] is
+    ``lower[k, i]``, so row 0 holds diag(L)."""
 
-    Raises ``NotPositiveDefinite`` on a singular or numerically rank
-    deficient matrix, and on any solve whose backward error exceeds
-    ``BACKWARD_TOL``.
+    lower: np.ndarray
+    nnz: int     # stored band entries
+
+
+class FactorizedSPD:
+    """Band Cholesky factor of an SPD matrix, kept with the matrix.
+
+    The matrix is factored in the order it comes in, so its entries should
+    lie near the diagonal (``merged_solve`` orders by ``mesh.free_dofs``);
+    only its lower triangle is read. Raises ``NotPositiveDefinite`` when
+    the factorisation meets a nonpositive pivot, when a pivot is
+    negligible against the largest (min diag(L)^2 <= 1e-12 max diag(L)^2,
+    the rank check; a NaN fails it too), and on any solve whose backward
+    error exceeds ``BACKWARD_TOL``. ``lu`` holds the factor.
     """
 
     def __init__(self, matrix):
+        low = sp.tril(matrix, format="coo")
+        offset = low.row - low.col
+        band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
+        band[offset, low.col] = low.data
         try:
-            self.lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:  # exactly singular
+            band = cholesky_banded(band, lower=True, check_finite=False)
+        except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
-        du = np.abs(self.lu.U.diagonal())
-        if du.size and du.min() <= 1e-12 * du.max():
+        self.lu = _Band(band, band.size)
+        diag = band[0]
+        if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
         self.matrix = matrix
 
     def solve(self, rhs):
-        x = self.lu.solve(rhs)
+        x = cho_solve_banded((self.lu.lower, True), rhs, check_finite=False)
         A = self.matrix
         res = np.linalg.norm(A @ x - rhs)
         scale = np.linalg.norm(rhs) + np.abs(A.data).max() * np.linalg.norm(x)
@@ -310,32 +330,35 @@ class FactorizedSPD:
 
 
 def merged_solve(system, rhs, free, slaves=None, masters=None):
-    """Solve on the ``free`` dofs (a boolean mask) with zero on the others,
-    the ``slaves`` jump dofs merged shut onto their ``masters``.
+    """Solve on the ``free`` dofs (an index array, ``mesh.free_dofs``) with
+    zero on the others, the ``slaves`` jump dofs merged shut onto their
+    ``masters``.
 
     ``system`` is the full sparse matrix or, to reuse it, the
     ``FactorizedSPD`` of its free block ``matrix[free][:, free]``; a factor
     serves only an unmerged solve. A merge solves the Galerkin system
     R^T A R, R mapping each kept free dof to itself and each slave to its
-    master. Returns the full-length solution and the factor of the free
-    block, or None in its place when anything is merged.
+    master. Both systems keep the order of ``free``, so the band order of
+    ``mesh.free_dofs`` reaches the factor; a slave sits next to its master
+    there, so merging keeps the band. Returns the full-length solution and
+    the factor of the free block, or None in its place when anything is
+    merged.
     """
     n = rhs.size
-    rows = np.nonzero(free)[0]
     if slaves is None or slaves.size == 0:
         factor = system if isinstance(system, FactorizedSPD) \
-            else FactorizedSPD(system[rows][:, rows])
+            else FactorizedSPD(system[free][:, free])
         x = np.zeros(n)
-        x[rows] = factor.solve(rhs[rows])
+        x[free] = factor.solve(rhs[free])
         return x, factor
     rep = np.arange(n)
     rep[slaves] = masters
-    keep = free.copy()
+    keep = np.ones(n, dtype=bool)
     keep[slaves] = False
-    kept = np.nonzero(keep)[0]
+    kept = free[keep[free]]
     col = np.full(n, -1)
     col[kept] = np.arange(kept.size)
-    R = sp.coo_matrix((np.ones(rows.size), (rows, col[rep[rows]])),
+    R = sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
                       shape=(n, kept.size)).tocsr()
     A = (R.T @ system @ R).tocsc()
     x = FactorizedSPD(A).solve(R.T @ rhs)

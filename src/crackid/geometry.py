@@ -168,6 +168,7 @@ class _Topology:
     pair_plus: np.ndarray
     pair_tri_minus: np.ndarray
     pair_tri_plus: np.ndarray
+    free_dofs: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,7 +177,12 @@ def _topology(n_cols, n_rows_below, n_rows_above):
 
     Vertices run row by row (x1 fastest), the lower block first; the top
     row of the lower block and the bottom row of the upper block are the
-    minus and plus copies of the interface nodes.
+    minus and plus copies of the interface nodes. ``free_dofs`` lists the
+    dofs off the clamped sides column by column (x1, then x2, then
+    component): in that order every stiffness, penalty and merged matrix
+    is banded, with a half-bandwidth of about two columns of dofs, since
+    elements join neighbouring columns and each minus copy sits next to
+    its plus copy.
     """
     nx = n_cols + 1
     off_hi = (n_rows_below + 1) * nx
@@ -191,7 +197,9 @@ def _topology(n_cols, n_rows_below, n_rows_above):
 
     tris_lo = block_triangles(0, n_rows_below)
     tris_hi = block_triangles(off_hi, n_rows_above)
-    vertex_col = np.arange(off_hi + (n_rows_above + 1) * nx) % nx
+    n_vertices = off_hi + (n_rows_above + 1) * nx
+    vertex_col = np.arange(n_vertices) % nx
+    by_column = np.arange(n_vertices).reshape(-1, nx).T[1:-1].reshape(-1)
     top = off_hi + n_rows_above * nx
     iface_minus = n_rows_below * nx + cols
     iface_plus = off_hi + cols
@@ -211,6 +219,7 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
         pair_tri_minus=(n_rows_below - 1) * 2 * n_cols + pair_cells + 1,
         pair_tri_plus=len(tris_lo) + pair_cells,
+        free_dofs=(2 * by_column[:, None] + np.arange(2)).reshape(-1),
     )
     for table in tables.values():
         table.setflags(write=False)
@@ -243,6 +252,7 @@ class BrokenMesh:
     pair_plus: np.ndarray         # (n_cols, 2)
     pair_tri_minus: np.ndarray    # (n_cols,)
     pair_tri_plus: np.ndarray     # (n_cols,)
+    free_dofs: np.ndarray         # unclamped dofs in column (band) order
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)

@@ -15,7 +15,8 @@ differ only in the normal law:
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
 final state Newton matrix (``_InterfaceOperator.newton_matrix``); it reuses
 the state's factor when the last Newton step merged nothing. Every linear
-solve goes through ``fem.merged_solve``.
+solve goes through ``fem.merged_solve``, a band Cholesky solve on the
+mesh's column-ordered free dofs ``mesh.free_dofs``.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -230,7 +231,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
         f = op.F - op.lagged_load(sgn, ind)
         stick = interior & (sgn == 0.0)
         new_values, factor = fem.merged_solve(
-            A, f, op.free_mask, np.concatenate([op.m2[shut], op.m1[stick]]),
+            A, f, op.mesh.free_dofs, np.concatenate([op.m2[shut], op.m1[stick]]),
             np.concatenate([op.p2[shut], op.p1[stick]]))
         new_res = op.stationarity(new_values, eps, stick, shut)
 
@@ -342,7 +343,7 @@ def solve_adjoint(op, u_eps, z_obs, eps, factor=None):
     if system is None:   # the state's last step merged stick dofs
         closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
         system = op.newton_matrix(closed, eps)
-    values, _ = fem.merged_solve(system, rhs, op.free_mask)
+    values, _ = fem.merged_solve(system, rhs, mesh.free_dofs)
     return fem.DofField(mesh, values)
 
 

@@ -242,6 +242,13 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     dirichlet = [v for v in range(len(vertices)) if vertices[v, 0] in (0.0, 1.0)]
     bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
     top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
+    # unclamped dofs column by column, bottom to top, minus copy first
+    free = []
+    for j in range(1, n_cols):
+        column = ([idx_lo(i, j) for i in range(n_rows_below + 1)]
+                  + [idx_hi(i, j) for i in range(n_rows_above + 1)])
+        for v in column:
+            free += [2 * v, 2 * v + 1]
     return dict(
         vertices=vertices, triangles=triangles,
         tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
@@ -252,6 +259,7 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
         pair_tri_minus=np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64),
         pair_tri_plus=np.array([len(tris_lo) + 2 * j for j in range(n_cols)], dtype=np.int64),
+        free_dofs=np.array(free, dtype=np.int64),
         normals=np.column_stack([-tangents[:, 1], tangents[:, 0]]),
         tangents=tangents, pair_lengths=lengths,
         tri_area=area, tri_grads=grads)

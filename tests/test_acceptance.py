@@ -210,7 +210,7 @@ def test_criterion_6_property_suites(contact_measurement):
     sym_ok = abs(K - K.T).max() < 1e-12 * abs(K).max()
     wk = np.linalg.eigvalsh(K.toarray())
     kernel_ok = int(np.count_nonzero(wk < 1e-9 * wk.max())) == 6
-    _, red = fem.merged_solve(K, np.zeros(tiny.n_dofs), fem.free_mask(tiny))
+    _, red = fem.merged_solve(K, np.zeros(tiny.n_dofs), tiny.free_dofs)
     spd_ok = np.linalg.eigvalsh(red.matrix.toarray()).min() > 0.0
 
     # patch test
@@ -230,7 +230,7 @@ def test_criterion_6_property_suites(contact_measurement):
     free = fem.free_mask(mesh)
     rhs, lift = oracles.dirichlet_lift(Kp, fem.assemble_traction(mesh, g_patch),
                                        free, u_exact)
-    x, _ = fem.merged_solve(Kp, rhs, free)
+    x, _ = fem.merged_solve(Kp, rhs, mesh.free_dofs)
     patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crackid import cli
+from crackid.driver import ExperimentConfig
 
 CONFIG_SMALL = """
 [material]
@@ -209,6 +210,9 @@ INVALID_CONFIGS = [
     ("measurement-no-rows", "", [], measurement_text(rows="")),
     ("measurement-missing-top-edge", "", [],
      measurement_text(rows="0 0 0 0\n0.5 0 1e-6 0\n1 0 0 0\n")),
+    # inverse-crime guard: data synthesised on the identification grid
+    ("measurement-h-is-h-identify", "", [],
+     measurement_text(h="%.17g" % ExperimentConfig().resolved_h_identify())),
 ]
 
 

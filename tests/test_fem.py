@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from crackid import fem
+from crackid.driver import ExperimentConfig
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
 from crackid.geometry import (InterfaceGraph, build_mesh, constant_graph,
@@ -256,7 +257,7 @@ class TestSolve:
     def test_identity_system(self):
         mesh = tiny_mesh()
         n_free = mesh.n_dofs - 2 * mesh.dirichlet_vertices.size
-        free = fem.free_mask(mesh)
+        free = mesh.free_dofs
         x, factor = fem.merged_solve(sp.identity(mesh.n_dofs, format="csr"),
                                      np.ones(mesh.n_dofs), free)
         assert np.allclose(x[free], 1.0)
@@ -268,7 +269,7 @@ class TestSolve:
         K = fem.assemble_stiffness(mesh, ELAST)
         rng = np.random.default_rng(11)
         f = rng.standard_normal(mesh.n_dofs)
-        free = fem.free_mask(mesh)
+        free = mesh.free_dofs
         x, factor = fem.merged_solve(K, f, free)
         xd = np.linalg.solve(factor.matrix.toarray(), f[free])
         assert np.linalg.norm(x[free] - xd) < 1e-10 * np.linalg.norm(xd)
@@ -278,7 +279,7 @@ class TestSolve:
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
-        free = fem.free_mask(mesh)
+        free = mesh.free_dofs
         x, factor = fem.merged_solve(K, f, free)
         r = factor.matrix @ x[free] - f[free]
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f[free])
@@ -297,7 +298,7 @@ class TestSolve:
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
-        free = fem.free_mask(mesh)
+        free = mesh.free_dofs
         _, factor = fem.merged_solve(K, f, free)
         factor.matrix = 2.0 * factor.matrix
         with pytest.raises(NotPositiveDefinite):
@@ -307,10 +308,67 @@ class TestSolve:
         mesh = small_mesh(0.05)
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(mesh, lambda x, y: (0.0 * x, 4.0 * y - 1.0))
-        free = fem.free_mask(mesh)
+        free = mesh.free_dofs
         x1, _ = fem.merged_solve(K, f, free)
         x2, _ = fem.merged_solve(K, f, free)
         assert np.array_equal(x1, x2)
+
+
+class TestFactor:
+    """The band Cholesky's own checks: each failure is NotPositiveDefinite."""
+
+    def free_block(self):
+        mesh = small_mesh(0.05)
+        free = mesh.free_dofs
+        return fem.assemble_stiffness(mesh, ELAST)[free][:, free].tolil()
+
+    def test_indefinite_matrix_rejected(self):
+        A = self.free_block()
+        A[40, 40] = -A[40, 40]
+        with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+            fem.FactorizedSPD(A.tocsr())
+
+    def test_nan_entry_rejected(self):
+        A = self.free_block()
+        A[40, 40] = np.nan
+        with pytest.raises(NotPositiveDefinite):
+            fem.FactorizedSPD(A.tocsr())
+
+    def test_negligible_pivot_rejected(self):
+        # SPD, so the Cholesky succeeds; its last pivot diag(L)^2 = 1e-13 is
+        # below 1e-12 of the largest
+        A = sp.diags([1.0, 2.0, 1e-13], format="csr")
+        with pytest.raises(NotPositiveDefinite, match="rank deficient"):
+            fem.FactorizedSPD(A)
+
+
+class TestBandOrder:
+    def test_half_bandwidth_on_the_identify_mesh(self, monkeypatch):
+        # the free block, the stick merge of the first state step and the
+        # all-contact merge of the first PDAS step, each in column order
+        cfg = ExperimentConfig()
+        mesh = build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
+        K = fem.assemble_stiffness(mesh, ELAST)
+        factored = []
+        init = fem.FactorizedSPD.__init__
+
+        def record(self, matrix):
+            factored.append(matrix.tocoo())
+            init(self, matrix)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
+        interior = mesh.interface_interior()
+        plus, minus = mesh.iface_plus[interior], mesh.iface_minus[interior]
+        f = np.ones(mesh.n_dofs)
+        fem.merged_solve(K, f, mesh.free_dofs)
+        fem.merged_solve(K, f, mesh.free_dofs, 2 * minus, 2 * plus)
+        fem.merged_solve(K, f, mesh.free_dofs,
+                         np.concatenate([2 * minus + 1, 2 * minus]),
+                         np.concatenate([2 * plus + 1, 2 * plus]))
+        per_column = mesh.n_vertices // (mesh.n_cols + 1)
+        bands = [int(np.abs(A.row - A.col).max()) for A in factored]
+        assert len(bands) == 3
+        assert max(bands) <= 2 * per_column + 4, bands
 
 
 class TestPatchAndKorn:
@@ -336,7 +394,7 @@ class TestPatchAndKorn:
         f = fem.assemble_traction(mesh, g)
         free = fem.free_mask(mesh)
         rhs, lift = oracles.dirichlet_lift(Kp, f, free, u_exact)
-        x, _ = fem.merged_solve(Kp, rhs, free)
+        x, _ = fem.merged_solve(Kp, rhs, mesh.free_dofs)
         x = x + lift
         scale = np.abs(u_exact).max()
         assert np.max(np.abs(x - u_exact)) < 1e-8 * scale
@@ -345,7 +403,7 @@ class TestPatchAndKorn:
         # Dirichlet-reduced stiffness is positive definite
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
-        _, factor = fem.merged_solve(K, np.zeros(mesh.n_dofs), fem.free_mask(mesh))
+        _, factor = fem.merged_solve(K, np.zeros(mesh.n_dofs), mesh.free_dofs)
         w = np.linalg.eigvalsh(factor.matrix.toarray())
         assert w.min() > 0.0
 
