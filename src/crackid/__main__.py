@@ -1,0 +1,5 @@
+"""``python -m crackid``: the CLI from a checkout, without an install."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

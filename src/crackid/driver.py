@@ -76,9 +76,10 @@ class ExperimentConfig:
         except (InvalidPoisson, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         n_coarse = 1.0 / self.H
-        if not np.isfinite(n_coarse) or round(n_coarse) < 1 \
+        # 1/H >= 2 leaves the coarse graph an interior node to move
+        if not np.isfinite(n_coarse) or round(n_coarse) < 2 \
                 or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
-            raise ConfigError("1/H must be a positive integer, got H = %r" % self.H)
+            raise ConfigError("1/H must be an integer >= 2, got H = %r" % self.H)
         # build_mesh needs each interface 2h clear of the top and bottom
         margin = 2.0 * self.resolved_h_identify()
         if not margin <= self.psi0 <= HEIGHT - margin:

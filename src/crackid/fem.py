@@ -360,7 +360,7 @@ def merged_solve(system, rhs, free, slaves=None, masters=None):
     col[kept] = np.arange(kept.size)
     R = sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
                       shape=(n, kept.size)).tocsr()
-    A = (R.T @ system @ R).tocsc()
+    A = R.T @ system @ R
     x = FactorizedSPD(A).solve(R.T @ rhs)
     return R @ x, None
 

@@ -16,7 +16,10 @@ differ only in the normal law:
 final state Newton matrix (``_InterfaceOperator.newton_matrix``); it reuses
 the state's factor when the last Newton step merged nothing. Every linear
 solve goes through ``fem.merged_solve``, a band Cholesky solve on the
-mesh's column-ordered free dofs ``mesh.free_dofs``.
+mesh's column-ordered free dofs ``mesh.free_dofs``. The engine factors
+once per distinct ``(closed, stick)`` pair of normal and stick sets: a
+Newton step that changes only the load (slip signs, cohesion indicator)
+solves with the previous step's factor.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -198,6 +201,11 @@ def _active_set_solve(op, eps, max_outer, start=None):
     (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); a seed equal
     to the converged configuration makes the first step the last.
 
+    A step's matrix is keyed on ``(closed, stick)``, stick being the
+    interior nodes with ``sgn == 0``; the slip signs and the indicator
+    reach only the load, so a step that repeats the previous step's key
+    keeps its matrix and, when nothing was merged, its factor.
+
     Returns (values, closed, lam, report, factor), with ``lam`` the contact
     multiplier estimate and ``factor`` as from ``fem.merged_solve``.
     """
@@ -222,16 +230,19 @@ def _active_set_solve(op, eps, max_outer, start=None):
     prev_config = None
     prev_closed = None
     union_used = False
+    key = factor = None
 
     for it in range(1, max_outer + 1):
-        if contact:
-            A, shut = op.K, closed
-        else:
-            A, shut = op.newton_matrix(closed, eps), none_shut
-        f = op.F - op.lagged_load(sgn, ind)
+        shut = closed if contact else none_shut
         stick = interior & (sgn == 0.0)
+        step_key = (closed.tobytes(), stick.tobytes())
+        if step_key != key:
+            key, factor = step_key, None
+            A = op.K if contact else op.newton_matrix(closed, eps)
+        f = op.F - op.lagged_load(sgn, ind)
         new_values, factor = fem.merged_solve(
-            A, f, op.mesh.free_dofs, np.concatenate([op.m2[shut], op.m1[stick]]),
+            A if factor is None else factor, f, op.mesh.free_dofs,
+            np.concatenate([op.m2[shut], op.m1[stick]]),
             np.concatenate([op.p2[shut], op.p1[stick]]))
         new_res = op.stationarity(new_values, eps, stick, shut)
 

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +194,7 @@ INVALID_CONFIGS = [
     ("h-measure-nan", "[geometry]\nh_measure = nan\n", [], None),
     ("coarse-spacing-not-1-over-integer", "[geometry]\ncoarse_spacing = 0.3\n", [], None),
     ("coarse-spacing-subnormal", "[geometry]\ncoarse_spacing = 1e-320\n", [], None),
+    ("coarse-spacing-one", "[geometry]\ncoarse_spacing = 1.0\n", [], None),
     ("n-max-not-integer", "[algorithm]\nn_max = 2.5\n", [], None),
     ("young-not-a-number", "[material]\nyoung = abc\n", [], None),
     ("young-percent-sign", "[material]\nyoung = 5%\n", [], None),
@@ -232,3 +236,13 @@ def test_invalid_config_exit_2(tmp_path, capsys, text, extra, measurement):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+def test_python_m_crackid_runs_the_cli(tmp_path):
+    # a checkout without an install runs the CLI as a module of src/
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "crackid", "--help"],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "identify" in proc.stdout

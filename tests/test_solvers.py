@@ -176,6 +176,65 @@ class TestSolvePath:
         assert factor is None
 
 
+@pytest.fixture(scope="module")
+def coarse_problems():
+    """Config and measurement per load case on the coarse h = 0.04 mesh,
+    for six identification iterations."""
+    out = {}
+    for load_case in ("contact", "stretch"):
+        cfg = driver.ExperimentConfig(h_measure=0.04, n_max=6, load_case=load_case)
+        out[load_case] = (cfg, driver.synthesize_measurement(cfg)[0])
+    return out
+
+
+class TestFactorReuse:
+    """A Newton step whose (closed, stick) sets repeat the previous step's
+    has the same matrix, so it solves with the kept factor."""
+
+    @pytest.mark.parametrize("load_case,factorisations",
+                             [("contact", 10), ("stretch", 8)])
+    def test_one_factorisation_per_distinct_matrix(self, monkeypatch,
+                                                   coarse_problems, load_case,
+                                                   factorisations):
+        # 12 Newton steps each; 2 (contact) and 4 (stretch) repeat the
+        # previous step's matrix and change only the slip-sign load
+        count = [0]
+        init = fem.FactorizedSPD.__init__
+
+        def counting(self, matrix):
+            count[0] += 1
+            init(self, matrix)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "__init__", counting)
+        log = driver.identify(*coarse_problems[load_case])
+        steps = sum(row["penalty_iters"] for row in log.rows)
+        assert log.aborted is None and steps == 12
+        assert count[0] == factorisations < steps
+
+    @pytest.mark.parametrize("load_case,reused", [("contact", 2), ("stretch", 4)])
+    def test_kept_factor_solves_as_a_fresh_one(self, monkeypatch, coarse_problems,
+                                               load_case, reused):
+        cfg, meas = coarse_problems[load_case]
+        plain = driver.identify(cfg, meas)
+        solve = fem.merged_solve
+        state_reuses = [0]
+
+        def refactor(system, rhs, free, slaves=None, masters=None):
+            if isinstance(system, fem.FactorizedSPD):
+                # a state step passes its (empty) merge, the adjoint none
+                state_reuses[0] += slaves is not None
+                system = fem.FactorizedSPD(system.matrix)
+            return solve(system, rhs, free, slaves, masters)
+
+        monkeypatch.setattr(fem, "merged_solve", refactor)
+        fresh = driver.identify(cfg, meas)
+        assert state_reuses[0] == reused
+        for name in driver.IterationLog.CSV_COLUMNS:
+            assert np.array_equal(fresh.column(name), plain.column(name)), name
+        last = max(plain.snapshots)
+        assert np.array_equal(fresh.snapshots[last].psi, plain.snapshots[last].psi)
+
+
 class TestWarmStart:
     """A state solve seeded with a converged configuration ends on the
     matrix a cold solve ends on, so it returns the very same values."""
