@@ -12,6 +12,7 @@ from .errors import (  # noqa: F401
     BoundViolated, ConfigError, CrackidError, DegenerateElement,
     InterfaceTooClose, InvalidPoisson, LineSearchFailed,
     MissingAdjacentTriangle, NoConvergence, NotPositiveDefinite,
+    NumericalOverflow,
 )
 from .geometry import BrokenMesh, InterfaceGraph, build_mesh  # noqa: F401
 from .fem import DofField, IsotropicElasticity, lame_from_young  # noqa: F401

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fem, shape, solvers
 from .errors import ConfigError, CrackidError, InvalidPoisson
-from .geometry import HEIGHT, InterfaceGraph, build_mesh, uniform_graph
+from .geometry import HEIGHT, InterfaceGraph, band_shape, build_mesh, uniform_graph
 from .laws import CohesiveParams
 
 MEASUREMENT_HEADER = "# measurement v1"
@@ -31,6 +31,8 @@ TRUE_INTERFACES = {
 }
 
 LOAD_SLOPES = {"contact": 7.0 / 4.0, "stretch": 5.0 / 4.0}
+
+BAND_BUDGET = 2 ** 30   # bytes of one band factor, 8 (kd + 1) n, per mesh
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,15 @@ class ExperimentConfig:
         if not np.isfinite(n_coarse) or round(n_coarse) < 2 \
                 or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
             raise ConfigError("1/H must be an integer >= 2, got H = %r" % self.H)
+        for name, h in (("h_measure", self.h_measure),
+                        ("h_identify", self.resolved_h_identify())):
+            size = np.inf
+            if np.isfinite(1.0 / h):
+                rows, n = band_shape(h)
+                size = 8.0 * rows * n
+            if size > BAND_BUDGET:
+                raise ConfigError("%s = %r needs a band factor of %.3g bytes, above "
+                                  "the %d MiB budget" % (name, h, size, BAND_BUDGET >> 20))
         # build_mesh needs each interface 2h clear of the top and bottom
         margin = 2.0 * self.resolved_h_identify()
         if not margin <= self.psi0 <= HEIGHT - margin:

@@ -21,6 +21,10 @@ class NotPositiveDefinite(CrackidError):
     """Linear system is singular or indefinite on its free dofs."""
 
 
+class NumericalOverflow(CrackidError):
+    """A system matrix or load vector is not finite in double precision."""
+
+
 class NoConvergence(CrackidError):
     """Nonlinear interface solver failed to reach its tolerance."""
 

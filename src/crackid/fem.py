@@ -2,20 +2,24 @@
 mesh, boundary/interface integrals and the one linear-solve path.
 
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
-and reads the element areas and shape gradients the mesh carries. The CSR
-pattern of the stiffness, and the order in which scipy's COO -> CSR
-conversion would sum each entry's element contributions, are derived once
-per mesh topology; each assembly then only gathers and sums the element
-blocks in that order, so the matrix equals the plain COO conversion bit for
-bit. Every linear solve -- state and contact Newton steps and the adjoint --
-goes through ``merged_solve``: Dirichlet dofs are eliminated by row/column
-removal, so the free block stays symmetric positive definite, and interface
-jump dofs can be merged shut. The free dofs come in the mesh's column order
-(``mesh.free_dofs``), in which every matrix of the loop is banded, and
-``FactorizedSPD`` factors it by a band Cholesky (LAPACK ``dpbtrf``; George
-and Liu, Computer Solution of Large Sparse Positive Definite Systems,
-1981). It checks definiteness and rank when it factors and the backward
-error of every solve.
+and reads the element areas and shape gradients the mesh carries; the
+element blocks are formed as a few products over all elements at once, the
+element axis last. The CSR pattern of the stiffness, and the order in which
+scipy's COO -> CSR conversion would sum each entry's element contributions,
+are derived once per mesh topology; each assembly then only gathers and
+sums the element blocks in that order, so the matrix equals the plain COO
+conversion bit for bit. Every linear solve -- state and contact Newton
+steps and the adjoint -- goes through ``merged_solve``: Dirichlet dofs are
+eliminated by row/column removal, so the free block stays symmetric
+positive definite, and interface jump dofs can be merged shut. The free
+dofs come in the mesh's column order (``mesh.free_dofs``), in which every
+matrix of the loop is banded, and ``FactorizedSPD`` factors it by a band
+Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981). An unmerged Newton matrix reaches
+it as band storage filled straight from the cached pattern
+(``free_band``); a merged one through its sparse lower triangle. It checks
+definiteness and rank when it factors and the backward error of every
+solve.
 """
 
 import functools
@@ -94,17 +98,24 @@ class DofField:
 # ----------------------------------------------------------------------
 
 def element_stiffness(area, grads, dmat):
-    """Per-element 6x6 plane-strain stiffness blocks (vectorised)."""
-    nt = area.shape[0]
-    B = np.zeros((nt, 3, 6))
-    B[:, 0, 0::2] = grads[:, :, 0]
-    B[:, 1, 1::2] = grads[:, :, 1]
-    B[:, 2, 0::2] = grads[:, :, 1]
-    B[:, 2, 1::2] = grads[:, :, 0]
-    # two plain einsums give the same bits as one three-operand einsum at
-    # less than half its time; optimize=True or matmul would reorder sums
-    BtD = np.einsum("eji,jk->eik", B, dmat)
-    return np.einsum("eik,ekl->eil", BtD, B) * area[:, None, None]
+    """Per-element 6x6 plane-strain stiffness blocks B^T D B area, with the
+    element axis last: block[i, j, e] for local dofs i = 2 a + c.
+
+    Each of the four 3x3 node blocks is one product over all elements, such
+    as ((gx D00) gx + (gy D22) gy) area for the x-x block. It is the sum
+    that the plain einsum pair (B^T D) B forms, term for term and in the
+    same order; the terms with a structural zero of B add exact zeros and
+    are left out.
+    """
+    gx = np.ascontiguousarray(grads[:, :, 0].T)[:, None]   # (3, 1, nt)
+    gy = np.ascontiguousarray(grads[:, :, 1].T)[:, None]
+    gx_t, gy_t = gx.transpose(1, 0, 2), gy.transpose(1, 0, 2)   # (1, 3, nt)
+    out = np.empty((6, 6, area.shape[0]))
+    out[0::2, 0::2] = ((gx * dmat[0, 0]) * gx_t + (gy * dmat[2, 2]) * gy_t) * area
+    out[0::2, 1::2] = ((gx * dmat[0, 1]) * gy_t + (gy * dmat[2, 2]) * gx_t) * area
+    out[1::2, 0::2] = ((gy * dmat[1, 0]) * gx_t + (gx * dmat[2, 2]) * gy_t) * area
+    out[1::2, 1::2] = ((gy * dmat[1, 1]) * gy_t + (gx * dmat[2, 2]) * gx_t) * area
+    return out
 
 
 def _dof_table(triangles):
@@ -117,15 +128,18 @@ def _dof_table(triangles):
 @functools.lru_cache(maxsize=8)
 def _stiffness_pattern(topology, n_dofs):
     """CSR pattern of the stiffness of one mesh topology, with the gather
-    that sums the flattened element blocks into it.
+    that sums the element blocks of ``element_stiffness`` into it.
 
-    ``coo_matrix(...).tocsr()`` places the entries row by row in input
-    order, sorts each row by column (not stably) and sums each run of equal
-    columns left to right. Replaying it on entry numbers instead of values
-    gives the permutation it applies; the assembly then repeats that sum
-    exactly. Returns (indptr, indices, first, tails): entry k of the data
-    is flat[first[k]] plus flat[src] for each (dst, src) in ``tails``
-    whose dst holds k, in order -- at most one per term of the run.
+    ``coo_matrix(...).tocsr()`` of the blocks listed element by element
+    places the entries row by row in input order, sorts each row by column
+    (not stably) and sums each run of equal columns left to right.
+    Replaying it on entry numbers instead of values gives the permutation
+    it applies; the assembly then repeats that sum exactly. The entry
+    numbers are then moved to the element-last layout of the blocks.
+    Returns (indptr, indices, first, tails): entry k of the data is
+    flat[first[k]] plus flat[src] for each (dst, src) in ``tails`` whose
+    dst holds k, in order -- at most one per term of the run -- with flat
+    the raveled blocks.
     """
     table = _dof_table(topology.triangles)
     nd = table.shape[1]
@@ -138,6 +152,9 @@ def _stiffness_pattern(topology, n_dofs):
                           shape=(n_dofs, n_dofs))
     probe.sort_indices()
     perm, cols = probe.data, probe.indices
+    # element-major entry e*36 + i*6 + j sits at (i*6 + j)*nt + e of flat
+    element, local = np.divmod(perm, nd * nd)
+    perm = local * table.shape[0] + element
     starts = np.flatnonzero(np.concatenate(
         [[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
     run = np.diff(np.append(starts, perm.size))
@@ -148,6 +165,35 @@ def _stiffness_pattern(topology, n_dofs):
     indptr = np.searchsorted(rows[starts], bounds).astype(cols.dtype)
     out = (indptr, cols[starts], perm[starts], tuple(tails))
     for arr in out[:3] + tuple(a for pair in tails for a in pair):
+        arr.setflags(write=False)
+    return out
+
+
+def _band_slots(indptr, indices, free):
+    """Where each entry of a CSR pattern goes in the lower band storage of
+    its ``free`` x ``free`` block, that block ordered as ``free``.
+
+    Returns (src, slot, kd): the entries of the block's lower triangle,
+    their flat index offset * free.size + column in a (kd + 1, free.size)
+    band array, and kd, the largest offset among them.
+    """
+    n_dofs = indptr.size - 1
+    pos = np.full(n_dofs, -1)
+    pos[free] = np.arange(free.size)
+    row = pos[np.repeat(np.arange(n_dofs), np.diff(indptr))]
+    col = pos[indices]
+    offset = row - col
+    src = np.flatnonzero((col >= 0) & (row >= 0) & (offset >= 0))
+    offset = offset[src]
+    return src, offset * free.size + col[src], int(offset.max(initial=0))
+
+
+@functools.lru_cache(maxsize=8)
+def _pattern_band_slots(topology, n_dofs):
+    """``_band_slots`` of a topology's stiffness pattern and free dofs."""
+    indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
+    out = _band_slots(indptr, indices, topology.free_dofs)
+    for arr in out[:2]:
         arr.setflags(write=False)
     return out
 
@@ -169,6 +215,41 @@ def assemble_stiffness(mesh, elast):
     # of a Dirichlet selection but not of the R^T A R product that equals it
     mat.eliminate_zeros()
     return mat
+
+
+def free_band(mesh, K, node_weights=None, nodes=()):
+    """LAPACK lower band storage of the free block of K plus the nodal
+    normal-jump mass ``interface_nodal_jump_matrix(mesh, node_weights,
+    nodes)``, in the order of ``mesh.free_dofs``.
+
+    ``K`` is the mesh's ``assemble_stiffness``. When assembly kept every
+    entry of the topology's cached pattern, the band slots come from that
+    pattern's cache; otherwise they are worked out for K's own pattern.
+    The jump mass adds w at offset 0 of each closed pair's two x2 dofs and
+    -w at offset 2, the minus x2 dof sitting two places before the plus
+    one. Each entry is the single sum k + w that the sparse addition
+    forms, and the band is as high as the largest offset of a stored
+    nonzero, so the factor equals that of the sparse route bit for bit.
+    """
+    indptr, indices, _, _ = _stiffness_pattern(mesh.topology, mesh.n_dofs)
+    if K.nnz == indices.size:
+        src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
+    else:
+        src, slot, kd = _band_slots(K.indptr, K.indices, mesh.free_dofs)
+    n = mesh.free_dofs.size
+    band = np.zeros((kd + 1, n))
+    band.reshape(-1)[slot] = K.data[src]
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size:
+        w = np.asarray(node_weights, dtype=float)[nodes]
+        pos = np.full(mesh.n_dofs, -1)
+        pos[mesh.free_dofs] = np.arange(n)
+        minus = pos[2 * mesh.iface_minus[nodes] + 1]
+        plus = pos[2 * mesh.iface_plus[nodes] + 1]
+        band[0, minus] += w
+        band[0, plus] += w
+        band[plus - minus, minus] -= w
+    return band
 
 
 def assemble_traction(mesh, g):
@@ -290,38 +371,56 @@ class _Band(NamedTuple):
     nnz: int     # stored band entries
 
 
+def _lower_band(matrix):
+    """LAPACK lower band storage of a sparse symmetric matrix's lower
+    triangle, as high as the largest offset of a stored entry."""
+    low = sp.tril(matrix, format="coo")
+    offset = low.row - low.col
+    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
+    band[offset, low.col] = low.data
+    return band
+
+
 class FactorizedSPD:
     """Band Cholesky factor of an SPD matrix, kept with the matrix.
 
-    The matrix is factored in the order it comes in, so its entries should
-    lie near the diagonal (``merged_solve`` orders by ``mesh.free_dofs``);
-    only its lower triangle is read. Raises ``NotPositiveDefinite`` when
-    the factorisation meets a nonpositive pivot, when a pivot is
-    negligible against the largest (min diag(L)^2 <= 1e-12 max diag(L)^2,
-    the rank check; a NaN fails it too), and on any solve whose backward
-    error exceeds ``BACKWARD_TOL``. ``lu`` holds the factor.
+    ``band`` is the matrix in LAPACK lower band storage (``free_band``,
+    ``_lower_band``), factored in the order it comes in, so its entries
+    should lie near the diagonal (``merged_solve`` orders by
+    ``mesh.free_dofs``). ``matrix`` is the same matrix in sparse form, or,
+    with ``rows``, a sparse matrix whose ``rows`` x ``rows`` block it is;
+    the backward error of a solve is checked against it. Raises
+    ``NotPositiveDefinite`` when the factorisation meets a nonpositive
+    pivot, when a pivot is negligible against the largest (min diag(L)^2
+    <= 1e-12 max diag(L)^2, the rank check; a NaN fails it too), and on
+    any solve whose backward error exceeds ``BACKWARD_TOL``, max|A| taken
+    over the factored matrix. ``lu`` holds the factor.
     """
 
-    def __init__(self, matrix):
-        low = sp.tril(matrix, format="coo")
-        offset = low.row - low.col
-        band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
-        band[offset, low.col] = low.data
+    def __init__(self, band, matrix, rows=None):
         try:
-            band = cholesky_banded(band, lower=True, check_finite=False)
+            lower = cholesky_banded(band, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
-        self.lu = _Band(band, band.size)
-        diag = band[0]
+        self.lu = _Band(lower, lower.size)
+        diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
-        self.matrix = matrix
+        self.band, self.matrix, self.rows = band, matrix, rows
+        self.max_abs = max(band.max(), -band.min())
 
     def solve(self, rhs):
         x = cho_solve_banded((self.lu.lower, True), rhs, check_finite=False)
-        A = self.matrix
-        res = np.linalg.norm(A @ x - rhs)
-        scale = np.linalg.norm(rhs) + np.abs(A.data).max() * np.linalg.norm(x)
+        if self.rows is None:
+            ax = self.matrix @ x
+        else:
+            # the columns off ``rows`` meet zeros of the embedded x, and a
+            # zero product leaves a row sum's bits as they are
+            full = np.zeros(self.matrix.shape[1])
+            full[self.rows] = x
+            ax = (self.matrix @ full)[self.rows]
+        res = np.linalg.norm(ax - rhs)
+        scale = np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)
         if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
             raise NotPositiveDefinite(
                 "factorised solve failed its backward-error check "
@@ -334,42 +433,43 @@ def merged_solve(system, rhs, free, slaves=None, masters=None):
     zero on the others, the ``slaves`` jump dofs merged shut onto their
     ``masters``.
 
-    ``system`` is the full sparse matrix or, to reuse it, the
-    ``FactorizedSPD`` of its free block ``matrix[free][:, free]``; a factor
-    serves only an unmerged solve. A merge solves the Galerkin system
-    R^T A R, R mapping each kept free dof to itself and each slave to its
-    master. Both systems keep the order of ``free``, so the band order of
-    ``mesh.free_dofs`` reaches the factor; a slave sits next to its master
-    there, so merging keeps the band. Returns the full-length solution and
-    the factor of the free block, or None in its place when anything is
-    merged.
+    ``system`` is the full sparse matrix or the ``FactorizedSPD`` of its
+    free block ``matrix[free][:, free]``; a factor serves only an unmerged
+    solve. A sparse matrix is solved as the Galerkin system R^T A R, R
+    mapping each kept free dof to itself and each slave to its master;
+    with nothing merged, that is the free block. Both keep the order of
+    ``free``, so the band order of ``mesh.free_dofs`` reaches the factor;
+    a slave sits next to its master there, so merging keeps the band.
+    Returns the full-length solution and the factor of the free block, or
+    None in its place when anything is merged.
     """
     n = rhs.size
-    if slaves is None or slaves.size == 0:
-        factor = system if isinstance(system, FactorizedSPD) \
-            else FactorizedSPD(system[free][:, free])
+    if isinstance(system, FactorizedSPD):
         x = np.zeros(n)
-        x[free] = factor.solve(rhs[free])
-        return x, factor
+        x[free] = system.solve(rhs[free])
+        return x, system
+    merged = slaves is not None and slaves.size > 0
     rep = np.arange(n)
-    rep[slaves] = masters
     keep = np.ones(n, dtype=bool)
-    keep[slaves] = False
+    if merged:
+        rep[slaves] = masters
+        keep[slaves] = False
     kept = free[keep[free]]
     col = np.full(n, -1)
     col[kept] = np.arange(kept.size)
     R = sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
                       shape=(n, kept.size)).tocsr()
     A = R.T @ system @ R
-    x = FactorizedSPD(A).solve(R.T @ rhs)
-    return R @ x, None
+    factor = FactorizedSPD(_lower_band(A), A)
+    return R @ factor.solve(R.T @ rhs), None if merged else factor
 
 
-def field_gradients(mesh, values):
-    """Per-triangle constant gradient (du_i/dx_j) of a P1 dof vector."""
+def field_gradients(mesh, values, tris=slice(None)):
+    """Per-triangle constant gradient (du_i/dx_j) of a P1 dof vector, on
+    the triangles ``tris`` (all by default)."""
     vals = np.asarray(values).reshape(-1, 2)
-    nodal = vals[mesh.triangles]            # (nt, 3, 2) u_i at corners
-    return np.einsum("eia,eib->eab", nodal, mesh.tri_grads)
+    nodal = vals[mesh.triangles[tris]]      # (nt, 3, 2) u_i at corners
+    return np.einsum("eia,eib->eab", nodal, mesh.tri_grads[tris])
 
 
 def strain_from_grad(gradu):

@@ -294,6 +294,24 @@ class BrokenMesh:
         return v[2 * self.iface_plus + comp] - v[2 * self.iface_minus + comp]
 
 
+def grid_counts(h):
+    """Default column and row counts (n_cols, n_rows_below, n_rows_above)
+    of ``build_mesh`` at spacing h: round(1/h) columns and round(0.25/h)
+    rows on each side of the interface."""
+    rows = max(1, round(0.5 * HEIGHT / h))
+    return max(2, round(WIDTH / h)), rows, rows
+
+
+def band_shape(h):
+    """Shape (kd + 1, n) of the band storage of the free stiffness block of
+    ``build_mesh(graph, h)``: n free dofs in column order, and the
+    half-bandwidth kd = 2 c + 3 of a column of c vertices, since an element
+    joins a vertex to the one a row up in the next column."""
+    n_cols, below, above = grid_counts(h)
+    per_column = below + above + 2
+    return 2 * per_column + 4, 2 * per_column * (n_cols - 1)
+
+
 def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     """Triangulate the rectangle broken along ``graph`` with target size h.
 
@@ -305,12 +323,10 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    if n_cols is None:
-        n_cols = max(2, round(WIDTH / h))
-    if n_rows_below is None:
-        n_rows_below = max(1, round(0.5 * HEIGHT / h))
-    if n_rows_above is None:
-        n_rows_above = max(1, round(0.5 * HEIGHT / h))
+    default = grid_counts(h)
+    n_cols = default[0] if n_cols is None else n_cols
+    n_rows_below = default[1] if n_rows_below is None else n_rows_below
+    n_rows_above = default[2] if n_rows_above is None else n_rows_above
 
     xs = np.linspace(0.0, WIDTH, n_cols + 1)
     psi_cols = graph(xs)

@@ -4,9 +4,10 @@ Two routes to the same directional derivative of the misfit objective:
 
 * ``boundary_gradient`` evaluates the Hadamard boundary densities on the
   fine interface edges (energy jump, friction/cohesion products and their
-  normal gradients, curvature and perimeter terms) and aggregates them to
-  the coarse velocity grid; ``descent_velocity`` turns them into the scaled
-  vertical descent field and ``update_interface`` applies it.
+  normal gradients, curvature and perimeter terms), reading gradients and
+  stresses on the two triangles beside each edge only, and aggregates them
+  to the coarse velocity grid; ``descent_velocity`` turns them into the
+  scaled vertical descent field and ``update_interface`` applies it.
 * ``directional_derivative_volumetric`` evaluates the distributed-form
   derivative with a volumetric tent extension of the velocity. Velocity
   gradients are taken from the P1 interpolant of the nodal extension, so
@@ -80,30 +81,27 @@ def _edge_midpoint_pairs(mesh, u_values, v_values):
     return mid(ju1), mid(ju2), mid(jv1), mid(jv2)
 
 
-def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
-    """Assemble the interface gradient densities from state and adjoint.
+def _pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
+    """Fine pair-edge densities of the boundary gradient: the energy jump
+    less the normal-gradient terms, the friction and cohesion products
+    p_f and p_c, and the endpoint values nu . D1 at x1 = 0 and 1.
 
-    Per fine pair edge the adjacent-triangle constant gradients give the
-    energy jump and the normal-gradient terms (flat-frame form, gradients
-    of the frame itself set to zero); friction/cohesion products use the
-    midpoint jump values. Fine values are aggregated to the coarse nodes
-    by hat-weighted edge-length averaging, and the curvature term is added
-    on the coarse grid where the velocity lives.
+    Gradients, stresses and energies are formed on the two triangles
+    adjacent to each pair edge only (``mesh.pair_tri_plus``/``_minus``).
     """
-    if np.any(mesh.pair_tri_plus < 0) or np.any(mesh.pair_tri_minus < 0):
-        raise MissingAdjacentTriangle("interface pair lacks an adjacent triangle")
+    sides = []
+    for tris in (mesh.pair_tri_plus, mesh.pair_tri_minus):
+        gu = fem.field_gradients(mesh, u_eps.values, tris)
+        gv = fem.field_gradients(mesh, v_eps.values, tris)
+        su = elast.stress(fem.strain_from_grad(gu))
+        sv = elast.stress(fem.strain_from_grad(gv))
+        energy = np.einsum("eab,eab->e", su, fem.strain_from_grad(gv))
+        sides.append((gu, gv, su, sv, energy))
+    (gu_p, gv_p, su_p, sv_p, energy_p), (gu_m, gv_m, su_m, sv_m, energy_m) = sides
+    energy_jump = energy_p - energy_m
 
-    gu = fem.field_gradients(mesh, u_eps.values)
-    gv = fem.field_gradients(mesh, v_eps.values)
-    su = elast.stress(fem.strain_from_grad(gu))
-    sv = elast.stress(fem.strain_from_grad(gv))
-
-    tp, tm = mesh.pair_tri_plus, mesh.pair_tri_minus
-    energy = np.einsum("eab,eab->e", su, fem.strain_from_grad(gv))
-    energy_jump = energy[tp] - energy[tm]
-
-    gu_j = gu[tp] - gu[tm]
-    gv_j = gv[tp] - gv[tm]
+    gu_j = gu_p - gu_m
+    gv_j = gv_p - gv_m
     nu, tau = mesh.normals, mesh.tangents
 
     ju1m, ju2m, jv1m, jv2m = _edge_midpoint_pairs(mesh, u_eps.values, v_eps.values)
@@ -121,13 +119,29 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
 
     # endpoint density D1 = [[grad(u)^T sigma(v) + grad(v)^T sigma(u)]] tau (2 x1 - 1)
     def d1_at(edge, x1):
-        M = (gu[tp[edge]].T @ sv[tp[edge]] + gv[tp[edge]].T @ su[tp[edge]]
-             - gu[tm[edge]].T @ sv[tm[edge]] - gv[tm[edge]].T @ su[tm[edge]])
+        M = (gu_p[edge].T @ sv_p[edge] + gv_p[edge].T @ su_p[edge]
+             - gu_m[edge].T @ sv_m[edge] - gv_m[edge].T @ su_m[edge])
         vec = (M @ tau[edge]) * (2.0 * x1 - 1.0)
         return float(vec @ nu[edge])
 
-    d1_left = d1_at(0, 0.0)
-    d1_right = d1_at(-1, 1.0)
+    field_core = energy_jump - grad_pf_nu - grad_pc_nu
+    return field_core, p_f, p_c, d1_at(0, 0.0), d1_at(-1, 1.0)
+
+
+def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
+    """Assemble the interface gradient densities from state and adjoint.
+
+    Per fine pair edge the adjacent-triangle constant gradients give the
+    energy jump and the normal-gradient terms (flat-frame form, gradients
+    of the frame itself set to zero); friction/cohesion products use the
+    midpoint jump values (``_pair_densities``). Fine values are aggregated
+    to the coarse nodes by hat-weighted edge-length averaging, and the
+    curvature term is added on the coarse grid where the velocity lives.
+    """
+    if np.any(mesh.pair_tri_plus < 0) or np.any(mesh.pair_tri_minus < 0):
+        raise MissingAdjacentTriangle("interface pair lacks an adjacent triangle")
+    field_core, p_f, p_c, d1_left, d1_right = _pair_densities(
+        mesh, u_eps, v_eps, laws, elast, eps)
 
     # hat-weighted aggregation of fine-edge values onto the coarse grid
     xm = 0.5 * (mesh.interface_x[:-1] + mesh.interface_x[1:])
@@ -150,7 +164,6 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
         return out
 
     kap = coarse_curvature(psi)
-    field_core = energy_jump - grad_pf_nu - grad_pc_nu
     d3 = aggregate(field_core) \
         + kap * (elast.rho_reg - aggregate(p_f) - aggregate(p_c))
 

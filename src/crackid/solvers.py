@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import LineSearchFailed, NoConvergence
+from .errors import LineSearchFailed, NoConvergence, NumericalOverflow
 from .laws import beta_discrete, cohesion_discrete_prime, friction_discrete_prime
 
 STATUS_CONTACT = "contact"
@@ -74,16 +74,23 @@ class _InterfaceOperator:
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
-        self.K = fem.assemble_stiffness(mesh, elast)
-        self.F = fem.assemble_traction(mesh, g) if g is not None else np.zeros(mesh.n_dofs)
+        self.free_mask = fem.free_mask(mesh)
+        # an overflow is reported below, once, as the solver error it is
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.K = fem.assemble_stiffness(mesh, elast)
+            self.F = fem.assemble_traction(mesh, g) if g is not None \
+                else np.zeros(mesh.n_dofs)
+            self.Fnorm = np.linalg.norm(self.F[self.free_mask])
+        if not (np.isfinite(self.Fnorm) and np.isfinite(self.K.data).all()):
+            raise NumericalOverflow(
+                "stiffness or load overflows double precision (load norm %.3g, "
+                "Young modulus %.3g)" % (self.Fnorm, elast.E_Y))
         self.w = mesh.interface_nodal_weights()
         self.interior = mesh.interface_interior()
         self.p1 = 2 * mesh.iface_plus
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        self.free_mask = fem.free_mask(mesh)
-        self.Fnorm = np.linalg.norm(self.F[self.free_mask])
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
@@ -105,6 +112,15 @@ class _InterfaceOperator:
         penetration set ``closed``. It is also the adjoint's matrix."""
         return self.K + fem.interface_nodal_jump_matrix(
             self.mesh, self.w / eps, np.nonzero(closed)[0])
+
+    def newton_factor(self, matrix, closed, eps):
+        """``FactorizedSPD`` of the free block of an unmerged step's
+        ``matrix``: ``newton_matrix(closed, eps)``, or K for a contact step
+        (``eps`` None; nothing is closed, since its closed pairs merge).
+        The band is filled from K's cached pattern plus the jump mass."""
+        band = fem.free_band(self.mesh, self.K) if eps is None else \
+            fem.free_band(self.mesh, self.K, self.w / eps, np.nonzero(closed)[0])
+        return fem.FactorizedSPD(band, matrix, self.mesh.free_dofs)
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -235,15 +251,17 @@ def _active_set_solve(op, eps, max_outer, start=None):
     for it in range(1, max_outer + 1):
         shut = closed if contact else none_shut
         stick = interior & (sgn == 0.0)
+        slaves = np.concatenate([op.m2[shut], op.m1[stick]])
+        masters = np.concatenate([op.p2[shut], op.p1[stick]])
         step_key = (closed.tobytes(), stick.tobytes())
         if step_key != key:
-            key, factor = step_key, None
+            key = step_key
             A = op.K if contact else op.newton_matrix(closed, eps)
+            factor = None if slaves.size else op.newton_factor(A, closed, eps)
         f = op.F - op.lagged_load(sgn, ind)
-        new_values, factor = fem.merged_solve(
+        new_values, _ = fem.merged_solve(
             A if factor is None else factor, f, op.mesh.free_dofs,
-            np.concatenate([op.m2[shut], op.m1[stick]]),
-            np.concatenate([op.p2[shut], op.p1[stick]]))
+            slaves, masters)
         new_res = op.stationarity(new_values, eps, stick, shut)
 
         config = (closed.tobytes(), sgn.tobytes(), ind.tobytes())
@@ -350,11 +368,10 @@ def solve_adjoint(op, u_eps, z_obs, eps, factor=None):
     mesh = op.mesh
     rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
                                               - np.asarray(z_obs).reshape(-1))
-    system = factor
-    if system is None:   # the state's last step merged stick dofs
+    if factor is None:   # the state's last step merged stick dofs
         closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-        system = op.newton_matrix(closed, eps)
-    values, _ = fem.merged_solve(system, rhs, mesh.free_dofs)
+        factor = op.newton_factor(op.newton_matrix(closed, eps), closed, eps)
+    values, _ = fem.merged_solve(factor, rhs, mesh.free_dofs)
     return fem.DofField(mesh, values)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written as plain loops over elements,
 edges and nodes with dense linear algebra, sharing no assembly code with
-the package. Only usable on tiny meshes.
+the package. Only usable on tiny meshes. The vectorised references at the
+end keep the formulas that faster package code must match bit for bit.
 """
 
 import numpy as np
@@ -265,8 +266,74 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         tri_area=area, tri_grads=grads)
 
 
+def einsum_element_stiffness(area, grads, dmat):
+    """Per-element 6x6 blocks (nt, 6, 6) by the two einsums (B^T D) B."""
+    nt = area.shape[0]
+    B = np.zeros((nt, 3, 6))
+    B[:, 0, 0::2] = grads[:, :, 0]
+    B[:, 1, 1::2] = grads[:, :, 1]
+    B[:, 2, 0::2] = grads[:, :, 1]
+    B[:, 2, 1::2] = grads[:, :, 0]
+    BtD = np.einsum("eji,jk->eik", B, dmat)
+    return np.einsum("eik,ekl->eil", BtD, B) * area[:, None, None]
+
+
+def tril_band(matrix):
+    """Lower band storage of a sparse symmetric matrix, scattered from the
+    COO form of its lower triangle; as high as its widest stored entry."""
+    import scipy.sparse as sp
+
+    low = sp.tril(matrix, format="coo")
+    offset = low.row - low.col
+    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
+    band[offset, low.col] = low.data
+    return band
+
+
+def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
+    """``shape._pair_densities`` with gradients, stresses and energies
+    formed on every triangle of the mesh, then read on the pair triangles."""
+    from crackid import fem
+    from crackid.laws import (beta_discrete, beta_discrete_prime,
+                              cohesion_discrete_prime, friction_discrete_prime)
+    from crackid.shape import _edge_midpoint_pairs
+
+    def grad(values):
+        nodal = np.asarray(values).reshape(-1, 2)[mesh.triangles]
+        return np.einsum("eia,eib->eab", nodal, mesh.tri_grads)
+
+    gu, gv = grad(u_eps.values), grad(v_eps.values)
+    su = elast.stress(fem.strain_from_grad(gu))
+    sv = elast.stress(fem.strain_from_grad(gv))
+    tp, tm = mesh.pair_tri_plus, mesh.pair_tri_minus
+    energy = np.einsum("eab,eab->e", su, fem.strain_from_grad(gv))
+    energy_jump = energy[tp] - energy[tm]
+    gu_j = gu[tp] - gu[tm]
+    gv_j = gv[tp] - gv[tm]
+    nu, tau = mesh.normals, mesh.tangents
+    ju1m, ju2m, jv1m, jv2m = _edge_midpoint_pairs(mesh, u_eps.values, v_eps.values)
+    fric = friction_discrete_prime(ju1m, laws)
+    coh_beta = cohesion_discrete_prime(ju2m, laws) + beta_discrete(ju2m, eps)
+    beta_p = beta_discrete_prime(ju2m, eps)
+    grad_pf = np.einsum("eab,ea->eb", gv_j, tau) * fric[:, None]
+    grad_pc = (np.einsum("eab,ea->eb", gv_j, nu) * coh_beta[:, None]
+               + np.einsum("eab,ea->eb", gu_j, nu) * (beta_p * jv2m)[:, None])
+    grad_pf_nu = np.einsum("eb,eb->e", grad_pf, nu)
+    grad_pc_nu = np.einsum("eb,eb->e", grad_pc, nu)
+
+    def d1_at(edge, x1):
+        M = (gu[tp[edge]].T @ sv[tp[edge]] + gv[tp[edge]].T @ su[tp[edge]]
+             - gu[tm[edge]].T @ sv[tm[edge]] - gv[tm[edge]].T @ su[tm[edge]])
+        vec = (M @ tau[edge]) * (2.0 * x1 - 1.0)
+        return float(vec @ nu[edge])
+
+    return (energy_jump - grad_pf_nu - grad_pc_nu, fric * jv1m,
+            coh_beta * jv2m, d1_at(0, 0.0), d1_at(-1, 1.0))
+
+
 def coo_stiffness(mesh, ke_blocks):
-    """Sum per-element 6x6 blocks with scipy's own COO -> CSR conversion."""
+    """Sum per-element 6x6 blocks, shaped (nt, 6, 6), with scipy's own
+    COO -> CSR conversion."""
     import scipy.sparse as sp
 
     t = mesh.triangles

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -217,12 +218,25 @@ INVALID_CONFIGS = [
     # inverse-crime guard: data synthesised on the identification grid
     ("measurement-h-is-h-identify", "", [],
      measurement_text(h="%.17g" % ExperimentConfig().resolved_h_identify())),
+    # problem-size guard: the config check rejects these before any mesh
+    ("h-measure-band-over-budget", "[geometry]\nh_measure = 1e-9\n", [], None),
+    ("h-identify-band-over-budget", "[geometry]\nh_identify = 0.0005\n", [], None),
+    ("h-measure-subnormal", "[geometry]\nh_measure = 1e-320\n", [], None),
+    # in range, but the load norm overflows: the solver rejects it
+    ("young-overflows", "[material]\nyoung = 1e300\n", [], None),
 ]
 
+# rows that pass the config check and stop at the solver's own check
+SOLVER_ERROR_ROWS = {"young-overflows"}
 
-@pytest.mark.parametrize("text,extra,measurement", [c[1:] for c in INVALID_CONFIGS],
+
+@pytest.mark.parametrize("name,text,extra,measurement", INVALID_CONFIGS,
                          ids=[c[0] for c in INVALID_CONFIGS])
-def test_invalid_config_exit_2(tmp_path, capsys, text, extra, measurement):
+def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement):
+    # exit 2 with one "config error" line; 3 and "solver error" for the
+    # rows of SOLVER_ERROR_ROWS
+    code, prefix = (3, "solver error: ") if name in SOLVER_ERROR_ROWS \
+        else (2, "config error: ")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     if measurement is None:
@@ -231,10 +245,12 @@ def test_invalid_config_exit_2(tmp_path, capsys, text, extra, measurement):
         mpath = tmp_path / "measurement.txt"
         mpath.write_text(measurement)
         args = ["identify", "--measurement", str(mpath)]
-    rc = run(args + ["--config", str(cfg), "--out", str(tmp_path / "m")] + extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning would be a second line
+        rc = run(args + ["--config", str(cfg), "--out", str(tmp_path / "m")] + extra)
     err = capsys.readouterr().err
-    assert rc == 2
-    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert rc == code
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ oracles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from crackid import fem
 from crackid.driver import ExperimentConfig
@@ -15,6 +16,20 @@ from crackid.geometry import (InterfaceGraph, build_mesh, constant_graph,
 import oracles
 
 ELAST = IsotropicElasticity.from_young(73000.0, 0.34)
+
+
+# graph and h: axis-aligned cells, some sheared, and a kink
+MESHES = {
+    "flat": (constant_graph(0.25), 0.05),
+    "flat-fine": (constant_graph(0.25), 1.0 / 35.0),
+    "perturbed": (uniform_graph(0.25 + 0.01 * np.sin(np.linspace(0.0, 7.0, 11))), 1.0 / 35.0),
+    "kinked": (InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])), 0.02),
+}
+
+
+def factor_of(A):
+    """Band Cholesky of a sparse SPD matrix, checked against it."""
+    return fem.FactorizedSPD(fem._lower_band(A), A)
 
 
 def small_mesh(h=0.125, **kw):
@@ -71,7 +86,7 @@ class TestElementStiffness:
         tris = np.array([[0, 1, 2]])
         dmat = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
         ke = fem.element_stiffness(*triangle_geometry(verts, tris), dmat)
-        assert np.allclose(ke[0], ke_ref, atol=1e-14)
+        assert np.allclose(ke[..., 0], ke_ref, atol=1e-14)
 
     def test_rigid_modes_in_kernel(self):
         mesh = small_mesh()
@@ -121,22 +136,34 @@ class TestElementStiffness:
 
     def test_assembly_additive_over_subsets(self):
         mesh = small_mesh()
-        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        ke = np.moveaxis(
+            fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix()), -1, 0)
         half = ke.shape[0] // 2
         K1 = oracles.coo_stiffness(mesh, np.concatenate([ke[:half], 0.0 * ke[half:]]))
         K2 = oracles.coo_stiffness(mesh, np.concatenate([0.0 * ke[:half], ke[half:]]))
         K = fem.assemble_stiffness(mesh, ELAST)
         assert abs((K1 + K2) - K).max() < 1e-12 * abs(K).max()
 
+    @pytest.mark.parametrize("graph,h", [MESHES[k] for k in ("flat", "perturbed", "kinked")],
+                             ids=["flat", "perturbed", "kinked"])
+    def test_blocks_match_the_einsum_formula_bitwise(self, graph, h):
+        mesh = build_mesh(graph, h)
+        args = (mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        ke = fem.element_stiffness(*args)
+        assert ke.shape == (6, 6, mesh.triangles.shape[0])
+        assert np.array_equal(np.moveaxis(ke, -1, 0),
+                              oracles.einsum_element_stiffness(*args))
+
     @pytest.mark.parametrize("graph,h,drops_zeros", [
-        (constant_graph(0.25), 0.05, True),
-        (constant_graph(0.25), 1.0 / 35.0, True),
-        (uniform_graph(0.25 + 0.01 * np.sin(np.linspace(0.0, 7.0, 11))), 1.0 / 35.0, False),
-        (InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])), 0.02, True),
+        MESHES["flat"] + (True,),
+        MESHES["flat-fine"] + (True,),
+        MESHES["perturbed"] + (False,),
+        MESHES["kinked"] + (True,),
     ], ids=["flat", "flat-fine", "perturbed", "kinked"])
     def test_cached_scatter_matches_coo_bitwise(self, graph, h, drops_zeros):
         mesh = build_mesh(graph, h)
-        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        ke = oracles.einsum_element_stiffness(mesh.tri_area, mesh.tri_grads,
+                                              ELAST.dmatrix())
         ref = oracles.coo_stiffness(mesh, ke)
         fem._stiffness_pattern.cache_clear()
         for _ in range(2):   # the cold pattern build, then the cached one
@@ -289,7 +316,7 @@ class TestSolve:
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
         with pytest.raises(NotPositiveDefinite):
-            fem.FactorizedSPD(K.tocsr())
+            factor_of(K.tocsr())
 
     def test_mismatched_factor_rejected(self):
         # every solve checks its backward error against the factor's matrix;
@@ -326,20 +353,52 @@ class TestFactor:
         A = self.free_block()
         A[40, 40] = -A[40, 40]
         with pytest.raises(NotPositiveDefinite, match="not positive definite"):
-            fem.FactorizedSPD(A.tocsr())
+            factor_of(A.tocsr())
 
     def test_nan_entry_rejected(self):
         A = self.free_block()
         A[40, 40] = np.nan
         with pytest.raises(NotPositiveDefinite):
-            fem.FactorizedSPD(A.tocsr())
+            factor_of(A.tocsr())
 
     def test_negligible_pivot_rejected(self):
         # SPD, so the Cholesky succeeds; its last pivot diag(L)^2 = 1e-13 is
         # below 1e-12 of the largest
         A = sp.diags([1.0, 2.0, 1e-13], format="csr")
         with pytest.raises(NotPositiveDefinite, match="rank deficient"):
-            fem.FactorizedSPD(A)
+            factor_of(A)
+
+
+class TestFreeBand:
+    """The band an unmerged Newton step factors, filled from the cached
+    stiffness pattern, against the lower triangle of the sparse free block
+    of K plus the jump mass, scattered into band storage."""
+
+    @pytest.mark.parametrize("name,cached", [("flat", False), ("perturbed", True)])
+    @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
+    def test_band_and_factor_match_the_sparse_route_bitwise(self, name, cached,
+                                                            closed):
+        mesh = build_mesh(*MESHES[name])
+        K = fem.assemble_stiffness(mesh, ELAST)
+        # a flat mesh drops exact zeros, and its band slots are K's own
+        pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
+        assert (K.nnz == pattern_nnz) == cached
+        interior = np.flatnonzero(mesh.interface_interior())
+        nodes = {"none": interior[:0], "every-other": interior[::2],
+                 "all": interior}[closed]
+        weights = mesh.interface_nodal_weights() / 1e-8
+        band = fem.free_band(mesh, K, weights, nodes)
+        free = mesh.free_dofs
+        A = K + fem.interface_nodal_jump_matrix(mesh, weights, nodes)
+        ref = oracles.tril_band(A[free][:, free])
+        assert band.shape == ref.shape
+        assert band.tobytes() == ref.tobytes()
+        factor = fem.FactorizedSPD(band, A, free)
+        ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
+        assert factor.lu.lower.tobytes() == ref_lower.tobytes()
+        assert factor.lu.nnz == ref.size
+        x = factor.solve(np.ones(free.size))
+        assert np.array_equal(x, cho_solve_banded((ref_lower, True), np.ones(free.size)))
 
 
 class TestBandOrder:
@@ -352,9 +411,9 @@ class TestBandOrder:
         factored = []
         init = fem.FactorizedSPD.__init__
 
-        def record(self, matrix):
-            factored.append(matrix.tocoo())
-            init(self, matrix)
+        def record(self, band, *args):
+            factored.append(band.shape[0] - 1)
+            init(self, band, *args)
 
         monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
         interior = mesh.interface_interior()
@@ -366,9 +425,8 @@ class TestBandOrder:
                          np.concatenate([2 * minus + 1, 2 * minus]),
                          np.concatenate([2 * plus + 1, 2 * plus]))
         per_column = mesh.n_vertices // (mesh.n_cols + 1)
-        bands = [int(np.abs(A.row - A.col).max()) for A in factored]
-        assert len(bands) == 3
-        assert max(bands) <= 2 * per_column + 4, bands
+        assert len(factored) == 3
+        assert max(factored) <= 2 * per_column + 4, factored
 
 
 class TestPatchAndKorn:

@@ -31,6 +31,39 @@ def fd_objective(config, meas, psi, h, start):
     return driver.objective(mesh, u, zv, config.elasticity().rho_reg, psi)
 
 
+class TestPairTriangles:
+    """The boundary gradient reads the pair triangles only; it must equal
+    the computation on every triangle of the mesh bit for bit."""
+
+    @pytest.mark.parametrize("psi", [
+        constant_graph(0.25),
+        InterfaceGraph(np.linspace(0.0, 1.0, 11),
+                       0.25 + 0.03 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 11))),
+        InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])),
+    ], ids=["flat", "perturbed", "kinked"])
+    def test_matches_the_full_mesh_computation(self, monkeypatch, psi):
+        mesh = build_mesh(psi, 0.02)
+        rng = np.random.default_rng(4)
+        u, v = (fem.DofField(mesh, 1e-3 * rng.standard_normal(mesh.n_dofs))
+                for _ in range(2))
+        args = (mesh, u, v, LAWS, ELAST, EPS)
+        for fast, full in zip(shape._pair_densities(*args),
+                              oracles.full_mesh_pair_densities(*args)):
+            assert np.array_equal(fast, full)
+        grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
+        monkeypatch.setattr(shape, "_pair_densities", oracles.full_mesh_pair_densities)
+        ref = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
+        assert np.array_equal(grad.d3, ref.d3)
+        assert (grad.d1_left, grad.d1_right) == (ref.d1_left, ref.d1_right)
+
+    def test_matches_on_the_contact_state(self, contact_state):
+        st = contact_state
+        args = (st["mesh"], st["u"], st["v"], st["laws"], st["elast"], st["cfg"].eps)
+        for fast, full in zip(shape._pair_densities(*args),
+                              oracles.full_mesh_pair_densities(*args)):
+            assert np.array_equal(fast, full)
+
+
 class TestBoundaryGradient:
     def test_zero_fields_flat_interface(self):
         psi = constant_graph(0.25)
