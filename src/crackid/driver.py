@@ -19,7 +19,8 @@ import numpy as np
 
 from . import fem, shape, solvers
 from .errors import ConfigError, CrackidError, InvalidPoisson
-from .geometry import HEIGHT, InterfaceGraph, band_shape, build_mesh, uniform_graph
+from .geometry import (HEIGHT, InterfaceGraph, band_shape, build_mesh, grid_counts,
+                       uniform_graph)
 from .laws import CohesiveParams
 
 MEASUREMENT_HEADER = "# measurement v1"
@@ -77,20 +78,22 @@ class ExperimentConfig:
             self.cohesive()
         except (InvalidPoisson, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        n_coarse = 1.0 / self.H
-        # 1/H >= 2 leaves the coarse graph an interior node to move
-        if not np.isfinite(n_coarse) or round(n_coarse) < 2 \
-                or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
-            raise ConfigError("1/H must be an integer >= 2, got H = %r" % self.H)
         for name, h in (("h_measure", self.h_measure),
                         ("h_identify", self.resolved_h_identify())):
-            size = np.inf
-            if np.isfinite(1.0 / h):
+            size = np.inf   # below h = 1e-100 the counts overflow a float
+            if h > 1e-100:
                 rows, n = band_shape(h)
                 size = 8.0 * rows * n
             if size > BAND_BUDGET:
                 raise ConfigError("%s = %r needs a band factor of %.3g bytes, above "
                                   "the %d MiB budget" % (name, h, size, BAND_BUDGET >> 20))
+        n_coarse = 1.0 / self.H
+        # 1/H in [2, identify columns]: an interior node, a bounded coarse graph
+        columns = grid_counts(self.resolved_h_identify())[0]
+        if not np.isfinite(n_coarse) or not 2 <= round(n_coarse) <= columns \
+                or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
+            raise ConfigError("1/H must be an integer in [2, %d], the column count "
+                              "at h_identify; got H = %r" % (columns, self.H))
         # build_mesh needs each interface 2h clear of the top and bottom
         margin = 2.0 * self.resolved_h_identify()
         if not margin <= self.psi0 <= HEIGHT - margin:

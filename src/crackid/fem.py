@@ -15,11 +15,14 @@ positive definite, and interface jump dofs can be merged shut. The free
 dofs come in the mesh's column order (``mesh.free_dofs``), in which every
 matrix of the loop is banded, and ``FactorizedSPD`` factors it by a band
 Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981). An unmerged Newton matrix reaches
-it as band storage filled straight from the cached pattern
-(``free_band``); a merged one through its sparse lower triangle. It checks
-definiteness and rank when it factors and the backward error of every
-solve.
+Sparse Positive Definite Systems, 1981). A merged matrix reaches it
+through its sparse lower triangle. An unmerged Newton matrix is factored
+one subdomain at a time (``subdomain_factor``): K's free block, filled
+straight from the cached pattern in block order, is block diagonal with
+half the column order's bandwidth, and the penalty's jump mass on the
+closed pairs, the only link of the two blocks, enters as a low-rank
+coupling through the Woodbury identity. The factor checks definiteness and
+rank when it factors and the backward error of every solve.
 """
 
 import functools
@@ -28,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve, cholesky, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import InvalidPoisson, NotPositiveDefinite
 
@@ -190,9 +194,10 @@ def _band_slots(indptr, indices, free):
 
 @functools.lru_cache(maxsize=8)
 def _pattern_band_slots(topology, n_dofs):
-    """``_band_slots`` of a topology's stiffness pattern and free dofs."""
+    """``_band_slots`` of a topology's stiffness pattern and free dofs, the
+    dofs in block order (``topology.block_order``)."""
     indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
-    out = _band_slots(indptr, indices, topology.free_dofs)
+    out = _band_slots(indptr, indices, topology.free_dofs[topology.block_order])
     for arr in out[:2]:
         arr.setflags(write=False)
     return out
@@ -217,39 +222,33 @@ def assemble_stiffness(mesh, elast):
     return mat
 
 
-def free_band(mesh, K, node_weights=None, nodes=()):
-    """LAPACK lower band storage of the free block of K plus the nodal
-    normal-jump mass ``interface_nodal_jump_matrix(mesh, node_weights,
-    nodes)``, in the order of ``mesh.free_dofs``.
+def subdomain_factor(mesh, K, node_weights=None, nodes=()):
+    """``FactorizedSPD`` of the free block of K, the mesh's
+    ``assemble_stiffness``, plus the nodal normal-jump mass
+    ``interface_nodal_jump_matrix(mesh, node_weights, nodes)``.
 
-    ``K`` is the mesh's ``assemble_stiffness``. When assembly kept every
-    entry of the topology's cached pattern, the band slots come from that
-    pattern's cache; otherwise they are worked out for K's own pattern.
-    The jump mass adds w at offset 0 of each closed pair's two x2 dofs and
-    -w at offset 2, the minus x2 dof sitting two places before the plus
-    one. Each entry is the single sum k + w that the sparse addition
-    forms, and the band is as high as the largest offset of a stored
-    nonzero, so the factor equals that of the sparse route bit for bit.
+    No entry of K joins the two subdomains, so in ``mesh.block_order`` its
+    free block is block diagonal with half the column order's bandwidth.
+    The band is filled from the cached pattern or, when assembly dropped
+    exact zeros, from K's own. The jump mass, the blocks' only link, is
+    the coupling.
     """
-    indptr, indices, _, _ = _stiffness_pattern(mesh.topology, mesh.n_dofs)
-    if K.nnz == indices.size:
+    order = mesh.block_order
+    if K.nnz == _stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size:
         src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
     else:
-        src, slot, kd = _band_slots(K.indptr, K.indices, mesh.free_dofs)
-    n = mesh.free_dofs.size
-    band = np.zeros((kd + 1, n))
+        src, slot, kd = _band_slots(K.indptr, K.indices, mesh.free_dofs[order])
+    band = np.zeros((kd + 1, order.size))
     band.reshape(-1)[slot] = K.data[src]
     nodes = np.asarray(nodes, dtype=np.int64)
+    coupling = None
     if nodes.size:
-        w = np.asarray(node_weights, dtype=float)[nodes]
         pos = np.full(mesh.n_dofs, -1)
-        pos[mesh.free_dofs] = np.arange(n)
-        minus = pos[2 * mesh.iface_minus[nodes] + 1]
-        plus = pos[2 * mesh.iface_plus[nodes] + 1]
-        band[0, minus] += w
-        band[0, plus] += w
-        band[plus - minus, minus] -= w
-    return band
+        pos[mesh.free_dofs] = np.arange(order.size)
+        coupling = (pos[2 * mesh.iface_plus[nodes] + 1],
+                    pos[2 * mesh.iface_minus[nodes] + 1],
+                    np.asarray(node_weights, dtype=float)[nodes])
+    return FactorizedSPD(band, K, mesh.free_dofs, order, coupling)
 
 
 def assemble_traction(mesh, g):
@@ -368,7 +367,7 @@ class _Band(NamedTuple):
     ``lower[k, i]``, so row 0 holds diag(L)."""
 
     lower: np.ndarray
-    nnz: int     # stored band entries
+    nnz: int     # stored entries: the band, and Y and C of a coupling
 
 
 def _lower_band(matrix):
@@ -382,35 +381,91 @@ def _lower_band(matrix):
 
 
 class FactorizedSPD:
-    """Band Cholesky factor of an SPD matrix, kept with the matrix.
+    """Cholesky factor of an SPD matrix B + U D U^T, kept with the matrix:
+    B banded, U D U^T a PSD coupling of rank r.
 
-    ``band`` is the matrix in LAPACK lower band storage (``free_band``,
-    ``_lower_band``), factored in the order it comes in, so its entries
-    should lie near the diagonal (``merged_solve`` orders by
-    ``mesh.free_dofs``). ``matrix`` is the same matrix in sparse form, or,
-    with ``rows``, a sparse matrix whose ``rows`` x ``rows`` block it is;
-    the backward error of a solve is checked against it. Raises
-    ``NotPositiveDefinite`` when the factorisation meets a nonpositive
-    pivot, when a pivot is negligible against the largest (min diag(L)^2
-    <= 1e-12 max diag(L)^2, the rank check; a NaN fails it too), and on
-    any solve whose backward error exceeds ``BACKWARD_TOL``, max|A| taken
-    over the factored matrix. ``lu`` holds the factor.
+    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf`` in
+    the order of the right-hand side or of its positions ``order``, where
+    B's entries lie near the diagonal. ``coupling`` is (plus, minus, d),
+    positions in the right-hand side and weights d > 0: U's column k is
+    e(plus_k) - e(minus_k), D = diag(d). With B = L L^T and Y = L^-1 U, a
+    solve is x = L^-T (I - Y C^-1 Y^T) L^-1 b, C = D^-1 + Y^T Y factored
+    densely (Woodbury; Hager, SIAM Review 31, 1989).
+
+    ``matrix`` is B in sparse form, or, with ``rows``, a sparse matrix
+    whose ``rows`` x ``rows`` block it is; each solve's backward error is
+    checked against it plus the coupling, max|A| taken over B and the
+    coupled diagonals (``BACKWARD_TOL``). A nonpositive pivot of B or C,
+    a negligible pivot of B (min diag(L)^2 <= 1e-12 max diag(L)^2, the
+    rank check; a NaN fails it too) and a failed check raise
+    ``NotPositiveDefinite``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, rows=None):
+    def __init__(self, band, matrix, rows=None, order=None, coupling=None):
         try:
             lower = cholesky_banded(band, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
-        self.lu = _Band(lower, lower.size)
         diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
+        n = band.shape[1]
         self.band, self.matrix, self.rows = band, matrix, rows
+        self.coupling = coupling
+        self.order = np.arange(n) if order is None else order
         self.max_abs = max(band.max(), -band.min())
+        if coupling is not None:
+            plus, minus, d = coupling
+            if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
+                raise NotPositiveDefinite("coupling weights must be positive")
+            u = np.zeros((n, d.size))
+            u[plus, np.arange(d.size)] = 1.0
+            u[minus, np.arange(d.size)] = -1.0
+            u = u[self.order]
+            first = np.flatnonzero(u.any(axis=1))[0]   # L^-1 u is 0 above
+            self.y = np.zeros_like(u)
+            self.y[first:] = dtbtrs(lower[:, first:], u[first:], uplo="L")[0]
+            try:
+                self.c = cholesky(np.diag(1.0 / d) + self.y.T @ self.y,
+                                  lower=True, check_finite=False)
+            except LinAlgError as exc:
+                raise NotPositiveDefinite(str(exc)) from exc
+            b_diag = np.empty(n)
+            b_diag[self.order] = band[0]
+            self.max_abs = max(self.max_abs, (b_diag[plus] + d).max(),
+                               (b_diag[minus] + d).max())
+        coupled = 0 if coupling is None else self.y.size + self.c.size
+        self.lu = _Band(lower, lower.size + coupled)
 
     def solve(self, rhs):
-        x = cho_solve_banded((self.lu.lower, True), rhs, check_finite=False)
+        x = self._substitute(rhs)
+        res = self._apply(x) - rhs
+        if self.coupling is not None:
+            # the Woodbury update cancels in the coupled directions; one step
+            # of iterative refinement restores the accuracy of a Cholesky
+            # solve (Yip, SIAM J. Sci. Stat. Comput. 7, 1986)
+            x = x - self._substitute(res)
+            res = self._apply(x) - rhs
+        res = np.linalg.norm(res)
+        scale = np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)
+        if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
+            raise NotPositiveDefinite(
+                "factorised solve failed its backward-error check "
+                "(residual %.3e)" % res)
+        return x
+
+    def _substitute(self, rhs):
+        """L^-T (I - Y C^-1 Y^T) L^-1 rhs, in the right-hand side's order."""
+        z = dtbtrs(self.lu.lower, rhs[self.order], uplo="L")[0]
+        if self.coupling is not None:
+            z -= self.y @ cho_solve((self.c, True), self.y.T @ z,
+                                    check_finite=False)
+        x = np.empty_like(z)
+        x[self.order] = dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0]
+        return x
+
+    def _apply(self, x):
+        """The factored matrix times x: ``matrix`` and the coupling."""
         if self.rows is None:
             ax = self.matrix @ x
         else:
@@ -419,13 +474,12 @@ class FactorizedSPD:
             full = np.zeros(self.matrix.shape[1])
             full[self.rows] = x
             ax = (self.matrix @ full)[self.rows]
-        res = np.linalg.norm(ax - rhs)
-        scale = np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)
-        if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
-            raise NotPositiveDefinite(
-                "factorised solve failed its backward-error check "
-                "(residual %.3e)" % res)
-        return x
+        if self.coupling is not None:
+            plus, minus, d = self.coupling
+            t = d * (x[plus] - x[minus])
+            ax[plus] += t
+            ax[minus] -= t
+        return ax
 
 
 def merged_solve(system, rhs, free, slaves=None, masters=None):

@@ -169,6 +169,7 @@ class _Topology:
     pair_tri_minus: np.ndarray
     pair_tri_plus: np.ndarray
     free_dofs: np.ndarray
+    block_order: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -182,7 +183,8 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     component): in that order every stiffness, penalty and merged matrix
     is banded, with a half-bandwidth of about two columns of dofs, since
     elements join neighbouring columns and each minus copy sits next to
-    its plus copy.
+    its plus copy. ``block_order`` lists the positions in ``free_dofs`` of
+    the lower block's dofs, then the upper's; no element joins the blocks.
     """
     nx = n_cols + 1
     off_hi = (n_rows_below + 1) * nx
@@ -207,6 +209,7 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     # triangle of the top lower-block cell, plus side the first triangle
     # of the bottom upper-block cell
     pair_cells = 2 * np.arange(n_cols)
+    free_dofs = (2 * by_column[:, None] + np.arange(2)).reshape(-1)
     tables = dict(
         triangles=np.vstack([tris_lo, tris_hi]),
         tri_sub=np.repeat(np.array([-1, 1]), [len(tris_lo), len(tris_hi)]),
@@ -219,7 +222,8 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
         pair_tri_minus=(n_rows_below - 1) * 2 * n_cols + pair_cells + 1,
         pair_tri_plus=len(tris_lo) + pair_cells,
-        free_dofs=(2 * by_column[:, None] + np.arange(2)).reshape(-1),
+        free_dofs=free_dofs,
+        block_order=np.argsort(free_dofs // 2 >= off_hi, kind="stable"),
     )
     for table in tables.values():
         table.setflags(write=False)
@@ -253,6 +257,7 @@ class BrokenMesh:
     pair_tri_minus: np.ndarray    # (n_cols,)
     pair_tri_plus: np.ndarray     # (n_cols,)
     free_dofs: np.ndarray         # unclamped dofs in column (band) order
+    block_order: np.ndarray       # free_dofs positions, lower block first
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)

@@ -50,6 +50,8 @@ class CohesiveParams:
 
     def __post_init__(self):
         # written so that a NaN fails each check
+        if not np.all(np.isfinite([self.F_b, self.delta, self.K_c, self.kappa, self.m])):
+            raise ValueError("friction and cohesion parameters must be finite")
         if not (self.F_b >= 0.0 and self.K_c >= 0.0):
             raise ValueError("F_b and K_c must be nonnegative")
         if not (self.delta > 0.0 and self.kappa > 0.0):

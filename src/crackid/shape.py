@@ -128,6 +128,21 @@ def _pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
     return field_core, p_f, p_c, d1_at(0, 0.0), d1_at(-1, 1.0)
 
 
+def _aggregate(mesh, s, *fields):
+    """Hat-weighted edge-length averages of fine pair-edge ``fields`` at the
+    coarse nodes ``s``: row k of the weights is the hat of node k at each
+    edge midpoint times the edge length, built once for all fields."""
+    xm = 0.5 * (mesh.interface_x[:-1] + mesh.interface_x[1:])
+    lo, hi = s[:-1, None], s[1:, None]
+    hat = np.zeros((s.size, xm.size))
+    hat[1:] = np.where((xm >= lo) & (xm <= hi), (xm - lo) / (hi - lo), 0.0)
+    hat[:-1] = np.where((xm > lo) & (xm < hi), (hi - xm) / (hi - lo), hat[:-1])
+    weights = hat * mesh.pair_lengths
+    totals = [w.sum() for w in weights]
+    return [np.array([(w @ field) / tot if tot > 0 else 0.0
+                      for w, tot in zip(weights, totals)]) for field in fields]
+
+
 def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
     """Assemble the interface gradient densities from state and adjoint.
 
@@ -143,31 +158,10 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
     field_core, p_f, p_c, d1_left, d1_right = _pair_densities(
         mesh, u_eps, v_eps, laws, elast, eps)
 
-    # hat-weighted aggregation of fine-edge values onto the coarse grid
-    xm = 0.5 * (mesh.interface_x[:-1] + mesh.interface_x[1:])
-    L = mesh.pair_lengths
-    s = psi.s
+    core, pf, pc = _aggregate(mesh, psi.s, field_core, p_f, p_c)
+    d3 = core + coarse_curvature(psi) * (elast.rho_reg - pf - pc)
 
-    def aggregate(field):
-        out = np.zeros(s.size)
-        for k in range(s.size):
-            hat = np.zeros_like(xm)
-            if k > 0:
-                m = (xm >= s[k - 1]) & (xm <= s[k])
-                hat[m] = (xm[m] - s[k - 1]) / (s[k] - s[k - 1])
-            if k < s.size - 1:
-                m = (xm > s[k]) & (xm < s[k + 1])
-                hat[m] = (s[k + 1] - xm[m]) / (s[k + 1] - s[k])
-            w = hat * L
-            tot = w.sum()
-            out[k] = (w @ field) / tot if tot > 0 else 0.0
-        return out
-
-    kap = coarse_curvature(psi)
-    d3 = aggregate(field_core) \
-        + kap * (elast.rho_reg - aggregate(p_f) - aggregate(p_c))
-
-    return BoundaryGradient(s=s.copy(), d3=d3, d1_left=d1_left,
+    return BoundaryGradient(s=psi.s.copy(), d3=d3, d1_left=d1_left,
                             d1_right=d1_right)
 
 

@@ -13,13 +13,14 @@ differ only in the normal law:
   piecewise linear, so each semismooth Newton step is an exact solve).
 
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
-final state Newton matrix (``_InterfaceOperator.newton_matrix``); it reuses
-the state's factor when the last Newton step merged nothing. Every linear
-solve goes through ``fem.merged_solve``, a band Cholesky solve on the
-mesh's column-ordered free dofs ``mesh.free_dofs``. The engine factors
-once per distinct ``(closed, stick)`` pair of normal and stick sets: a
-Newton step that changes only the load (slip signs, cohesion indicator)
-solves with the previous step's factor.
+final state Newton matrix; it reuses the state's factor when the last
+Newton step merged nothing. Every linear solve goes through
+``fem.merged_solve``, a band Cholesky solve on ``mesh.free_dofs``; an
+unmerged step factors the two subdomains apart, its closed pairs coupling
+them, with no sparse K + J (``_InterfaceOperator.newton_factor``). The
+engine factors once per distinct ``(closed, stick)`` pair of normal and
+stick sets: a Newton step that changes only the load (slip signs,
+cohesion indicator) solves with the previous step's factor.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -109,18 +110,17 @@ class _InterfaceOperator:
 
     def newton_matrix(self, closed, eps):
         """Penalty Newton matrix: K plus the w/eps nodal jump mass on the
-        penetration set ``closed``. It is also the adjoint's matrix."""
+        penetration set ``closed``, for a step that merges stick dofs."""
         return self.K + fem.interface_nodal_jump_matrix(
             self.mesh, self.w / eps, np.nonzero(closed)[0])
 
-    def newton_factor(self, matrix, closed, eps):
-        """``FactorizedSPD`` of the free block of an unmerged step's
-        ``matrix``: ``newton_matrix(closed, eps)``, or K for a contact step
-        (``eps`` None; nothing is closed, since its closed pairs merge).
-        The band is filled from K's cached pattern plus the jump mass."""
-        band = fem.free_band(self.mesh, self.K) if eps is None else \
-            fem.free_band(self.mesh, self.K, self.w / eps, np.nonzero(closed)[0])
-        return fem.FactorizedSPD(band, matrix, self.mesh.free_dofs)
+    def newton_factor(self, closed, eps):
+        """``fem.subdomain_factor`` of an unmerged step's Newton matrix: K,
+        plus for a penalty ``eps`` the w/eps jump mass on the penetration
+        set ``closed`` as the coupling of the two subdomains. An unmerged
+        contact step (``eps`` None) has nothing closed: closed pairs merge."""
+        return fem.subdomain_factor(self.mesh, self.K, None if eps is None
+                                    else self.w / eps, np.nonzero(closed)[0])
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -256,8 +256,10 @@ def _active_set_solve(op, eps, max_outer, start=None):
         step_key = (closed.tobytes(), stick.tobytes())
         if step_key != key:
             key = step_key
-            A = op.K if contact else op.newton_matrix(closed, eps)
-            factor = None if slaves.size else op.newton_factor(A, closed, eps)
+            # unmerged: K alone, as r below is read on x1 rows only (no J there)
+            A = op.newton_matrix(closed, eps) if slaves.size and not contact \
+                else op.K
+            factor = None if slaves.size else op.newton_factor(closed, eps)
         f = op.F - op.lagged_load(sgn, ind)
         new_values, _ = fem.merged_solve(
             A if factor is None else factor, f, op.mesh.free_dofs,
@@ -362,15 +364,15 @@ def solve_adjoint(op, u_eps, z_obs, eps, factor=None):
     with the discrete laws the friction/cohesion second derivatives vanish
     so no tangential coupling remains. ``z_obs`` is a full-length dof
     vector holding the measurement trace on the observation nodes.
-    ``factor`` is the state's factor of that matrix; the matrix is built
-    and factored only without one. Returns the adjoint field.
+    ``factor`` is the state's factor of that matrix; the matrix is
+    factored only without one. Returns the adjoint field.
     """
     mesh = op.mesh
     rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
                                               - np.asarray(z_obs).reshape(-1))
     if factor is None:   # the state's last step merged stick dofs
         closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-        factor = op.newton_factor(op.newton_matrix(closed, eps), closed, eps)
+        factor = op.newton_factor(closed, eps)
     values, _ = fem.merged_solve(factor, rhs, mesh.free_dofs)
     return fem.DofField(mesh, values)
 

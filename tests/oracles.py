@@ -250,6 +250,9 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
                   + [idx_hi(i, j) for i in range(n_rows_above + 1)])
         for v in column:
             free += [2 * v, 2 * v + 1]
+    # positions in free of the lower block's dofs, then of the upper's
+    block_order = ([k for k, d in enumerate(free) if d // 2 < off_hi]
+                   + [k for k, d in enumerate(free) if d // 2 >= off_hi])
     return dict(
         vertices=vertices, triangles=triangles,
         tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
@@ -261,6 +264,7 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         pair_tri_minus=np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64),
         pair_tri_plus=np.array([len(tris_lo) + 2 * j for j in range(n_cols)], dtype=np.int64),
         free_dofs=np.array(free, dtype=np.int64),
+        block_order=np.array(block_order, dtype=np.int64),
         normals=np.column_stack([-tangents[:, 1], tangents[:, 0]]),
         tangents=tangents, pair_lengths=lengths,
         tri_area=area, tri_grads=grads)
@@ -288,6 +292,36 @@ def tril_band(matrix):
     band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
     band[offset, low.col] = low.data
     return band
+
+
+def full_band_solve(matrix, rhs):
+    """Solve with the band Cholesky of a sparse SPD matrix in the order it
+    comes in: the ``tril_band`` scatter, ``cholesky_banded`` and
+    ``cho_solve_banded``."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    lower = cholesky_banded(tril_band(matrix), lower=True, check_finite=False)
+    return cho_solve_banded((lower, True), rhs, check_finite=False)
+
+
+def loop_aggregate(mesh, s, field):
+    """Hat-weighted edge-length average of a fine pair-edge field at the
+    coarse nodes ``s``, the hat of each node rebuilt on its own."""
+    xm = 0.5 * (mesh.interface_x[:-1] + mesh.interface_x[1:])
+    L = mesh.pair_lengths
+    out = np.zeros(s.size)
+    for k in range(s.size):
+        hat = np.zeros_like(xm)
+        if k > 0:
+            m = (xm >= s[k - 1]) & (xm <= s[k])
+            hat[m] = (xm[m] - s[k - 1]) / (s[k] - s[k - 1])
+        if k < s.size - 1:
+            m = (xm > s[k]) & (xm < s[k + 1])
+            hat[m] = (s[k + 1] - xm[m]) / (s[k + 1] - s[k])
+        w = hat * L
+        tot = w.sum()
+        out[k] = (w @ field) / tot if tot > 0 else 0.0
+    return out
 
 
 def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):

@@ -196,6 +196,11 @@ INVALID_CONFIGS = [
     ("coarse-spacing-not-1-over-integer", "[geometry]\ncoarse_spacing = 0.3\n", [], None),
     ("coarse-spacing-subnormal", "[geometry]\ncoarse_spacing = 1e-320\n", [], None),
     ("coarse-spacing-one", "[geometry]\ncoarse_spacing = 1.0\n", [], None),
+    # a coarse grid finer than the identify columns (1e-9 would allocate
+    # 8 GB for the coarse graph alone)
+    ("coarse-spacing-below-h-identify", "[geometry]\ncoarse_spacing = 0.005\n", [], None),
+    ("coarse-spacing-tiny", "[geometry]\ncoarse_spacing = 1e-9\n", [], None),
+    ("friction-bound-inf", "[laws]\nfriction_bound = inf\n", [], None),
     ("n-max-not-integer", "[algorithm]\nn_max = 2.5\n", [], None),
     ("young-not-a-number", "[material]\nyoung = abc\n", [], None),
     ("young-percent-sign", "[material]\nyoung = 5%\n", [], None),

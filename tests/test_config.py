@@ -3,6 +3,7 @@
 
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,36 @@ def test_unknown_name_exit_2(tmp_path, capsys, text, name):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert name in err
+
+
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "word"]
+EDGE_ROWS = [(section, key, value)
+             for section, keys in cli.CONFIG_SECTIONS.items()
+             for key in keys for value in EDGE_VALUES]
+
+
+@pytest.mark.parametrize("section,key,value", EDGE_ROWS,
+                         ids=["%s=%s" % row[1:] for row in EDGE_ROWS])
+def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
+    # a rejected value exits 2 in one line; an accepted one runs measure on
+    # a coarse mesh and ends in 0, 2 or 3, never in a traceback. The band
+    # guard of the config check runs before any mesh is built.
+    settings = {"geometry": {"h_measure": "0.05"}}
+    settings.setdefault(section, {})[key] = value
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("".join("[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items())
+                           for name, keys in settings.items()))
+    try:
+        cli.load_config(str(cfg))
+        accepted = True
+    except driver.ConfigError:
+        accepted = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning would be a second line
+        rc = cli.main(["measure", "--config", str(cfg), "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if not accepted:
+        assert rc == 2
+    assert rc in (0, 2, 3)
+    assert len(err.splitlines()) == (rc != 0), err

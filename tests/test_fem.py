@@ -4,7 +4,7 @@ oracles."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
 
 from crackid import fem
 from crackid.driver import ExperimentConfig
@@ -369,42 +369,99 @@ class TestFactor:
             factor_of(A)
 
 
-class TestFreeBand:
-    """The band an unmerged Newton step factors, filled from the cached
-    stiffness pattern, against the lower triangle of the sparse free block
-    of K plus the jump mass, scattered into band storage."""
+def closed_nodes(mesh, closed):
+    interior = np.flatnonzero(mesh.interface_interior())
+    return {"none": interior[:0], "every-other": interior[::2],
+            "all": interior}[closed]
 
-    @pytest.mark.parametrize("name,cached", [("flat", False), ("perturbed", True)])
+
+class TestFreeBand:
+    """The factor of an unmerged Newton step: K's free block in block
+    order, filled from the cached stiffness pattern and factored as one
+    band per subdomain, with the closed pairs' jump mass as a coupling."""
+
+    MESH_CASES = [("flat", False), ("perturbed", True), ("kinked", False)]
+
+    def factor(self, name, closed):
+        mesh = build_mesh(*MESHES[name])
+        K = fem.assemble_stiffness(mesh, ELAST)
+        weights = mesh.interface_nodal_weights() / 1e-8
+        nodes = closed_nodes(mesh, closed)
+        return mesh, K, weights, nodes, fem.subdomain_factor(mesh, K, weights, nodes)
+
+    @pytest.mark.parametrize("name,cached", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
     def test_band_and_factor_match_the_sparse_route_bitwise(self, name, cached,
                                                             closed):
-        mesh = build_mesh(*MESHES[name])
-        K = fem.assemble_stiffness(mesh, ELAST)
-        # a flat mesh drops exact zeros, and its band slots are K's own
+        mesh, K, _, nodes, factor = self.factor(name, closed)
+        # a flat or kinked mesh drops exact zeros, and its band slots are K's own
         pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
         assert (K.nnz == pattern_nnz) == cached
-        interior = np.flatnonzero(mesh.interface_interior())
-        nodes = {"none": interior[:0], "every-other": interior[::2],
-                 "all": interior}[closed]
-        weights = mesh.interface_nodal_weights() / 1e-8
-        band = fem.free_band(mesh, K, weights, nodes)
         free = mesh.free_dofs
-        A = K + fem.interface_nodal_jump_matrix(mesh, weights, nodes)
-        ref = oracles.tril_band(A[free][:, free])
-        assert band.shape == ref.shape
-        assert band.tobytes() == ref.tobytes()
-        factor = fem.FactorizedSPD(band, A, free)
-        ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
-        assert factor.lu.lower.tobytes() == ref_lower.tobytes()
-        assert factor.lu.nnz == ref.size
-        x = factor.solve(np.ones(free.size))
-        assert np.array_equal(x, cho_solve_banded((ref_lower, True), np.ones(free.size)))
+        below = free // 2 < mesh.iface_plus[0]
+        blocks = [free[below], free[~below]]
+        assert np.array_equal(free[mesh.block_order], np.concatenate(blocks))
+        start = 0
+        for dofs in blocks:
+            cols = slice(start, start + dofs.size)
+            start += dofs.size
+            ref = oracles.tril_band(K[dofs][:, dofs])
+            kd = ref.shape[0] - 1
+            # no entry of K joins the blocks: their band is the blocks' side by side
+            assert factor.band[:kd + 1, cols].tobytes() == ref.tobytes()
+            assert not factor.band[kd + 1:, cols].any()
+            ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
+            assert np.array_equal(factor.lu.lower[:kd + 1, cols], ref_lower)
+        coupling = 0 if nodes.size == 0 else nodes.size * (free.size + nodes.size)
+        assert factor.lu.nnz == factor.band.size + coupling
+
+    @pytest.mark.parametrize("name,cached", MESH_CASES)
+    @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
+    def test_solve_matches_the_full_band_route(self, name, cached, closed):
+        mesh, K, weights, nodes, factor = self.factor(name, closed)
+        free = mesh.free_dofs
+        A = (K + fem.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
+        rhs = np.random.default_rng(8).standard_normal(free.size)
+        ref = oracles.full_band_solve(A, rhs)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the backward-error check scales by max|A| of the whole matrix
+        assert factor.max_abs == abs(A).max()
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["lower", "upper"])
+    def test_indefinite_block_rejected(self, block):
+        mesh = build_mesh(*MESHES["perturbed"])
+        K = fem.assemble_stiffness(mesh, ELAST)
+        dof = mesh.free_dofs[mesh.block_order[0 if block == 0 else -1]]
+        K[dof, dof] = -K[dof, dof]
+        with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+            fem.subdomain_factor(mesh, K, mesh.interface_nodal_weights() / 1e-8,
+                                 closed_nodes(mesh, "all"))
+
+    def test_nonpositive_coupling_rejected(self):
+        # K - J is indefinite although C = D^-1 + Y^T Y may factor
+        mesh = build_mesh(*MESHES["perturbed"])
+        K = fem.assemble_stiffness(mesh, ELAST)
+        with pytest.raises(NotPositiveDefinite, match="coupling"):
+            fem.subdomain_factor(mesh, K, -mesh.interface_nodal_weights() / 1e-8,
+                                 closed_nodes(mesh, "all"))
+
+    def test_sign_flipped_coupling_fails_the_backward_error_check(self):
+        # the check applies the coupling: against K - J, the solve of K + J fails
+        mesh, _, _, _, factor = self.factor("perturbed", "every-other")
+        plus, minus, d = factor.coupling
+        rhs = np.ones(mesh.free_dofs.size)
+        factor.solve(rhs)
+        factor.coupling = (plus, minus, -d)
+        with pytest.raises(NotPositiveDefinite, match="backward-error"):
+            factor.solve(rhs)
 
 
 class TestBandOrder:
     def test_half_bandwidth_on_the_identify_mesh(self, monkeypatch):
-        # the free block, the stick merge of the first state step and the
-        # all-contact merge of the first PDAS step, each in column order
+        # each subdomain block of an unmerged step, with and without the
+        # coupling, and in column order the stick merge of the first state
+        # step and the all-contact merge of the first PDAS step
         cfg = ExperimentConfig()
         mesh = build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
         K = fem.assemble_stiffness(mesh, ELAST)
@@ -418,15 +475,19 @@ class TestBandOrder:
         monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
         interior = mesh.interface_interior()
         plus, minus = mesh.iface_plus[interior], mesh.iface_minus[interior]
+        fem.subdomain_factor(mesh, K)
+        fem.subdomain_factor(mesh, K, mesh.interface_nodal_weights() / 1e-8,
+                             np.flatnonzero(interior))
         f = np.ones(mesh.n_dofs)
-        fem.merged_solve(K, f, mesh.free_dofs)
         fem.merged_solve(K, f, mesh.free_dofs, 2 * minus, 2 * plus)
         fem.merged_solve(K, f, mesh.free_dofs,
                          np.concatenate([2 * minus + 1, 2 * minus]),
                          np.concatenate([2 * plus + 1, 2 * plus]))
         per_column = mesh.n_vertices // (mesh.n_cols + 1)
-        assert len(factored) == 3
-        assert max(factored) <= 2 * per_column + 4, factored
+        assert len(factored) == 4
+        # a block column holds half the vertices of a mesh column
+        assert max(factored[:2]) <= per_column + 3, factored
+        assert max(factored[2:]) <= 2 * per_column + 4, factored
 
 
 class TestPatchAndKorn:

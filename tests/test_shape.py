@@ -31,16 +31,21 @@ def fd_objective(config, meas, psi, h, start):
     return driver.objective(mesh, u, zv, config.elasticity().rho_reg, psi)
 
 
+# flat, perturbed and kinked lines
+LINES = [
+    constant_graph(0.25),
+    InterfaceGraph(np.linspace(0.0, 1.0, 11),
+                   0.25 + 0.03 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 11))),
+    InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])),
+]
+LINE_IDS = ["flat", "perturbed", "kinked"]
+
+
 class TestPairTriangles:
     """The boundary gradient reads the pair triangles only; it must equal
     the computation on every triangle of the mesh bit for bit."""
 
-    @pytest.mark.parametrize("psi", [
-        constant_graph(0.25),
-        InterfaceGraph(np.linspace(0.0, 1.0, 11),
-                       0.25 + 0.03 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 11))),
-        InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3])),
-    ], ids=["flat", "perturbed", "kinked"])
+    @pytest.mark.parametrize("psi", LINES, ids=LINE_IDS)
     def test_matches_the_full_mesh_computation(self, monkeypatch, psi):
         mesh = build_mesh(psi, 0.02)
         rng = np.random.default_rng(4)
@@ -62,6 +67,28 @@ class TestPairTriangles:
         for fast, full in zip(shape._pair_densities(*args),
                               oracles.full_mesh_pair_densities(*args)):
             assert np.array_equal(fast, full)
+
+
+class TestAggregate:
+    """The coarse averages build the hat weights once for all fields; each
+    must equal the per-node rebuild bit for bit."""
+
+    # five columns put edge midpoints on the nodes of an 11-node line,
+    # where a hat's rising and falling sides meet
+    @pytest.mark.parametrize("psi,n_cols", [(psi, None) for psi in LINES]
+                             + [(psi, 5) for psi in LINES[:2]],
+                             ids=LINE_IDS + ["flat-midpoints-on-nodes",
+                                             "perturbed-midpoints-on-nodes"])
+    def test_matches_the_per_node_hats(self, psi, n_cols):
+        mesh = build_mesh(psi, 0.02, n_cols=n_cols)
+        xm = 0.5 * (mesh.interface_x[:-1] + mesh.interface_x[1:])
+        assert np.isin(xm, psi.s).any() == (n_cols == 5)
+        rng = np.random.default_rng(6)
+        fields = [rng.standard_normal(mesh.pair_lengths.size) for _ in range(3)]
+        got = shape._aggregate(mesh, psi.s, *fields)
+        assert len(got) == 3
+        for avg, field in zip(got, fields):
+            assert np.array_equal(avg, oracles.loop_aggregate(mesh, psi.s, field))
 
 
 class TestBoundaryGradient:

@@ -156,6 +156,34 @@ class TestSolvePath:
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
 
+    def test_unmerged_residual_reads_k_alone(self, contact_state):
+        # an unmerged penalty step forms r = f - K u, not f - (K + J) u: the
+        # loop reads r only on x1 rows, where J has no entry
+        st = contact_state
+        closed = st["report"].configuration[0]
+        assert closed.any()
+        u = st["u"].values
+        with_jump = st["op"].newton_matrix(closed, st["cfg"].eps) @ u
+        assert np.array_equal((st["op"].K @ u)[0::2], with_jump[0::2])
+        assert not np.array_equal((st["op"].K @ u)[1::2], with_jump[1::2])
+
+    def test_unmerged_steps_build_no_sparse_newton_matrix(self, monkeypatch,
+                                                          contact_state):
+        # seeded with its converged sets, the state solve is one unmerged
+        # step; it and the adjoint factor K with the closed pairs coupled
+        st = contact_state
+        assert st["factor"] is not None and st["factor"].coupling is not None
+
+        def refuse(*args):
+            raise AssertionError("sparse K + J built for an unmerged step")
+
+        monkeypatch.setattr(solvers._InterfaceOperator, "newton_matrix", refuse)
+        u, rep, op, factor = solvers.solve_penalty_state(
+            st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
+            return_operator=True, start=st["report"].configuration)
+        assert rep.iterations == 1 and np.array_equal(u.values, st["u"].values)
+        solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
+
     def test_adjoint_reuses_state_factor_bitwise(self, contact_state):
         st = contact_state
         assert st["factor"] is not None
@@ -228,7 +256,8 @@ class TestFactorReuse:
                 state_reuses[0] += kept and slaves is not None
                 passed.append(system)
                 system = fem.FactorizedSPD(system.band, system.matrix,
-                                           system.rows)
+                                           system.rows, system.order,
+                                           system.coupling)
             return solve(system, rhs, free, slaves, masters)
 
         monkeypatch.setattr(fem, "merged_solve", refactor)

@@ -1,0 +1,80 @@
+"""tools/compare_outputs.py on two small synthetic output trees."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+
+FILES = {
+    "m_contact/measurement.txt":
+        "# measurement v1\n# h = 0.01\n# load_case = contact\n"
+        "0 0 0 0\n0.5 0 1.25e-05 -3.5e-06\n1 0 0 0\n",
+    "i_contact/iterations.csv":
+        "n,J,J_ratio,shape_error_ratio,pdas_na,penalty_iters,clamped\n"
+        "0,2.5e-09,1,1,9,3,0\n1,1.25e-09,0.5,0.75,9,1,0\n",
+    "i_contact/interface_n000.txt": "# interface v1\n0 0.25\n1 0.25\n",
+    "i_contact/gradients.csv": "n,s_H,D3,Lambda2\n0,0.5,3.5,-0.001\n",
+    "g/gradient_check.csv":
+        "s_H,analytic,fd_coarse,fd_fine,rel_err\n0.5,1.5e-07,1.50001e-07,1.5e-07,1e-09\n",
+}
+
+
+def tree(root, edits=None):
+    for rel, text in FILES.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        for old, new in (edits or {}).get(rel, []):
+            assert old in text
+            text = text.replace(old, new)
+        path.write_text(text)
+    return root
+
+
+def compare(parent, change):
+    proc = subprocess.run([sys.executable, str(TOOL), str(parent), str(change)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_trees_pass(tmp_path):
+    code, out = compare(tree(tmp_path / "p"), tree(tmp_path / "c"))
+    assert code == 0, out
+    assert "5 files: 5 same" in out
+
+
+def test_roundoff_within_the_bounds_passes(tmp_path):
+    edits = {
+        "m_contact/measurement.txt": [("1.25e-05", "1.2500000000001e-05")],
+        "i_contact/iterations.csv": [("1.25e-09,", "1.2500000001e-09,")],
+        "g/gradient_check.csv": [("1.50001e-07", "1.500011e-07")],
+        "i_contact/interface_n000.txt": [("1 0.25", "1 0.2500001")],
+    }
+    code, out = compare(tree(tmp_path / "p"), tree(tmp_path / "c", edits))
+    assert code == 0, out
+    assert "3 within" in out and "1 unbound" in out
+
+
+@pytest.mark.parametrize("rel,old,new", [
+    ("i_contact/iterations.csv", "1.25e-09,", "1.2500001e-09,"),        # J 8e-8
+    ("i_contact/iterations.csv", "0.5,0.75,9,1", "0.5,0.75,9,2"),       # penalty_iters
+    ("m_contact/measurement.txt", "-3.5e-06", "-3.50000001e-06"),       # 8e-10 of max|u|
+    ("m_contact/measurement.txt", "0.5 0 ", "0.5000001 0 "),            # a point moved
+    ("g/gradient_check.csv", "1.5e-07,1.50001e-07", "1.5000001e-07,1.50001e-07"),
+    ("g/gradient_check.csv", "1.50001e-07,1.5e-07", "1.50001e-07,1.5001e-07"),
+], ids=["J", "penalty-iters", "displacement", "point", "analytic", "fd-fine"])
+def test_a_change_beyond_its_bound_fails(tmp_path, rel, old, new):
+    code, out = compare(tree(tmp_path / "p"), tree(tmp_path / "c", {rel: [(old, new)]}))
+    assert code == 1, out
+    assert "EXCEEDS" in out
+
+
+def test_a_missing_file_fails(tmp_path):
+    change = tree(tmp_path / "c")
+    shutil.rmtree(change / "g")
+    code, out = compare(tree(tmp_path / "p"), change)
+    assert code == 1
+    assert "MISSING" in out

@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two crackid runs under the roundoff tolerance.
+
+Usage: python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Both directories hold the outputs of the same commands, found anywhere
+below them: ``measurement.txt``, ``iterations.csv``, ``gradients.csv``,
+``interface_nNNN.txt`` and ``gradient_check.csv`` (for example
+``m_contact/measurement.txt``, ``i_contact/iterations.csv`` and
+``g/gradient_check.csv``). Each file is first compared byte for byte, as
+``cmp`` does. A file that differs is checked against the bound for its
+kind, relative to the parent's value:
+
+- ``iterations.csv``: per row, J and shape_error_ratio within 1e-9, and
+  n, pdas_na, penalty_iters and clamped identical;
+- ``measurement.txt``: header and points identical, the displacements
+  within 1e-12 of the largest displacement;
+- ``gradient_check.csv``: s_H identical, analytic within 1e-9, fd_coarse
+  and fd_fine within 1e-5 (they divide the roundoff of J by the step);
+- ``interface_nNNN.txt`` and ``gradients.csv`` carry no bound: the loop
+  feeds each iterate's roundoff into the next. Their largest difference
+  relative to the largest entry is reported.
+
+Prints one line per file and a summary, and exits 0 when every file is
+identical or within its bound, 1 otherwise, a file found on one side only
+included.
+"""
+
+import filecmp
+import os
+import sys
+
+import numpy as np
+
+
+def entrywise(a, b):
+    """Largest |a - b| / |a| over the entries (0 where they are equal)."""
+    diff = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(diff == 0.0, 0.0, diff / np.abs(a)).max(initial=0.0))
+
+
+def normwise(a, b):
+    """max |a - b| / max |a|."""
+    diff = float(np.abs(a - b).max(initial=0.0))
+    return 0.0 if diff == 0.0 else diff / float(np.abs(a).max())
+
+
+# file name: (columns that must be identical, [(columns, bound, measure)])
+RULES = {
+    "iterations.csv": (("n", "pdas_na", "penalty_iters", "clamped"),
+                       [(("J", "shape_error_ratio"), 1e-9, entrywise)]),
+    "measurement.txt": (("0", "1"), [(("2", "3"), 1e-12, normwise)]),
+    "gradient_check.csv": (("s_H",), [(("analytic",), 1e-9, entrywise),
+                                      (("fd_coarse", "fd_fine"), 1e-5, entrywise)]),
+}
+
+
+def is_output(name):
+    return (name in RULES or name == "gradients.csv"
+            or (name.startswith("interface_n") and name.endswith(".txt")))
+
+
+def output_files(root):
+    found = set()
+    for dirpath, _, names in os.walk(root):
+        found.update(os.path.relpath(os.path.join(dirpath, name), root)
+                     for name in names if is_output(name))
+    return found
+
+
+def load(path):
+    """(header lines, column names, data) of an output file; a ``.txt``
+    file's columns are named by their index."""
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line]
+    if path.endswith(".csv"):
+        head, names = lines[:1], lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+    else:
+        head = [line for line in lines if line.startswith("#")]
+        rows = [line.split() for line in lines if not line.startswith("#")]
+        names = [str(k) for k in range(len(rows[0]) if rows else 0)]
+    return head, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def compare(parent, change):
+    """(ok, verdict) for one pair of files that differ in their bytes."""
+    head_p, names, data_p = load(parent)
+    head_c, names_c, data_c = load(change)
+    if head_p != head_c or names != names_c or data_p.shape != data_c.shape:
+        return False, "EXCEEDS  header or shape differs"
+    col = {name: k for k, name in enumerate(names)}
+    rule = RULES.get(os.path.basename(parent))
+    if rule is None:
+        return True, "UNBOUND  max relative difference %.2e" % normwise(data_p, data_c)
+    exact, bounds = rule
+    ok = True
+    notes = []
+    for name in exact:
+        same = np.array_equal(data_p[:, col[name]], data_c[:, col[name]])
+        ok = ok and same
+        if not same:
+            notes.append("%s differs" % name)
+    for names_b, bound, measure in bounds:
+        for name in names_b:
+            got = measure(data_p[:, col[name]], data_c[:, col[name]])
+            ok = ok and got <= bound
+            notes.append("%s %.2e (<= %.0e)" % (name, got, bound))
+    return ok, ("WITHIN   " if ok else "EXCEEDS  ") + ", ".join(notes)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    parent, change = argv
+    files_p, files_c = output_files(parent), output_files(change)
+    failed = 0
+    tally = {}
+    for rel in sorted(files_p | files_c):
+        if rel not in files_p or rel not in files_c:
+            ok, verdict = False, "MISSING  only in %s" % (
+                parent if rel in files_p else change)
+        elif filecmp.cmp(os.path.join(parent, rel), os.path.join(change, rel),
+                         shallow=False):
+            ok, verdict = True, "SAME"
+        else:
+            ok, verdict = compare(os.path.join(parent, rel), os.path.join(change, rel))
+        failed += not ok
+        kind = verdict.split()[0]
+        tally[kind] = tally.get(kind, 0) + 1
+        print("%-40s %s" % (rel, verdict))
+    print("%d files: %s" % (sum(tally.values()), ", ".join(
+        "%d %s" % (n, kind.lower()) for kind, n in sorted(tally.items()))))
+    return 1 if failed or not tally else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
