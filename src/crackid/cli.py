@@ -50,7 +50,10 @@ def load_config(path, overrides=None):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
     except configparser.Error as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
     if parser.defaults():
@@ -114,7 +117,10 @@ class Manifest:
 
 
 def _prepare_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create the output directory: %s" % exc) from exc
 
 
 # ----------------------------------------------------------------------
@@ -210,18 +216,17 @@ def cmd_gradient_check(args):
     eps = config.eps
 
     mesh = build_mesh(psi, h)
-    u, base, op, factor = solvers.solve_penalty_state(
-        mesh, laws, elast, g, eps, max_outer=config.max_outer,
-        return_operator=True)
+    u, base, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
+                                              max_outer=config.max_outer)
     zv = driver.interp_measurement(mesh, meas)
-    v = solvers.solve_adjoint(op, u, zv, eps, factor=factor)
+    v = solvers.solve_adjoint(op, u, zv, eps)
 
     def objective_of(graph):
         # every probe perturbs the base line, so it starts from its sets
         m = build_mesh(graph, h)
-        u, _ = solvers.solve_penalty_state(m, laws, elast, g, eps,
-                                           max_outer=config.max_outer,
-                                           start=base.configuration)
+        u, _, _ = solvers.solve_penalty_state(m, laws, elast, g, eps,
+                                              max_outer=config.max_outer,
+                                              start=base.configuration)
         zv = driver.interp_measurement(m, meas)
         return driver.objective(m, u, zv, elast.rho_reg, graph)
     manifest.phase("state")

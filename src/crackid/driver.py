@@ -334,9 +334,9 @@ def identify(config, meas, record_gradients=False):
     for n in range(config.n_max + 1):
         try:
             mesh = build_mesh(psi, h)
-            u, rep, op, factor = solvers.solve_penalty_state(
+            u, rep, op = solvers.solve_penalty_state(
                 mesh, laws, elast, g, config.eps, max_outer=config.max_outer,
-                return_operator=True, start=start)
+                start=start)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break
@@ -361,7 +361,7 @@ def identify(config, meas, record_gradients=False):
             break
 
         try:
-            v = solvers.solve_adjoint(op, u, z_vec, config.eps, factor=factor)
+            v = solvers.solve_adjoint(op, u, z_vec, config.eps)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
                                            config.eps)
             vel = shape.descent_velocity(grad, h)

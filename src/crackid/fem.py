@@ -1,5 +1,5 @@
 """P1 finite-element core: plane-strain elasticity assembly on the broken
-mesh, boundary/interface integrals and the one linear-solve path.
+mesh, boundary/interface integrals and the factors of the linear solves.
 
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
 and reads the element areas and shape gradients the mesh carries; the
@@ -8,21 +8,20 @@ element axis last. The CSR pattern of the stiffness, and the order in which
 scipy's COO -> CSR conversion would sum each entry's element contributions,
 are derived once per mesh topology; each assembly then only gathers and
 sums the element blocks in that order, so the matrix equals the plain COO
-conversion bit for bit. Every linear solve -- state and contact Newton
-steps and the adjoint -- goes through ``merged_solve``: Dirichlet dofs are
-eliminated by row/column removal, so the free block stays symmetric
-positive definite, and interface jump dofs can be merged shut. The free
-dofs come in the mesh's column order (``mesh.free_dofs``), in which every
-matrix of the loop is banded, and ``FactorizedSPD`` factors it by a band
-Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981). A merged matrix reaches it
-through its sparse lower triangle. An unmerged Newton matrix is factored
-one subdomain at a time (``subdomain_factor``): K's free block, filled
-straight from the cached pattern in block order, is block diagonal with
-half the column order's bandwidth, and the penalty's jump mass on the
-closed pairs, the only link of the two blocks, enters as a low-rank
-coupling through the Woodbury identity. The factor checks definiteness and
-rank when it factors and the backward error of every solve.
+conversion bit for bit, entries that sum to zero included. Dirichlet dofs
+are eliminated by row/column removal, so every free block stays symmetric
+positive definite, and ``FactorizedSPD`` factors it by a band Cholesky
+(LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981). A matrix whose interface jump dofs are
+merged shut is factored as R^T A R in the mesh's column order
+(``merged_factor``, ``mesh.free_dofs``), in which it is banded. An
+unmerged Newton matrix is factored one subdomain at a time
+(``subdomain_factor``): K's free block, filled straight from the cached
+pattern in block order, is block diagonal with half the column order's
+bandwidth, and the penalty's jump mass on the closed pairs, the only link
+of the two blocks, enters as a low-rank coupling through the Woodbury
+identity. The factor checks definiteness and rank when it factors and the
+backward error of every solve.
 """
 
 import functools
@@ -173,15 +172,18 @@ def _stiffness_pattern(topology, n_dofs):
     return out
 
 
-def _band_slots(indptr, indices, free):
-    """Where each entry of a CSR pattern goes in the lower band storage of
-    its ``free`` x ``free`` block, that block ordered as ``free``.
+@functools.lru_cache(maxsize=8)
+def _pattern_band_slots(topology, n_dofs):
+    """Where each entry of a topology's stiffness pattern goes in the lower
+    band storage of its free block, the free dofs in block order
+    (``topology.block_order``).
 
     Returns (src, slot, kd): the entries of the block's lower triangle,
-    their flat index offset * free.size + column in a (kd + 1, free.size)
-    band array, and kd, the largest offset among them.
+    their flat index offset * n_free + column in a (kd + 1, n_free) band
+    array, and kd, the largest offset among them.
     """
-    n_dofs = indptr.size - 1
+    indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
+    free = topology.free_dofs[topology.block_order]
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
     row = pos[np.repeat(np.arange(n_dofs), np.diff(indptr))]
@@ -189,37 +191,26 @@ def _band_slots(indptr, indices, free):
     offset = row - col
     src = np.flatnonzero((col >= 0) & (row >= 0) & (offset >= 0))
     offset = offset[src]
-    return src, offset * free.size + col[src], int(offset.max(initial=0))
-
-
-@functools.lru_cache(maxsize=8)
-def _pattern_band_slots(topology, n_dofs):
-    """``_band_slots`` of a topology's stiffness pattern and free dofs, the
-    dofs in block order (``topology.block_order``)."""
-    indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
-    out = _band_slots(indptr, indices, topology.free_dofs[topology.block_order])
-    for arr in out[:2]:
+    slot = offset * free.size + col[src]
+    for arr in (src, slot):
         arr.setflags(write=False)
-    return out
+    return src, slot, int(offset.max(initial=0))
 
 
 def assemble_stiffness(mesh, elast):
     """Bulk stiffness over the broken domain (full, pre-elimination).
 
     The CSR pattern and summation order are those of the mesh's topology,
-    built once; each call only gathers and sums the element blocks.
+    built once; each call only gathers and sums the element blocks. An
+    entry that sums to exactly zero stays in the pattern.
     """
     flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
     indptr, indices, first, tails = _stiffness_pattern(mesh.topology, mesh.n_dofs)
     data = flat[first]
     for dst, src in tails:
         data[dst] += flat[src]
-    mat = sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                        shape=(mesh.n_dofs, mesh.n_dofs))
-    # entries that sum to exactly zero would otherwise stay in the pattern
-    # of a Dirichlet selection but not of the R^T A R product that equals it
-    mat.eliminate_zeros()
-    return mat
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                         shape=(mesh.n_dofs, mesh.n_dofs))
 
 
 def subdomain_factor(mesh, K, node_weights=None, nodes=()):
@@ -229,15 +220,11 @@ def subdomain_factor(mesh, K, node_weights=None, nodes=()):
 
     No entry of K joins the two subdomains, so in ``mesh.block_order`` its
     free block is block diagonal with half the column order's bandwidth.
-    The band is filled from the cached pattern or, when assembly dropped
-    exact zeros, from K's own. The jump mass, the blocks' only link, is
-    the coupling.
+    The band is filled from the cached pattern; the jump mass, the blocks'
+    only link, is the coupling.
     """
     order = mesh.block_order
-    if K.nnz == _stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size:
-        src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
-    else:
-        src, slot, kd = _band_slots(K.indptr, K.indices, mesh.free_dofs[order])
+    src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
     band = np.zeros((kd + 1, order.size))
     band.reshape(-1)[slot] = K.data[src]
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -482,40 +469,29 @@ class FactorizedSPD:
         return ax
 
 
-def merged_solve(system, rhs, free, slaves=None, masters=None):
-    """Solve on the ``free`` dofs (an index array, ``mesh.free_dofs``) with
-    zero on the others, the ``slaves`` jump dofs merged shut onto their
-    ``masters``.
-
-    ``system`` is the full sparse matrix or the ``FactorizedSPD`` of its
-    free block ``matrix[free][:, free]``; a factor serves only an unmerged
-    solve. A sparse matrix is solved as the Galerkin system R^T A R, R
-    mapping each kept free dof to itself and each slave to its master;
-    with nothing merged, that is the free block. Both keep the order of
+def merged_factor(matrix, free, slaves, masters):
+    """Factor of ``matrix`` on the ``free`` dofs (an index array,
+    ``mesh.free_dofs``), the ``slaves`` jump dofs merged shut onto their
+    ``masters``: the Galerkin system R^T A R, R mapping each kept free dof
+    to itself and each slave to its master. It keeps the order of
     ``free``, so the band order of ``mesh.free_dofs`` reaches the factor;
     a slave sits next to its master there, so merging keeps the band.
-    Returns the full-length solution and the factor of the free block, or
-    None in its place when anything is merged.
+
+    Returns (R, factor): R @ factor.solve(R.T @ b) solves for the
+    full-length load b, zero on the Dirichlet dofs.
     """
-    n = rhs.size
-    if isinstance(system, FactorizedSPD):
-        x = np.zeros(n)
-        x[free] = system.solve(rhs[free])
-        return x, system
-    merged = slaves is not None and slaves.size > 0
+    n = matrix.shape[0]
     rep = np.arange(n)
+    rep[slaves] = masters
     keep = np.ones(n, dtype=bool)
-    if merged:
-        rep[slaves] = masters
-        keep[slaves] = False
+    keep[slaves] = False
     kept = free[keep[free]]
     col = np.full(n, -1)
     col[kept] = np.arange(kept.size)
     R = sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
                       shape=(n, kept.size)).tocsr()
-    A = R.T @ system @ R
-    factor = FactorizedSPD(_lower_band(A), A)
-    return R @ factor.solve(R.T @ rhs), None if merged else factor
+    A = R.T @ matrix @ R
+    return R, FactorizedSPD(_lower_band(A), A)
 
 
 def field_gradients(mesh, values, tris=slice(None)):

@@ -96,18 +96,6 @@ def write_interface(path, graph):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_interface(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != INTERFACE_HEADER:
-            raise ValueError("not an interface v1 file: %r" % header)
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("interface rows need 2 columns (s, psi), got %d"
-                         % data.shape[1])
-    return InterfaceGraph(data[:, 0], data[:, 1])
-
-
 def coarse_curvature(graph):
     """Curvature kappa of the graph at its coarse nodes.
 

@@ -1,8 +1,9 @@
 """Constitutive interface laws: friction, cohesion and normal-compliance penalty.
 
-Each law exists in a smooth variant (used for analysis-style property checks)
-and a discrete variant (piecewise linear/constant, used by the solvers).
-All functions are vectorised over numpy arrays and stateless.
+Each law exists in a discrete variant (piecewise linear/constant), the one
+the solvers use. The penalty and friction laws also have a smooth variant,
+whose analytic bounds ``smooth_law_bounds_check`` verifies. All functions
+are vectorised over numpy arrays and stateless.
 """
 
 from dataclasses import dataclass
@@ -10,26 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated
-
-__all__ = [
-    "CohesiveParams",
-    "PenaltyParams",
-    "LawBoundsReport",
-    "beta_smooth",
-    "beta_smooth_prime",
-    "beta_discrete",
-    "beta_discrete_prime",
-    "friction_smooth",
-    "friction_smooth_prime",
-    "friction_smooth_second",
-    "cohesion_smooth",
-    "cohesion_smooth_prime",
-    "cohesion_smooth_second",
-    "friction_discrete_prime",
-    "cohesion_discrete_prime",
-    "smooth_law_bounds_check",
-]
-
 
 @dataclass(frozen=True)
 class CohesiveParams:
@@ -119,10 +100,6 @@ def beta_discrete_prime(s, eps):
 # Friction law
 # ----------------------------------------------------------------------
 
-def friction_smooth(s, params):
-    return params.F_b * np.sqrt(params.delta**2 + np.asarray(s, dtype=float) ** 2)
-
-
 def friction_smooth_prime(s, params):
     s = np.asarray(s, dtype=float)
     return params.F_b * s / np.sqrt(params.delta**2 + s * s)
@@ -141,28 +118,6 @@ def friction_discrete_prime(s, params):
 # ----------------------------------------------------------------------
 # Cohesion law
 # ----------------------------------------------------------------------
-
-def cohesion_smooth(s, params):
-    s = np.asarray(s, dtype=float)
-    return params.K_c * s / (params.kappa + np.abs(s) ** params.m)
-
-
-def cohesion_smooth_prime(s, params):
-    s = np.asarray(s, dtype=float)
-    m, kap = params.m, params.kappa
-    a = np.abs(s) ** m
-    return params.K_c * (kap + (1.0 - m) * a) / (kap + a) ** 2
-
-
-def cohesion_smooth_second(s, params):
-    s = np.asarray(s, dtype=float)
-    m, kap = params.m, params.kappa
-    a = np.abs(s) ** m
-    w = kap + a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grade = np.where(s == 0.0, 0.0, np.abs(s) ** (m - 1.0) * np.sign(s))
-    return params.K_c * m * grade * ((m - 1.0) * a - (m + 1.0) * kap) / w**3
-
 
 def cohesion_discrete_prime(s, params):
     """Discrete cohesive traction (K_c/kappa) * ind{|s| < kappa}.
@@ -191,31 +146,24 @@ class LawBoundsReport:
     passed: bool
 
 
-def smooth_law_bounds_check(params, pen, sample_count=10_000,
-                            beta_fn=None, beta_prime_fn=None):
-    """Verify the analytic bounds of the smooth laws on a sampled grid.
+def smooth_law_bounds_check(params, pen):
+    """Verify the analytic bounds of the smooth laws on a sampled grid of
+    10 000 points per law.
 
     Checks, with K_f1 = F_b, K_f2 = F_b/delta and K_beta = K_beta1 = 1:
       |alpha_f'| <= K_f1,     |alpha_f''| <= K_f2,
       |beta(s) + [s]^-/eps| <= 1,    0 <= beta' <= 1/eps,
       beta(s)[s]^+ >= -eps,   beta(s)[s]^- <= -([s]^-)^2/eps + eps.
 
-    ``beta_fn``/``beta_prime_fn`` may override the built-in penalty law
-    (used by negative-control tests). Raises BoundViolated with the
-    offending sample on the first failure.
+    Raises BoundViolated with the offending sample on the first failure.
     """
-    if sample_count < 1000:
-        raise ValueError("sample_count must be >= 1000")
+    sample_count = 10_000
     eps = pen.eps
-    beta = beta_fn if beta_fn is not None else (lambda s: beta_smooth(s, eps))
-    beta_p = (beta_prime_fn if beta_prime_fn is not None
-              else (lambda s: beta_smooth_prime(s, eps)))
-
     tol = 1e-12  # roundoff slack on the closed-form bounds
 
     s_pen = np.linspace(-10.0 * eps, 10.0 * eps, sample_count)
-    b = np.asarray(beta(s_pen), dtype=float)
-    bp = np.asarray(beta_p(s_pen), dtype=float)
+    b = np.asarray(beta_smooth(s_pen, eps), dtype=float)
+    bp = np.asarray(beta_smooth_prime(s_pen, eps), dtype=float)
     s_neg = np.maximum(0.0, -s_pen)
     s_pos = np.maximum(0.0, s_pen)
 

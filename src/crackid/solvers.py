@@ -13,14 +13,15 @@ differ only in the normal law:
   piecewise linear, so each semismooth Newton step is an exact solve).
 
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
-final state Newton matrix; it reuses the state's factor when the last
-Newton step merged nothing. Every linear solve goes through
-``fem.merged_solve``, a band Cholesky solve on ``mesh.free_dofs``; an
-unmerged step factors the two subdomains apart, its closed pairs coupling
-them, with no sparse K + J (``_InterfaceOperator.newton_factor``). The
-engine factors once per distinct ``(closed, stick)`` pair of normal and
-stick sets: a Newton step that changes only the load (slip signs,
-cohesion indicator) solves with the previous step's factor.
+final state Newton matrix. Every linear solve goes through one method,
+``_InterfaceOperator.solve``, which keeps the factor of the current Newton
+matrix: a step that merges jump dofs factors R^T A R
+(``fem.merged_factor``), an unmerged step factors the two subdomains
+apart, its closed pairs coupling them, with no sparse K + J
+(``fem.subdomain_factor``). The factor is keyed on the ``(closed, stick)``
+pair of normal and stick sets, so a Newton step that changes only the load
+(slip signs, cohesion indicator) solves with the previous step's factor,
+and the adjoint with the state's when its last step merged nothing.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -69,7 +70,8 @@ class ActiveSet:
 
 
 class _InterfaceOperator:
-    """Shared assembly context for one (mesh, laws, elast, g) quadruple."""
+    """Shared assembly context for one (mesh, laws, elast, g) quadruple,
+    and the owner of the current Newton matrix's factor."""
 
     def __init__(self, mesh, laws, elast, g):
         self.mesh = mesh
@@ -92,6 +94,7 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
+        self._key = self._solve = None
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
@@ -108,19 +111,43 @@ class _InterfaceOperator:
         np.add.at(f, self.m2, -t2)
         return f
 
-    def newton_matrix(self, closed, eps):
-        """Penalty Newton matrix: K plus the w/eps nodal jump mass on the
-        penetration set ``closed``, for a step that merges stick dofs."""
-        return self.K + fem.interface_nodal_jump_matrix(
-            self.mesh, self.w / eps, np.nonzero(closed)[0])
+    def solve(self, rhs, closed, stick, eps):
+        """Solve the Newton matrix of the normal set ``closed`` and the
+        sticking nodes ``stick`` for the full-length load ``rhs``; the
+        solution is zero on the Dirichlet dofs.
 
-    def newton_factor(self, closed, eps):
-        """``fem.subdomain_factor`` of an unmerged step's Newton matrix: K,
-        plus for a penalty ``eps`` the w/eps jump mass on the penetration
-        set ``closed`` as the coupling of the two subdomains. An unmerged
-        contact step (``eps`` None) has nothing closed: closed pairs merge."""
-        return fem.subdomain_factor(self.mesh, self.K, None if eps is None
-                                    else self.w / eps, np.nonzero(closed)[0])
+        The sticking nodes' x1 jump dofs are merged shut, and in contact
+        (``eps`` None) so are the closed pairs' x2 dofs; the matrix is K
+        plus, for a penalty ``eps``, the w/eps jump mass on ``closed``. A
+        merged matrix is factored as R^T A R, an unmerged one one subdomain
+        at a time with that mass as the coupling. The factor is kept while
+        ``(closed, stick, eps)`` repeat.
+        """
+        key = (closed.tobytes(), stick.tobytes(), eps)
+        if key != self._key:
+            # let the old factor go first, so its memory serves the new one
+            self._solve = None
+            free = self.mesh.free_dofs
+            nodes = np.flatnonzero(closed)
+            weights = None if eps is None else self.w / eps
+            shut = closed if eps is None else np.zeros_like(closed)
+            slaves = np.concatenate([self.m2[shut], self.m1[stick]])
+            masters = np.concatenate([self.p2[shut], self.p1[stick]])
+            if slaves.size:
+                A = self.K if eps is None else self.K + \
+                    fem.interface_nodal_jump_matrix(self.mesh, weights, nodes)
+                R, factor = fem.merged_factor(A, free, slaves, masters)
+                self._solve = lambda f: R @ factor.solve(R.T @ f)
+            else:
+                factor = fem.subdomain_factor(self.mesh, self.K, weights, nodes)
+
+                def free_solve(f):
+                    x = np.zeros(f.size)
+                    x[free] = factor.solve(f[free])
+                    return x
+                self._solve = free_solve
+            self._key = key
+        return self._solve(rhs)
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -220,10 +247,10 @@ def _active_set_solve(op, eps, max_outer, start=None):
     A step's matrix is keyed on ``(closed, stick)``, stick being the
     interior nodes with ``sgn == 0``; the slip signs and the indicator
     reach only the load, so a step that repeats the previous step's key
-    keeps its matrix and, when nothing was merged, its factor.
+    solves with its factor (``_InterfaceOperator.solve``).
 
-    Returns (values, closed, lam, report, factor), with ``lam`` the contact
-    multiplier estimate and ``factor`` as from ``fem.merged_solve``.
+    Returns (values, closed, lam, report), with ``lam`` the contact
+    multiplier estimate.
     """
     contact = eps is None
     tol = np.inf if contact else PENALTY_TOL
@@ -246,24 +273,12 @@ def _active_set_solve(op, eps, max_outer, start=None):
     prev_config = None
     prev_closed = None
     union_used = False
-    key = factor = None
 
     for it in range(1, max_outer + 1):
         shut = closed if contact else none_shut
         stick = interior & (sgn == 0.0)
-        slaves = np.concatenate([op.m2[shut], op.m1[stick]])
-        masters = np.concatenate([op.p2[shut], op.p1[stick]])
-        step_key = (closed.tobytes(), stick.tobytes())
-        if step_key != key:
-            key = step_key
-            # unmerged: K alone, as r below is read on x1 rows only (no J there)
-            A = op.newton_matrix(closed, eps) if slaves.size and not contact \
-                else op.K
-            factor = None if slaves.size else op.newton_factor(closed, eps)
         f = op.F - op.lagged_load(sgn, ind)
-        new_values, _ = fem.merged_solve(
-            A if factor is None else factor, f, op.mesh.free_dofs,
-            slaves, masters)
+        new_values = op.solve(f, closed, stick, eps)
         new_res = op.stationarity(new_values, eps, stick, shut)
 
         config = (closed.tobytes(), sgn.tobytes(), ind.tobytes())
@@ -284,7 +299,9 @@ def _active_set_solve(op, eps, max_outer, start=None):
         values, res = new_values, new_res
         prev_config = config
 
-        r = f - A @ values
+        # K alone: contact has no J, and a penalty step reads r on x1 rows
+        # only, where J has no entry
+        r = f - op.K @ values
         jump1, jump2 = op.jumps(values)
         if contact:
             lam = np.zeros(n_if)
@@ -314,7 +331,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
 
     report = SolveReport(iterations=it, residual=res, active_sizes=history,
                          damped_steps=damped, configuration=(closed, sgn, ind))
-    return values, closed, lam, report, factor
+    return values, closed, lam, report
 
 
 def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
@@ -324,7 +341,7 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
     report's residual leaves out the rows that carry contact reactions.
     """
     op = _InterfaceOperator(mesh, laws, elast, g)
-    values, active, lam, report, _ = _active_set_solve(op, None, max_outer)
+    values, active, lam, report = _active_set_solve(op, None, max_outer)
     aset = ActiveSet(statuses=_statuses(mesh.jump(values, 1), active, laws.kappa),
                      lam=np.where(active, lam, 0.0),  # inactive: no multiplier
                      active=active)
@@ -335,46 +352,38 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
 # Penalty state and adjoint
 # ----------------------------------------------------------------------
 
-def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50,
-                        return_operator=False, start=None):
+def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None):
     """Solve the penalty-regularised state equation.
 
     Semismooth Newton on the penalty term; termination also requires the
     true residual to pass ``PENALTY_TOL`` (relative). ``start`` seeds the
     active sets with the ``configuration`` of an earlier report on a mesh
     with the same interface nodes (the previous identification iterate, or
-    the base state of a finite-difference probe). ``return_operator`` adds
-    the operator and the factor of the final Newton matrix (None when
-    stick dofs were merged) for reuse by ``solve_adjoint``.
+    the base state of a finite-difference probe). Returns the state, the
+    ``SolveReport`` and the operator, which keeps the factor of the final
+    Newton matrix for ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g)
-    values, _, _, report, factor = _active_set_solve(op, eps, max_outer,
-                                                     start)
-    u = fem.DofField(mesh, values)
-    if return_operator:
-        return u, report, op, factor
-    return u, report
+    values, _, _, report = _active_set_solve(op, eps, max_outer, start)
+    return fem.DofField(mesh, values), report, op
 
 
-def solve_adjoint(op, u_eps, z_obs, eps, factor=None):
+def solve_adjoint(op, u_eps, z_obs, eps):
     """Solve the linear adjoint equation for the misfit against ``z_obs``.
 
     The system matrix is the state's Newton matrix on the penetration set
-    of ``u_eps`` (beta' of the state jump, exact for the discrete law);
-    with the discrete laws the friction/cohesion second derivatives vanish
-    so no tangential coupling remains. ``z_obs`` is a full-length dof
-    vector holding the measurement trace on the observation nodes.
-    ``factor`` is the state's factor of that matrix; the matrix is
-    factored only without one. Returns the adjoint field.
+    of ``u_eps`` (beta' of the state jump, exact for the discrete law),
+    unmerged: with the discrete laws the friction/cohesion second
+    derivatives vanish so no tangential coupling remains. ``op`` solves it
+    with the state's factor when the state's last step merged nothing.
+    ``z_obs`` is a full-length dof vector holding the measurement trace on
+    the observation nodes. Returns the adjoint field.
     """
     mesh = op.mesh
     rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
                                               - np.asarray(z_obs).reshape(-1))
-    if factor is None:   # the state's last step merged stick dofs
-        closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-        factor = op.newton_factor(closed, eps)
-    values, _ = fem.merged_solve(factor, rhs, mesh.free_dofs)
-    return fem.DofField(mesh, values)
+    closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
+    return fem.DofField(mesh, op.solve(rhs, closed, np.zeros_like(closed), eps))
 
 
 def recover_multiplier(u_eps, eps):

@@ -55,12 +55,11 @@ def contact_state(contact_config, contact_measurement):
     h = cfg.resolved_h_identify()
     psi = cfg.initial_graph()
     mesh = build_mesh(psi, h)
-    u, rep, op, factor = solvers.solve_penalty_state(
-        mesh, laws, elast, g, cfg.eps, return_operator=True)
+    u, rep, op = solvers.solve_penalty_state(mesh, laws, elast, g, cfg.eps)
     z_vec = driver.interp_measurement(mesh, contact_measurement["meas"])
-    v = solvers.solve_adjoint(op, u, z_vec, cfg.eps, factor=factor)
+    v = solvers.solve_adjoint(op, u, z_vec, cfg.eps)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
-                u=u, v=v, z_vec=z_vec, report=rep, op=op, factor=factor)
+                u=u, v=v, z_vec=z_vec, report=rep, op=op)
 
 
 @pytest.fixture(scope="session")

@@ -367,7 +367,7 @@ def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
 
 def coo_stiffness(mesh, ke_blocks):
     """Sum per-element 6x6 blocks, shaped (nt, 6, 6), with scipy's own
-    COO -> CSR conversion."""
+    COO -> CSR conversion, which keeps the entries that sum to zero."""
     import scipy.sparse as sp
 
     t = mesh.triangles
@@ -375,7 +375,5 @@ def coo_stiffness(mesh, ke_blocks):
                             2 * t[:, 1] + 1, 2 * t[:, 2], 2 * t[:, 2] + 1])
     rows = np.repeat(dofs, 6, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, 6)).reshape(-1)
-    mat = sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
-                        shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    return sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
+                         shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()

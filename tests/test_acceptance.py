@@ -127,7 +127,7 @@ def test_criterion_4_penalty_convergence_law():
     asym = eps_list[3:]
     pens, dists = [], []
     for eps in eps_list:
-        u, _ = solvers.solve_penalty_state(mesh, laws, elast, g, eps)
+        u, _, _ = solvers.solve_penalty_state(mesh, laws, elast, g, eps)
         pens.append(float(np.sqrt(np.sum(
             w * np.minimum(0.0, mesh.jump(u.values, 1)) ** 2))))
         dists.append(fem.h1_seminorm(mesh, u.values - z.values))
@@ -161,9 +161,9 @@ def test_criterion_5_gradient_check(contact_state, contact_measurement):
 
     def objective_of(graph):
         m = build_mesh(graph, h)
-        u, _ = solvers.solve_penalty_state(m, st["laws"], st["elast"], st["g"],
-                                           cfg.eps,
-                                           start=st["report"].configuration)
+        u, _, _ = solvers.solve_penalty_state(m, st["laws"], st["elast"], st["g"],
+                                              cfg.eps,
+                                              start=st["report"].configuration)
         zv = driver.interp_measurement(m, meas)
         return driver.objective(m, u, zv, st["elast"].rho_reg, graph)
 
@@ -199,8 +199,7 @@ def test_criterion_6_property_suites(contact_measurement):
     g = cfg.traction()
 
     # law bounds on 1e4 samples
-    report = laws_mod.smooth_law_bounds_check(laws, PenaltyParams(cfg.eps),
-                                              sample_count=10_000)
+    report = laws_mod.smooth_law_bounds_check(laws, PenaltyParams(cfg.eps))
     bounds_ok = report.passed
 
     # stiffness symmetry / SPD after reduction / rigid-mode kernel
@@ -210,7 +209,8 @@ def test_criterion_6_property_suites(contact_measurement):
     sym_ok = abs(K - K.T).max() < 1e-12 * abs(K).max()
     wk = np.linalg.eigvalsh(K.toarray())
     kernel_ok = int(np.count_nonzero(wk < 1e-9 * wk.max())) == 6
-    _, red = fem.merged_solve(K, np.zeros(tiny.n_dofs), tiny.free_dofs)
+    none = np.zeros(0, dtype=np.int64)
+    _, red = fem.merged_factor(K, tiny.free_dofs, none, none)
     spd_ok = np.linalg.eigvalsh(red.matrix.toarray()).min() > 0.0
 
     # patch test
@@ -230,12 +230,13 @@ def test_criterion_6_property_suites(contact_measurement):
     free = fem.free_mask(mesh)
     rhs, lift = oracles.dirichlet_lift(Kp, fem.assemble_traction(mesh, g_patch),
                                        free, u_exact)
-    x, _ = fem.merged_solve(Kp, rhs, mesh.free_dofs)
+    R, factor = fem.merged_factor(Kp, mesh.free_dofs, none, none)
+    x = R @ factor.solve(R.T @ rhs)
     patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8
 
     # dense-oracle equivalence on the 2-column mesh
-    u_small, _ = solvers.solve_penalty_state(tiny, laws, elast, g, 1e-8)
+    u_small, _, _ = solvers.solve_penalty_state(tiny, laws, elast, g, 1e-8)
     u_ref = oracles.dense_penalty_solve(tiny, laws, elast, g, 1e-8)
     dense_err = float(np.max(np.abs(u_small.values - u_ref))
                       / np.max(np.abs(u_ref)))
@@ -244,7 +245,7 @@ def test_criterion_6_property_suites(contact_measurement):
     # multiplier recovery against the PDAS multiplier at eps = 1e-8
     mesh_m = contact_measurement["mesh"]
     aset = contact_measurement["aset"]
-    u8, _ = solvers.solve_penalty_state(mesh_m, laws, elast, g, 1e-8)
+    u8, _, _ = solvers.solve_penalty_state(mesh_m, laws, elast, g, 1e-8)
     lam_est = solvers.recover_multiplier(u8, 1e-8)
     wq = mesh_m.interface_nodal_weights()
     rec_err = float(np.sqrt(np.sum(wq * (lam_est - aset.lam) ** 2))

@@ -229,6 +229,8 @@ INVALID_CONFIGS = [
     ("h-measure-subnormal", "[geometry]\nh_measure = 1e-320\n", [], None),
     # in range, but the load norm overflows: the solver rejects it
     ("young-overflows", "[material]\nyoung = 1e300\n", [], None),
+    # a config file that is not UTF-8
+    ("config-not-utf-8", b"\xff\xfe[material]\n", [], None),
 ]
 
 # rows that pass the config check and stop at the solver's own check
@@ -243,7 +245,10 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
     code, prefix = (3, "solver error: ") if name in SOLVER_ERROR_ROWS \
         else (2, "config error: ")
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
     if measurement is None:
         args = ["measure"]
     else:
@@ -257,6 +262,19 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
     assert rc == code
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    rc = run(["measure", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert str(out) in err
+    assert out.read_text() == "a file, not a directory\n"
 
 
 def test_python_m_crackid_runs_the_cli(tmp_path):

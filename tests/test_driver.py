@@ -193,8 +193,8 @@ class TestIdentify:
         for row in log.rows:
             psi = log.snapshots[row["n"]]
             mesh = build_mesh(psi, h)
-            u, rep = solvers.solve_penalty_state(mesh, laws, elast,
-                                                 cfg.traction(), cfg.eps)
+            u, rep, _ = solvers.solve_penalty_state(mesh, laws, elast,
+                                                    cfg.traction(), cfg.eps)
             J = driver.objective(mesh, u, driver.interp_measurement(mesh, meas),
                                  elast.rho_reg, psi)
             assert row["J"] == J

@@ -32,6 +32,14 @@ def factor_of(A):
     return fem.FactorizedSPD(fem._lower_band(A), A)
 
 
+def merged_solve(matrix, rhs, free, slaves=(), masters=()):
+    """Solution of ``fem.merged_factor``'s system for the full-length
+    ``rhs``, and the factor."""
+    R, factor = fem.merged_factor(matrix, free, np.asarray(slaves, dtype=np.int64),
+                                  np.asarray(masters, dtype=np.int64))
+    return R @ factor.solve(R.T @ rhs), factor
+
+
 def small_mesh(h=0.125, **kw):
     return build_mesh(constant_graph(0.25), h, **kw)
 
@@ -154,13 +162,13 @@ class TestElementStiffness:
         assert np.array_equal(np.moveaxis(ke, -1, 0),
                               oracles.einsum_element_stiffness(*args))
 
-    @pytest.mark.parametrize("graph,h,drops_zeros", [
+    @pytest.mark.parametrize("graph,h,sums_to_zero", [
         MESHES["flat"] + (True,),
         MESHES["flat-fine"] + (True,),
         MESHES["perturbed"] + (False,),
         MESHES["kinked"] + (True,),
     ], ids=["flat", "flat-fine", "perturbed", "kinked"])
-    def test_cached_scatter_matches_coo_bitwise(self, graph, h, drops_zeros):
+    def test_cached_scatter_matches_coo_bitwise(self, graph, h, sums_to_zero):
         mesh = build_mesh(graph, h)
         ke = oracles.einsum_element_stiffness(mesh.tri_area, mesh.tri_grads,
                                               ELAST.dmatrix())
@@ -171,10 +179,11 @@ class TestElementStiffness:
             for attr in ("indptr", "indices", "data"):
                 assert getattr(K, attr).dtype == getattr(ref, attr).dtype
                 assert np.array_equal(getattr(K, attr), getattr(ref, attr)), attr
-        # on axis-aligned cells some entries sum to exactly zero and leave
-        # the cached pattern, as they leave the COO conversion's
+        # on axis-aligned cells some entries sum to exactly zero; they stay
+        # in the cached pattern, as they stay in the COO conversion's
         pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
-        assert (K.nnz < pattern_nnz) == drops_zeros
+        assert K.nnz == pattern_nnz
+        assert (np.count_nonzero(K.data) < K.nnz) == sums_to_zero
 
     def test_cached_pattern_is_read_only(self):
         mesh = small_mesh()
@@ -188,14 +197,6 @@ class TestElementStiffness:
         mesh = small_mesh(0.05)
         K = fem.assemble_stiffness(mesh, ELAST)
         assert abs(K - K.T).max() < 1e-12 * abs(K).max()
-
-    def test_no_explicit_zeros(self):
-        # a Dirichlet selection keeps stored zeros that a product drops, so
-        # both routes to the reduced matrix agree only without them
-        mesh = small_mesh(0.05)
-        K = fem.assemble_stiffness(mesh, ELAST)
-        assert K.nnz > 0
-        assert np.count_nonzero(K.data == 0.0) == 0
 
 
 class TestTraction:
@@ -285,8 +286,8 @@ class TestSolve:
         mesh = tiny_mesh()
         n_free = mesh.n_dofs - 2 * mesh.dirichlet_vertices.size
         free = mesh.free_dofs
-        x, factor = fem.merged_solve(sp.identity(mesh.n_dofs, format="csr"),
-                                     np.ones(mesh.n_dofs), free)
+        x, factor = merged_solve(sp.identity(mesh.n_dofs, format="csr"),
+                                 np.ones(mesh.n_dofs), free)
         assert np.allclose(x[free], 1.0)
         assert np.all(x[2 * mesh.dirichlet_vertices] == 0.0)
         assert factor.matrix.shape[0] == n_free
@@ -297,7 +298,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         f = rng.standard_normal(mesh.n_dofs)
         free = mesh.free_dofs
-        x, factor = fem.merged_solve(K, f, free)
+        x, factor = merged_solve(K, f, free)
         xd = np.linalg.solve(factor.matrix.toarray(), f[free])
         assert np.linalg.norm(x[free] - xd) < 1e-10 * np.linalg.norm(xd)
 
@@ -307,7 +308,7 @@ class TestSolve:
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
         free = mesh.free_dofs
-        x, factor = fem.merged_solve(K, f, free)
+        x, factor = merged_solve(K, f, free)
         r = factor.matrix @ x[free] - f[free]
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f[free])
 
@@ -326,18 +327,18 @@ class TestSolve:
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
         free = mesh.free_dofs
-        _, factor = fem.merged_solve(K, f, free)
+        _, factor = merged_solve(K, f, free)
         factor.matrix = 2.0 * factor.matrix
         with pytest.raises(NotPositiveDefinite):
-            fem.merged_solve(factor, f, free)
+            factor.solve(f[free])
 
     def test_deterministic(self):
         mesh = small_mesh(0.05)
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(mesh, lambda x, y: (0.0 * x, 4.0 * y - 1.0))
         free = mesh.free_dofs
-        x1, _ = fem.merged_solve(K, f, free)
-        x2, _ = fem.merged_solve(K, f, free)
+        x1, _ = merged_solve(K, f, free)
+        x2, _ = merged_solve(K, f, free)
         assert np.array_equal(x1, x2)
 
 
@@ -380,6 +381,7 @@ class TestFreeBand:
     order, filled from the cached stiffness pattern and factored as one
     band per subdomain, with the closed pairs' jump mass as a coupling."""
 
+    # each mesh, and whether no entry of its stiffness sums to exactly zero
     MESH_CASES = [("flat", False), ("perturbed", True), ("kinked", False)]
 
     def factor(self, name, closed):
@@ -389,14 +391,13 @@ class TestFreeBand:
         nodes = closed_nodes(mesh, closed)
         return mesh, K, weights, nodes, fem.subdomain_factor(mesh, K, weights, nodes)
 
-    @pytest.mark.parametrize("name,cached", MESH_CASES)
+    @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
-    def test_band_and_factor_match_the_sparse_route_bitwise(self, name, cached,
+    def test_band_and_factor_match_the_sparse_route_bitwise(self, name, nonzero,
                                                             closed):
         mesh, K, _, nodes, factor = self.factor(name, closed)
-        # a flat or kinked mesh drops exact zeros, and its band slots are K's own
-        pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
-        assert (K.nnz == pattern_nnz) == cached
+        # a flat or kinked mesh keeps exact zeros in K, and in the band
+        assert (np.count_nonzero(K.data) == K.nnz) == nonzero
         free = mesh.free_dofs
         below = free // 2 < mesh.iface_plus[0]
         blocks = [free[below], free[~below]]
@@ -415,9 +416,9 @@ class TestFreeBand:
         coupling = 0 if nodes.size == 0 else nodes.size * (free.size + nodes.size)
         assert factor.lu.nnz == factor.band.size + coupling
 
-    @pytest.mark.parametrize("name,cached", MESH_CASES)
+    @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
-    def test_solve_matches_the_full_band_route(self, name, cached, closed):
+    def test_solve_matches_the_full_band_route(self, name, nonzero, closed):
         mesh, K, weights, nodes, factor = self.factor(name, closed)
         free = mesh.free_dofs
         A = (K + fem.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
@@ -456,6 +457,34 @@ class TestFreeBand:
         with pytest.raises(NotPositiveDefinite, match="backward-error"):
             factor.solve(rhs)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10])
+    @pytest.mark.parametrize("closed", ["every-other", "all"])
+    @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
+    def test_refinement_step_cuts_the_backward_error(self, name, closed, eps):
+        # the Woodbury solve alone cancels in the coupled directions; on the
+        # contact load its one refinement step brings the normwise backward
+        # error against the whole (K + J) free block down 50x or more
+        cfg = ExperimentConfig()
+        if name == "identify":
+            mesh = build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
+        else:
+            mesh = build_mesh(*MESHES[name])
+        K = fem.assemble_stiffness(mesh, ELAST)
+        weights = mesh.interface_nodal_weights() / eps
+        nodes = closed_nodes(mesh, closed)
+        factor = fem.subdomain_factor(mesh, K, weights, nodes)
+        free = mesh.free_dofs
+        A = (K + fem.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
+        rhs = fem.assemble_traction(mesh, cfg.traction("contact"))[free]
+        max_abs = abs(A).max()
+
+        def backward_error(x):
+            return np.linalg.norm(A @ x - rhs) / (max_abs * np.linalg.norm(x)
+                                                  + np.linalg.norm(rhs))
+
+        refined = backward_error(factor.solve(rhs))
+        assert refined <= backward_error(factor._substitute(rhs)) / 3.0
+
 
 class TestBandOrder:
     def test_half_bandwidth_on_the_identify_mesh(self, monkeypatch):
@@ -479,8 +508,8 @@ class TestBandOrder:
         fem.subdomain_factor(mesh, K, mesh.interface_nodal_weights() / 1e-8,
                              np.flatnonzero(interior))
         f = np.ones(mesh.n_dofs)
-        fem.merged_solve(K, f, mesh.free_dofs, 2 * minus, 2 * plus)
-        fem.merged_solve(K, f, mesh.free_dofs,
+        merged_solve(K, f, mesh.free_dofs, 2 * minus, 2 * plus)
+        merged_solve(K, f, mesh.free_dofs,
                          np.concatenate([2 * minus + 1, 2 * minus]),
                          np.concatenate([2 * plus + 1, 2 * plus]))
         per_column = mesh.n_vertices // (mesh.n_cols + 1)
@@ -513,7 +542,7 @@ class TestPatchAndKorn:
         f = fem.assemble_traction(mesh, g)
         free = fem.free_mask(mesh)
         rhs, lift = oracles.dirichlet_lift(Kp, f, free, u_exact)
-        x, _ = fem.merged_solve(Kp, rhs, mesh.free_dofs)
+        x, _ = merged_solve(Kp, rhs, mesh.free_dofs)
         x = x + lift
         scale = np.abs(u_exact).max()
         assert np.max(np.abs(x - u_exact)) < 1e-8 * scale
@@ -522,7 +551,7 @@ class TestPatchAndKorn:
         # Dirichlet-reduced stiffness is positive definite
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
-        _, factor = fem.merged_solve(K, np.zeros(mesh.n_dofs), mesh.free_dofs)
+        _, factor = merged_solve(K, np.zeros(mesh.n_dofs), mesh.free_dofs)
         w = np.linalg.eigvalsh(factor.matrix.toarray())
         assert w.min() > 0.0
 

@@ -103,40 +103,10 @@ class TestFrictionCohesion:
         assert np.max(np.abs(laws.friction_smooth_prime(s, params))) <= params.F_b * slack
         assert np.max(laws.friction_smooth_second(s, params)) <= params.F_b / params.delta * slack
 
-    def test_cohesion_softening_unique_interior_max(self):
-        # m > 1 produces the softening hump with a single interior maximum
-        p = CohesiveParams(K_c=1.0, kappa=1.0, m=4.0)
-        s = np.linspace(0.0, 5.0, 20001)
-        a = laws.cohesion_smooth(s, p)
-        k = int(np.argmax(a))
-        assert 0 < k < s.size - 1
-        d = np.diff(a)
-        assert np.all(d[: k - 1] > 0)
-        assert np.all(d[k + 1:] < 0)
-        # analytic stationary point |s|^m = kappa/(m-1)
-        s_star = (p.kappa / (p.m - 1.0)) ** (1.0 / p.m)
-        assert s[k] == pytest.approx(s_star, abs=2 * (s[1] - s[0]))
-
-    def test_cohesion_monotone_for_m_equal_one(self):
-        p = CohesiveParams(K_c=1.0, kappa=1.0, m=1.0)
-        s = np.linspace(-3.0, 3.0, 5001)
-        assert np.all(np.diff(laws.cohesion_smooth(s, p)) > 0)
-
-    def test_cohesion_prime_matches_fd(self):
-        p = CohesiveParams(K_c=2.0, kappa=0.7, m=3.0)
-        s = np.linspace(0.05, 3.0, 200)
-        step = 1e-7
-        fd = (laws.cohesion_smooth(s + step, p) - laws.cohesion_smooth(s - step, p)) / (2 * step)
-        assert np.allclose(laws.cohesion_smooth_prime(s, p), fd, rtol=1e-5)
-        fd2 = (laws.cohesion_smooth_prime(s + step, p)
-               - laws.cohesion_smooth_prime(s - step, p)) / (2 * step)
-        assert np.allclose(laws.cohesion_smooth_second(s, p), fd2, rtol=1e-4, atol=1e-6)
-
 
 class TestBoundsCheck:
     def test_defaults_pass(self, params):
-        report = laws.smooth_law_bounds_check(params, PenaltyParams(1e-8),
-                                              sample_count=10_000)
+        report = laws.smooth_law_bounds_check(params, PenaltyParams(1e-8))
         assert report.passed
         assert report.min_beta_prime >= 0.0
         assert report.max_beta_offset <= 1.0
@@ -148,28 +118,21 @@ class TestBoundsCheck:
         assert b * eps == pytest.approx(-eps)
         assert b * eps <= -(eps**2) / eps + eps + 1e-15
 
-    def test_adversarial_beta_rejected(self, params):
-        eps = 1e-4
-
-        def bad_beta(s):
+    def test_adversarial_beta_rejected(self, params, monkeypatch):
+        def bad_beta(s, eps):
             return -2.0 * np.maximum(0.0, -np.asarray(s)) / eps
 
+        monkeypatch.setattr(laws, "beta_smooth", bad_beta)
         with pytest.raises(BoundViolated):
-            laws.smooth_law_bounds_check(params, PenaltyParams(eps),
-                                         beta_fn=bad_beta)
+            laws.smooth_law_bounds_check(params, PenaltyParams(1e-4))
 
-    def test_adversarial_beta_prime_rejected(self, params):
-        eps = 1e-4
+    def test_adversarial_beta_prime_rejected(self, params, monkeypatch):
+        def bad_beta_prime(s, eps):
+            return np.full_like(np.asarray(s, dtype=float), 2.0 / eps)
+
+        monkeypatch.setattr(laws, "beta_smooth_prime", bad_beta_prime)
         with pytest.raises(BoundViolated):
-            laws.smooth_law_bounds_check(
-                params, PenaltyParams(eps),
-                beta_prime_fn=lambda s: np.full_like(np.asarray(s, dtype=float),
-                                                     2.0 / eps))
-
-    def test_sample_count_floor(self, params):
-        with pytest.raises(ValueError):
-            laws.smooth_law_bounds_check(params, PenaltyParams(1e-8),
-                                         sample_count=10)
+            laws.smooth_law_bounds_check(params, PenaltyParams(1e-4))
 
 
 class TestParamValidation:

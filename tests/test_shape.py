@@ -24,9 +24,9 @@ def fd_objective(config, meas, psi, h, start):
     """Objective on the re-meshed line ``psi``; the state solve starts from
     the base state's active sets ``start``."""
     mesh = build_mesh(psi, h)
-    u, _ = solvers.solve_penalty_state(mesh, config.cohesive(), config.elasticity(),
-                                       config.traction(meas.load_case), config.eps,
-                                       start=start)
+    u, _, _ = solvers.solve_penalty_state(mesh, config.cohesive(), config.elasticity(),
+                                          config.traction(meas.load_case), config.eps,
+                                          start=start)
     zv = driver.interp_measurement(mesh, meas)
     return driver.objective(mesh, u, zv, config.elasticity().rho_reg, psi)
 
@@ -274,10 +274,10 @@ class TestVolumetricDerivative:
         gaps = {}
         for h in (1.0 / 50.0, 1.0 / 100.0):
             mesh = build_mesh(psi, h)
-            u, _, op, factor = solvers.solve_penalty_state(
-                mesh, LAWS, ELAST, cfg.traction(), EPS, return_operator=True)
+            u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST,
+                                                   cfg.traction(), EPS)
             zv = driver.interp_measurement(mesh, meas)
-            v = solvers.solve_adjoint(op, u, zv, EPS, factor=factor)
+            v = solvers.solve_adjoint(op, u, zv, EPS)
             grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
             # contact/penetration sits right of x = 0.8; probe the open part
             rels = []

@@ -19,7 +19,6 @@ ALLOWED_UNREFERENCED = {
     "fem.h1_seminorm",                # error norm of the penalty-consistency tests
     "solvers.recover_multiplier",     # penalty multiplier against the PDAS one
     "geometry.constant_graph",        # flat interfaces of the test meshes
-    "geometry.read_interface",        # documented reader of the interface v1 files
 }
 
 

@@ -1,0 +1,38 @@
+#!/bin/sh
+# Write the outputs that tools/compare_outputs.py compares.
+#
+# Usage: tools/make_outputs.sh TREE OUT_DIR
+#
+# Runs the crackid source tree TREE (a checkout holding src/crackid) on the
+# default configuration, an empty config file, with one BLAS thread: per
+# load case, `measure` and then the 200-iteration `identify
+# --dump-gradients` on that measurement; then `gradient-check`. The outputs
+# go to OUT_DIR/m_LOAD, OUT_DIR/i_LOAD and OUT_DIR/g. Two trees are
+# compared with
+#
+#   tools/make_outputs.sh PARENT a && tools/make_outputs.sh . b &&
+#   tools/compare_outputs.py a b
+
+set -eu
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 TREE OUT_DIR" >&2
+    exit 2
+fi
+tree=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+export PYTHONPATH="$tree/src"
+config="$out/empty.cfg"
+: > "$config"
+
+for load in contact stretch; do
+    python3 -m crackid measure --config "$config" --load-case "$load" \
+        --out "$out/m_$load"
+    python3 -m crackid identify --config "$config" --load-case "$load" \
+        --measurement "$out/m_$load/measurement.txt" --dump-gradients \
+        --out "$out/i_$load"
+done
+python3 -m crackid gradient-check --config "$config" --out "$out/g"
