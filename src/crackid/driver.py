@@ -73,6 +73,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigError("%s must be finite and > 0, got %r" % (name, value))
+        # below this the jump mass w/eps (w about h) exceeds the stiffness
+        # (about E) by more than 2^52: the state is contact to roundoff
+        floor = 2.0 ** -52 * self.resolved_h_identify()
+        if not self.eps * self.E_Y >= floor:
+            raise ConfigError("eps = %r is below 2^-52 h_identify / E_Y = %.3g, where the "
+                              "penalty swamps the stiffness in double precision"
+                              % (self.eps, floor / self.E_Y))
         try:
             self.elasticity()
             self.cohesive()

@@ -10,18 +10,16 @@ are derived once per mesh topology; each assembly then only gathers and
 sums the element blocks in that order, so the matrix equals the plain COO
 conversion bit for bit, entries that sum to zero included. Dirichlet dofs
 are eliminated by row/column removal, so every free block stays symmetric
-positive definite, and ``FactorizedSPD`` factors it by a band Cholesky
-(LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981). A matrix whose interface jump dofs are
-merged shut is factored as R^T A R in the mesh's column order
-(``merged_factor``, ``mesh.free_dofs``), in which it is banded. An
-unmerged Newton matrix is factored one subdomain at a time
-(``subdomain_factor``): K's free block, filled straight from the cached
-pattern in block order, is block diagonal with half the column order's
-bandwidth, and the penalty's jump mass on the closed pairs, the only link
-of the two blocks, enters as a low-rank coupling through the Woodbury
-identity. The factor checks definiteness and rank when it factors and the
-backward error of every solve.
+positive definite. ``FactorizedSPD`` factors K's free block by a band
+Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981), once per mesh
+(``subdomain_factor``): filled straight from the cached pattern in block
+order, the block is block diagonal with half the column order's
+bandwidth. Every Newton matrix of the mesh is that K plus a low-rank
+coupling on interface jump dofs, which the factor solves through the
+Woodbury identity: a penalty's jump mass, or a pair merged shut as the
+infinite-weight limit. The factor checks definiteness and rank when it
+factors and the backward error of every solve.
 """
 
 import functools
@@ -213,29 +211,18 @@ def assemble_stiffness(mesh, elast):
                          shape=(mesh.n_dofs, mesh.n_dofs))
 
 
-def subdomain_factor(mesh, K, node_weights=None, nodes=()):
+def subdomain_factor(mesh, K):
     """``FactorizedSPD`` of the free block of K, the mesh's
-    ``assemble_stiffness``, plus the nodal normal-jump mass
-    ``interface_nodal_jump_matrix(mesh, node_weights, nodes)``.
+    ``assemble_stiffness``: the one band factor of the mesh.
 
     No entry of K joins the two subdomains, so in ``mesh.block_order`` its
     free block is block diagonal with half the column order's bandwidth.
-    The band is filled from the cached pattern; the jump mass, the blocks'
-    only link, is the coupling.
+    The band is filled from the cached pattern.
     """
-    order = mesh.block_order
     src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
-    band = np.zeros((kd + 1, order.size))
+    band = np.zeros((kd + 1, mesh.block_order.size))
     band.reshape(-1)[slot] = K.data[src]
-    nodes = np.asarray(nodes, dtype=np.int64)
-    coupling = None
-    if nodes.size:
-        pos = np.full(mesh.n_dofs, -1)
-        pos[mesh.free_dofs] = np.arange(order.size)
-        coupling = (pos[2 * mesh.iface_plus[nodes] + 1],
-                    pos[2 * mesh.iface_minus[nodes] + 1],
-                    np.asarray(node_weights, dtype=float)[nodes])
-    return FactorizedSPD(band, K, mesh.free_dofs, order, coupling)
+    return FactorizedSPD(band, K, mesh.free_dofs, mesh.block_order)
 
 
 def assemble_traction(mesh, g):
@@ -300,24 +287,6 @@ def assemble_interface_linear(mesh, weights, component="normal", lumped=False):
     return mat.tocsr()
 
 
-def interface_nodal_jump_matrix(mesh, node_weights, nodes):
-    """Nodal (lumped) normal-jump quadratic form sum_n w_n [[u]]_2(n) [[v]]_2(n)
-    over the interface node indices ``nodes`` (e.g. the penetration set);
-    weights are per interface node.
-    """
-    idx = np.asarray(nodes)
-    if idx.size == 0:
-        return sp.csr_matrix((mesh.n_dofs, mesh.n_dofs))
-    w = np.asarray(node_weights, dtype=float)[idx]
-    p = 2 * mesh.iface_plus[idx] + 1
-    m = 2 * mesh.iface_minus[idx] + 1
-    rows = np.concatenate([p, m, p, m])
-    cols = np.concatenate([p, m, m, p])
-    vals = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
-
-
 def assemble_boundary_mass(mesh):
     """Consistent boundary mass over the observation edges, acting
     identically on both displacement components."""
@@ -354,41 +323,36 @@ class _Band(NamedTuple):
     ``lower[k, i]``, so row 0 holds diag(L)."""
 
     lower: np.ndarray
-    nnz: int     # stored entries: the band, and Y and C of a coupling
-
-
-def _lower_band(matrix):
-    """LAPACK lower band storage of a sparse symmetric matrix's lower
-    triangle, as high as the largest offset of a stored entry."""
-    low = sp.tril(matrix, format="coo")
-    offset = low.row - low.col
-    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
-    band[offset, low.col] = low.data
-    return band
+    nnz: int     # stored entries of the band
 
 
 class FactorizedSPD:
-    """Cholesky factor of an SPD matrix B + U D U^T, kept with the matrix:
-    B banded, U D U^T a PSD coupling of rank r.
+    """Band Cholesky factor of an SPD matrix B, kept with B, and the solves
+    of B + U D U^T for a low-rank coupling that ``couple`` sets.
 
     ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf`` in
     the order of the right-hand side or of its positions ``order``, where
-    B's entries lie near the diagonal. ``coupling`` is (plus, minus, d),
-    positions in the right-hand side and weights d > 0: U's column k is
-    e(plus_k) - e(minus_k), D = diag(d). With B = L L^T and Y = L^-1 U, a
-    solve is x = L^-T (I - Y C^-1 Y^T) L^-1 b, C = D^-1 + Y^T Y factored
-    densely (Woodbury; Hager, SIAM Review 31, 1989).
+    B's entries lie near the diagonal. A coupling is (plus, minus, d):
+    U's column k is e(plus_k) - e(minus_k), positions in the right-hand
+    side, with weight d_k > 0. With B = L L^T, Y = L^-1 U and
+    C = D^-1 + Y^T Y factored densely, a solve is x = L^-T (z - Y mu),
+    z = L^-1 b, mu = C^-1 Y^T z (Woodbury; Hager, SIAM Review 31, 1989).
+    A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
+    the pair shut, and mu_k is the reaction that keeps it shut. Such a
+    solve is the Galerkin merge's: the minus row's load moves onto the
+    plus row first, and the minus dof takes the plus dof's value after.
 
     ``matrix`` is B in sparse form, or, with ``rows``, a sparse matrix
     whose ``rows`` x ``rows`` block it is; each solve's backward error is
-    checked against it plus the coupling, max|A| taken over B and the
-    coupled diagonals (``BACKWARD_TOL``). A nonpositive pivot of B or C,
-    a negligible pivot of B (min diag(L)^2 <= 1e-12 max diag(L)^2, the
-    rank check; a NaN fails it too) and a failed check raise
-    ``NotPositiveDefinite``. ``lu`` holds the factor.
+    checked against it on every row, with d (x[plus] - x[minus]) on the
+    coupled rows, or mu for a shut pair, and max|A| taken over B and the
+    finite coupled diagonals (``BACKWARD_TOL``). A nonpositive pivot of B
+    or C, a negligible pivot of B (min diag(L)^2 <= 1e-12 max diag(L)^2,
+    the rank check; a NaN fails it too), a weight that is not > 0 and a
+    failed check raise ``NotPositiveDefinite``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, rows=None, order=None, coupling=None):
+    def __init__(self, band, matrix, rows=None, order=None):
         try:
             lower = cholesky_banded(band, lower=True, check_finite=False)
         except LinAlgError as exc:
@@ -398,41 +362,94 @@ class FactorizedSPD:
             raise NotPositiveDefinite("matrix numerically rank deficient")
         n = band.shape[1]
         self.band, self.matrix, self.rows = band, matrix, rows
-        self.coupling = coupling
         self.order = np.arange(n) if order is None else order
-        self.max_abs = max(band.max(), -band.min())
-        if coupling is not None:
-            plus, minus, d = coupling
-            if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
-                raise NotPositiveDefinite("coupling weights must be positive")
-            u = np.zeros((n, d.size))
-            u[plus, np.arange(d.size)] = 1.0
-            u[minus, np.arange(d.size)] = -1.0
-            u = u[self.order]
-            first = np.flatnonzero(u.any(axis=1))[0]   # L^-1 u is 0 above
-            self.y = np.zeros_like(u)
-            self.y[first:] = dtbtrs(lower[:, first:], u[first:], uplo="L")[0]
-            try:
-                self.c = cholesky(np.diag(1.0 / d) + self.y.T @ self.y,
-                                  lower=True, check_finite=False)
-            except LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from exc
-            b_diag = np.empty(n)
-            b_diag[self.order] = band[0]
-            self.max_abs = max(self.max_abs, (b_diag[plus] + d).max(),
-                               (b_diag[minus] + d).max())
-        coupled = 0 if coupling is None else self.y.size + self.c.size
-        self.lu = _Band(lower, lower.size + coupled)
+        self.position = np.empty(n, dtype=np.intp)
+        self.position[self.order] = np.arange(n)
+        self.band_max = max(band.max(), -band.min())
+        self.lu = _Band(lower, lower.size)
+        self.couple((), (), ())
+
+    @functools.cached_property
+    def block_end(self):
+        """Where L's diagonal blocks end: no entry of L joins the rows above
+        such an end to the rows below it, so L^-1 keeps a column in its
+        block. Worked out on the first coupling."""
+        lower = self.lu.lower
+        n = lower.shape[1]
+        depth = lower.shape[0] - 1 - np.argmax(lower[::-1] != 0.0, axis=0)
+        reach = np.maximum.accumulate(np.arange(n) + depth)
+        reach[-1] = n - 1
+        return np.flatnonzero(reach == np.arange(n)) + 1
+
+    def couple(self, plus, minus, weights):
+        """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
+        an empty one solves B alone."""
+        self.coupling = self.y = self.c = None   # let the old one go first
+        self.max_abs = self.band_max
+        d = np.asarray(weights, dtype=float)
+        if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
+            raise NotPositiveDefinite("coupling weights must be positive")
+        if d.size == 0:
+            return
+        y = self._trailing_solves(plus, minus)
+        try:
+            self.c = cholesky(np.diag(1.0 / d) + y.T @ y, lower=True,
+                              check_finite=False)
+        except LinAlgError as exc:
+            raise NotPositiveDefinite(str(exc)) from exc
+        self.y, self.coupling = y, (plus, minus, d)
+        self.shut = np.flatnonzero(np.isinf(d))
+        self.pen = np.flatnonzero(np.isfinite(d))
+        b_diag = self.band[0][self.position]
+        for side in (plus, minus):
+            self.max_abs = max(self.max_abs, (b_diag[side] + d)[self.pen].max(initial=0.0))
+
+    def _trailing_solves(self, plus, minus):
+        """Y = L^-1 U, row-major. In each diagonal block of L, a column of U
+        is solved from its first entry there to the block's end, and Y is
+        zero elsewhere; eight columns a solve, sorted by that first row."""
+        lower = self.lu.lower
+        r = plus.size
+        rows = self.position[np.concatenate([plus, minus])]
+        cols = np.tile(np.arange(r), 2)
+        vals = np.repeat([1.0, -1.0], r)
+        starts = np.r_[0, self.block_end]
+        y = np.zeros((lower.shape[1], r))
+        for block in np.unique(np.searchsorted(self.block_end, rows, side="right")):
+            end = self.block_end[block]
+            inside = (rows >= starts[block]) & (rows < end)
+            first = np.full(r, end)
+            np.minimum.at(first, cols[inside], rows[inside])
+            present = np.argsort(first, kind="stable")[:np.count_nonzero(first < end)]
+            for k in range(0, present.size, 8):
+                chunk = present[k:k + 8]
+                lo = first[chunk[0]]
+                slot = np.full(r, -1)
+                slot[chunk] = np.arange(chunk.size)
+                mine = inside & (slot[cols] >= 0)
+                rhs = np.zeros((end - lo, chunk.size), order="F")
+                rhs[rows[mine] - lo, slot[cols[mine]]] = vals[mine]
+                y[lo:end, chunk] = dtbtrs(lower[:, lo:end], rhs, uplo="L")[0]
+        return y
 
     def solve(self, rhs):
-        x = self._substitute(rhs)
-        res = self._apply(x) - rhs
-        if self.coupling is not None:
+        if self.coupling is None:
+            x, _ = self._substitute(rhs)
+            res = self._apply(x, None) - rhs
+        else:
+            plus, minus, _ = self.coupling
+            p, m = plus[self.shut], minus[self.shut]
+            rhs = rhs.copy()
+            rhs[p] += rhs[m]   # the merge's R^T b: zero stays exactly zero
+            rhs[m] = 0.0
+            x, mu = self._substitute(rhs)
             # the Woodbury update cancels in the coupled directions; one step
             # of iterative refinement restores the accuracy of a Cholesky
             # solve (Yip, SIAM J. Sci. Stat. Comput. 7, 1986)
-            x = x - self._substitute(res)
-            res = self._apply(x) - rhs
+            dx, dmu = self._substitute(self._apply(x, mu) - rhs)
+            x, mu = x - dx, mu - dmu
+            x[m] = x[p]
+            res = self._apply(x, mu) - rhs
         res = np.linalg.norm(res)
         scale = np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)
         if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
@@ -442,17 +459,20 @@ class FactorizedSPD:
         return x
 
     def _substitute(self, rhs):
-        """L^-T (I - Y C^-1 Y^T) L^-1 rhs, in the right-hand side's order."""
+        """x = L^-T (z - Y mu) and mu = C^-1 Y^T z, z = L^-1 rhs, in the
+        right-hand side's order."""
         z = dtbtrs(self.lu.lower, rhs[self.order], uplo="L")[0]
+        mu = None
         if self.coupling is not None:
-            z -= self.y @ cho_solve((self.c, True), self.y.T @ z,
-                                    check_finite=False)
+            mu = cho_solve((self.c, True), self.y.T @ z, check_finite=False)
+            z -= self.y @ mu
         x = np.empty_like(z)
         x[self.order] = dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0]
-        return x
+        return x, mu
 
-    def _apply(self, x):
-        """The factored matrix times x: ``matrix`` and the coupling."""
+    def _apply(self, x, mu):
+        """The factored matrix times x, ``matrix`` and the coupling, with
+        the reactions mu on the shut pairs."""
         if self.rows is None:
             ax = self.matrix @ x
         else:
@@ -463,35 +483,12 @@ class FactorizedSPD:
             ax = (self.matrix @ full)[self.rows]
         if self.coupling is not None:
             plus, minus, d = self.coupling
-            t = d * (x[plus] - x[minus])
+            t = mu.copy()
+            pen = self.pen
+            t[pen] = d[pen] * (x[plus[pen]] - x[minus[pen]])
             ax[plus] += t
             ax[minus] -= t
         return ax
-
-
-def merged_factor(matrix, free, slaves, masters):
-    """Factor of ``matrix`` on the ``free`` dofs (an index array,
-    ``mesh.free_dofs``), the ``slaves`` jump dofs merged shut onto their
-    ``masters``: the Galerkin system R^T A R, R mapping each kept free dof
-    to itself and each slave to its master. It keeps the order of
-    ``free``, so the band order of ``mesh.free_dofs`` reaches the factor;
-    a slave sits next to its master there, so merging keeps the band.
-
-    Returns (R, factor): R @ factor.solve(R.T @ b) solves for the
-    full-length load b, zero on the Dirichlet dofs.
-    """
-    n = matrix.shape[0]
-    rep = np.arange(n)
-    rep[slaves] = masters
-    keep = np.ones(n, dtype=bool)
-    keep[slaves] = False
-    kept = free[keep[free]]
-    col = np.full(n, -1)
-    col[kept] = np.arange(kept.size)
-    R = sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
-                      shape=(n, kept.size)).tocsr()
-    A = R.T @ matrix @ R
-    return R, FactorizedSPD(_lower_band(A), A)
 
 
 def field_gradients(mesh, values, tris=slice(None)):

@@ -14,14 +14,15 @@ differ only in the normal law:
 
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
 final state Newton matrix. Every linear solve goes through one method,
-``_InterfaceOperator.solve``, which keeps the factor of the current Newton
-matrix: a step that merges jump dofs factors R^T A R
-(``fem.merged_factor``), an unmerged step factors the two subdomains
-apart, its closed pairs coupling them, with no sparse K + J
-(``fem.subdomain_factor``). The factor is keyed on the ``(closed, stick)``
-pair of normal and stick sets, so a Newton step that changes only the load
-(slip signs, cohesion indicator) solves with the previous step's factor,
-and the adjoint with the state's when its last step merged nothing.
+``_InterfaceOperator.solve``. The operator factors K once per mesh, one
+band per subdomain (``fem.subdomain_factor``); each Newton matrix is that
+factor with a low-rank coupling on the interface pairs: the w/eps jump mass
+of the closed pairs for a penalty, and the contact-closed and sticking
+pairs merged shut. No sparse K + J and no second factor is built. The
+coupling is keyed on the ``(closed, stick)`` pair of normal and stick sets
+and eps, so a Newton step that changes only the load (slip signs,
+cohesion indicator) solves with the previous step's coupling, and the
+adjoint with the state's when its last step merged nothing.
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -71,7 +72,8 @@ class ActiveSet:
 
 class _InterfaceOperator:
     """Shared assembly context for one (mesh, laws, elast, g) quadruple,
-    and the owner of the current Newton matrix's factor."""
+    and the owner of the mesh's factor and the current Newton matrix's
+    coupling on it."""
 
     def __init__(self, mesh, laws, elast, g):
         self.mesh = mesh
@@ -94,7 +96,10 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        self._key = self._solve = None
+        self.position = np.full(mesh.n_dofs, -1)
+        self.position[mesh.free_dofs] = np.arange(mesh.free_dofs.size)
+        self.factor = fem.subdomain_factor(mesh, self.K)
+        self._key = None
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
@@ -116,38 +121,25 @@ class _InterfaceOperator:
         sticking nodes ``stick`` for the full-length load ``rhs``; the
         solution is zero on the Dirichlet dofs.
 
-        The sticking nodes' x1 jump dofs are merged shut, and in contact
-        (``eps`` None) so are the closed pairs' x2 dofs; the matrix is K
-        plus, for a penalty ``eps``, the w/eps jump mass on ``closed``. A
-        merged matrix is factored as R^T A R, an unmerged one one subdomain
-        at a time with that mass as the coupling. The factor is kept while
+        The matrix is K, factored once per mesh, coupled on the closed
+        pairs' x2 dofs and the sticking pairs' x1 dofs: with the w/eps jump
+        mass for a penalty ``eps``, merged shut in contact (``eps`` None)
+        and for a sticking pair. The coupling is kept while
         ``(closed, stick, eps)`` repeat.
         """
         key = (closed.tobytes(), stick.tobytes(), eps)
         if key != self._key:
-            # let the old factor go first, so its memory serves the new one
-            self._solve = None
-            free = self.mesh.free_dofs
-            nodes = np.flatnonzero(closed)
-            weights = None if eps is None else self.w / eps
-            shut = closed if eps is None else np.zeros_like(closed)
-            slaves = np.concatenate([self.m2[shut], self.m1[stick]])
-            masters = np.concatenate([self.p2[shut], self.p1[stick]])
-            if slaves.size:
-                A = self.K if eps is None else self.K + \
-                    fem.interface_nodal_jump_matrix(self.mesh, weights, nodes)
-                R, factor = fem.merged_factor(A, free, slaves, masters)
-                self._solve = lambda f: R @ factor.solve(R.T @ f)
-            else:
-                factor = fem.subdomain_factor(self.mesh, self.K, weights, nodes)
-
-                def free_solve(f):
-                    x = np.zeros(f.size)
-                    x[free] = factor.solve(f[free])
-                    return x
-                self._solve = free_solve
+            normal = self.w[closed] / eps if eps is not None \
+                else np.full(np.count_nonzero(closed), np.inf)
+            self.factor.couple(
+                self.position[np.concatenate([self.p2[closed], self.p1[stick]])],
+                self.position[np.concatenate([self.m2[closed], self.m1[stick]])],
+                np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
             self._key = key
-        return self._solve(rhs)
+        free = self.mesh.free_dofs
+        x = np.zeros(rhs.size)
+        x[free] = self.factor.solve(rhs[free])
+        return x
 
     def friction_update(self, r, j1, sgn, flips):
         """Stick/slip transfer. sgn = 0 marks sticking nodes (zero slip is
@@ -247,7 +239,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
     A step's matrix is keyed on ``(closed, stick)``, stick being the
     interior nodes with ``sgn == 0``; the slip signs and the indicator
     reach only the load, so a step that repeats the previous step's key
-    solves with its factor (``_InterfaceOperator.solve``).
+    solves with its coupling (``_InterfaceOperator.solve``).
 
     Returns (values, closed, lam, report), with ``lam`` the contact
     multiplier estimate.
@@ -360,8 +352,8 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None):
     active sets with the ``configuration`` of an earlier report on a mesh
     with the same interface nodes (the previous identification iterate, or
     the base state of a finite-difference probe). Returns the state, the
-    ``SolveReport`` and the operator, which keeps the factor of the final
-    Newton matrix for ``solve_adjoint``.
+    ``SolveReport`` and the operator, which keeps the mesh's factor and the
+    final Newton matrix's coupling for ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g)
     values, _, _, report = _active_set_solve(op, eps, max_outer, start)
@@ -375,7 +367,8 @@ def solve_adjoint(op, u_eps, z_obs, eps):
     of ``u_eps`` (beta' of the state jump, exact for the discrete law),
     unmerged: with the discrete laws the friction/cohesion second
     derivatives vanish so no tangential coupling remains. ``op`` solves it
-    with the state's factor when the state's last step merged nothing.
+    on the mesh's factor, with the state's coupling when the state's last
+    step merged nothing.
     ``z_obs`` is a full-length dof vector holding the measurement trace on
     the observation nodes. Returns the adjoint field.
     """

@@ -304,6 +304,49 @@ def full_band_solve(matrix, rhs):
     return cho_solve_banded((lower, True), rhs, check_finite=False)
 
 
+def interface_nodal_jump_matrix(mesh, node_weights, nodes):
+    """Nodal (lumped) normal-jump quadratic form sum_n w_n [[u]]_2(n) [[v]]_2(n)
+    over the interface node indices ``nodes``, as a sparse matrix; weights
+    are per interface node."""
+    import scipy.sparse as sp
+
+    idx = np.asarray(nodes, dtype=np.int64)
+    w = np.asarray(node_weights, dtype=float)[idx]
+    p = 2 * mesh.iface_plus[idx] + 1
+    m = 2 * mesh.iface_minus[idx] + 1
+    rows = np.concatenate([p, m, p, m])
+    cols = np.concatenate([p, m, m, p])
+    vals = np.concatenate([w, w, -w, -w])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+
+
+def merge_map(n, free, slaves, masters):
+    """R of the Galerkin merge on the ``free`` dofs of n: R maps each kept
+    free dof to itself and each of the ``slaves`` to its master. Returns
+    (R, kept), the kept dofs in the order of ``free``, one per column."""
+    import scipy.sparse as sp
+
+    rep = np.arange(n)
+    rep[slaves] = masters
+    keep = np.ones(n, dtype=bool)
+    keep[slaves] = False
+    kept = free[keep[free]]
+    col = np.full(n, -1)
+    col[kept] = np.arange(kept.size)
+    return sp.coo_matrix((np.ones(free.size), (free, col[rep[free]])),
+                         shape=(n, kept.size)).tocsr(), kept
+
+
+def merged_solve(matrix, rhs, free, slaves, masters):
+    """Solve ``matrix`` on the ``free`` dofs with the ``slaves`` merged shut
+    onto their ``masters``: R^T A R y = R^T b (``merge_map``), through
+    ``tril_band`` and the band Cholesky in the order of ``free``. Returns
+    the full-length R y, zero off ``free``."""
+    R, _ = merge_map(matrix.shape[0], free, slaves, masters)
+    return R @ full_band_solve(R.T @ matrix @ R, R.T @ rhs)
+
+
 def loop_aggregate(mesh, s, field):
     """Hat-weighted edge-length average of a fine pair-edge field at the
     coarse nodes ``s``, the hat of each node rebuilt on its own."""

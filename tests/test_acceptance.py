@@ -209,9 +209,8 @@ def test_criterion_6_property_suites(contact_measurement):
     sym_ok = abs(K - K.T).max() < 1e-12 * abs(K).max()
     wk = np.linalg.eigvalsh(K.toarray())
     kernel_ok = int(np.count_nonzero(wk < 1e-9 * wk.max())) == 6
-    none = np.zeros(0, dtype=np.int64)
-    _, red = fem.merged_factor(K, tiny.free_dofs, none, none)
-    spd_ok = np.linalg.eigvalsh(red.matrix.toarray()).min() > 0.0
+    red = fem.subdomain_factor(tiny, K)
+    spd_ok = np.linalg.eigvalsh(red.matrix[red.rows][:, red.rows].toarray()).min() > 0.0
 
     # patch test
     mesh = build_mesh(constant_graph(0.25), 0.0625)
@@ -230,8 +229,10 @@ def test_criterion_6_property_suites(contact_measurement):
     free = fem.free_mask(mesh)
     rhs, lift = oracles.dirichlet_lift(Kp, fem.assemble_traction(mesh, g_patch),
                                        free, u_exact)
-    R, factor = fem.merged_factor(Kp, mesh.free_dofs, none, none)
-    x = R @ factor.solve(R.T @ rhs)
+    Kp_free = Kp[mesh.free_dofs][:, mesh.free_dofs]
+    x = np.zeros(mesh.n_dofs)
+    x[mesh.free_dofs] = fem.FactorizedSPD(oracles.tril_band(Kp_free), Kp_free).solve(
+        rhs[mesh.free_dofs])
     patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8
 

@@ -264,6 +264,28 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps", ["1e-200", "1e-300", "1e-310"])
+@pytest.mark.parametrize("command", ["identify", "gradient-check", "laws-check"])
+def test_tiny_eps_exit_2(tmp_path, capsys, command, eps):
+    # below 2^-52 h_identify / E_Y the penalty mass w/eps swamps the
+    # stiffness in double precision; the config check names eps, before any
+    # overflow can warn
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("[penalty]\neps = %s\n[geometry]\nh_measure = 0.05\n"
+                   "[algorithm]\nn_max = 3\n" % eps)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "identify":
+        mpath = tmp_path / "measurement.txt"
+        mpath.write_text(measurement_text())
+        args += ["--measurement", str(mpath)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning would be a second line
+        rc = run(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: eps = %s " % eps)
+
+
 def test_out_naming_a_file_exit_2(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from crackid import fem
 from crackid.driver import ExperimentConfig
@@ -29,15 +30,38 @@ MESHES = {
 
 def factor_of(A):
     """Band Cholesky of a sparse SPD matrix, checked against it."""
-    return fem.FactorizedSPD(fem._lower_band(A), A)
+    return fem.FactorizedSPD(oracles.tril_band(A), A)
 
 
-def merged_solve(matrix, rhs, free, slaves=(), masters=()):
-    """Solution of ``fem.merged_factor``'s system for the full-length
-    ``rhs``, and the factor."""
-    R, factor = fem.merged_factor(matrix, free, np.asarray(slaves, dtype=np.int64),
-                                  np.asarray(masters, dtype=np.int64))
-    return R @ factor.solve(R.T @ rhs), factor
+def free_solve(matrix, rhs, free):
+    """Solution of the ``free`` x ``free`` block of ``matrix`` for the
+    full-length ``rhs``, zero off ``free``, and the factor."""
+    factor = factor_of(matrix[free][:, free])
+    x = np.zeros(rhs.size)
+    x[free] = factor.solve(rhs[free])
+    return x, factor
+
+
+def pair_dofs(mesh, normal, stick):
+    """Full-length plus and minus dofs of the x2 pairs of the interface
+    nodes ``normal``, then of the x1 pairs of ``stick``."""
+    normal = np.asarray(normal, dtype=np.int64)
+    stick = np.asarray(stick, dtype=np.int64)
+    plus = np.concatenate([2 * mesh.iface_plus[normal] + 1, 2 * mesh.iface_plus[stick]])
+    minus = np.concatenate([2 * mesh.iface_minus[normal] + 1, 2 * mesh.iface_minus[stick]])
+    return plus, minus
+
+
+def couple(factor, mesh, normal, weights, stick=()):
+    """Couple ``fem.subdomain_factor``'s factor on the x2 pairs of
+    ``normal`` with ``weights`` (inf merges a pair shut) and merge the x1
+    pairs of ``stick`` shut."""
+    pos = np.full(mesh.n_dofs, -1)
+    pos[mesh.free_dofs] = np.arange(mesh.free_dofs.size)
+    plus, minus = pair_dofs(mesh, normal, stick)
+    factor.couple(pos[plus], pos[minus],
+                  np.concatenate([weights, np.full(len(stick), np.inf)]))
+    return factor
 
 
 def small_mesh(h=0.125, **kw):
@@ -286,8 +310,8 @@ class TestSolve:
         mesh = tiny_mesh()
         n_free = mesh.n_dofs - 2 * mesh.dirichlet_vertices.size
         free = mesh.free_dofs
-        x, factor = merged_solve(sp.identity(mesh.n_dofs, format="csr"),
-                                 np.ones(mesh.n_dofs), free)
+        x, factor = free_solve(sp.identity(mesh.n_dofs, format="csr"),
+                               np.ones(mesh.n_dofs), free)
         assert np.allclose(x[free], 1.0)
         assert np.all(x[2 * mesh.dirichlet_vertices] == 0.0)
         assert factor.matrix.shape[0] == n_free
@@ -298,7 +322,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         f = rng.standard_normal(mesh.n_dofs)
         free = mesh.free_dofs
-        x, factor = merged_solve(K, f, free)
+        x, factor = free_solve(K, f, free)
         xd = np.linalg.solve(factor.matrix.toarray(), f[free])
         assert np.linalg.norm(x[free] - xd) < 1e-10 * np.linalg.norm(xd)
 
@@ -308,7 +332,7 @@ class TestSolve:
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
         free = mesh.free_dofs
-        x, factor = merged_solve(K, f, free)
+        x, factor = free_solve(K, f, free)
         r = factor.matrix @ x[free] - f[free]
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(f[free])
 
@@ -327,7 +351,7 @@ class TestSolve:
         f = fem.assemble_traction(
             mesh, lambda x, y: (0.0 * x, np.full_like(x, ELAST.mu_L)))
         free = mesh.free_dofs
-        _, factor = merged_solve(K, f, free)
+        _, factor = free_solve(K, f, free)
         factor.matrix = 2.0 * factor.matrix
         with pytest.raises(NotPositiveDefinite):
             factor.solve(f[free])
@@ -337,8 +361,8 @@ class TestSolve:
         K = fem.assemble_stiffness(mesh, ELAST)
         f = fem.assemble_traction(mesh, lambda x, y: (0.0 * x, 4.0 * y - 1.0))
         free = mesh.free_dofs
-        x1, _ = merged_solve(K, f, free)
-        x2, _ = merged_solve(K, f, free)
+        x1, _ = free_solve(K, f, free)
+        x2, _ = free_solve(K, f, free)
         assert np.array_equal(x1, x2)
 
 
@@ -377,9 +401,9 @@ def closed_nodes(mesh, closed):
 
 
 class TestFreeBand:
-    """The factor of an unmerged Newton step: K's free block in block
-    order, filled from the cached stiffness pattern and factored as one
-    band per subdomain, with the closed pairs' jump mass as a coupling."""
+    """The one band factor of a mesh: K's free block in block order,
+    filled from the cached stiffness pattern and factored as one band per
+    subdomain, with the closed pairs' jump mass as a coupling."""
 
     # each mesh, and whether no entry of its stiffness sums to exactly zero
     MESH_CASES = [("flat", False), ("perturbed", True), ("kinked", False)]
@@ -389,7 +413,8 @@ class TestFreeBand:
         K = fem.assemble_stiffness(mesh, ELAST)
         weights = mesh.interface_nodal_weights() / 1e-8
         nodes = closed_nodes(mesh, closed)
-        return mesh, K, weights, nodes, fem.subdomain_factor(mesh, K, weights, nodes)
+        factor = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
+        return mesh, K, weights, nodes, factor
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
@@ -413,15 +438,16 @@ class TestFreeBand:
             assert not factor.band[kd + 1:, cols].any()
             ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
             assert np.array_equal(factor.lu.lower[:kd + 1, cols], ref_lower)
-        coupling = 0 if nodes.size == 0 else nodes.size * (free.size + nodes.size)
-        assert factor.lu.nnz == factor.band.size + coupling
+        # the factor finds where the blocks end; its size counts the band only
+        assert np.array_equal(factor.block_end, [blocks[0].size, free.size])
+        assert factor.lu.nnz == factor.band.size
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
     def test_solve_matches_the_full_band_route(self, name, nonzero, closed):
         mesh, K, weights, nodes, factor = self.factor(name, closed)
         free = mesh.free_dofs
-        A = (K + fem.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
+        A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
         rhs = np.random.default_rng(8).standard_normal(free.size)
         ref = oracles.full_band_solve(A, rhs)
         x = factor.solve(rhs)
@@ -436,16 +462,16 @@ class TestFreeBand:
         dof = mesh.free_dofs[mesh.block_order[0 if block == 0 else -1]]
         K[dof, dof] = -K[dof, dof]
         with pytest.raises(NotPositiveDefinite, match="not positive definite"):
-            fem.subdomain_factor(mesh, K, mesh.interface_nodal_weights() / 1e-8,
-                                 closed_nodes(mesh, "all"))
+            fem.subdomain_factor(mesh, K)
 
     def test_nonpositive_coupling_rejected(self):
         # K - J is indefinite although C = D^-1 + Y^T Y may factor
         mesh = build_mesh(*MESHES["perturbed"])
         K = fem.assemble_stiffness(mesh, ELAST)
+        nodes = closed_nodes(mesh, "all")
+        factor = fem.subdomain_factor(mesh, K)
         with pytest.raises(NotPositiveDefinite, match="coupling"):
-            fem.subdomain_factor(mesh, K, -mesh.interface_nodal_weights() / 1e-8,
-                                 closed_nodes(mesh, "all"))
+            couple(factor, mesh, nodes, -mesh.interface_nodal_weights()[nodes] / 1e-8)
 
     def test_sign_flipped_coupling_fails_the_backward_error_check(self):
         # the check applies the coupling: against K - J, the solve of K + J fails
@@ -465,16 +491,13 @@ class TestFreeBand:
         # contact load its one refinement step brings the normwise backward
         # error against the whole (K + J) free block down 50x or more
         cfg = ExperimentConfig()
-        if name == "identify":
-            mesh = build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
-        else:
-            mesh = build_mesh(*MESHES[name])
+        mesh = coupling_mesh(name)
         K = fem.assemble_stiffness(mesh, ELAST)
         weights = mesh.interface_nodal_weights() / eps
         nodes = closed_nodes(mesh, closed)
-        factor = fem.subdomain_factor(mesh, K, weights, nodes)
+        factor = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
         free = mesh.free_dofs
-        A = (K + fem.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
+        A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
         rhs = fem.assemble_traction(mesh, cfg.traction("contact"))[free]
         max_abs = abs(A).max()
 
@@ -483,16 +506,120 @@ class TestFreeBand:
                                                   + np.linalg.norm(rhs))
 
         refined = backward_error(factor.solve(rhs))
-        assert refined <= backward_error(factor._substitute(rhs)) / 3.0
+        assert refined <= backward_error(factor._substitute(rhs)[0]) / 3.0
+
+
+def coupling_mesh(name):
+    if name == "identify":
+        cfg = ExperimentConfig()
+        return build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
+    return build_mesh(*MESHES[name])
+
+
+# interface nodes coupled on x2 with a penalty (eps = 1e-8), merged shut on
+# x2 (contact), and merged shut on x1 (sticking), by case
+COUPLING_CASES = {
+    "every-other-sticking": lambda i: (i[:0], i[:0], i[::2]),
+    "contact-all-sticking": lambda i: (i[:0], i, i),
+    "penalty-and-sticking": lambda i: (i[::2], i[:0], i),
+}
+
+
+class TestCoupling:
+    """Penalty, contact and stick as one coupling on the mesh's band
+    factor: a merged pair is a zero of D^-1, and the solve is the merged
+    (R^T A R) system's."""
+
+    def coupled(self, name, case):
+        mesh = coupling_mesh(name)
+        K = fem.assemble_stiffness(mesh, ELAST)
+        penalty, shut, stick = COUPLING_CASES[case](
+            np.flatnonzero(mesh.interface_interior()))
+        weights = np.concatenate([mesh.interface_nodal_weights()[penalty] / 1e-8,
+                                  np.full(shut.size, np.inf)])
+        factor = couple(fem.subdomain_factor(mesh, K), mesh,
+                        np.concatenate([penalty, shut]), weights, stick)
+        A = K + oracles.interface_nodal_jump_matrix(
+            mesh, mesh.interface_nodal_weights() / 1e-8, penalty)
+        plus, minus = pair_dofs(mesh, shut, stick)
+        return mesh, A, factor, plus, minus
+
+    @staticmethod
+    def solve(mesh, factor, rhs):
+        x = np.zeros(mesh.n_dofs)
+        x[mesh.free_dofs] = factor.solve(rhs[mesh.free_dofs])
+        return x
+
+    @pytest.mark.parametrize("case", list(COUPLING_CASES))
+    @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
+    def test_constrained_solve_matches_the_merged_oracle(self, name, case):
+        mesh, A, factor, plus, minus = self.coupled(name, case)
+        rhs = np.random.default_rng(8).standard_normal(mesh.n_dofs)
+        ref = oracles.merged_solve(A, rhs, mesh.free_dofs, minus, plus)
+        x = self.solve(mesh, factor, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # every merged jump is exactly zero, as the merge makes it
+        assert np.array_equal(x[plus], x[minus])
+
+    @pytest.mark.parametrize("case", list(COUPLING_CASES))
+    def test_load_the_merge_cancels_gives_exact_zero(self, case):
+        # equal and opposite loads on the merged pairs: R^T b = 0, so x = 0
+        mesh, _, factor, plus, minus = self.coupled("perturbed", case)
+        rhs = np.zeros(mesh.n_dofs)
+        rhs[plus] = np.linspace(1.0, 2.0, plus.size)
+        rhs[minus] = -rhs[plus]
+        assert not np.any(self.solve(mesh, factor, rhs))
+
+    @pytest.mark.parametrize("case", list(COUPLING_CASES))
+    @pytest.mark.parametrize("name", ["perturbed", "identify"])
+    def test_block_solves_equal_one_solve_from_the_top(self, name, case):
+        # Y = L^-1 U solved per block from each column's first row equals,
+        # bit for bit, one solve of all of U from row 0; it is row-major
+        mesh, _, factor, _, _ = self.coupled(name, case)
+        plus, minus, d = factor.coupling
+        u = np.zeros((mesh.free_dofs.size, d.size))
+        u[plus, np.arange(d.size)] = 1.0
+        u[minus, np.arange(d.size)] = -1.0
+        ref = dtbtrs(factor.lu.lower, u[factor.order], uplo="L")[0]
+        assert np.array_equal(factor.y, ref)
+        assert factor.y.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", list(COUPLING_CASES))
+    @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
+    def test_refinement_step_cuts_the_constrained_backward_error(self, name, case):
+        # the merged system's normwise backward error, with the solution
+        # read on the kept dofs, on the contact load
+        mesh, A, factor, plus, minus = self.coupled(name, case)
+        R, kept = oracles.merge_map(mesh.n_dofs, mesh.free_dofs, minus, plus)
+        A_r = R.T @ A @ R
+        rhs = fem.assemble_traction(mesh, ExperimentConfig().traction("contact"))
+        b_r = R.T @ rhs
+        max_abs = abs(A_r).max()
+        free = mesh.free_dofs
+
+        def backward_error(x):
+            x_r = x[kept]
+            return np.linalg.norm(A_r @ x_r - b_r) / (max_abs * np.linalg.norm(x_r)
+                                                      + np.linalg.norm(b_r))
+
+        x0 = np.zeros(mesh.n_dofs)
+        folded = rhs.copy()
+        folded[plus] += folded[minus]
+        folded[minus] = 0.0
+        x0[free] = factor._substitute(folded[free])[0]
+        refined = backward_error(self.solve(mesh, factor, rhs))
+        unrefined = backward_error(x0)
+        # merged pairs alone add no large weight, so the solve starts at
+        # roundoff; the penalty's w/eps cancels, and the step cuts it 20x
+        assert refined <= unrefined / (3.0 if case == "penalty-and-sticking" else 1.0)
 
 
 class TestBandOrder:
     def test_half_bandwidth_on_the_identify_mesh(self, monkeypatch):
-        # each subdomain block of an unmerged step, with and without the
-        # coupling, and in column order the stick merge of the first state
-        # step and the all-contact merge of the first PDAS step
+        # the one band of the mesh, each subdomain block in block order; the
+        # all-contact, all-sticking coupling of a first PDAS step adds none
         cfg = ExperimentConfig()
-        mesh = build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
+        mesh = coupling_mesh("identify")
         K = fem.assemble_stiffness(mesh, ELAST)
         factored = []
         init = fem.FactorizedSPD.__init__
@@ -502,21 +629,14 @@ class TestBandOrder:
             init(self, band, *args)
 
         monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
-        interior = mesh.interface_interior()
-        plus, minus = mesh.iface_plus[interior], mesh.iface_minus[interior]
-        fem.subdomain_factor(mesh, K)
-        fem.subdomain_factor(mesh, K, mesh.interface_nodal_weights() / 1e-8,
-                             np.flatnonzero(interior))
-        f = np.ones(mesh.n_dofs)
-        merged_solve(K, f, mesh.free_dofs, 2 * minus, 2 * plus)
-        merged_solve(K, f, mesh.free_dofs,
-                         np.concatenate([2 * minus + 1, 2 * minus]),
-                         np.concatenate([2 * plus + 1, 2 * plus]))
+        interior = np.flatnonzero(mesh.interface_interior())
+        factor = fem.subdomain_factor(mesh, K)
+        couple(factor, mesh, interior, np.full(interior.size, np.inf), interior)
+        factor.solve(np.ones(mesh.free_dofs.size))
         per_column = mesh.n_vertices // (mesh.n_cols + 1)
-        assert len(factored) == 4
+        assert len(factored) == 1
         # a block column holds half the vertices of a mesh column
-        assert max(factored[:2]) <= per_column + 3, factored
-        assert max(factored[2:]) <= 2 * per_column + 4, factored
+        assert factored[0] <= per_column + 3, factored
 
 
 class TestPatchAndKorn:
@@ -542,7 +662,7 @@ class TestPatchAndKorn:
         f = fem.assemble_traction(mesh, g)
         free = fem.free_mask(mesh)
         rhs, lift = oracles.dirichlet_lift(Kp, f, free, u_exact)
-        x, _ = merged_solve(Kp, rhs, mesh.free_dofs)
+        x, _ = free_solve(Kp, rhs, mesh.free_dofs)
         x = x + lift
         scale = np.abs(u_exact).max()
         assert np.max(np.abs(x - u_exact)) < 1e-8 * scale
@@ -551,7 +671,7 @@ class TestPatchAndKorn:
         # Dirichlet-reduced stiffness is positive definite
         mesh = tiny_mesh()
         K = fem.assemble_stiffness(mesh, ELAST)
-        _, factor = merged_solve(K, np.zeros(mesh.n_dofs), mesh.free_dofs)
+        _, factor = free_solve(K, np.zeros(mesh.n_dofs), mesh.free_dofs)
         w = np.linalg.eigvalsh(factor.matrix.toarray())
         assert w.min() > 0.0
 

@@ -3,6 +3,7 @@ complementarity/consistency properties."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crackid import driver, fem, solvers
 from crackid.geometry import build_mesh, constant_graph
@@ -136,7 +137,7 @@ class TestPenaltyState:
 def jump_newton_matrix(st):
     """K plus the w/eps jump mass on the contact state's penetration set."""
     closed = st["report"].configuration[0]
-    return st["op"].K + fem.interface_nodal_jump_matrix(
+    return st["op"].K + oracles.interface_nodal_jump_matrix(
         st["mesh"], st["op"].w / st["cfg"].eps, np.flatnonzero(closed))
 
 
@@ -153,27 +154,34 @@ def counting_factorisations(monkeypatch):
     return made
 
 
+def counting_couplings(monkeypatch):
+    """Patch ``FactorizedSPD.couple`` to list the rank of each coupling it
+    sets, the empty one of a new factor included."""
+    ranks = []
+    couple = fem.FactorizedSPD.couple
+
+    def record(self, plus, minus, weights):
+        couple(self, plus, minus, weights)
+        ranks.append(len(weights))
+
+    monkeypatch.setattr(fem.FactorizedSPD, "couple", record)
+    return ranks
+
+
 class TestSolvePath:
     def test_empty_merge_is_the_dirichlet_selection(self):
-        # with nothing merged, the R^T A R product must be the plain
-        # free-dof selection, apart from the exact zeros K keeps in its
-        # pattern and the product drops
+        # with nothing coupled, the operator solves the plain free-dof
+        # selection K[free][:, free], zero on the Dirichlet dofs
         mesh = build_mesh(constant_graph(0.25), 0.05)
-        _, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
-        none = np.zeros(0, dtype=np.int64)
+        op = solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT)
+        none = np.zeros(op.interior.size, dtype=bool)
+        x = op.solve(op.F, none, none, 1e-8)
         free = mesh.free_dofs
-        _, factor = fem.merged_factor(op.K, free, none, none)
-        ref = op.K[free][:, free].tocsc()
-        assert ref.nnz > np.count_nonzero(ref.data)
-        ref.eliminate_zeros()
-        got = factor.matrix.tocsc()
-        # the band factor reads each entry by its position, not by where
-        # it is stored, so both are compared in canonical (sorted) order
-        ref.sort_indices()
-        got.sort_indices()
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
+        ref = oracles.full_band_solve(op.K[free][:, free], op.F[free])
+        assert np.linalg.norm(x[free] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert not x[2 * mesh.dirichlet_vertices].any()
+        assert not x[2 * mesh.dirichlet_vertices + 1].any()
+        assert op.factor.coupling is None
 
     def test_unmerged_residual_reads_k_alone(self, contact_state):
         # an unmerged penalty step forms r = f - K u, not f - (K + J) u: the
@@ -187,64 +195,92 @@ class TestSolvePath:
 
     def test_unmerged_steps_build_no_sparse_newton_matrix(self, monkeypatch,
                                                           contact_state):
-        # seeded with its converged sets, the state solve is one unmerged
-        # step; it factors K with the closed pairs coupled, and the adjoint
-        # solves with that factor
+        # seeded with its converged sets, the state solve is one step; it
+        # factors K once, couples the closed pairs on that factor without
+        # adding a sparse J to K, and the adjoint solves with that coupling
         st = contact_state
 
         def refuse(*args):
-            raise AssertionError("sparse K + J built for an unmerged step")
+            raise AssertionError("sparse K + J built")
 
-        monkeypatch.setattr(fem, "interface_nodal_jump_matrix", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "__add__", refuse)
         made = counting_factorisations(monkeypatch)
+        ranks = counting_couplings(monkeypatch)
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         assert rep.iterations == 1 and np.array_equal(u.values, st["u"].values)
         solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
-        assert len(made) == 1 and made[0].coupling is not None
+        closed = int(np.count_nonzero(st["report"].configuration[0]))
+        assert len(made) == 1 and ranks == [0, closed] and closed > 0
+
+    def test_cold_contact_state_and_adjoint_factor_once(self, monkeypatch,
+                                                        contact_state):
+        # every Newton step of the cold contact state, the stick-merged
+        # first ones included, and its adjoint couple onto one band factor
+        st = contact_state
+        factored = []
+        cholesky_banded = fem.cholesky_banded
+
+        def record(*args, **kwargs):
+            factored.append(args[0].shape)
+            return cholesky_banded(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "cholesky_banded", record)
+        ranks = counting_couplings(monkeypatch)
+        u, rep, op = solvers.solve_penalty_state(
+            st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps)
+        v = solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
+        assert len(factored) == 1
+        assert rep.iterations > 2 and len(ranks) > 2
+        assert np.array_equal(u.values, st["u"].values)
+        assert np.array_equal(v.values, st["v"].values)
 
     def test_adjoint_reuses_state_factor_bitwise(self, monkeypatch, contact_state):
         st = contact_state
         made = counting_factorisations(monkeypatch)
+        ranks = counting_couplings(monkeypatch)
         u, _, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         fresh_op = solvers._InterfaceOperator(st["mesh"], st["laws"],
                                               st["elast"], st["g"])
+        assert len(made) == 2 and len(ranks) == 3
         reused = solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
-        assert len(made) == 1
+        assert len(made) == 2 and len(ranks) == 3
         fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"], st["cfg"].eps)
-        assert len(made) == 2
+        assert len(made) == 2 and len(ranks) == 4
         assert np.array_equal(reused.values, fresh.values)
 
     def test_adjoint_at_another_eps_factors_its_own_matrix(self, monkeypatch):
-        # the kept factor is keyed on eps too: asked at another eps, the
-        # operator solves the matrix of that eps, as a fresh operator does
+        # the kept coupling is keyed on eps too: asked at another eps, the
+        # operator couples the jump mass of that eps, as a fresh operator does
         mesh = build_mesh(constant_graph(0.25), 0.05)
         u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
         assert rep.configuration[0].any()
         z = np.zeros(mesh.n_dofs)
-        made = counting_factorisations(monkeypatch)
+        ranks = counting_couplings(monkeypatch)
         solvers.solve_adjoint(op, u, z, 1e-8)
-        assert made == []
+        assert ranks == []
         kept = solvers.solve_adjoint(op, u, z, 1e-6)
         fresh = solvers.solve_adjoint(
             solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT), u, z, 1e-6)
-        assert len(made) == 2
+        assert len(ranks) == 3
         assert np.array_equal(kept.values, fresh.values)
 
     def test_sticking_state_returns_no_factor(self, monkeypatch):
         # at zero load the interior nodes away from the clamped ends stick,
-        # so the final Newton matrix is merged and leaves no factor the
-        # adjoint could reuse: the adjoint factors its own
+        # so the final Newton matrix merges their x1 pairs: the adjoint's
+        # unmerged matrix is another coupling on the same band factor
         mesh = build_mesh(constant_graph(0.25), 0.05)
         u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, ZERO_LOAD, 1e-8)
         slip = mesh.jump(u.values, 0)[mesh.interface_interior()]
         assert np.count_nonzero(slip == 0.0) > slip.size // 2
+        assert np.isinf(op.factor.coupling[2]).sum() == np.count_nonzero(slip == 0.0)
         made = counting_factorisations(monkeypatch)
+        ranks = counting_couplings(monkeypatch)
         solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs), 1e-8)
-        assert len(made) == 1
+        assert made == [] and len(ranks) == 1
 
 
 @pytest.fixture(scope="module")
@@ -259,40 +295,50 @@ def coarse_problems():
 
 
 class TestFactorReuse:
-    """A Newton step whose (closed, stick) sets repeat the previous step's
-    has the same matrix, so it solves with the kept factor."""
+    """Each mesh is factored once; a Newton step whose (closed, stick) sets
+    repeat the previous step's has the same matrix, so it solves with the
+    kept coupling."""
 
-    @pytest.mark.parametrize("load_case,factorisations",
-                             [("contact", 10), ("stretch", 8)])
-    def test_one_factorisation_per_distinct_matrix(self, monkeypatch,
-                                                   coarse_problems, load_case,
-                                                   factorisations):
-        # 12 Newton steps each; 2 (contact) and 4 (stretch) repeat the
-        # previous step's matrix and change only the slip-sign load
+    @pytest.mark.parametrize("load_case,couplings", [("contact", 10), ("stretch", 1)])
+    def test_one_factorisation_per_mesh(self, monkeypatch, coarse_problems,
+                                        load_case, couplings):
+        # 12 Newton steps on 7 meshes each. Contact couples 10 distinct
+        # matrices (each step's closed pairs, and the 21 sticking pairs of
+        # the first step); stretch only the first step's sticking pairs
         made = counting_factorisations(monkeypatch)
+        ranks = counting_couplings(monkeypatch)
         log = driver.identify(*coarse_problems[load_case])
         steps = sum(row["penalty_iters"] for row in log.rows)
         assert log.aborted is None and steps == 12
-        assert len(made) == factorisations < steps
+        assert len(made) == len(log.rows) == 7
+        assert np.count_nonzero(ranks) == couplings
 
     @pytest.mark.parametrize("load_case,reused", [("contact", 2), ("stretch", 4)])
     def test_kept_factor_solves_as_a_fresh_one(self, monkeypatch, coarse_problems,
                                                load_case, reused):
         cfg, meas = coarse_problems[load_case]
         plain = driver.identify(cfg, meas)
-        solve, adjoint = fem.FactorizedSPD.solve, solvers.solve_adjoint
+        solve, couple = fem.FactorizedSPD.solve, fem.FactorizedSPD.couple
+        adjoint = solvers.solve_adjoint
         solved = []
         state_reuses = [0]
         in_adjoint = [False]
 
+        def tagged_couple(self, *args):
+            couple(self, *args)
+            self.tag = object()   # each coupling set, the empty one included
+
         def refactor(self, rhs):
-            if any(self is seen for seen in solved):
-                # a factor solved with before is a kept one
+            if any(self.tag is seen for seen in solved):
+                # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
-                self = fem.FactorizedSPD(self.band, self.matrix, self.rows,
-                                         self.order, self.coupling)
+                fresh = fem.FactorizedSPD(self.band, self.matrix, self.rows,
+                                          self.order)
+                if self.coupling is not None:
+                    fresh.couple(*self.coupling)
+                self = fresh
             else:
-                solved.append(self)
+                solved.append(self.tag)
             return solve(self, rhs)
 
         def marked_adjoint(*args):
@@ -302,6 +348,7 @@ class TestFactorReuse:
             finally:
                 in_adjoint[0] = False
 
+        monkeypatch.setattr(fem.FactorizedSPD, "couple", tagged_couple)
         monkeypatch.setattr(fem.FactorizedSPD, "solve", refactor)
         monkeypatch.setattr(solvers, "solve_adjoint", marked_adjoint)
         fresh = driver.identify(cfg, meas)

@@ -15,7 +15,7 @@ FILES = {
         "0 0 0 0\n0.5 0 1.25e-05 -3.5e-06\n1 0 0 0\n",
     "i_contact/iterations.csv":
         "n,J,J_ratio,shape_error_ratio,pdas_na,penalty_iters,clamped\n"
-        "0,2.5e-09,1,1,9,3,0\n1,1.25e-09,0.5,0.75,9,1,0\n",
+        "0,2.5e-09,1,1,9,3,0\n1,1.25e-09,0.5,0.75,9,1,0\n2,1e-09,0.4,0.7,9,1,0\n",
     "i_contact/interface_n000.txt": "# interface v1\n0 0.25\n1 0.25\n",
     "i_contact/gradients.csv": "n,s_H,D3,Lambda2\n0,0.5,3.5,-0.001\n",
     "g/gradient_check.csv":
@@ -70,6 +70,19 @@ def test_a_change_beyond_its_bound_fails(tmp_path, rel, old, new):
     code, out = compare(tree(tmp_path / "p"), tree(tmp_path / "c", {rel: [(old, new)]}))
     assert code == 1, out
     assert "EXCEEDS" in out
+
+
+def test_the_row_of_the_largest_difference_is_named(tmp_path):
+    # a tail-only excursion shows where it is: J moves most at n = 2, the
+    # shape error ratio only at n = 1
+    edits = {"i_contact/iterations.csv": [
+        ("1.25e-09,0.5,0.75", "1.2500000001e-09,0.5,0.7500000001"),
+        ("1e-09,0.4", "1.0000000005e-09,0.4")]}
+    code, out = compare(tree(tmp_path / "p"), tree(tmp_path / "c", edits))
+    assert code == 0, out
+    line = next(l for l in out.splitlines() if l.startswith("i_contact/iterations.csv"))
+    assert "J 5.00e-10 at n=2 (<= 1e-09)" in line
+    assert "shape_error_ratio 1.33e-10 at n=1 (<= 1e-09)" in line
 
 
 def test_a_missing_file_fails(tmp_path):

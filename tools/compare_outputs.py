@@ -12,11 +12,13 @@ below them: ``measurement.txt``, ``iterations.csv``, ``gradients.csv``,
 kind, relative to the parent's value:
 
 - ``iterations.csv``: per row, J and shape_error_ratio within 1e-9, and
-  n, pdas_na, penalty_iters and clamped identical;
+  n, pdas_na, penalty_iters and clamped identical; the row of each
+  column's largest difference is named by its n;
 - ``measurement.txt``: header and points identical, the displacements
   within 1e-12 of the largest displacement;
 - ``gradient_check.csv``: s_H identical, analytic within 1e-9, fd_coarse
-  and fd_fine within 1e-5 (they divide the roundoff of J by the step);
+  and fd_fine within 1e-5 (they divide the roundoff of J by the step),
+  each largest difference named by its s_H;
 - ``interface_nNNN.txt`` and ``gradients.csv`` carry no bound: the loop
   feeds each iterate's roundoff into the next. Their largest difference
   relative to the largest entry is reported.
@@ -34,16 +36,18 @@ import numpy as np
 
 
 def entrywise(a, b):
-    """Largest |a - b| / |a| over the entries (0 where they are equal)."""
+    """Largest |a - b| / |a| over the entries (0 where they are equal), and
+    the row where it is."""
     diff = np.abs(a - b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.where(diff == 0.0, 0.0, diff / np.abs(a)).max(initial=0.0))
+        rel = np.where(diff == 0.0, 0.0, diff / np.abs(a))
+    return float(rel.max(initial=0.0)), int(np.argmax(rel)) if rel.size else None
 
 
 def normwise(a, b):
-    """max |a - b| / max |a|."""
+    """max |a - b| / max |a|, and no row."""
     diff = float(np.abs(a - b).max(initial=0.0))
-    return 0.0 if diff == 0.0 else diff / float(np.abs(a).max())
+    return (0.0 if diff == 0.0 else diff / float(np.abs(a).max())), None
 
 
 # file name: (columns that must be identical, [(columns, bound, measure)])
@@ -93,7 +97,7 @@ def compare(parent, change):
     col = {name: k for k, name in enumerate(names)}
     rule = RULES.get(os.path.basename(parent))
     if rule is None:
-        return True, "UNBOUND  max relative difference %.2e" % normwise(data_p, data_c)
+        return True, "UNBOUND  max relative difference %.2e" % normwise(data_p, data_c)[0]
     exact, bounds = rule
     ok = True
     notes = []
@@ -104,9 +108,12 @@ def compare(parent, change):
             notes.append("%s differs" % name)
     for names_b, bound, measure in bounds:
         for name in names_b:
-            got = measure(data_p[:, col[name]], data_c[:, col[name]])
+            got, row = measure(data_p[:, col[name]], data_c[:, col[name]])
             ok = ok and got <= bound
-            notes.append("%s %.2e (<= %.0e)" % (name, got, bound))
+            # the first identical column names the row
+            at = "" if row is None or got == 0.0 else \
+                " at %s=%g" % (exact[0], data_p[row, col[exact[0]]])
+            notes.append("%s %.2e%s (<= %.0e)" % (name, got, at, bound))
     return ok, ("WITHIN   " if ok else "EXCEEDS  ") + ", ".join(notes)
 
 
