@@ -33,7 +33,7 @@ TRUE_INTERFACES = {
 
 LOAD_SLOPES = {"contact": 7.0 / 4.0, "stretch": 5.0 / 4.0}
 
-BAND_BUDGET = 2 ** 30   # bytes of one band factor, 8 (kd + 1) n, per mesh
+BAND_BUDGET = 2 ** 30   # bytes of a mesh's band and widest Y, 8 n (kd + 1 + r)
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,14 @@ class ExperimentConfig:
                         ("h_identify", self.resolved_h_identify())):
             size = np.inf   # below h = 1e-100 the counts overflow a float
             if h > 1e-100:
+                # the band, and Y = L^-1 U of a first PDAS step, which
+                # couples every interior pair on x1 and x2
                 rows, n = band_shape(h)
-                size = 8.0 * rows * n
+                size = 8.0 * n * (rows + 2 * (grid_counts(h)[0] - 1))
             if size > BAND_BUDGET:
-                raise ConfigError("%s = %r needs a band factor of %.3g bytes, above "
-                                  "the %d MiB budget" % (name, h, size, BAND_BUDGET >> 20))
+                raise ConfigError("%s = %r needs %.3g bytes for its band factor and "
+                                  "coupling, above the %d MiB budget"
+                                  % (name, h, size, BAND_BUDGET >> 20))
         n_coarse = 1.0 / self.H
         # 1/H in [2, identify columns]: an interior node, a bounded coarse graph
         columns = grid_counts(self.resolved_h_identify())[0]
@@ -193,37 +196,30 @@ def synthesize_measurement(config):
     return meas, z, aset, report, mesh
 
 
-def write_measurement(path_or_fh, meas):
-    fh = path_or_fh if hasattr(path_or_fh, "write") else open(path_or_fh, "w")
-    try:
+def write_measurement(path, meas):
+    with open(path, "w") as fh:
         fh.write(MEASUREMENT_HEADER + "\n")
         fh.write("# h = %.17g\n" % meas.h)
         fh.write("# load_case = %s\n" % meas.load_case)
         for (x, y), (u1, u2) in zip(meas.points, meas.disp):
             fh.write("%.17g %.17g %.17g %.17g\n" % (x, y, u1, u2))
-    finally:
-        if fh is not path_or_fh:
-            fh.close()
 
 
-def read_measurement(path_or_fh):
+def read_measurement(path):
     """Read a measurement v1 file; a malformed one raises ConfigError."""
-    fh = path_or_fh if hasattr(path_or_fh, "read") else open(path_or_fh)
-    try:
-        header = fh.readline().strip()
-        if header != MEASUREMENT_HEADER:
-            raise ConfigError("not a measurement v1 file: %r" % header)
-        h = float(fh.readline().split("=")[1])
-        load_case = fh.readline().split("=")[1].strip()
-        with warnings.catch_warnings():
-            # a file without rows gets a warning from loadtxt, not an error
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(fh, ndmin=2)
-    except (IndexError, ValueError, UserWarning) as exc:
-        raise ConfigError("malformed measurement: %s" % exc) from exc
-    finally:
-        if fh is not path_or_fh:
-            fh.close()
+    with open(path) as fh:
+        try:
+            header = fh.readline().strip()
+            if header != MEASUREMENT_HEADER:
+                raise ConfigError("not a measurement v1 file: %r" % header)
+            h = float(fh.readline().split("=")[1])
+            load_case = fh.readline().split("=")[1].strip()
+            with warnings.catch_warnings():
+                # a file without rows gets a warning from loadtxt, not an error
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(fh, ndmin=2)
+        except (IndexError, ValueError, UserWarning) as exc:
+            raise ConfigError("malformed measurement: %s" % exc) from exc
     if not (np.isfinite(h) and h > 0.0):
         raise ConfigError("measurement h must be finite and > 0, got %r" % h)
     if load_case not in LOAD_SLOPES:

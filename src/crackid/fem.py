@@ -13,13 +13,14 @@ are eliminated by row/column removal, so every free block stays symmetric
 positive definite. ``FactorizedSPD`` factors K's free block by a band
 Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981), once per mesh
-(``subdomain_factor``): filled straight from the cached pattern in block
-order, the block is block diagonal with half the column order's
-bandwidth. Every Newton matrix of the mesh is that K plus a low-rank
-coupling on interface jump dofs, which the factor solves through the
-Woodbury identity: a penalty's jump mass, or a pair merged shut as the
-infinite-weight limit. The factor checks definiteness and rank when it
-factors and the backward error of every solve.
+(``subdomain_factor``), filled straight from the cached pattern. Its rows
+are the mesh's free dofs in their one order, the lower subdomain first,
+so the block is block diagonal, one band per subdomain. Every Newton
+matrix of the mesh is that K plus a low-rank coupling on interface jump
+dofs, which the factor solves through the Woodbury identity: a penalty's
+jump mass, or a pair merged shut as the infinite-weight limit. The factor
+checks definiteness and rank when it factors and the backward error of
+every solve.
 """
 
 import functools
@@ -173,23 +174,20 @@ def _stiffness_pattern(topology, n_dofs):
 @functools.lru_cache(maxsize=8)
 def _pattern_band_slots(topology, n_dofs):
     """Where each entry of a topology's stiffness pattern goes in the lower
-    band storage of its free block, the free dofs in block order
-    (``topology.block_order``).
+    band storage of its free block, rows in the order of
+    ``topology.free_dofs``.
 
     Returns (src, slot, kd): the entries of the block's lower triangle,
     their flat index offset * n_free + column in a (kd + 1, n_free) band
     array, and kd, the largest offset among them.
     """
     indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
-    free = topology.free_dofs[topology.block_order]
-    pos = np.full(n_dofs, -1)
-    pos[free] = np.arange(free.size)
-    row = pos[np.repeat(np.arange(n_dofs), np.diff(indptr))]
-    col = pos[indices]
+    row = topology.free_row[np.repeat(np.arange(n_dofs), np.diff(indptr))]
+    col = topology.free_row[indices]
     offset = row - col
     src = np.flatnonzero((col >= 0) & (row >= 0) & (offset >= 0))
     offset = offset[src]
-    slot = offset * free.size + col[src]
+    slot = offset * topology.free_dofs.size + col[src]
     for arr in (src, slot):
         arr.setflags(write=False)
     return src, slot, int(offset.max(initial=0))
@@ -215,14 +213,14 @@ def subdomain_factor(mesh, K):
     """``FactorizedSPD`` of the free block of K, the mesh's
     ``assemble_stiffness``: the one band factor of the mesh.
 
-    No entry of K joins the two subdomains, so in ``mesh.block_order`` its
-    free block is block diagonal with half the column order's bandwidth.
-    The band is filled from the cached pattern.
+    No entry of K joins the two subdomains, so in the order of
+    ``mesh.free_dofs`` its free block is block diagonal, one band per
+    subdomain. The band is filled from the cached pattern.
     """
     src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
-    band = np.zeros((kd + 1, mesh.block_order.size))
+    band = np.zeros((kd + 1, mesh.free_dofs.size))
     band.reshape(-1)[slot] = K.data[src]
-    return FactorizedSPD(band, K, mesh.free_dofs, mesh.block_order)
+    return FactorizedSPD(band, K, mesh.free_dofs)
 
 
 def assemble_traction(mesh, g):
@@ -245,46 +243,6 @@ def assemble_traction(mesh, g):
             np.add.at(f, 2 * edges[:, 0] + comp, w * gv * (1.0 - t))
             np.add.at(f, 2 * edges[:, 1] + comp, w * gv * t)
     return f
-
-
-def assemble_interface_linear(mesh, weights, component="normal", lumped=False):
-    """Jump-mass matrix over the interface pairs.
-
-    For matched P1 traces the quadratic form is
-      sum_pairs w_e * int_e [[u]]_c [[v]]_c dS,
-    with the 1D edge mass matrix (consistent by default, trapezoid-lumped
-    when ``lumped``). ``component`` selects the jump component: "normal"
-    couples the x2 dofs, "tangent" the x1 dofs.
-    """
-    comp = {"normal": 1, "tangent": 0}[component]
-    w = np.broadcast_to(np.asarray(weights, dtype=float), mesh.pair_lengths.shape)
-    L = mesh.pair_lengths
-    if lumped:
-        m11 = m22 = 0.5 * L * w
-        m12 = np.zeros_like(L)
-    else:
-        m11 = m22 = L * w / 3.0
-        m12 = L * w / 6.0
-    pa = 2 * mesh.pair_plus[:, 0] + comp
-    pb = 2 * mesh.pair_plus[:, 1] + comp
-    ma = 2 * mesh.pair_minus[:, 0] + comp
-    mb = 2 * mesh.pair_minus[:, 1] + comp
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # signed pattern (+plus, -minus) x (+plus, -minus)
-    add(pa, pa, m11); add(pb, pb, m22); add(pa, pb, m12); add(pb, pa, m12)
-    add(ma, ma, m11); add(mb, mb, m22); add(ma, mb, m12); add(mb, ma, m12)
-    add(pa, ma, -m11); add(pb, mb, -m22); add(pa, mb, -m12); add(pb, ma, -m12)
-    add(ma, pa, -m11); add(mb, pb, -m22); add(ma, pb, -m12); add(mb, pa, -m12)
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(mesh.n_dofs, mesh.n_dofs))
-    return mat.tocsr()
 
 
 def assemble_boundary_mass(mesh):
@@ -311,13 +269,6 @@ def assemble_boundary_mass(mesh):
 # Dirichlet elimination and solving
 # ----------------------------------------------------------------------
 
-def free_mask(mesh):
-    """Boolean mask of the dofs the Dirichlet condition leaves free."""
-    mask = np.zeros(mesh.n_dofs, dtype=bool)
-    mask[mesh.free_dofs] = True
-    return mask
-
-
 class _Band(NamedTuple):
     """LAPACK lower band storage of a Cholesky factor: L[i + k, i] is
     ``lower[k, i]``, so row 0 holds diag(L)."""
@@ -330,29 +281,29 @@ class FactorizedSPD:
     """Band Cholesky factor of an SPD matrix B, kept with B, and the solves
     of B + U D U^T for a low-rank coupling that ``couple`` sets.
 
-    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf`` in
-    the order of the right-hand side or of its positions ``order``, where
-    B's entries lie near the diagonal. A coupling is (plus, minus, d):
-    U's column k is e(plus_k) - e(minus_k), positions in the right-hand
-    side, with weight d_k > 0. With B = L L^T, Y = L^-1 U and
-    C = D^-1 + Y^T Y factored densely, a solve is x = L^-T (z - Y mu),
-    z = L^-1 b, mu = C^-1 Y^T z (Woodbury; Hager, SIAM Review 31, 1989).
+    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf``; a
+    solve takes and returns vectors in the order of B's rows. A coupling
+    is (plus, minus, d): U's column k is e(plus_k) - e(minus_k), plus_k
+    and minus_k rows of B, with weight d_k > 0. With B = L L^T,
+    Y = L^-1 U and C = D^-1 + Y^T Y factored densely, a solve is
+    x = L^-T (z - Y mu), z = L^-1 b, mu = C^-1 Y^T z (Woodbury; Hager,
+    SIAM Review 31, 1989).
     A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
     the pair shut, and mu_k is the reaction that keeps it shut. Such a
     solve is the Galerkin merge's: the minus row's load moves onto the
     plus row first, and the minus dof takes the plus dof's value after.
 
-    ``matrix`` is B in sparse form, or, with ``rows``, a sparse matrix
-    whose ``rows`` x ``rows`` block it is; each solve's backward error is
-    checked against it on every row, with d (x[plus] - x[minus]) on the
-    coupled rows, or mu for a shut pair, and max|A| taken over B and the
-    finite coupled diagonals (``BACKWARD_TOL``). A nonpositive pivot of B
+    ``matrix`` is a sparse matrix whose ``rows`` x ``rows`` block is B;
+    each solve's backward error is checked against it on every row, with
+    d (x[plus] - x[minus]) on the coupled rows, or mu for a shut pair, and
+    max|A| taken over B and the finite coupled diagonals
+    (``BACKWARD_TOL``). A nonpositive pivot of B
     or C, a negligible pivot of B (min diag(L)^2 <= 1e-12 max diag(L)^2,
     the rank check; a NaN fails it too), a weight that is not > 0 and a
     failed check raise ``NotPositiveDefinite``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, rows=None, order=None):
+    def __init__(self, band, matrix, rows):
         try:
             lower = cholesky_banded(band, lower=True, check_finite=False)
         except LinAlgError as exc:
@@ -360,11 +311,7 @@ class FactorizedSPD:
         diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
-        n = band.shape[1]
         self.band, self.matrix, self.rows = band, matrix, rows
-        self.order = np.arange(n) if order is None else order
-        self.position = np.empty(n, dtype=np.intp)
-        self.position[self.order] = np.arange(n)
         self.band_max = max(band.max(), -band.min())
         self.lu = _Band(lower, lower.size)
         self.couple((), (), ())
@@ -400,9 +347,9 @@ class FactorizedSPD:
         self.y, self.coupling = y, (plus, minus, d)
         self.shut = np.flatnonzero(np.isinf(d))
         self.pen = np.flatnonzero(np.isfinite(d))
-        b_diag = self.band[0][self.position]
         for side in (plus, minus):
-            self.max_abs = max(self.max_abs, (b_diag[side] + d)[self.pen].max(initial=0.0))
+            self.max_abs = max(self.max_abs,
+                               (self.band[0][side] + d)[self.pen].max(initial=0.0))
 
     def _trailing_solves(self, plus, minus):
         """Y = L^-1 U, row-major. In each diagonal block of L, a column of U
@@ -410,7 +357,7 @@ class FactorizedSPD:
         zero elsewhere; eight columns a solve, sorted by that first row."""
         lower = self.lu.lower
         r = plus.size
-        rows = self.position[np.concatenate([plus, minus])]
+        rows = np.concatenate([plus, minus])
         cols = np.tile(np.arange(r), 2)
         vals = np.repeat([1.0, -1.0], r)
         starts = np.r_[0, self.block_end]
@@ -459,28 +406,22 @@ class FactorizedSPD:
         return x
 
     def _substitute(self, rhs):
-        """x = L^-T (z - Y mu) and mu = C^-1 Y^T z, z = L^-1 rhs, in the
-        right-hand side's order."""
-        z = dtbtrs(self.lu.lower, rhs[self.order], uplo="L")[0]
+        """x = L^-T (z - Y mu) and mu = C^-1 Y^T z, z = L^-1 rhs."""
+        z = dtbtrs(self.lu.lower, rhs, uplo="L")[0]
         mu = None
         if self.coupling is not None:
             mu = cho_solve((self.c, True), self.y.T @ z, check_finite=False)
             z -= self.y @ mu
-        x = np.empty_like(z)
-        x[self.order] = dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0]
-        return x, mu
+        return dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0], mu
 
     def _apply(self, x, mu):
         """The factored matrix times x, ``matrix`` and the coupling, with
         the reactions mu on the shut pairs."""
-        if self.rows is None:
-            ax = self.matrix @ x
-        else:
-            # the columns off ``rows`` meet zeros of the embedded x, and a
-            # zero product leaves a row sum's bits as they are
-            full = np.zeros(self.matrix.shape[1])
-            full[self.rows] = x
-            ax = (self.matrix @ full)[self.rows]
+        # the columns off ``rows`` meet zeros of the embedded x, and a zero
+        # product leaves a row sum's bits as they are
+        full = np.zeros(self.matrix.shape[1])
+        full[self.rows] = x
+        ax = (self.matrix @ full)[self.rows]
         if self.coupling is not None:
             plus, minus, d = self.coupling
             t = mu.copy()

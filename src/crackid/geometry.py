@@ -11,10 +11,11 @@ The identification loop re-meshes at every step, but under the
 column-preserving protocol only the vertex heights move. ``build_mesh``
 therefore splits in two: a cached, vectorised builder of the integer
 tables (triangles, subdomain tags, interface pairs, boundary vertices and
-edges), keyed on the column and row counts and returned as read-only
-arrays, and a per-graph part that computes the vertices, the interface
-frame and lengths, and the triangle areas and shape gradients -- the one
-home of the element geometry that assembly and the shape derivative read.
+edges, and the free dofs in the row order of the band factor), keyed on
+the column and row counts and returned as read-only arrays, and a
+per-graph part that computes the vertices, the interface frame and
+lengths, and the triangle areas and shape gradients -- the one home of the
+element geometry that assembly and the shape derivative read.
 
 All construction is pure arithmetic on the inputs: identical inputs yield
 bitwise-identical meshes, whether the tables are built or come from the
@@ -157,7 +158,7 @@ class _Topology:
     pair_tri_minus: np.ndarray
     pair_tri_plus: np.ndarray
     free_dofs: np.ndarray
-    block_order: np.ndarray
+    free_row: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,12 +168,10 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     Vertices run row by row (x1 fastest), the lower block first; the top
     row of the lower block and the bottom row of the upper block are the
     minus and plus copies of the interface nodes. ``free_dofs`` lists the
-    dofs off the clamped sides column by column (x1, then x2, then
-    component): in that order every stiffness, penalty and merged matrix
-    is banded, with a half-bandwidth of about two columns of dofs, since
-    elements join neighbouring columns and each minus copy sits next to
-    its plus copy. ``block_order`` lists the positions in ``free_dofs`` of
-    the lower block's dofs, then the upper's; no element joins the blocks.
+    dofs off the clamped sides block by block, the lower block first, and
+    in each block column by column (x1, then x2, then component): the row
+    order of the mesh's band factor. ``free_row`` maps a dof to its row in
+    ``free_dofs``, -1 on the clamped sides.
     """
     nx = n_cols + 1
     off_hi = (n_rows_below + 1) * nx
@@ -189,7 +188,9 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     tris_hi = block_triangles(off_hi, n_rows_above)
     n_vertices = off_hi + (n_rows_above + 1) * nx
     vertex_col = np.arange(n_vertices) % nx
-    by_column = np.arange(n_vertices).reshape(-1, nx).T[1:-1].reshape(-1)
+    grid = np.arange(n_vertices).reshape(-1, nx)
+    by_column = np.concatenate([grid[:n_rows_below + 1].T[1:-1].reshape(-1),
+                                grid[n_rows_below + 1:].T[1:-1].reshape(-1)])
     top = off_hi + n_rows_above * nx
     iface_minus = n_rows_below * nx + cols
     iface_plus = off_hi + cols
@@ -198,6 +199,8 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     # of the bottom upper-block cell
     pair_cells = 2 * np.arange(n_cols)
     free_dofs = (2 * by_column[:, None] + np.arange(2)).reshape(-1)
+    free_row = np.full(2 * n_vertices, -1)
+    free_row[free_dofs] = np.arange(free_dofs.size)
     tables = dict(
         triangles=np.vstack([tris_lo, tris_hi]),
         tri_sub=np.repeat(np.array([-1, 1]), [len(tris_lo), len(tris_hi)]),
@@ -211,7 +214,7 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         pair_tri_minus=(n_rows_below - 1) * 2 * n_cols + pair_cells + 1,
         pair_tri_plus=len(tris_lo) + pair_cells,
         free_dofs=free_dofs,
-        block_order=np.argsort(free_dofs // 2 >= off_hi, kind="stable"),
+        free_row=free_row,
     )
     for table in tables.values():
         table.setflags(write=False)
@@ -226,8 +229,10 @@ class BrokenMesh:
     the matched node columns (below/above the line, sorted by x1), and the
     per-edge pair arrays carry the frame (nu from the minus into the plus
     side, tau with positive x1-component) plus the adjacent triangles.
-    The integer tables are the read-only arrays of ``topology``, shared by
-    every mesh with the same column and row counts.
+    ``free_dofs`` lists the unclamped dofs lower block first, each block
+    column by column: the one order of every free-dof vector, and of the
+    mesh's band factor. The integer tables are the read-only arrays of
+    ``topology``, shared by every mesh with the same column and row counts.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -244,8 +249,8 @@ class BrokenMesh:
     pair_plus: np.ndarray         # (n_cols, 2)
     pair_tri_minus: np.ndarray    # (n_cols,)
     pair_tri_plus: np.ndarray     # (n_cols,)
-    free_dofs: np.ndarray         # unclamped dofs in column (band) order
-    block_order: np.ndarray       # free_dofs positions, lower block first
+    free_dofs: np.ndarray         # unclamped dofs in band order, by block
+    free_row: np.ndarray          # (n_dofs,) row in free_dofs, -1 if clamped
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)
@@ -297,12 +302,12 @@ def grid_counts(h):
 
 def band_shape(h):
     """Shape (kd + 1, n) of the band storage of the free stiffness block of
-    ``build_mesh(graph, h)``: n free dofs in column order, and the
-    half-bandwidth kd = 2 c + 3 of a column of c vertices, since an element
-    joins a vertex to the one a row up in the next column."""
+    ``build_mesh(graph, h)``: n free dofs in block order, and the
+    half-bandwidth kd = 2 (c + 1) + 3 of the taller block, whose columns
+    hold c + 1 vertices, since an element joins a vertex to the one a row
+    up in the next column."""
     n_cols, below, above = grid_counts(h)
-    per_column = below + above + 2
-    return 2 * per_column + 4, 2 * per_column * (n_cols - 1)
+    return 2 * max(below, above) + 6, 2 * (below + above + 2) * (n_cols - 1)
 
 
 def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):

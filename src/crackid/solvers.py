@@ -15,14 +15,20 @@ differ only in the normal law:
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
 final state Newton matrix. Every linear solve goes through one method,
 ``_InterfaceOperator.solve``. The operator factors K once per mesh, one
-band per subdomain (``fem.subdomain_factor``); each Newton matrix is that
-factor with a low-rank coupling on the interface pairs: the w/eps jump mass
-of the closed pairs for a penalty, and the contact-closed and sticking
-pairs merged shut. No sparse K + J and no second factor is built. The
-coupling is keyed on the ``(closed, stick)`` pair of normal and stick sets
-and eps, so a Newton step that changes only the load (slip signs,
-cohesion indicator) solves with the previous step's coupling, and the
-adjoint with the state's when its last step merged nothing.
+band per subdomain (``fem.subdomain_factor``), its rows the mesh's free
+dofs in their one order; each Newton matrix is that factor with a low-rank
+coupling on the interface pairs, their rows read from ``mesh.free_row``:
+the w/eps jump mass of the closed pairs for a penalty, and the
+contact-closed and sticking pairs merged shut. No sparse K + J and no
+second factor is built. The coupling is keyed on the ``(closed, stick)``
+pair of normal and stick sets and eps, so a Newton step that changes only
+the load (slip signs, cohesion indicator) solves with the previous step's
+coupling, and the adjoint with the state's when its last step merged
+nothing.
+
+The operator is also the one home of the nodal interface forces: it
+scatters them onto the plus and minus dofs (``interface_load``) and reads
+them back from a residual (``traction``).
 
 Friction runs as a stick/slip set iteration: sticking nodes have zero slip
 enforced by dof merging and release when their trial traction exceeds the
@@ -79,7 +85,7 @@ class _InterfaceOperator:
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
-        self.free_mask = fem.free_mask(mesh)
+        self.free_mask = mesh.free_row >= 0
         # an overflow is reported below, once, as the solver error it is
         with np.errstate(over="ignore", invalid="ignore"):
             self.K = fem.assemble_stiffness(mesh, elast)
@@ -96,25 +102,32 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        self.position = np.full(mesh.n_dofs, -1)
-        self.position[mesh.free_dofs] = np.arange(mesh.free_dofs.size)
         self.factor = fem.subdomain_factor(mesh, self.K)
         self._key = None
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
 
+    def interface_load(self, t1, t2):
+        """Full-length vector of the nodal interface forces t1 (x1) and t2
+        (x2): + on the plus copy, - on the minus copy of each node."""
+        f = np.zeros(self.mesh.n_dofs)
+        for plus, minus, t in ((self.p1, self.m1, t1), (self.p2, self.m2, t2)):
+            f[plus] += t
+            f[minus] -= t
+        return f
+
+    def traction(self, r, comp, nodes):
+        """Nodal traction of component ``comp`` that the residual r leaves
+        on the interface ``nodes``: (r[plus] - r[minus]) / (2 w)."""
+        plus, minus = (self.p1, self.m1) if comp == 0 else (self.p2, self.m2)
+        return (r[plus[nodes]] - r[minus[nodes]]) / (2.0 * self.w[nodes])
+
     def lagged_load(self, sgn, ind):
         """Interface traction vector for frozen friction sign / cohesion
         indicator: t1 = F_b*sgn, t2 = (K_c/kappa)*ind on [[phi]]."""
-        f = np.zeros(self.mesh.n_dofs)
-        t1 = self.w * self.laws.F_b * sgn
-        t2 = self.w * (self.laws.K_c / self.laws.kappa) * ind
-        np.add.at(f, self.p1, t1)
-        np.add.at(f, self.m1, -t1)
-        np.add.at(f, self.p2, t2)
-        np.add.at(f, self.m2, -t2)
-        return f
+        return self.interface_load(self.w * self.laws.F_b * sgn,
+                                   self.w * (self.laws.K_c / self.laws.kappa) * ind)
 
     def solve(self, rhs, closed, stick, eps):
         """Solve the Newton matrix of the normal set ``closed`` and the
@@ -131,9 +144,10 @@ class _InterfaceOperator:
         if key != self._key:
             normal = self.w[closed] / eps if eps is not None \
                 else np.full(np.count_nonzero(closed), np.inf)
+            row = self.mesh.free_row
             self.factor.couple(
-                self.position[np.concatenate([self.p2[closed], self.p1[stick]])],
-                self.position[np.concatenate([self.m2[closed], self.m1[stick]])],
+                row[np.concatenate([self.p2[closed], self.p1[stick]])],
+                row[np.concatenate([self.m2[closed], self.m1[stick]])],
                 np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
             self._key = key
         free = self.mesh.free_dofs
@@ -153,7 +167,7 @@ class _InterfaceOperator:
         stick = self.interior & (sgn == 0.0)
         idx = np.nonzero(stick)[0]
         if idx.size:
-            t = (r[self.p1[idx]] - r[self.m1[idx]]) / (2.0 * self.w[idx])
+            t = self.traction(r, 0, idx)
             release = np.abs(t) > self.laws.F_b * (1.0 + 1e-12)
             new[idx[release]] = np.sign(t[release])
             new_flips[idx] = 0
@@ -184,14 +198,10 @@ class _InterfaceOperator:
         t2 = self.w * cohesion_discrete_prime(j2, self.laws)
         if eps is not None:
             t2 = t2 + self.w * beta_discrete(j2, eps)
-        r = self.K @ values - self.F
-        np.add.at(r, self.p1, t1)
-        np.add.at(r, self.m1, -t1)
-        np.add.at(r, self.p2, t2)
-        np.add.at(r, self.m2, -t2)
+        r = self.K @ values - self.F + self.interface_load(t1, t2)
         idx = np.nonzero(stick)[0]
         if idx.size:
-            t = (r[self.p1[idx]] - r[self.m1[idx]]) / (2.0 * self.w[idx])
+            t = self.traction(r, 0, idx)
             excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
             r[self.p1[idx]] = excess
             r[self.m1[idx]] = -excess
@@ -297,8 +307,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
         jump1, jump2 = op.jumps(values)
         if contact:
             lam = np.zeros(n_if)
-            lam[interior] = ((r[op.p2[interior]] - r[op.m2[interior]])
-                             / (2.0 * op.w[interior]))
+            lam[interior] = op.traction(r, 1, interior)
             new_closed = interior & (lam + c * jump2 < 0.0)
         else:
             new_closed = interior & (jump2 < 0.0)

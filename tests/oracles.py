@@ -243,16 +243,15 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     dirichlet = [v for v in range(len(vertices)) if vertices[v, 0] in (0.0, 1.0)]
     bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
     top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
-    # unclamped dofs column by column, bottom to top, minus copy first
+    # unclamped dofs block by block, the lower first, each column by column
     free = []
-    for j in range(1, n_cols):
-        column = ([idx_lo(i, j) for i in range(n_rows_below + 1)]
-                  + [idx_hi(i, j) for i in range(n_rows_above + 1)])
-        for v in column:
-            free += [2 * v, 2 * v + 1]
-    # positions in free of the lower block's dofs, then of the upper's
-    block_order = ([k for k, d in enumerate(free) if d // 2 < off_hi]
-                   + [k for k, d in enumerate(free) if d // 2 >= off_hi])
+    for idx, n_rows in ((idx_lo, n_rows_below), (idx_hi, n_rows_above)):
+        for j in range(1, n_cols):
+            for i in range(n_rows + 1):
+                free += [2 * idx(i, j), 2 * idx(i, j) + 1]
+    free_row = np.full(2 * len(vertices), -1, dtype=np.int64)
+    for k, d in enumerate(free):
+        free_row[d] = k
     return dict(
         vertices=vertices, triangles=triangles,
         tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
@@ -263,8 +262,7 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
         pair_tri_minus=np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64),
         pair_tri_plus=np.array([len(tris_lo) + 2 * j for j in range(n_cols)], dtype=np.int64),
-        free_dofs=np.array(free, dtype=np.int64),
-        block_order=np.array(block_order, dtype=np.int64),
+        free_dofs=np.array(free, dtype=np.int64), free_row=free_row,
         normals=np.column_stack([-tangents[:, 1], tangents[:, 0]]),
         tangents=tangents, pair_lengths=lengths,
         tri_area=area, tri_grads=grads)
@@ -294,6 +292,16 @@ def tril_band(matrix):
     return band
 
 
+def column_order(mesh):
+    """The free dofs column by column across both blocks (x1, then x2, then
+    component), each minus copy next to its plus copy: the order in which
+    K plus a jump coupling stays banded. In the mesh's own block order such
+    a matrix joins the blocks, and its band spans half of it."""
+    nx = mesh.n_cols + 1
+    return np.array(sorted(mesh.free_dofs, key=lambda d: (d // 2 % nx, d)),
+                    dtype=np.int64)
+
+
 def full_band_solve(matrix, rhs):
     """Solve with the band Cholesky of a sparse SPD matrix in the order it
     comes in: the ``tril_band`` scatter, ``cholesky_banded`` and
@@ -302,6 +310,48 @@ def full_band_solve(matrix, rhs):
 
     lower = cholesky_banded(tril_band(matrix), lower=True, check_finite=False)
     return cho_solve_banded((lower, True), rhs, check_finite=False)
+
+
+def assemble_interface_linear(mesh, weights, component="normal", lumped=False):
+    """Jump-mass matrix over the interface pairs.
+
+    For matched P1 traces the quadratic form is
+      sum_pairs w_e * int_e [[u]]_c [[v]]_c dS,
+    with the 1D edge mass matrix (consistent by default, trapezoid-lumped
+    when ``lumped``). ``component`` selects the jump component: "normal"
+    couples the x2 dofs, "tangent" the x1 dofs.
+    """
+    import scipy.sparse as sp
+
+    comp = {"normal": 1, "tangent": 0}[component]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), mesh.pair_lengths.shape)
+    L = mesh.pair_lengths
+    if lumped:
+        m11 = m22 = 0.5 * L * w
+        m12 = np.zeros_like(L)
+    else:
+        m11 = m22 = L * w / 3.0
+        m12 = L * w / 6.0
+    pa = 2 * mesh.pair_plus[:, 0] + comp
+    pb = 2 * mesh.pair_plus[:, 1] + comp
+    ma = 2 * mesh.pair_minus[:, 0] + comp
+    mb = 2 * mesh.pair_minus[:, 1] + comp
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    # signed pattern (+plus, -minus) x (+plus, -minus)
+    add(pa, pa, m11); add(pb, pb, m22); add(pa, pb, m12); add(pb, pa, m12)
+    add(ma, ma, m11); add(mb, mb, m22); add(ma, mb, m12); add(mb, ma, m12)
+    add(pa, ma, -m11); add(pb, mb, -m22); add(pa, mb, -m12); add(pb, ma, -m12)
+    add(ma, pa, -m11); add(mb, pb, -m22); add(ma, pb, -m12); add(mb, pa, -m12)
+    mat = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(mesh.n_dofs, mesh.n_dofs))
+    return mat.tocsr()
 
 
 def interface_nodal_jump_matrix(mesh, node_weights, nodes):
@@ -341,8 +391,8 @@ def merge_map(n, free, slaves, masters):
 def merged_solve(matrix, rhs, free, slaves, masters):
     """Solve ``matrix`` on the ``free`` dofs with the ``slaves`` merged shut
     onto their ``masters``: R^T A R y = R^T b (``merge_map``), through
-    ``tril_band`` and the band Cholesky in the order of ``free``. Returns
-    the full-length R y, zero off ``free``."""
+    ``tril_band`` and the band Cholesky in the order of ``free``, banded
+    in ``column_order``. Returns the full-length R y, zero off ``free``."""
     R, _ = merge_map(matrix.shape[0], free, slaves, masters)
     return R @ full_band_solve(R.T @ matrix @ R, R.T @ rhs)
 

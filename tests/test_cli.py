@@ -226,6 +226,8 @@ INVALID_CONFIGS = [
     # problem-size guard: the config check rejects these before any mesh
     ("h-measure-band-over-budget", "[geometry]\nh_measure = 1e-9\n", [], None),
     ("h-identify-band-over-budget", "[geometry]\nh_identify = 0.0005\n", [], None),
+    # band 206 x 161196 and Y 161196 x 798 (every interior pair on x1 and x2)
+    ("h-measure-coupling-over-budget", "[geometry]\nh_measure = 0.0025\n", [], None),
     ("h-measure-subnormal", "[geometry]\nh_measure = 1e-320\n", [], None),
     # in range, but the load norm overflows: the solver rejects it
     ("young-overflows", "[material]\nyoung = 1e300\n", [], None),

@@ -82,3 +82,21 @@ def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
         assert rc == 2
     assert rc in (0, 2, 3)
     assert len(err.splitlines()) == (rc != 0), err
+
+
+def test_size_guard_counts_band_and_coupling(tmp_path, capsys, monkeypatch):
+    # at h_measure = 0.0025 the band is 206 x 161196 doubles, and Y = L^-1 U
+    # of the first PDAS step, which couples all 399 interior pairs on x1 and
+    # x2, 161196 x 798: 1235 MiB together, over the budget before any mesh
+    built = []
+    for module in (cli, driver):
+        monkeypatch.setattr(module, "build_mesh", lambda *a, **k: built.append(a))
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("[geometry]\nh_measure = 0.0025\n")
+    rc = cli.main(["measure", "--config", str(cfg), "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert rc == 2 and not built
+    size = 8 * 161196 * (206 + 798)
+    assert size >> 20 == 1234
+    assert err == ("config error: h_measure = 0.0025 needs %.3g bytes for its band "
+                   "factor and coupling, above the 1024 MiB budget\n" % size)

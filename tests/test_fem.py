@@ -11,8 +11,8 @@ from crackid import fem
 from crackid.driver import ExperimentConfig
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
-from crackid.geometry import (InterfaceGraph, build_mesh, constant_graph,
-                              triangle_geometry, uniform_graph)
+from crackid.geometry import (InterfaceGraph, band_shape, build_mesh,
+                              constant_graph, triangle_geometry, uniform_graph)
 
 import oracles
 
@@ -30,7 +30,7 @@ MESHES = {
 
 def factor_of(A):
     """Band Cholesky of a sparse SPD matrix, checked against it."""
-    return fem.FactorizedSPD(oracles.tril_band(A), A)
+    return fem.FactorizedSPD(oracles.tril_band(A), A, np.arange(A.shape[0]))
 
 
 def free_solve(matrix, rhs, free):
@@ -56,10 +56,8 @@ def couple(factor, mesh, normal, weights, stick=()):
     """Couple ``fem.subdomain_factor``'s factor on the x2 pairs of
     ``normal`` with ``weights`` (inf merges a pair shut) and merge the x1
     pairs of ``stick`` shut."""
-    pos = np.full(mesh.n_dofs, -1)
-    pos[mesh.free_dofs] = np.arange(mesh.free_dofs.size)
     plus, minus = pair_dofs(mesh, normal, stick)
-    factor.couple(pos[plus], pos[minus],
+    factor.couple(mesh.free_row[plus], mesh.free_row[minus],
                   np.concatenate([weights, np.full(len(stick), np.inf)]))
     return factor
 
@@ -271,22 +269,22 @@ class TestTraction:
 class TestInterfaceLinear:
     def test_zero_weight(self):
         mesh = small_mesh()
-        M = fem.assemble_interface_linear(mesh, 0.0)
+        M = oracles.assemble_interface_linear(mesh, 0.0)
         assert M.nnz == 0 or abs(M).max() == 0.0
 
     def test_constant_jump_quadratic_form(self):
         mesh = tiny_mesh()
         w, j = 2.5, 0.7
-        M = fem.assemble_interface_linear(mesh, w, component="normal")
+        M = oracles.assemble_interface_linear(mesh, w, component="normal")
         u = np.zeros(mesh.n_dofs)
         u[2 * mesh.iface_plus + 1] = j
         assert u @ (M @ u) == pytest.approx(w * 1.0 * j * j, rel=1e-14)
-        M1 = fem.assemble_interface_linear(mesh, w, component="normal", lumped=True)
+        M1 = oracles.assemble_interface_linear(mesh, w, component="normal", lumped=True)
         assert u @ (M1 @ u) == pytest.approx(w * 1.0 * j * j, rel=1e-14)
 
     def test_psd_and_continuous_kernel(self):
         mesh = small_mesh()
-        M = fem.assemble_interface_linear(mesh, 1.0)
+        M = oracles.assemble_interface_linear(mesh, 1.0)
         assert abs(M - M.T).max() < 1e-14
         w = np.linalg.eigvalsh(M.toarray())
         assert w.min() > -1e-12 * max(w.max(), 1.0)
@@ -299,7 +297,7 @@ class TestInterfaceLinear:
 
     def test_tangent_component_couples_x_dofs(self):
         mesh = tiny_mesh()
-        M = fem.assemble_interface_linear(mesh, 1.0, component="tangent")
+        M = oracles.assemble_interface_linear(mesh, 1.0, component="tangent")
         u = np.zeros(mesh.n_dofs)
         u[2 * mesh.iface_plus] = 1.0
         assert u @ (M @ u) == pytest.approx(1.0, rel=1e-14)
@@ -401,9 +399,10 @@ def closed_nodes(mesh, closed):
 
 
 class TestFreeBand:
-    """The one band factor of a mesh: K's free block in block order,
-    filled from the cached stiffness pattern and factored as one band per
-    subdomain, with the closed pairs' jump mass as a coupling."""
+    """The one band factor of a mesh: K's free block in the order of
+    ``mesh.free_dofs``, filled from the cached stiffness pattern and
+    factored as one band per subdomain, with the closed pairs' jump mass
+    as a coupling."""
 
     # each mesh, and whether no entry of its stiffness sums to exactly zero
     MESH_CASES = [("flat", False), ("perturbed", True), ("kinked", False)]
@@ -424,34 +423,37 @@ class TestFreeBand:
         # a flat or kinked mesh keeps exact zeros in K, and in the band
         assert (np.count_nonzero(K.data) == K.nnz) == nonzero
         free = mesh.free_dofs
-        below = free // 2 < mesh.iface_plus[0]
-        blocks = [free[below], free[~below]]
-        assert np.array_equal(free[mesh.block_order], np.concatenate(blocks))
-        start = 0
-        for dofs in blocks:
-            cols = slice(start, start + dofs.size)
-            start += dofs.size
-            ref = oracles.tril_band(K[dofs][:, dofs])
-            kd = ref.shape[0] - 1
-            # no entry of K joins the blocks: their band is the blocks' side by side
-            assert factor.band[:kd + 1, cols].tobytes() == ref.tobytes()
-            assert not factor.band[kd + 1:, cols].any()
-            ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
-            assert np.array_equal(factor.lu.lower[:kd + 1, cols], ref_lower)
+        # the whole free block in the mesh's order: no entry of K joins the
+        # blocks, so its band is the two blocks' bands side by side
+        ref = oracles.tril_band(K[free][:, free])
+        assert factor.band.tobytes() == ref.tobytes()
+        ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
+        assert np.array_equal(factor.lu.lower, ref_lower)
         # the factor finds where the blocks end; its size counts the band only
-        assert np.array_equal(factor.block_end, [blocks[0].size, free.size])
+        lower = np.count_nonzero(free // 2 < mesh.iface_plus[0])
+        assert np.array_equal(factor.block_end, [lower, free.size])
         assert factor.lu.nnz == factor.band.size
+
+    @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, 0.01 * 8.0 / 7.0, 0.01],
+                             ids=["flat", "flat-fine", "identify", "measure"])
+    def test_band_shape_predicts_the_built_band(self, h):
+        # the size guard's prediction is the band the factor builds
+        mesh = build_mesh(constant_graph(0.25), h)
+        K = fem.assemble_stiffness(mesh, ELAST)
+        assert band_shape(h) == fem.subdomain_factor(mesh, K).band.shape
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
     def test_solve_matches_the_full_band_route(self, name, nonzero, closed):
         mesh, K, weights, nodes, factor = self.factor(name, closed)
-        free = mesh.free_dofs
-        A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
-        rhs = np.random.default_rng(8).standard_normal(free.size)
-        ref = oracles.full_band_solve(A, rhs)
-        x = factor.solve(rhs)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the reference bands K + J in column order, where it stays banded
+        col = oracles.column_order(mesh)
+        A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[col][:, col]
+        rhs = np.random.default_rng(8).standard_normal(mesh.n_dofs)
+        ref = oracles.full_band_solve(A, rhs[col])
+        x = np.zeros(mesh.n_dofs)
+        x[mesh.free_dofs] = factor.solve(rhs[mesh.free_dofs])
+        assert np.linalg.norm(x[col] - ref) <= 1e-12 * np.linalg.norm(ref)
         # the backward-error check scales by max|A| of the whole matrix
         assert factor.max_abs == abs(A).max()
 
@@ -459,7 +461,7 @@ class TestFreeBand:
     def test_indefinite_block_rejected(self, block):
         mesh = build_mesh(*MESHES["perturbed"])
         K = fem.assemble_stiffness(mesh, ELAST)
-        dof = mesh.free_dofs[mesh.block_order[0 if block == 0 else -1]]
+        dof = mesh.free_dofs[0 if block == 0 else -1]
         K[dof, dof] = -K[dof, dof]
         with pytest.raises(NotPositiveDefinite, match="not positive definite"):
             fem.subdomain_factor(mesh, K)
@@ -555,7 +557,7 @@ class TestCoupling:
     def test_constrained_solve_matches_the_merged_oracle(self, name, case):
         mesh, A, factor, plus, minus = self.coupled(name, case)
         rhs = np.random.default_rng(8).standard_normal(mesh.n_dofs)
-        ref = oracles.merged_solve(A, rhs, mesh.free_dofs, minus, plus)
+        ref = oracles.merged_solve(A, rhs, oracles.column_order(mesh), minus, plus)
         x = self.solve(mesh, factor, rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         # every merged jump is exactly zero, as the merge makes it
@@ -580,7 +582,7 @@ class TestCoupling:
         u = np.zeros((mesh.free_dofs.size, d.size))
         u[plus, np.arange(d.size)] = 1.0
         u[minus, np.arange(d.size)] = -1.0
-        ref = dtbtrs(factor.lu.lower, u[factor.order], uplo="L")[0]
+        ref = dtbtrs(factor.lu.lower, u, uplo="L")[0]
         assert np.array_equal(factor.y, ref)
         assert factor.y.flags.c_contiguous
 
@@ -657,12 +659,12 @@ class TestPatchAndKorn:
         # weight sits in the window where both penalty compliance and
         # factorisation roundoff stay below the 1e-8 reproduction target
         W = 1e13
-        Kp = K + fem.assemble_interface_linear(mesh, W, component="normal") \
-               + fem.assemble_interface_linear(mesh, W, component="tangent")
+        Kp = K + oracles.assemble_interface_linear(mesh, W, component="normal") \
+               + oracles.assemble_interface_linear(mesh, W, component="tangent")
         f = fem.assemble_traction(mesh, g)
-        free = fem.free_mask(mesh)
+        free = mesh.free_row >= 0
         rhs, lift = oracles.dirichlet_lift(Kp, f, free, u_exact)
-        x, _ = free_solve(Kp, rhs, mesh.free_dofs)
+        x, _ = free_solve(Kp, rhs, oracles.column_order(mesh))
         x = x + lift
         scale = np.abs(u_exact).max()
         assert np.max(np.abs(x - u_exact)) < 1e-8 * scale

@@ -161,6 +161,26 @@ class TestCachedTopology:
                 assert value.dtype == expect[field].dtype, field
                 assert np.array_equal(value, expect[field]), field
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_free_dofs_lower_block_first_column_by_column(self, name):
+        graph, h, pinned = ORACLE_MESHES[name]
+        mesh = build_mesh(graph, h, **pinned)
+        free = mesh.free_dofs
+        clamped = np.concatenate([2 * mesh.dirichlet_vertices,
+                                  2 * mesh.dirichlet_vertices + 1])
+        assert np.array_equal(np.sort(free), np.setdiff1d(np.arange(mesh.n_dofs), clamped))
+        # every lower-block dof comes before any upper-block one
+        upper = free // 2 >= mesh.iface_plus[0]
+        assert np.array_equal(upper, np.sort(upper))
+        # in each block: column by column, then x2 (rows run bottom to top
+        # in vertex order), then component
+        for block in (~upper, upper):
+            column = free[block] // 2 % (mesh.n_cols + 1)
+            assert np.all(np.diff(column * mesh.n_dofs + free[block]) > 0)
+        assert np.array_equal(free, oracles.loop_mesh(graph, h, **pinned)["free_dofs"])
+        assert np.array_equal(mesh.free_row[free], np.arange(free.size))
+        assert np.all(mesh.free_row[clamped] == -1)
+
     def test_tables_shared_and_read_only(self):
         m1 = build_mesh(KINKED, 0.05)
         m2 = build_mesh(KINKED.with_psi(KINKED.psi + 0.01), 0.05)

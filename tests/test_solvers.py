@@ -332,8 +332,7 @@ class TestFactorReuse:
             if any(self.tag is seen for seen in solved):
                 # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
-                fresh = fem.FactorizedSPD(self.band, self.matrix, self.rows,
-                                          self.order)
+                fresh = fem.FactorizedSPD(self.band, self.matrix, self.rows)
                 if self.coupling is not None:
                     fresh.couple(*self.coupling)
                 self = fresh

@@ -15,7 +15,6 @@ PACKAGE = Path(crackid.__file__).parent
 
 # Public names that only the tests reference, kept on purpose.
 ALLOWED_UNREFERENCED = {
-    "fem.assemble_interface_linear",  # consistent jump mass; criterion-6 patch test
     "fem.h1_seminorm",                # error norm of the penalty-consistency tests
     "solvers.recover_multiplier",     # penalty multiplier against the PDAS one
     "geometry.constant_graph",        # flat interfaces of the test meshes
