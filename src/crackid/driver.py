@@ -2,13 +2,14 @@
 identification loop on the offset mesh, objective and shape-error tracking.
 
 The measurement side solves the contact variational inequality for the true
-breaking line and stores the observation-boundary trace; identification
-starts from the flat line psi = 0.25 and walks the penalty/adjoint/descent
-loop for a fixed number of iterations, logging objective and shape-error
-ratios. The two meshes use different column counts (h_identify defaults to
-h_measure * 8/7) so synthetic data is never inverted on its own grid: the
-config refuses h_identify == h_measure, and ``identify`` refuses a
-measurement file whose recorded h equals h_identify.
+breaking line and stores its trace at the mesh's ``observation_vertices``;
+identification starts from the flat line psi = 0.25 and walks the
+penalty/adjoint/descent loop for a fixed number of iterations, logging
+objective and shape-error ratios. The two meshes use different column
+counts (h_identify defaults to h_measure * 8/7) so synthetic data is never
+inverted on its own grid: the config refuses h_identify == h_measure, and
+``identify`` refuses a measurement file whose recorded h equals
+h_identify.
 """
 
 import warnings
@@ -172,14 +173,6 @@ class Measurement:
     disp: np.ndarray     # (n, 2) displacements
 
 
-def observation_nodes(mesh):
-    """Observation vertex ids sorted by (boundary group, x1)."""
-    ids = np.unique(mesh.observation_edges)
-    pts = mesh.vertices[ids]
-    order = np.lexsort((pts[:, 0], pts[:, 1]))
-    return ids[order]
-
-
 def synthesize_measurement(config):
     """Solve the VI on the fine mesh of the true line and trace it.
 
@@ -189,10 +182,9 @@ def synthesize_measurement(config):
     z, aset, report = solvers.solve_vi_pdas(
         mesh, config.cohesive(), config.elasticity(), config.traction(),
         max_outer=config.max_outer)
-    ids = observation_nodes(mesh)
+    ids = mesh.observation_vertices
     meas = Measurement(h=config.h_measure, load_case=config.load_case,
-                       points=mesh.vertices[ids].copy(),
-                       disp=z.as_points()[ids].copy())
+                       points=mesh.vertices[ids], disp=z.as_points()[ids])
     return meas, z, aset, report, mesh
 
 
@@ -240,7 +232,7 @@ def interp_measurement(mesh, meas):
     """Arclength-linear interpolation of the measurement onto the current
     observation nodes; returns a full-length dof vector (zero elsewhere)."""
     z = np.zeros(mesh.n_dofs)
-    ids = observation_nodes(mesh)
+    ids = mesh.observation_vertices
     pts = mesh.vertices[ids]
     for y_group in np.unique(meas.points[:, 1]):
         src = np.abs(meas.points[:, 1] - y_group) < 1e-12

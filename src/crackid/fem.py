@@ -10,17 +10,18 @@ are derived once per mesh topology; each assembly then only gathers and
 sums the element blocks in that order, so the matrix equals the plain COO
 conversion bit for bit, entries that sum to zero included. Dirichlet dofs
 are eliminated by row/column removal, so every free block stays symmetric
-positive definite. ``FactorizedSPD`` factors K's free block by a band
-Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981), once per mesh
-(``subdomain_factor``), filled straight from the cached pattern. Its rows
-are the mesh's free dofs in their one order, the lower subdomain first,
-so the block is block diagonal, one band per subdomain. Every Newton
-matrix of the mesh is that K plus a low-rank coupling on interface jump
-dofs, which the factor solves through the Woodbury identity: a penalty's
-jump mass, or a pair merged shut as the infinite-weight limit. The factor
-checks definiteness and rank when it factors and the backward error of
-every solve.
+positive definite. Once per mesh, ``subdomain_factor`` gathers K's free
+block and its band from the cached pattern, and ``FactorizedSPD`` factors
+it by a band Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981). Its rows are
+the mesh's free dofs in their one order, the lower subdomain first, so
+the block is block diagonal, one band per subdomain, and the mesh's
+topology says where the blocks end. Every Newton matrix of the mesh is
+that block plus a low-rank coupling on interface jump dofs, which the
+factor solves through the Woodbury identity: a penalty's jump mass, or a
+pair merged shut as the infinite-weight limit. The factor checks
+definiteness and rank when it factors and the backward error of every
+solve.
 """
 
 import functools
@@ -172,25 +173,31 @@ def _stiffness_pattern(topology, n_dofs):
 
 
 @functools.lru_cache(maxsize=8)
-def _pattern_band_slots(topology, n_dofs):
-    """Where each entry of a topology's stiffness pattern goes in the lower
-    band storage of its free block, rows in the order of
-    ``topology.free_dofs``.
+def _free_block(topology, n_dofs):
+    """The free block B of a topology's stiffness pattern, rows and columns
+    in the order of ``topology.free_dofs``, and its lower band storage.
 
-    Returns (src, slot, kd): the entries of the block's lower triangle,
-    their flat index offset * n_free + column in a (kd + 1, n_free) band
-    array, and kd, the largest offset among them.
+    Each row of B keeps the pattern's stored column order, so B @ x sums a
+    row's terms as K @ x does, less the products with the clamped dofs'
+    zeros. Returns (src, indptr, indices, lower, slot, kd): entry k of B's
+    data is K.data[src[k]]; the entries ``lower`` of that data, B's lower
+    triangle, go to the flat index offset * n_free + column of a
+    (kd + 1, n_free) band array, kd the largest offset among them.
     """
     indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
     row = topology.free_row[np.repeat(np.arange(n_dofs), np.diff(indptr))]
     col = topology.free_row[indices]
+    src = np.flatnonzero((row >= 0) & (col >= 0))
+    src = src[np.argsort(row[src], kind="stable")]
+    row, col = row[src], col[src]
+    n_free = topology.free_dofs.size
     offset = row - col
-    src = np.flatnonzero((col >= 0) & (row >= 0) & (offset >= 0))
-    offset = offset[src]
-    slot = offset * topology.free_dofs.size + col[src]
-    for arr in (src, slot):
+    lower = np.flatnonzero(offset >= 0)
+    out = (src, np.searchsorted(row, np.arange(n_free + 1)).astype(indices.dtype),
+           col.astype(indices.dtype), lower, offset[lower] * n_free + col[lower])
+    for arr in out:
         arr.setflags(write=False)
-    return src, slot, int(offset.max(initial=0))
+    return out + (int(offset.max(initial=0)),)
 
 
 def assemble_stiffness(mesh, elast):
@@ -215,12 +222,16 @@ def subdomain_factor(mesh, K):
 
     No entry of K joins the two subdomains, so in the order of
     ``mesh.free_dofs`` its free block is block diagonal, one band per
-    subdomain. The band is filled from the cached pattern.
+    subdomain, the blocks ending at ``mesh.block_end``. The block and its
+    band are gathered from K's data by the cached pattern.
     """
-    src, slot, kd = _pattern_band_slots(mesh.topology, mesh.n_dofs)
-    band = np.zeros((kd + 1, mesh.free_dofs.size))
-    band.reshape(-1)[slot] = K.data[src]
-    return FactorizedSPD(band, K, mesh.free_dofs)
+    src, indptr, indices, lower, slot, kd = _free_block(mesh.topology, mesh.n_dofs)
+    n_free = mesh.free_dofs.size
+    data = K.data[src]
+    band = np.zeros((kd + 1, n_free))
+    band.reshape(-1)[slot] = data[lower]
+    block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
+    return FactorizedSPD(band, block, mesh.block_end)
 
 
 def assemble_traction(mesh, g):
@@ -246,9 +257,9 @@ def assemble_traction(mesh, g):
 
 
 def assemble_boundary_mass(mesh):
-    """Consistent boundary mass over the observation edges, acting
+    """Consistent boundary mass over the observation (Neumann) edges, acting
     identically on both displacement components."""
-    edges = mesh.observation_edges
+    edges = mesh.neumann_edges
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     L = np.hypot(*(b - a).T)
@@ -281,8 +292,11 @@ class FactorizedSPD:
     """Band Cholesky factor of an SPD matrix B, kept with B, and the solves
     of B + U D U^T for a low-rank coupling that ``couple`` sets.
 
-    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf``; a
-    solve takes and returns vectors in the order of B's rows. A coupling
+    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf``,
+    and ``matrix`` is B as a sparse matrix; a solve takes and returns
+    vectors in the order of B's rows. ``block_end`` lists where B's
+    diagonal blocks end: no entry of B joins the rows above such an end to
+    the rows below it, so L^-1 keeps a column in its block. A coupling
     is (plus, minus, d): U's column k is e(plus_k) - e(minus_k), plus_k
     and minus_k rows of B, with weight d_k > 0. With B = L L^T,
     Y = L^-1 U and C = D^-1 + Y^T Y factored densely, a solve is
@@ -293,17 +307,16 @@ class FactorizedSPD:
     solve is the Galerkin merge's: the minus row's load moves onto the
     plus row first, and the minus dof takes the plus dof's value after.
 
-    ``matrix`` is a sparse matrix whose ``rows`` x ``rows`` block is B;
-    each solve's backward error is checked against it on every row, with
-    d (x[plus] - x[minus]) on the coupled rows, or mu for a shut pair, and
-    max|A| taken over B and the finite coupled diagonals
-    (``BACKWARD_TOL``). A nonpositive pivot of B
-    or C, a negligible pivot of B (min diag(L)^2 <= 1e-12 max diag(L)^2,
-    the rank check; a NaN fails it too), a weight that is not > 0 and a
-    failed check raise ``NotPositiveDefinite``. ``lu`` holds the factor.
+    Each solve's backward error is checked against ``matrix`` on every
+    row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
+    pair, and max|A| taken over B and the finite coupled diagonals
+    (``BACKWARD_TOL``). A nonpositive pivot of B or C, a negligible pivot
+    of B (min diag(L)^2 <= 1e-12 max diag(L)^2, the rank check; a NaN
+    fails it too), a weight that is not > 0 and a failed check raise
+    ``NotPositiveDefinite``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, rows):
+    def __init__(self, band, matrix, block_end):
         try:
             lower = cholesky_banded(band, lower=True, check_finite=False)
         except LinAlgError as exc:
@@ -311,22 +324,11 @@ class FactorizedSPD:
         diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
-        self.band, self.matrix, self.rows = band, matrix, rows
+        self.band, self.matrix = band, matrix
+        self.block_end = np.asarray(block_end)
         self.band_max = max(band.max(), -band.min())
         self.lu = _Band(lower, lower.size)
         self.couple((), (), ())
-
-    @functools.cached_property
-    def block_end(self):
-        """Where L's diagonal blocks end: no entry of L joins the rows above
-        such an end to the rows below it, so L^-1 keeps a column in its
-        block. Worked out on the first coupling."""
-        lower = self.lu.lower
-        n = lower.shape[1]
-        depth = lower.shape[0] - 1 - np.argmax(lower[::-1] != 0.0, axis=0)
-        reach = np.maximum.accumulate(np.arange(n) + depth)
-        reach[-1] = n - 1
-        return np.flatnonzero(reach == np.arange(n)) + 1
 
     def couple(self, plus, minus, weights):
         """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
@@ -417,11 +419,7 @@ class FactorizedSPD:
     def _apply(self, x, mu):
         """The factored matrix times x, ``matrix`` and the coupling, with
         the reactions mu on the shut pairs."""
-        # the columns off ``rows`` meet zeros of the embedded x, and a zero
-        # product leaves a row sum's bits as they are
-        full = np.zeros(self.matrix.shape[1])
-        full[self.rows] = x
-        ax = (self.matrix @ full)[self.rows]
+        ax = self.matrix @ x
         if self.coupling is not None:
             plus, minus, d = self.coupling
             t = mu.copy()
@@ -451,8 +449,8 @@ def h1_seminorm(mesh, values):
 
 
 def boundary_misfit(mesh, values, z_values):
-    """1/2 int |u - z|^2 over the observation boundary (2-pt Gauss)."""
-    edges = mesh.observation_edges
+    """1/2 int |u - z|^2 over the observation (Neumann) edges (2-pt Gauss)."""
+    edges = mesh.neumann_edges
     d = (np.asarray(values) - np.asarray(z_values)).reshape(-1, 2)
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]

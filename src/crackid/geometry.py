@@ -11,8 +11,9 @@ The identification loop re-meshes at every step, but under the
 column-preserving protocol only the vertex heights move. ``build_mesh``
 therefore splits in two: a cached, vectorised builder of the integer
 tables (triangles, subdomain tags, interface pairs, boundary vertices and
-edges, and the free dofs in the row order of the band factor), keyed on
-the column and row counts and returned as read-only arrays, and a
+edges, observation vertices, and the free dofs in the band factor's row
+order with its block ends), keyed on the column and row counts and
+returned as read-only arrays, and a
 per-graph part that computes the vertices, the interface frame and
 lengths, and the triangle areas and shape gradients -- the one home of the
 element geometry that assembly and the shape derivative read.
@@ -151,6 +152,7 @@ class _Topology:
     tri_sub: np.ndarray
     dirichlet_vertices: np.ndarray
     neumann_edges: np.ndarray
+    observation_vertices: np.ndarray
     iface_minus: np.ndarray
     iface_plus: np.ndarray
     pair_minus: np.ndarray
@@ -159,6 +161,7 @@ class _Topology:
     pair_tri_plus: np.ndarray
     free_dofs: np.ndarray
     free_row: np.ndarray
+    block_end: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,11 +170,13 @@ def _topology(n_cols, n_rows_below, n_rows_above):
 
     Vertices run row by row (x1 fastest), the lower block first; the top
     row of the lower block and the bottom row of the upper block are the
-    minus and plus copies of the interface nodes. ``free_dofs`` lists the
-    dofs off the clamped sides block by block, the lower block first, and
-    in each block column by column (x1, then x2, then component): the row
-    order of the mesh's band factor. ``free_row`` maps a dof to its row in
-    ``free_dofs``, -1 on the clamped sides.
+    minus and plus copies of the interface nodes. ``observation_vertices``
+    lists the bottom row, then the top row, each in x1 order. ``free_dofs``
+    lists the dofs off the clamped sides block by block, the lower block
+    first, and in each block column by column (x1, then x2, then
+    component): the row order of the mesh's band factor, whose blocks end
+    at ``block_end``. ``free_row`` maps a dof to its row in ``free_dofs``,
+    -1 on the clamped sides.
     """
     nx = n_cols + 1
     off_hi = (n_rows_below + 1) * nx
@@ -207,6 +212,7 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         dirichlet_vertices=np.flatnonzero((vertex_col == 0) | (vertex_col == n_cols)),
         neumann_edges=np.column_stack([np.concatenate([cols[:-1], top + cols[:-1]]),
                                        np.concatenate([cols[1:], top + cols[1:]])]),
+        observation_vertices=np.concatenate([cols, top + cols]),
         iface_minus=iface_minus,
         iface_plus=iface_plus,
         pair_minus=np.column_stack([iface_minus[:-1], iface_minus[1:]]),
@@ -215,6 +221,7 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         pair_tri_plus=len(tris_lo) + pair_cells,
         free_dofs=free_dofs,
         free_row=free_row,
+        block_end=np.array([2 * (n_rows_below + 1) * (n_cols - 1), free_dofs.size]),
     )
     for table in tables.values():
         table.setflags(write=False)
@@ -231,8 +238,9 @@ class BrokenMesh:
     side, tau with positive x1-component) plus the adjacent triangles.
     ``free_dofs`` lists the unclamped dofs lower block first, each block
     column by column: the one order of every free-dof vector, and of the
-    mesh's band factor. The integer tables are the read-only arrays of
-    ``topology``, shared by every mesh with the same column and row counts.
+    mesh's band factor, whose blocks end at ``block_end``. The integer
+    tables are the read-only arrays of ``topology``, shared by every mesh
+    with the same column and row counts.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -243,6 +251,7 @@ class BrokenMesh:
     n_cols: int
     dirichlet_vertices: np.ndarray
     neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
+    observation_vertices: np.ndarray  # bottom row, then top row, x-sorted
     iface_minus: np.ndarray       # (n_cols+1,) vertex ids on the minus side
     iface_plus: np.ndarray        # (n_cols+1,)
     pair_minus: np.ndarray        # (n_cols, 2) edge vertex ids
@@ -251,6 +260,7 @@ class BrokenMesh:
     pair_tri_plus: np.ndarray     # (n_cols,)
     free_dofs: np.ndarray         # unclamped dofs in band order, by block
     free_row: np.ndarray          # (n_dofs,) row in free_dofs, -1 if clamped
+    block_end: np.ndarray         # (2,) where the blocks of free_dofs end
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)
@@ -264,11 +274,6 @@ class BrokenMesh:
     @property
     def n_dofs(self):
         return 2 * self.vertices.shape[0]
-
-    @property
-    def observation_edges(self):
-        """Observation boundary coincides with the Neumann boundary."""
-        return self.neumann_edges
 
     @property
     def interface_x(self):

@@ -139,11 +139,6 @@ class LawBoundsReport:
     max_friction_prime: float
     max_friction_second: float
     max_beta_offset: float
-    max_beta_prime: float
-    min_beta_prime: float
-    worst_complementarity: float
-    worst_compliance: float
-    passed: bool
 
 
 def smooth_law_bounds_check(params, pen):
@@ -198,9 +193,4 @@ def smooth_law_bounds_check(params, pen):
         max_friction_prime=float(fp.max()),
         max_friction_second=float(fpp.max()),
         max_beta_offset=float(offset.max()),
-        max_beta_prime=float(bp.max()),
-        min_beta_prime=float(bp.min()),
-        worst_complementarity=float(comp_plus.min()),
-        worst_compliance=float(comp_minus.max()),
-        passed=True,
     )

@@ -224,8 +224,8 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
     """
     nodal = velocity_extension(mesh.vertices, psi, vel)
 
-    bnd = np.unique(mesh.neumann_edges)
-    if bnd.size and np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
+    bnd = mesh.observation_vertices
+    if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
         raise ValueError("velocity extension does not vanish on the outer boundary")
 
     gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], mesh.tri_grads)

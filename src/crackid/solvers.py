@@ -89,8 +89,7 @@ class _InterfaceOperator:
         # an overflow is reported below, once, as the solver error it is
         with np.errstate(over="ignore", invalid="ignore"):
             self.K = fem.assemble_stiffness(mesh, elast)
-            self.F = fem.assemble_traction(mesh, g) if g is not None \
-                else np.zeros(mesh.n_dofs)
+            self.F = fem.assemble_traction(mesh, g)
             self.Fnorm = np.linalg.norm(self.F[self.free_mask])
         if not (np.isfinite(self.Fnorm) and np.isfinite(self.K.data).all()):
             raise NumericalOverflow(
@@ -236,8 +235,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
     stops when the normal set, signs and indicator repeat and, for the
     penalty, the stationarity residual passes ``PENALTY_TOL``; a contact
     solve reports its residual unchecked. A repeat without progress takes
-    a halving damped step (floor 2^-20); a period-2 oscillation of the
-    contact set is broken once by keeping the union of the two sets.
+    a halving damped step (floor 2^-20).
 
     ``start`` seeds the normal set, the signs and the indicator with a
     converged ``(closed, sgn, ind)`` (``SolveReport.configuration``); a
@@ -273,8 +271,6 @@ def _active_set_solve(op, eps, max_outer, start=None):
     history = []
     damped = 0
     prev_config = None
-    prev_closed = None
-    union_used = False
 
     for it in range(1, max_outer + 1):
         shut = closed if contact else none_shut
@@ -317,13 +313,6 @@ def _active_set_solve(op, eps, max_outer, start=None):
         if (np.array_equal(new_closed, closed) and np.array_equal(new_sgn, sgn)
                 and np.array_equal(new_ind, ind) and res <= tol):
             break
-        if (contact and not union_used and prev_closed is not None
-                and np.array_equal(new_closed, prev_closed)
-                and not np.array_equal(new_closed, closed)):
-            # period-2 oscillation: keep the larger (union) contact set once
-            new_closed = new_closed | closed
-            union_used = True
-        prev_closed = closed
         closed, sgn, ind = new_closed, new_sgn, new_ind
     else:
         raise NoConvergence(

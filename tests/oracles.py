@@ -155,7 +155,7 @@ def dense_adjoint_solve(mesh, laws, elast, u, z, eps):
             K[m2, p2] -= cw
     rhs = np.zeros(mesh.n_dofs)
     d = (u - z).reshape(-1, 2)
-    for (va, vb) in mesh.observation_edges:
+    for (va, vb) in mesh.neumann_edges:
         a, b = mesh.vertices[va], mesh.vertices[vb]
         L = np.hypot(*(b - a))
         for comp in (0, 1):
@@ -243,12 +243,15 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     dirichlet = [v for v in range(len(vertices)) if vertices[v, 0] in (0.0, 1.0)]
     bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
     top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
+    observation = ([idx_lo(0, j) for j in range(nx)]
+                   + [idx_hi(n_rows_above, j) for j in range(nx)])
     # unclamped dofs block by block, the lower first, each column by column
-    free = []
+    free, block_end = [], []
     for idx, n_rows in ((idx_lo, n_rows_below), (idx_hi, n_rows_above)):
         for j in range(1, n_cols):
             for i in range(n_rows + 1):
                 free += [2 * idx(i, j), 2 * idx(i, j) + 1]
+        block_end.append(len(free))
     free_row = np.full(2 * len(vertices), -1, dtype=np.int64)
     for k, d in enumerate(free):
         free_row[d] = k
@@ -257,12 +260,14 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
         dirichlet_vertices=np.array(dirichlet, dtype=np.int64),
         neumann_edges=np.array(bottom + top, dtype=np.int64),
+        observation_vertices=np.array(observation, dtype=np.int64),
         iface_minus=iface_minus, iface_plus=iface_plus,
         pair_minus=np.column_stack([iface_minus[:-1], iface_minus[1:]]),
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),
         pair_tri_minus=np.array([base_lo + 2 * j + 1 for j in range(n_cols)], dtype=np.int64),
         pair_tri_plus=np.array([len(tris_lo) + 2 * j for j in range(n_cols)], dtype=np.int64),
         free_dofs=np.array(free, dtype=np.int64), free_row=free_row,
+        block_end=np.array(block_end, dtype=np.int64),
         normals=np.column_stack([-tangents[:, 1], tangents[:, 0]]),
         tangents=tangents, pair_lengths=lengths,
         tri_area=area, tri_grads=grads)
@@ -290,6 +295,25 @@ def tril_band(matrix):
     band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]))
     band[offset, low.col] = low.data
     return band
+
+
+def observation_nodes(mesh):
+    """Observation vertex ids found from the coordinates: the Neumann edges'
+    vertices sorted by (x2, x1)."""
+    ids = np.unique(mesh.neumann_edges)
+    pts = mesh.vertices[ids]
+    return ids[np.lexsort((pts[:, 0], pts[:, 1]))]
+
+
+def block_end_scan(lower):
+    """Where the diagonal blocks of a Cholesky factor in lower band storage
+    end, found from its nonzeros: after row i when no entry of the rows up
+    to i reaches below it."""
+    n = lower.shape[1]
+    depth = lower.shape[0] - 1 - np.argmax(lower[::-1] != 0.0, axis=0)
+    reach = np.maximum.accumulate(np.arange(n) + depth)
+    reach[-1] = n - 1
+    return np.flatnonzero(reach == np.arange(n)) + 1
 
 
 def column_order(mesh):

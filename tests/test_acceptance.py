@@ -199,8 +199,9 @@ def test_criterion_6_property_suites(contact_measurement):
     g = cfg.traction()
 
     # law bounds on 1e4 samples
-    report = laws_mod.smooth_law_bounds_check(laws, PenaltyParams(cfg.eps))
-    bounds_ok = report.passed
+    # the check raises BoundViolated on the first failing sample
+    laws_mod.smooth_law_bounds_check(laws, PenaltyParams(cfg.eps))
+    bounds_ok = True
 
     # stiffness symmetry / SPD after reduction / rigid-mode kernel
     tiny = build_mesh(constant_graph(0.25, n_nodes=3), 0.125,
@@ -210,7 +211,7 @@ def test_criterion_6_property_suites(contact_measurement):
     wk = np.linalg.eigvalsh(K.toarray())
     kernel_ok = int(np.count_nonzero(wk < 1e-9 * wk.max())) == 6
     red = fem.subdomain_factor(tiny, K)
-    spd_ok = np.linalg.eigvalsh(red.matrix[red.rows][:, red.rows].toarray()).min() > 0.0
+    spd_ok = np.linalg.eigvalsh(red.matrix.toarray()).min() > 0.0
 
     # patch test
     mesh = build_mesh(constant_graph(0.25), 0.0625)
@@ -232,7 +233,8 @@ def test_criterion_6_property_suites(contact_measurement):
     # the jump mass joins the blocks: band Kp in column order
     col = oracles.column_order(mesh)
     x = np.zeros(mesh.n_dofs)
-    factor = fem.FactorizedSPD(oracles.tril_band(Kp[col][:, col]), Kp, col)
+    B = Kp[col][:, col]
+    factor = fem.FactorizedSPD(oracles.tril_band(B), B, [col.size])
     x[col] = factor.solve(rhs[col])
     patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8

@@ -45,7 +45,7 @@ class TestMeasurement:
         mesh = build_mesh(cfg.true_graph(), 0.05)
         z, _, _ = solvers.solve_vi_pdas(mesh, cfg.cohesive(), cfg.elasticity(),
                                         lambda x, y: (0.0 * x, 0.0 * x))
-        ids = driver.observation_nodes(mesh)
+        ids = mesh.observation_vertices
         assert np.all(z.as_points()[ids] == 0.0)
 
     def test_contact_trace_nonzero_with_uplift(self, contact_measurement):
@@ -68,7 +68,7 @@ class TestMeasurement:
         mesh = contact_measurement["mesh"]
         z = contact_measurement["z"]
         zv = driver.interp_measurement(mesh, meas)
-        ids = driver.observation_nodes(mesh)
+        ids = mesh.observation_vertices
         for c in (0, 1):
             assert np.allclose(zv[2 * ids + c], z.as_points()[ids, c], atol=1e-15)
 

@@ -30,7 +30,7 @@ MESHES = {
 
 def factor_of(A):
     """Band Cholesky of a sparse SPD matrix, checked against it."""
-    return fem.FactorizedSPD(oracles.tril_band(A), A, np.arange(A.shape[0]))
+    return fem.FactorizedSPD(oracles.tril_band(A), A, [A.shape[0]])
 
 
 def free_solve(matrix, rhs, free):
@@ -429,10 +429,38 @@ class TestFreeBand:
         assert factor.band.tobytes() == ref.tobytes()
         ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
         assert np.array_equal(factor.lu.lower, ref_lower)
-        # the factor finds where the blocks end; its size counts the band only
+        # the blocks end where the mesh says; the size counts the band only
         lower = np.count_nonzero(free // 2 < mesh.iface_plus[0])
         assert np.array_equal(factor.block_end, [lower, free.size])
         assert factor.lu.nnz == factor.band.size
+
+    @pytest.mark.parametrize("name", sorted(MESHES) + ["identify"])
+    def test_block_end_is_the_topology_split(self, name):
+        # the lower block holds 2 (rows below + 1) (columns - 1) free dofs,
+        # and no entry of L joins the blocks there
+        mesh = coupling_mesh(name)
+        factor = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
+        rows_below = mesh.iface_minus[0] // (mesh.n_cols + 1)
+        lower = 2 * (rows_below + 1) * (mesh.n_cols - 1)
+        assert np.array_equal(factor.block_end, [lower, mesh.free_dofs.size])
+        assert np.array_equal(factor.block_end, oracles.block_end_scan(factor.lu.lower))
+        if name == "identify":
+            assert lower == 4002
+
+    @pytest.mark.parametrize("name", sorted(MESHES) + ["identify"])
+    def test_block_product_is_the_full_product_bitwise(self, name):
+        # each row of the block keeps K's stored column order, so B x sums
+        # as K x does on the free rows, less products with zeros
+        mesh = coupling_mesh(name)
+        K = fem.assemble_stiffness(mesh, ELAST)
+        factor = fem.subdomain_factor(mesh, K)
+        free = mesh.free_dofs
+        x = np.random.default_rng(17).standard_normal(free.size)
+        full = np.zeros(mesh.n_dofs)
+        full[free] = x
+        assert (factor.matrix @ x).tobytes() == (K @ full)[free].tobytes()
+        # the block holds every entry of K that joins two free dofs
+        assert factor.matrix.nnz == K[free][:, free].nnz
 
     @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, 0.01 * 8.0 / 7.0, 0.01],
                              ids=["flat", "flat-fine", "identify", "measure"])

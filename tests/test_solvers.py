@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from crackid import driver, fem, solvers
-from crackid.geometry import build_mesh, constant_graph
+from crackid.geometry import HEIGHT, build_mesh, constant_graph, uniform_graph
 
 import oracles
 
@@ -74,6 +74,35 @@ class TestPdas:
         assert np.array_equal(out1[1].lam, out2[1].lam)
         assert out1[2].iterations == out2[2].iterations
         assert out1[2].active_sizes == out2[2].active_sizes
+
+
+def random_line(rng, h, rough):
+    """An admissible coarse line: a smooth one of 2-5 nodes within 0.1 of
+    mid-height, or a rough one with H down to 2h and heights anywhere in
+    the 2h margin."""
+    if rough:
+        return uniform_graph(rng.uniform(2.0 * h, HEIGHT - 2.0 * h,
+                                         rng.integers(5, int(0.5 / h) + 2)))
+    return uniform_graph(0.25 + rng.uniform(-0.1, 0.1, rng.integers(2, 6)))
+
+
+class TestPdasRandomLines:
+    """Every PDAS solve on seeded random lines converges to a state that
+    meets criterion 1's checks."""
+
+    @pytest.mark.parametrize("seed,h,rough", [(101, 0.05, False), (102, 0.05, True),
+                                              (103, 1.0 / 35.0, False),
+                                              (104, 1.0 / 35.0, True)])
+    def test_random_lines_meet_the_complementarity_checks(self, seed, h, rough):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            mesh = build_mesh(random_line(rng, h, rough), h)
+            for g in (G_CONTACT, G_STRETCH):
+                z, aset, _ = solvers.solve_vi_pdas(mesh, LAWS, ELAST, g)
+                jump2 = mesh.jump(z.values, 1)
+                assert np.all(aset.lam <= 0.0)
+                assert np.min(jump2) >= -1e-12 * h
+                assert np.max(np.abs(aset.lam * jump2)) <= 1e-8 * ELAST.mu_L
 
 
 class TestPenaltyState:
@@ -332,7 +361,7 @@ class TestFactorReuse:
             if any(self.tag is seen for seen in solved):
                 # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
-                fresh = fem.FactorizedSPD(self.band, self.matrix, self.rows)
+                fresh = fem.FactorizedSPD(self.band, self.matrix, self.block_end)
                 if self.coupling is not None:
                     fresh.couple(*self.coupling)
                 self = fresh
@@ -434,7 +463,7 @@ class TestAdjoint:
         u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, eps)
         rng = np.random.default_rng(2)
         z = np.zeros(mesh.n_dofs)
-        obs = np.unique(mesh.observation_edges)
+        obs = mesh.observation_vertices
         z[2 * obs] = 0.01 * rng.standard_normal(obs.size)
         z[2 * obs + 1] = 0.01 * rng.standard_normal(obs.size)
         v = solvers.solve_adjoint(op, u, z, eps)
