@@ -222,12 +222,12 @@ def cmd_gradient_check(args):
     v = solvers.solve_adjoint(op, u, zv, eps)
 
     def objective_of(graph):
-        # every probe perturbs the base line, so it starts from its sets
+        # every probe perturbs the base line, so it starts from its sets;
+        # its mesh has the base mesh's observation rows, so its z
         m = build_mesh(graph, h)
         u, _, _ = solvers.solve_penalty_state(m, laws, elast, g, eps,
                                               max_outer=config.max_outer,
                                               start=base.configuration)
-        zv = driver.interp_measurement(m, meas)
         return driver.objective(m, u, zv, elast.rho_reg, graph)
     manifest.phase("state")
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fem, shape, solvers
 from .errors import ConfigError, CrackidError, InvalidPoisson
-from .geometry import (HEIGHT, InterfaceGraph, band_shape, build_mesh, grid_counts,
-                       uniform_graph)
+from .geometry import (HEIGHT, WIDTH, InterfaceGraph, band_shape, build_mesh,
+                       grid_counts, uniform_graph)
 from .laws import CohesiveParams
 
 MEASUREMENT_HEADER = "# measurement v1"
@@ -221,24 +221,31 @@ def read_measurement(path):
                           % data.shape[1])
     if not np.all(np.isfinite(data)):
         raise ConfigError("measurement holds non-finite values")
-    for y in (0.0, HEIGHT):    # the observation (bottom and top) edges
-        if not np.any(np.abs(data[:, 1] - y) < 1e-12):
+    on_edge = [np.abs(data[:, 1] - y) < 1e-12 for y in (0.0, HEIGHT)]
+    for y, on in zip((0.0, HEIGHT), on_edge):    # the observation edges
+        if not np.any(on):
             raise ConfigError("measurement has no samples on the edge x2 = %g" % y)
+    off = ~(on_edge[0] | on_edge[1]) | (data[:, 0] < 0.0) | (data[:, 0] > WIDTH)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConfigError("measurement row %d (x1 = %r, x2 = %r) lies off the "
+                          "observation edges x2 = 0 and x2 = %g, 0 <= x1 <= %g"
+                          % (k + 1, data[k, 0], data[k, 1], HEIGHT, WIDTH))
     return Measurement(h=h, load_case=load_case,
                        points=data[:, 0:2], disp=data[:, 2:4])
 
 
 def interp_measurement(mesh, meas):
     """Arclength-linear interpolation of the measurement onto the current
-    observation nodes; returns a full-length dof vector (zero elsewhere)."""
+    observation nodes; returns a full-length dof vector (zero elsewhere).
+    It reads only the observation rows, which every mesh of one topology
+    shares bit for bit (``geometry``), so one result serves them all."""
     z = np.zeros(mesh.n_dofs)
     ids = mesh.observation_vertices
     pts = mesh.vertices[ids]
     for y_group in np.unique(meas.points[:, 1]):
         src = np.abs(meas.points[:, 1] - y_group) < 1e-12
         dst = ids[np.abs(pts[:, 1] - y_group) < 1e-12]
-        if dst.size == 0:
-            continue
         xs = meas.points[src, 0]
         order = np.argsort(xs)
         xd = mesh.vertices[dst, 0]
@@ -325,6 +332,7 @@ def identify(config, meas, record_gradients=False):
     err0 = shape_error(psi, psi_true)
     clamped = 0
     start = None   # the previous iterate's converged active sets
+    z_vec = None   # every iterate's mesh has the same observation rows
 
     for n in range(config.n_max + 1):
         try:
@@ -337,7 +345,8 @@ def identify(config, meas, record_gradients=False):
             break
 
         start = rep.configuration
-        z_vec = interp_measurement(mesh, meas)
+        if z_vec is None:
+            z_vec = interp_measurement(mesh, meas)
         J = objective(mesh, u, z_vec, elast.rho_reg, psi)
         if J0 is None:
             J0 = J

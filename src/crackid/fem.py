@@ -3,25 +3,28 @@ mesh, boundary/interface integrals and the factors of the linear solves.
 
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
 and reads the element areas and shape gradients the mesh carries; the
-element blocks are formed as a few products over all elements at once, the
-element axis last. The CSR pattern of the stiffness, and the order in which
-scipy's COO -> CSR conversion would sum each entry's element contributions,
-are derived once per mesh topology; each assembly then only gathers and
-sums the element blocks in that order, so the matrix equals the plain COO
-conversion bit for bit, entries that sum to zero included. Dirichlet dofs
-are eliminated by row/column removal, so every free block stays symmetric
-positive definite. Once per mesh, ``subdomain_factor`` gathers K's free
-block and its band from the cached pattern, and ``FactorizedSPD`` factors
-it by a band Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer
-Solution of Large Sparse Positive Definite Systems, 1981). Its rows are
-the mesh's free dofs in their one order, the lower subdomain first, so
-the block is block diagonal, one band per subdomain, and the mesh's
-topology says where the blocks end. Every Newton matrix of the mesh is
-that block plus a low-rank coupling on interface jump dofs, which the
-factor solves through the Woodbury identity: a penalty's jump mass, or a
-pair merged shut as the infinite-weight limit. The factor checks
-definiteness and rank when it factors and the backward error of every
-solve.
+element blocks are formed in place as a few products over all elements at
+once, the element axis last. The CSR pattern of the stiffness, and the
+order in which scipy's COO -> CSR conversion would sum each entry's element
+contributions, are derived once per mesh topology and grouped by the number
+of terms an entry sums; each assembly then only gathers and sums the
+element blocks group by group in that order, so the matrix equals the plain
+COO conversion bit for bit, entries that sum to zero included. The boundary
+load and the boundary mass live on the observation rows, which every mesh
+of one topology shares bit for bit, so they are formed once per topology
+and kept read-only. Dirichlet dofs are eliminated by row/column removal, so
+every free block stays symmetric positive definite. Once per mesh,
+``subdomain_factor`` gathers K's free block and its band from the cached
+pattern, and ``FactorizedSPD`` factors the band in place by a band Cholesky
+(LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981). Its rows are the mesh's free dofs in
+their one order, the lower subdomain first, so the block is block diagonal,
+one band per subdomain, and the mesh's topology says where the blocks end.
+Every Newton matrix of the mesh is that block plus a low-rank coupling on
+interface jump dofs, which the factor solves through the Woodbury identity:
+a penalty's jump mass, or a pair merged shut as the infinite-weight limit.
+The factor checks definiteness and rank when it factors and the backward
+error of every solve.
 """
 
 import functools
@@ -105,19 +108,22 @@ def element_stiffness(area, grads, dmat):
     element axis last: block[i, j, e] for local dofs i = 2 a + c.
 
     Each of the four 3x3 node blocks is one product over all elements, such
-    as ((gx D00) gx + (gy D22) gy) area for the x-x block. It is the sum
-    that the plain einsum pair (B^T D) B forms, term for term and in the
-    same order; the terms with a structural zero of B add exact zeros and
-    are left out.
+    as ((gx D00) gx + (gy D22) gy) area for the x-x block, formed in its
+    place in the output. It is the sum that the plain einsum pair
+    (B^T D) B forms, term for term and in the same order; the terms with a
+    structural zero of B add exact zeros and are left out.
     """
     gx = np.ascontiguousarray(grads[:, :, 0].T)[:, None]   # (3, 1, nt)
     gy = np.ascontiguousarray(grads[:, :, 1].T)[:, None]
     gx_t, gy_t = gx.transpose(1, 0, 2), gy.transpose(1, 0, 2)   # (1, 3, nt)
+    gx_s, gy_s = gx * dmat[2, 2], gy * dmat[2, 2]
     out = np.empty((6, 6, area.shape[0]))
-    out[0::2, 0::2] = ((gx * dmat[0, 0]) * gx_t + (gy * dmat[2, 2]) * gy_t) * area
-    out[0::2, 1::2] = ((gx * dmat[0, 1]) * gy_t + (gy * dmat[2, 2]) * gx_t) * area
-    out[1::2, 0::2] = ((gy * dmat[1, 0]) * gx_t + (gx * dmat[2, 2]) * gy_t) * area
-    out[1::2, 1::2] = ((gy * dmat[1, 1]) * gy_t + (gx * dmat[2, 2]) * gx_t) * area
+    for i, j, a, b, c, d in ((0, 0, gx, gx_t, gy_s, gy_t), (0, 1, gx, gy_t, gy_s, gx_t),
+                             (1, 0, gy, gx_t, gx_s, gy_t), (1, 1, gy, gy_t, gx_s, gx_t)):
+        block = out[i::2, j::2]
+        np.multiply(a * dmat[i, j], b, out=block)
+        block += c * d
+        block *= area
     return out
 
 
@@ -130,8 +136,8 @@ def _dof_table(triangles):
 
 @functools.lru_cache(maxsize=8)
 def _stiffness_pattern(topology, n_dofs):
-    """CSR pattern of the stiffness of one mesh topology, with the gather
-    that sums the element blocks of ``element_stiffness`` into it.
+    """CSR pattern of the stiffness of one mesh topology, with the gathers
+    that sum the element blocks of ``element_stiffness`` into it.
 
     ``coo_matrix(...).tocsr()`` of the blocks listed element by element
     places the entries row by row in input order, sorts each row by column
@@ -139,10 +145,10 @@ def _stiffness_pattern(topology, n_dofs):
     Replaying it on entry numbers instead of values gives the permutation
     it applies; the assembly then repeats that sum exactly. The entry
     numbers are then moved to the element-last layout of the blocks.
-    Returns (indptr, indices, first, tails): entry k of the data is
-    flat[first[k]] plus flat[src] for each (dst, src) in ``tails`` whose
-    dst holds k, in order -- at most one per term of the run -- with flat
-    the raveled blocks.
+    Returns (indptr, indices, groups): entry k of the data is the sum of
+    the run of terms flat[table[0, m]] + flat[table[1, m]] + ..., left to
+    right, for the one (dst, table) in ``groups`` with dst[m] = k, with
+    flat the raveled blocks; each group holds the runs of one length.
     """
     table = _dof_table(topology.triangles)
     nd = table.shape[1]
@@ -161,13 +167,13 @@ def _stiffness_pattern(topology, n_dofs):
     starts = np.flatnonzero(np.concatenate(
         [[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
     run = np.diff(np.append(starts, perm.size))
-    tails = []
-    for k in range(1, int(run.max())):
-        dst = np.flatnonzero(run > k)
-        tails.append((dst, perm[starts[dst] + k]))
+    groups = []
+    for length in np.unique(run):
+        dst = np.flatnonzero(run == length)
+        groups.append((dst, perm[starts[dst] + np.arange(length)[:, None]]))
     indptr = np.searchsorted(rows[starts], bounds).astype(cols.dtype)
-    out = (indptr, cols[starts], perm[starts], tuple(tails))
-    for arr in out[:3] + tuple(a for pair in tails for a in pair):
+    out = (indptr, cols[starts], tuple(groups))
+    for arr in out[:2] + tuple(a for pair in groups for a in pair):
         arr.setflags(write=False)
     return out
 
@@ -181,10 +187,11 @@ def _free_block(topology, n_dofs):
     row's terms as K @ x does, less the products with the clamped dofs'
     zeros. Returns (src, indptr, indices, lower, slot, kd): entry k of B's
     data is K.data[src[k]]; the entries ``lower`` of that data, B's lower
-    triangle, go to the flat index offset * n_free + column of a
-    (kd + 1, n_free) band array, kd the largest offset among them.
+    triangle, go to the flat index column * (kd + 1) + offset of a
+    (n_free, kd + 1) array, the transpose of a Fortran-ordered band, kd
+    the largest offset among them.
     """
-    indptr, indices, _, _ = _stiffness_pattern(topology, n_dofs)
+    indptr, indices, _ = _stiffness_pattern(topology, n_dofs)
     row = topology.free_row[np.repeat(np.arange(n_dofs), np.diff(indptr))]
     col = topology.free_row[indices]
     src = np.flatnonzero((row >= 0) & (col >= 0))
@@ -193,25 +200,31 @@ def _free_block(topology, n_dofs):
     n_free = topology.free_dofs.size
     offset = row - col
     lower = np.flatnonzero(offset >= 0)
+    kd = int(offset.max(initial=0))
     out = (src, np.searchsorted(row, np.arange(n_free + 1)).astype(indices.dtype),
-           col.astype(indices.dtype), lower, offset[lower] * n_free + col[lower])
+           col.astype(indices.dtype), lower, col[lower] * (kd + 1) + offset[lower])
     for arr in out:
         arr.setflags(write=False)
-    return out + (int(offset.max(initial=0)),)
+    return out + (kd,)
 
 
 def assemble_stiffness(mesh, elast):
     """Bulk stiffness over the broken domain (full, pre-elimination).
 
     The CSR pattern and summation order are those of the mesh's topology,
-    built once; each call only gathers and sums the element blocks. An
-    entry that sums to exactly zero stays in the pattern.
+    built once; each call gathers the element blocks' terms run length by
+    run length, sums each group's runs left to right and writes the sums
+    into the data once per group. An entry that sums to exactly zero stays
+    in the pattern.
     """
     flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
-    indptr, indices, first, tails = _stiffness_pattern(mesh.topology, mesh.n_dofs)
-    data = flat[first]
-    for dst, src in tails:
-        data[dst] += flat[src]
+    indptr, indices, groups = _stiffness_pattern(mesh.topology, mesh.n_dofs)
+    data = np.empty(indices.size)
+    for dst, table in groups:
+        total = flat[table[0]]
+        for src in table[1:]:
+            total += flat[src]
+        data[dst] = total
     return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                          shape=(mesh.n_dofs, mesh.n_dofs))
 
@@ -223,27 +236,48 @@ def subdomain_factor(mesh, K):
     No entry of K joins the two subdomains, so in the order of
     ``mesh.free_dofs`` its free block is block diagonal, one band per
     subdomain, the blocks ending at ``mesh.block_end``. The block and its
-    band are gathered from K's data by the cached pattern.
+    band are gathered from K's data by the cached pattern; the band is laid
+    out in LAPACK's column-major order, so the factor overwrites it.
     """
     src, indptr, indices, lower, slot, kd = _free_block(mesh.topology, mesh.n_dofs)
     n_free = mesh.free_dofs.size
     data = K.data[src]
-    band = np.zeros((kd + 1, n_free))
+    band = np.zeros((n_free, kd + 1))
     band.reshape(-1)[slot] = data[lower]
     block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
-    return FactorizedSPD(band, block, mesh.block_end)
+    return FactorizedSPD(band.T, block, mesh.block_end)
+
+
+def _neumann_ends(mesh):
+    """(topology, a, b): the mesh's topology and the bytes of its Neumann
+    edges' end points, all that the boundary terms read of a mesh, and the
+    key they are cached on. Every mesh of one topology has the same bits
+    there (``geometry``), so the terms are formed once per topology."""
+    edges = mesh.neumann_edges
+    return (mesh.topology, mesh.vertices[edges[:, 0]].tobytes(),
+            mesh.vertices[edges[:, 1]].tobytes())
+
+
+def _edge_points(a, b):
+    """The end points of ``_neumann_ends`` as (n, 2) arrays, and the edge
+    lengths."""
+    a = np.frombuffer(a).reshape(-1, 2)
+    b = np.frombuffer(b).reshape(-1, 2)
+    return a, b, np.hypot(*(b - a).T)
 
 
 def assemble_traction(mesh, g):
     """Boundary load vector of the traction ``g(x, y) -> (gx, gy)`` over the
-    Neumann edges, via 2-point Gauss quadrature per edge."""
-    f = np.zeros(mesh.n_dofs)
-    edges = mesh.neumann_edges
-    if edges.size == 0:
-        return f
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    L = np.hypot(*(b - a).T)
+    Neumann edges, via 2-point Gauss quadrature per edge; read-only, and
+    formed once per topology, edge end points and ``g``."""
+    return _traction(*_neumann_ends(mesh), g)
+
+
+@functools.lru_cache(maxsize=8)
+def _traction(topology, a, b, g):
+    edges = topology.neumann_edges
+    f = np.zeros(topology.free_row.size)
+    a, b, L = _edge_points(a, b)
     for t in GAUSS2:
         pts = a + t * (b - a)
         gx, gy = g(pts[:, 0], pts[:, 1])
@@ -253,16 +287,21 @@ def assemble_traction(mesh, g):
             gv = np.broadcast_to(gv, L.shape)
             np.add.at(f, 2 * edges[:, 0] + comp, w * gv * (1.0 - t))
             np.add.at(f, 2 * edges[:, 1] + comp, w * gv * t)
+    f.setflags(write=False)
     return f
 
 
 def assemble_boundary_mass(mesh):
     """Consistent boundary mass over the observation (Neumann) edges, acting
-    identically on both displacement components."""
-    edges = mesh.neumann_edges
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    L = np.hypot(*(b - a).T)
+    identically on both displacement components; read-only, and formed once
+    per topology and edge end points."""
+    return _boundary_mass(*_neumann_ends(mesh))
+
+
+@functools.lru_cache(maxsize=8)
+def _boundary_mass(topology, a, b):
+    edges = topology.neumann_edges
+    _, _, L = _edge_points(a, b)
     rows, cols, vals = [], [], []
     for comp in (0, 1):
         da = 2 * edges[:, 0] + comp
@@ -270,10 +309,13 @@ def assemble_boundary_mass(mesh):
         rows += [da, db, da, db]
         cols += [da, db, db, da]
         vals += [L / 3.0, L / 3.0, L / 6.0, L / 6.0]
+    n_dofs = topology.free_row.size
     mat = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(mesh.n_dofs, mesh.n_dofs))
-    return mat.tocsr()
+                        shape=(n_dofs, n_dofs)).tocsr()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 # ----------------------------------------------------------------------
@@ -289,16 +331,18 @@ class _Band(NamedTuple):
 
 
 class FactorizedSPD:
-    """Band Cholesky factor of an SPD matrix B, kept with B, and the solves
-    of B + U D U^T for a low-rank coupling that ``couple`` sets.
+    """Band Cholesky factor of an SPD matrix B, and the solves of
+    B + U D U^T for a low-rank coupling that ``couple`` sets.
 
-    ``band`` is B in LAPACK lower band storage, factored by ``dpbtrf``,
-    and ``matrix`` is B as a sparse matrix; a solve takes and returns
-    vectors in the order of B's rows. ``block_end`` lists where B's
-    diagonal blocks end: no entry of B joins the rows above such an end to
-    the rows below it, so L^-1 keeps a column in its block. A coupling
-    is (plus, minus, d): U's column k is e(plus_k) - e(minus_k), plus_k
-    and minus_k rows of B, with weight d_k > 0. With B = L L^T,
+    ``band`` is B in LAPACK lower band storage; ``dpbtrf`` factors it in
+    place when it is Fortran-ordered, so the caller hands it over. The
+    factor keeps diag(B), which ``couple`` reads, and max|B|, both taken
+    before the band is overwritten. ``matrix`` is B as a sparse matrix; a
+    solve takes and returns vectors in the order of B's rows. ``block_end``
+    lists where B's diagonal blocks end: no entry of B joins the rows above
+    such an end to the rows below it, so L^-1 keeps a column in its block.
+    A coupling is (plus, minus, d): U's column k is e(plus_k) - e(minus_k),
+    plus_k and minus_k rows of B, with weight d_k > 0. With B = L L^T,
     Y = L^-1 U and C = D^-1 + Y^T Y factored densely, a solve is
     x = L^-T (z - Y mu), z = L^-1 b, mu = C^-1 Y^T z (Woodbury; Hager,
     SIAM Review 31, 1989).
@@ -317,16 +361,18 @@ class FactorizedSPD:
     """
 
     def __init__(self, band, matrix, block_end):
+        self.diag = band[0].copy()
+        self.band_max = max(band.max(), -band.min())
         try:
-            lower = cholesky_banded(band, lower=True, check_finite=False)
+            lower = cholesky_banded(band, lower=True, overwrite_ab=True,
+                                    check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
         diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
-        self.band, self.matrix = band, matrix
+        self.matrix = matrix
         self.block_end = np.asarray(block_end)
-        self.band_max = max(band.max(), -band.min())
         self.lu = _Band(lower, lower.size)
         self.couple((), (), ())
 
@@ -351,7 +397,7 @@ class FactorizedSPD:
         self.pen = np.flatnonzero(np.isfinite(d))
         for side in (plus, minus):
             self.max_abs = max(self.max_abs,
-                               (self.band[0][side] + d)[self.pen].max(initial=0.0))
+                               (self.diag[side] + d)[self.pen].max(initial=0.0))
 
     def _trailing_solves(self, plus, minus):
         """Y = L^-1 U, row-major. In each diagonal block of L, a column of U

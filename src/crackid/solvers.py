@@ -186,6 +186,7 @@ class _InterfaceOperator:
         """Relative residual of K u + f_int(u) - F on the free rows, with
         f_int the discrete friction and cohesion laws plus, for a penalty
         ``eps``, the penalty law; Euclidean, relative to the load norm.
+        Returns it with the product K u.
 
         Rows that carry constraint reactions are excused: the x2 rows of
         the ``shut`` (contact-merged) pairs drop out, and sticking nodes,
@@ -197,7 +198,8 @@ class _InterfaceOperator:
         t2 = self.w * cohesion_discrete_prime(j2, self.laws)
         if eps is not None:
             t2 = t2 + self.w * beta_discrete(j2, eps)
-        r = self.K @ values - self.F + self.interface_load(t1, t2)
+        k_u = self.K @ values
+        r = k_u - self.F + self.interface_load(t1, t2)
         idx = np.nonzero(stick)[0]
         if idx.size:
             t = self.traction(r, 0, idx)
@@ -208,7 +210,7 @@ class _InterfaceOperator:
         rows[self.p2[shut]] = False
         rows[self.m2[shut]] = False
         scale = self.Fnorm if self.Fnorm > 0.0 else 1.0
-        return float(np.linalg.norm(r[rows]) / scale)
+        return float(np.linalg.norm(r[rows]) / scale), k_u
 
     def cohesion_update(self, j2, ind):
         at_edge = np.abs(np.abs(j2) - self.laws.kappa) < SIGN_DEADBAND
@@ -277,7 +279,7 @@ def _active_set_solve(op, eps, max_outer, start=None):
         stick = interior & (sgn == 0.0)
         f = op.F - op.lagged_load(sgn, ind)
         new_values = op.solve(f, closed, stick, eps)
-        new_res = op.stationarity(new_values, eps, stick, shut)
+        new_res, new_k_u = op.stationarity(new_values, eps, stick, shut)
 
         config = (closed.tobytes(), sgn.tobytes(), ind.tobytes())
         if config == prev_config and new_res >= res and res > tol:
@@ -285,21 +287,21 @@ def _active_set_solve(op, eps, max_outer, start=None):
             t, ok = 0.5, False
             while t >= 2.0**-20:
                 trial = values + t * (new_values - values)
-                trial_res = op.stationarity(trial, eps, stick, shut)
+                trial_res, trial_k_u = op.stationarity(trial, eps, stick, shut)
                 if trial_res < res:
-                    new_values, new_res = trial, trial_res
+                    new_values, new_res, new_k_u = trial, trial_res, trial_k_u
                     ok, damped = True, damped + 1
                     break
                 t *= 0.5
             if not ok:
                 raise LineSearchFailed(
                     "damped penalty step stalled at residual %.3e" % res)
-        values, res = new_values, new_res
+        values, res, k_u = new_values, new_res, new_k_u
         prev_config = config
 
         # K alone: contact has no J, and a penalty step reads r on x1 rows
         # only, where J has no entry
-        r = f - op.K @ values
+        r = f - k_u
         jump1, jump2 = op.jumps(values)
         if contact:
             lam = np.zeros(n_if)

@@ -39,14 +39,14 @@ class SvgCanvas:
             ' stroke-opacity="%.3f"%s/>' % (pts, color, width, opacity, extra))
 
     def segments(self, a, b, color="#000", width=1.0, opacity=1.0):
-        """Batch of line segments, a/b arrays of endpoints (n, 2)."""
-        chunks = []
-        for (xa, ya), (xb, yb) in zip(a, b):
-            chunks.append('M%.2f %.2fL%.2f %.2f' % (
-                self.x(xa), self.y(ya), self.x(xb), self.y(yb)))
+        """Batch of line segments, a/b arrays of endpoints (n, 2); the
+        coordinates are mapped as whole arrays and formatted in one pass."""
+        coords = np.column_stack([self.x(a[:, 0]), self.y(a[:, 1]),
+                                  self.x(b[:, 0]), self.y(b[:, 1])])
+        path = ("M%.2f %.2fL%.2f %.2f" * len(coords)) % tuple(coords.ravel().tolist())
         self.parts.append(
             '<path d="%s" fill="none" stroke="%s" stroke-width="%.2f"'
-            ' stroke-opacity="%.3f"/>' % ("".join(chunks), color, width, opacity))
+            ' stroke-opacity="%.3f"/>' % (path, color, width, opacity))
 
     def text(self, xd, yd, s, size=12, color="#000", anchor="start"):
         self.parts.append(
@@ -85,10 +85,13 @@ class SvgCanvas:
 
 
 def _triangle_edges(mesh):
+    """The distinct edges (a, b), a < b, in lexicographic order: the sorted
+    distinct codes a n + b, n the vertex count."""
     t = mesh.triangles
     e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    n = mesh.n_vertices
+    return np.column_stack(np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n))
 
 
 def deformed_configuration(path, mesh, field, statuses):

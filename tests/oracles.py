@@ -494,3 +494,74 @@ def coo_stiffness(mesh, ke_blocks):
     cols = np.tile(dofs, (1, 6)).reshape(-1)
     return sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
                          shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+
+
+def corner_triangle_geometry(vertices, triangles):
+    """Areas and P1 shape gradients from the gathered (nt, 3, 2) corners,
+    edge by edge: the formula that ``geometry.triangle_geometry`` must
+    match bit for bit."""
+    p = vertices[triangles]
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    area = 0.5 * (v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1])
+    grads = np.empty((triangles.shape[0], 3, 2))
+    for i, e in enumerate((p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0])):
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * area)[:, None, None]
+    return area, grads
+
+
+def expression_element_stiffness(area, grads, dmat):
+    """Element blocks (6, 6, nt), each 3x3 node block one expression with
+    its temporaries: the formula that ``fem.element_stiffness`` must match
+    bit for bit."""
+    gx = np.ascontiguousarray(grads[:, :, 0].T)[:, None]
+    gy = np.ascontiguousarray(grads[:, :, 1].T)[:, None]
+    gx_t, gy_t = gx.transpose(1, 0, 2), gy.transpose(1, 0, 2)
+    out = np.empty((6, 6, area.shape[0]))
+    out[0::2, 0::2] = ((gx * dmat[0, 0]) * gx_t + (gy * dmat[2, 2]) * gy_t) * area
+    out[0::2, 1::2] = ((gx * dmat[0, 1]) * gy_t + (gy * dmat[2, 2]) * gx_t) * area
+    out[1::2, 0::2] = ((gy * dmat[1, 0]) * gx_t + (gx * dmat[2, 2]) * gy_t) * area
+    out[1::2, 1::2] = ((gy * dmat[1, 1]) * gy_t + (gx * dmat[2, 2]) * gx_t) * area
+    return out
+
+
+def vertex_traction(mesh, g):
+    """The Neumann load read from the mesh's own vertices, every call:
+    what ``fem.assemble_traction``'s cached vector must equal bit for bit."""
+    f = np.zeros(mesh.n_dofs)
+    edges = mesh.neumann_edges
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
+    L = np.hypot(*(b - a).T)
+    for t in GAUSS2:
+        pts = a + t * (b - a)
+        gx, gy = g(pts[:, 0], pts[:, 1])
+        for comp, gv in ((0, gx), (1, gy)):
+            gv = np.broadcast_to(np.asarray(gv, dtype=float), L.shape)
+            np.add.at(f, 2 * edges[:, 0] + comp, 0.5 * L * gv * (1.0 - t))
+            np.add.at(f, 2 * edges[:, 1] + comp, 0.5 * L * gv * t)
+    return f
+
+
+def vertex_boundary_mass(mesh):
+    """The boundary mass read from the mesh's own vertices, every call:
+    what ``fem.assemble_boundary_mass``'s cached matrix must equal bit for
+    bit."""
+    import scipy.sparse as sp
+
+    edges = mesh.neumann_edges
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
+    L = np.hypot(*(b - a).T)
+    rows, cols, vals = [], [], []
+    for comp in (0, 1):
+        da = 2 * edges[:, 0] + comp
+        db = 2 * edges[:, 1] + comp
+        rows += [da, db, da, db]
+        cols += [da, db, db, da]
+        vals += [L / 3.0, L / 3.0, L / 6.0, L / 6.0]
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()

@@ -220,6 +220,11 @@ INVALID_CONFIGS = [
     ("measurement-no-rows", "", [], measurement_text(rows="")),
     ("measurement-missing-top-edge", "", [],
      measurement_text(rows="0 0 0 0\n0.5 0 1e-6 0\n1 0 0 0\n")),
+    # a row on neither observation edge, or beyond the body's ends
+    ("measurement-row-off-the-edges", "", [],
+     measurement_text(rows="0 0 0 0\n1 0 0 0\n0.5 0.25 1e-6 0\n0 0.5 0 0\n1 0.5 0 0\n")),
+    ("measurement-x1-outside", "", [],
+     measurement_text(rows="0 0 0 0\n1 0 0 0\n0 0.5 0 0\n1.25 0.5 0 0\n")),
     # inverse-crime guard: data synthesised on the identification grid
     ("measurement-h-is-h-identify", "", [],
      measurement_text(h="%.17g" % ExperimentConfig().resolved_h_identify())),
@@ -264,6 +269,24 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
     assert rc == code
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows,row", [
+    ("0 0 0 0\n1 0 0 0\n0.5 0.25 1e-6 0\n0 0.5 0 0\n1 0.5 0 0\n", 3),
+    ("0 0 0 0\n1 0 0 0\n0 0.5 0 0\n1.25 0.5 0 0\n", 4),
+    ("-1e-9 0 0 0\n1 0 0 0\n0 0.5 0 0\n1 0.5 0 0\n", 1),
+], ids=["x2-between", "x1-beyond-1", "x1-below-0"])
+def test_measurement_row_off_the_edges_is_named(tmp_path, capsys, rows, row):
+    # the reader names the row; before, interp_measurement dropped it
+    mpath = tmp_path / "measurement.txt"
+    mpath.write_text(measurement_text(rows=rows))
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    rc = run(["identify", "--measurement", str(mpath), "--config", str(cfg),
+              "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "measurement row %d " % row in err
 
 
 @pytest.mark.parametrize("eps", ["1e-200", "1e-300", "1e-310"])

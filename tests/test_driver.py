@@ -164,12 +164,14 @@ class TestIdentify:
     def test_determinism(self, contact_measurement):
         # cold caches, warm caches, then cold again after clearing them
         cfg = driver.ExperimentConfig(n_max=3)
-        geometry._topology.cache_clear()
-        fem._stiffness_pattern.cache_clear()
+        caches = (geometry._topology, fem._stiffness_pattern, fem._free_block,
+                  fem._traction, fem._boundary_mass)
+        for cache in caches:
+            cache.cache_clear()
         log1 = driver.identify(cfg, contact_measurement["meas"])
         log2 = driver.identify(cfg, contact_measurement["meas"])
-        geometry._topology.cache_clear()
-        fem._stiffness_pattern.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         log3 = driver.identify(cfg, contact_measurement["meas"])
         assert log1.to_csv() == log2.to_csv() == log3.to_csv()
 

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from crackid import fem
+from crackid import driver, fem
 from crackid.driver import ExperimentConfig
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
-from crackid.geometry import (InterfaceGraph, band_shape, build_mesh,
+from crackid.geometry import (HEIGHT, InterfaceGraph, band_shape, build_mesh,
                               constant_graph, triangle_geometry, uniform_graph)
 
 import oracles
@@ -183,6 +183,8 @@ class TestElementStiffness:
         assert ke.shape == (6, 6, mesh.triangles.shape[0])
         assert np.array_equal(np.moveaxis(ke, -1, 0),
                               oracles.einsum_element_stiffness(*args))
+        # formed in place, the blocks keep the expression's bits
+        assert ke.tobytes() == oracles.expression_element_stiffness(*args).tobytes()
 
     @pytest.mark.parametrize("graph,h,sums_to_zero", [
         MESHES["flat"] + (True,),
@@ -210,10 +212,29 @@ class TestElementStiffness:
     def test_cached_pattern_is_read_only(self):
         mesh = small_mesh()
         fem.assemble_stiffness(mesh, ELAST)
-        indptr, indices, first, tails = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
-        for arr in (indptr, indices, first) + tails[0]:
+        indptr, indices, groups = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
+        for arr in (indptr, indices) + tuple(a for group in groups for a in group):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("h,sizes", [
+        (0.05, None),
+        (0.01 * 8.0 / 7.0, {1: 3536, 2: 91184, 3: 1728, 6: 14616}),
+    ], ids=["flat", "identify"])
+    def test_group_tables_cover_every_entry_and_term_once(self, h, sizes):
+        # one group per run length, in increasing order; each entry of the
+        # data in one group, and each term of the blocks in one run
+        mesh = build_mesh(constant_graph(0.25), h)
+        _, indices, groups = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
+        lengths = [table.shape[0] for _, table in groups]
+        assert lengths == sorted(set(lengths))
+        assert all(table.shape[1] == dst.size for dst, table in groups)
+        dst = np.concatenate([dst for dst, _ in groups])
+        assert np.array_equal(np.sort(dst), np.arange(indices.size))
+        terms = np.concatenate([table.reshape(-1) for _, table in groups])
+        assert np.array_equal(np.sort(terms), np.arange(36 * mesh.triangles.shape[0]))
+        if sizes is not None:
+            assert {table.shape[0]: dst.size for dst, table in groups} == sizes
 
     def test_symmetry(self):
         mesh = small_mesh(0.05)
@@ -264,6 +285,48 @@ class TestTraction:
 
         f = fem.assemble_traction(mesh, g)
         assert np.sum(f[1::2]) == pytest.approx(2.0, rel=1e-14)  # int_0^1 (2x+1)
+
+
+class TestObservationRows:
+    """The terms on the observation rows, formed once per topology: every
+    mesh of one topology holds the same bits there (``geometry``), so the
+    cached load and mass, and the measurement interpolated on the first
+    mesh, equal each mesh's own."""
+
+    @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, 0.01 * 8.0 / 7.0],
+                             ids=["flat", "flat-fine", "identify"])
+    def test_cached_terms_equal_each_mesh_fresh_bitwise(self, h):
+        rng = np.random.default_rng(41)
+        g = ExperimentConfig().traction("contact")
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+        meas = driver.Measurement(
+            h=0.01, load_case="contact",
+            points=np.column_stack([np.tile(x, 2), np.repeat([0.0, HEIGHT], x.size)]),
+            disp=rng.standard_normal((2 * x.size, 2)))
+        fem._traction.cache_clear()
+        fem._boundary_mass.cache_clear()
+        z = None
+        for k in range(12):
+            # every other line lies wholly below 0.25, where 0.5 - psi rounds
+            top = 0.25 if k % 2 else HEIGHT - 2.0 * h
+            mesh = build_mesh(uniform_graph(rng.uniform(2.0 * h, top, 11)), h)
+            F = fem.assemble_traction(mesh, g)
+            assert F.tobytes() == oracles.vertex_traction(mesh, g).tobytes()
+            M, ref = fem.assemble_boundary_mass(mesh), oracles.vertex_boundary_mass(mesh)
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(M, attr).tobytes() == getattr(ref, attr).tobytes()
+            z = driver.interp_measurement(mesh, meas) if z is None else z
+            assert z.tobytes() == driver.interp_measurement(mesh, meas).tobytes()
+        assert fem._traction.cache_info().misses == 1
+        assert fem._boundary_mass.cache_info().misses == 1
+
+    def test_cached_terms_are_read_only(self):
+        mesh = small_mesh()
+        F = fem.assemble_traction(mesh, lambda x, y: (0.0 * x, 1.0 + 0.0 * y))
+        M = fem.assemble_boundary_mass(mesh)
+        for arr in (F, M.data, M.indices, M.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestInterfaceLinear:
@@ -426,13 +489,17 @@ class TestFreeBand:
         # the whole free block in the mesh's order: no entry of K joins the
         # blocks, so its band is the two blocks' bands side by side
         ref = oracles.tril_band(K[free][:, free])
-        assert factor.band.tobytes() == ref.tobytes()
+        # the factor consumed its band; B's band holds the same bits, and
+        # the diagonal and max|B| it kept were taken from it
+        assert oracles.tril_band(factor.matrix).tobytes() == ref.tobytes()
+        assert factor.diag.tobytes() == ref[0].tobytes()
+        assert factor.band_max == np.abs(ref).max()
         ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
         assert np.array_equal(factor.lu.lower, ref_lower)
         # the blocks end where the mesh says; the size counts the band only
         lower = np.count_nonzero(free // 2 < mesh.iface_plus[0])
         assert np.array_equal(factor.block_end, [lower, free.size])
-        assert factor.lu.nnz == factor.band.size
+        assert factor.lu.nnz == ref.size
 
     @pytest.mark.parametrize("name", sorted(MESHES) + ["identify"])
     def test_block_end_is_the_topology_split(self, name):
@@ -468,7 +535,9 @@ class TestFreeBand:
         # the size guard's prediction is the band the factor builds
         mesh = build_mesh(constant_graph(0.25), h)
         K = fem.assemble_stiffness(mesh, ELAST)
-        assert band_shape(h) == fem.subdomain_factor(mesh, K).band.shape
+        factor = fem.subdomain_factor(mesh, K)
+        assert band_shape(h) == oracles.tril_band(factor.matrix).shape
+        assert band_shape(h) == factor.lu.lower.shape
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])

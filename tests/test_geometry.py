@@ -7,7 +7,8 @@ from crackid import geometry
 from crackid.driver import ExperimentConfig
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (HEIGHT, InterfaceGraph, build_mesh, coarse_curvature,
-                              constant_graph, uniform_graph, write_interface)
+                              constant_graph, triangle_geometry, uniform_graph,
+                              write_interface)
 
 import oracles
 
@@ -182,6 +183,17 @@ class TestCachedTopology:
         assert np.array_equal(free, oracles.loop_mesh(graph, h, **pinned)["free_dofs"])
         assert np.array_equal(mesh.free_row[free], np.arange(free.size))
         assert np.all(mesh.free_row[clamped] == -1)
+
+    def test_triangle_geometry_is_the_corner_formula_bitwise(self):
+        # the whole-array passes keep the edge-by-edge formula's bits, the
+        # signs of the zero edge components of axis-aligned cells included
+        for mesh in observation_meshes():
+            area, grads = triangle_geometry(mesh.vertices, mesh.triangles)
+            ref_area, ref_grads = oracles.corner_triangle_geometry(mesh.vertices,
+                                                                   mesh.triangles)
+            assert area.tobytes() == ref_area.tobytes()
+            assert grads.tobytes() == ref_grads.tobytes()
+            assert mesh.tri_grads.tobytes() == ref_grads.tobytes()
 
     def test_tables_shared_and_read_only(self):
         m1 = build_mesh(KINKED, 0.05)

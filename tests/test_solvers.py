@@ -361,7 +361,9 @@ class TestFactorReuse:
             if any(self.tag is seen for seen in solved):
                 # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
-                fresh = fem.FactorizedSPD(self.band, self.matrix, self.block_end)
+                # the kept factor consumed its band: refactor from B's
+                fresh = fem.FactorizedSPD(oracles.tril_band(self.matrix),
+                                          self.matrix, self.block_end)
                 if self.coupling is not None:
                     fresh.couple(*self.coupling)
                 self = fresh

@@ -91,3 +91,28 @@ def test_a_missing_file_fails(tmp_path):
     code, out = compare(tree(tmp_path / "p"), change)
     assert code == 1
     assert "MISSING" in out
+
+
+SVG = '<svg><path d="M50.00 60.00L70.25 80.50"/></svg>\n'
+
+
+def test_plots_are_compared_byte_for_byte(tmp_path):
+    # a plot is SAME when its bytes are; one that differs is reported as
+    # UNBOUND and passes; one on one side only fails as MISSING
+    parent, change = tree(tmp_path / "p"), tree(tmp_path / "c")
+    for root in (parent, change):
+        (root / "m_contact" / "deformed.svg").write_text(SVG)
+        (root / "i_contact" / "ratios.svg").write_text(SVG)
+    code, out = compare(parent, change)
+    assert code == 0, out
+    assert "7 files: 7 same" in out
+    (change / "i_contact" / "ratios.svg").write_text(SVG.replace("70.25", "70.26"))
+    code, out = compare(parent, change)
+    assert code == 0, out
+    line = next(l for l in out.splitlines() if l.startswith("i_contact/ratios.svg"))
+    assert "UNBOUND" in line
+    assert "6 same, 1 unbound" in out
+    (change / "m_contact" / "deformed.svg").unlink()
+    code, out = compare(parent, change)
+    assert code == 1
+    assert "MISSING" in out
