@@ -151,13 +151,18 @@ def cmd_measure(args):
 
 def cmd_identify(args):
     config = load_config(args.config, _overrides(args))
-    _prepare_out(args.out)
-    manifest = Manifest("identify", args.config, args.out, config)
-    manifest.data["measurement_path"] = os.path.abspath(args.measurement)
     try:
         meas = driver.read_measurement(args.measurement)
     except (OSError, ConfigError) as exc:
         raise ConfigError("cannot read measurement %s: %s" % (args.measurement, exc))
+    if args.load_case not in (None, meas.load_case):
+        raise ConfigError("--load-case %s differs from the measurement's load case %s"
+                          % (args.load_case, meas.load_case))
+    # the measurement's load case is the one the solves run; record that one
+    config = dataclasses.replace(config, load_case=meas.load_case)
+    _prepare_out(args.out)
+    manifest = Manifest("identify", args.config, args.out, config)
+    manifest.data["measurement_path"] = os.path.abspath(args.measurement)
 
     log = driver.identify(config, meas, record_gradients=args.dump_gradients)
     manifest.phase("identify")

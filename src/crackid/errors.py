@@ -29,10 +29,6 @@ class NoConvergence(CrackidError):
     """Nonlinear interface solver failed to reach its tolerance."""
 
 
-class LineSearchFailed(CrackidError):
-    """Damped update could not reduce the residual above the minimal step."""
-
-
 class BoundViolated(CrackidError):
     """A constitutive law violates one of its analytic bounds.
 

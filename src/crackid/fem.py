@@ -39,7 +39,9 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import InvalidPoisson, NotPositiveDefinite
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
-BACKWARD_TOL = 1e-10  # |Ax - b| <= tol (|b| + max|A| |x|) on every solve
+# |Ax - b| <= tol (|b| + max|A| |x|): every FactorizedSPD.solve, and the
+# stationarity residual of every converged solvers._active_set_solve state
+BACKWARD_TOL = 1e-10
 
 
 def lame_from_young(E_Y, nu_P):

@@ -131,6 +131,34 @@ class TestIdentify:
         assert shown == 6
         ET.parse(path)
 
+    def _stretch_measurement(self, tmp_path):
+        # a config that names no load case: the default is contact
+        cfg = tmp_path / "noload.cfg"
+        cfg.write_text("[geometry]\nh_measure = 0.05\n[algorithm]\nn_max = 0\n")
+        mout = str(tmp_path / "ms")
+        assert run(["measure", "--config", str(cfg), "--out", mout,
+                    "--load-case", "stretch"]) == 0
+        return str(cfg), os.path.join(mout, "measurement.txt")
+
+    def test_manifest_records_the_measurement_load_case(self, tmp_path):
+        cfg, mpath = self._stretch_measurement(tmp_path)
+        out = str(tmp_path / "i")
+        assert run(["identify", "--config", cfg, "--measurement", mpath,
+                    "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["parameters"]["load_case"] == "stretch"
+
+    def test_load_case_other_than_the_measurement_exit_2(self, tmp_path, capsys):
+        cfg, mpath = self._stretch_measurement(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / "i")
+        rc = run(["identify", "--config", cfg, "--measurement", mpath,
+                  "--out", out, "--load-case", "contact"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and "contact" in err[0] and "stretch" in err[0]
+        assert not os.path.exists(out)
+
     def test_missing_measurement_exit_2(self, config_path, tmp_path):
         out = str(tmp_path / "ix")
         rc = run(["identify", "--config", config_path, "--measurement",

@@ -25,6 +25,36 @@ def test_penalty_no_convergence_on_tiny_budget():
                                     CFG.traction(), 1e-8, max_outer=1)
 
 
+@pytest.fixture
+def scaled_solves(monkeypatch):
+    """Every interface solve returns its solution scaled by 1 + 1e-6: the
+    active sets still repeat, at a residual of 1e-6 of the load."""
+    solve = solvers._InterfaceOperator.solve
+    monkeypatch.setattr(solvers._InterfaceOperator, "solve",
+                        lambda self, *args: solve(self, *args) * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("law", ["contact", "penalty"])
+def test_repeat_above_the_backward_bound_is_no_convergence(scaled_solves, law):
+    mesh = build_mesh(CFG.true_graph(), 0.05)
+    args = (mesh, CFG.cohesive(), CFG.elasticity(), CFG.traction())
+    with pytest.raises(NoConvergence,
+                       match=r"residual 1\.000e-06, backward error \d\.\d{3}e-\d\d$"):
+        if law == "contact":
+            solvers.solve_vi_pdas(*args)
+        else:
+            solvers.solve_penalty_state(*args, 1e-8)
+
+
+def test_identify_at_eps_1e_20_converges():
+    # the w/eps jump mass puts the residual far above 1e-10 of the load,
+    # while its backward error stays at roundoff
+    cfg = driver.ExperimentConfig(h_measure=0.05, n_max=5, eps=1e-20)
+    log = driver.identify(cfg, driver.synthesize_measurement(cfg)[0])
+    assert log.aborted is None
+    assert len(log.rows) == 6
+
+
 def test_degenerate_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear
     tris = np.array([[0, 1, 2]])

@@ -87,14 +87,17 @@ def random_line(rng, h, rough):
 
 
 class TestPdasRandomLines:
-    """Every PDAS solve on seeded random lines converges to a state that
-    meets criterion 1's checks."""
+    """Both normal laws converge on seeded random lines: every PDAS state
+    meets criterion 1's checks, and the penalty state at eps = 1e-8
+    penetrates on the PDAS contact set, by eps max|lambda| to within
+    criterion 4's eps E / h."""
 
     @pytest.mark.parametrize("seed,h,rough", [(101, 0.05, False), (102, 0.05, True),
                                               (103, 1.0 / 35.0, False),
                                               (104, 1.0 / 35.0, True)])
     def test_random_lines_meet_the_complementarity_checks(self, seed, h, rough):
         rng = np.random.default_rng(seed)
+        eps = 1e-8
         for _ in range(10):
             mesh = build_mesh(random_line(rng, h, rough), h)
             for g in (G_CONTACT, G_STRETCH):
@@ -103,6 +106,27 @@ class TestPdasRandomLines:
                 assert np.all(aset.lam <= 0.0)
                 assert np.min(jump2) >= -1e-12 * h
                 assert np.max(np.abs(aset.lam * jump2)) <= 1e-8 * ELAST.mu_L
+                u, _, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, g, eps)
+                pen = mesh.jump(u.values, 1)
+                assert np.array_equal(pen < 0.0, aset.active)
+                if aset.contact_count:
+                    ratio = -np.min(pen) / (eps * np.max(np.abs(aset.lam)))
+                    assert abs(ratio - 1.0) <= eps * ELAST.E_Y / h
+
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_clamped_rough_line_under_stretch_converges(self, seed):
+        # residuals of 1.7e-10 to 2.5e-10 of the load: above a bound
+        # relative to the load alone, at a backward error of roundoff
+        h = 0.02
+        rng = np.random.default_rng(seed)
+        psi = np.clip(0.25 + 0.45 * rng.uniform(-1.0, 1.0, 51), 2.0 * h, HEIGHT - 2.0 * h)
+        mesh = build_mesh(uniform_graph(psi), h)
+        u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_STRETCH, 1e-8)
+        assert rep.residual > 1e-10
+        backward = rep.residual * op.Fnorm / (
+            op.Fnorm + op.factor.max_abs * np.linalg.norm(u.values))
+        assert backward <= np.finfo(float).eps
+        assert np.min(mesh.jump(u.values, 1)) >= 0.0
 
 
 class TestPenaltyState:

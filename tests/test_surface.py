@@ -3,13 +3,15 @@
 Scans the package source with ``ast``: every public (no leading
 underscore) top-level function or class of a ``crackid`` module must be
 referenced somewhere in the package outside its own definition -- by name,
-as an attribute, in an import, or in its module's ``__all__``.
+as an attribute, in an import, or in its module's ``__all__``; and every
+error class must be raised somewhere in the package.
 """
 
 import ast
 from pathlib import Path
 
 import crackid
+from crackid import errors
 
 PACKAGE = Path(crackid.__file__).parent
 
@@ -63,3 +65,16 @@ def test_every_public_name_is_used_by_the_package():
 
 def test_allowlist_is_current():
     assert ALLOWED_UNREFERENCED <= unreferenced_public_names()
+
+
+def test_every_error_class_is_raised():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.CrackidError)
+               and obj is not errors.CrackidError}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert classes and classes - raised == set()
