@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, driver, shape, solvers, svgplot
 from .errors import BoundViolated, ConfigError, CrackidError
-from .geometry import build_mesh, write_interface
+from .geometry import HEIGHT, build_mesh, write_interface
 from .laws import PenaltyParams, smooth_law_bounds_check
 
 CONFIG_SECTIONS = {
@@ -209,6 +209,13 @@ def cmd_identify(args):
 
 def cmd_gradient_check(args):
     config = load_config(args.config, _overrides(args))
+    h = config.resolved_h_identify()
+    steps = (1e-3 * h, 1e-4 * h)
+    # a probe moves a node by up to steps[0]; its mesh needs build_mesh's 2h
+    if min(config.psi0 - steps[0], HEIGHT - (config.psi0 + steps[0])) < 2.0 * h - 1e-12:
+        raise ConfigError("psi0 = %r moved by the probe step %.3g leaves [2h, 0.5 - 2h]"
+                          " = [%.4g, %.4g] at h_identify"
+                          % (config.psi0, steps[0], 2.0 * h, HEIGHT - 2.0 * h))
     _prepare_out(args.out)
     manifest = Manifest("gradient-check", args.config, args.out, config)
 
@@ -216,7 +223,6 @@ def cmd_gradient_check(args):
     laws = config.cohesive()
     elast = config.elasticity()
     g = config.traction()
-    h = config.resolved_h_identify()
     psi = config.initial_graph()
     eps = config.eps
 
@@ -236,16 +242,14 @@ def cmd_gradient_check(args):
         return driver.objective(m, u, zv, elast.rho_reg, graph)
     manifest.phase("state")
 
-    steps = (1e-3 * h, 1e-4 * h)
     rows = []
     ok = True
     print("node   s_H     analytic        fd(step %.1e)  fd(step %.1e)  rel-err" % steps)
-    for k in range(1, psi.s.size - 1):
-        hat = np.zeros(psi.s.size)
-        hat[k] = 1.0
-        vel = shape.VelocityField(psi.s, hat, h)
-        ana = shape.directional_derivative_volumetric(
-            mesh, psi, u, v, laws, elast, eps, vel)
+    hats = np.eye(psi.s.size)[1:-1]
+    anas = shape.directional_derivative_volumetric(
+        mesh, psi, u, v, laws, elast, eps,
+        [shape.VelocityField(psi.s, hat, h) for hat in hats])
+    for k, hat, ana in zip(range(1, psi.s.size - 1), hats, anas):
         if args.corrupt_sign:
             ana = -ana
         fds = []

@@ -244,10 +244,12 @@ def subdomain_factor(mesh, K):
     src, indptr, indices, lower, slot, kd = _free_block(mesh.topology, mesh.n_dofs)
     n_free = mesh.free_dofs.size
     data = K.data[src]
+    vals = data[lower]
     band = np.zeros((n_free, kd + 1))
-    band.reshape(-1)[slot] = data[lower]
+    band.reshape(-1)[slot] = vals
     block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
-    return FactorizedSPD(band.T, block, mesh.block_end)
+    return FactorizedSPD(band.T, block, mesh.block_end,
+                         max(vals.max(initial=0.0), -vals.min(initial=0.0)))
 
 
 def _neumann_ends(mesh):
@@ -337,8 +339,9 @@ class FactorizedSPD:
     B + U D U^T for a low-rank coupling that ``couple`` sets.
 
     ``band`` is B in LAPACK lower band storage; ``dpbtrf`` factors it in
-    place when it is Fortran-ordered, so the caller hands it over. The
-    factor keeps diag(B), which ``couple`` reads, and max|B|, both taken
+    place when it is Fortran-ordered, so the caller hands it over, with
+    ``band_max`` = max|B|, which the caller takes from the entries it wrote
+    into the band. The factor keeps diag(B), which ``couple`` reads, taken
     before the band is overwritten. ``matrix`` is B as a sparse matrix; a
     solve takes and returns vectors in the order of B's rows. ``block_end``
     lists where B's diagonal blocks end: no entry of B joins the rows above
@@ -362,9 +365,9 @@ class FactorizedSPD:
     ``NotPositiveDefinite``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, block_end):
+    def __init__(self, band, matrix, block_end, band_max):
         self.diag = band[0].copy()
-        self.band_max = max(band.max(), -band.min())
+        self.band_max = band_max
         try:
             lower = cholesky_banded(band, lower=True, overwrite_ab=True,
                                     check_finite=False)

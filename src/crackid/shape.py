@@ -9,11 +9,12 @@ Two routes to the same directional derivative of the misfit objective:
   to the coarse velocity grid; ``descent_velocity`` turns them into the
   scaled vertical descent field and ``update_interface`` applies it.
 * ``directional_derivative_volumetric`` evaluates the distributed-form
-  derivative with a volumetric tent extension of the velocity. Velocity
-  gradients are taken from the P1 interpolant of the nodal extension, so
-  the result is the exact derivative of the discretised objective under
-  the column-preserving remesh protocol; it is the oracle the boundary
-  form is validated against.
+  derivative with a volumetric tent extension of each of many velocities,
+  the state's fields formed once and each volume integrand on its own
+  support. Velocity gradients are taken from the P1 interpolant of the
+  nodal extension, so the result is the exact derivative of the
+  discretised objective under the column-preserving remesh protocol; it
+  is the oracle the boundary form is validated against.
 """
 
 from dataclasses import dataclass
@@ -211,8 +212,9 @@ def update_interface(psi, vel):
 
 
 def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
-                                      eps, vel):
-    """Directional derivative of the objective under the tent velocity.
+                                      eps, vels):
+    """Directional derivatives of the objective, a list with one for each
+    tent velocity of ``vels``.
 
     Evaluates the distributed form: the volume term with div(Lambda) and
     the transported strains E(grad Lambda, .) at element midpoints, the
@@ -221,33 +223,27 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
     perimeter term rho d|Sigma|/ds from the coarse polyline. The
     observation/Neumann boundary terms vanish identically because the
     tent extension is zero there (asserted).
+
+    The gradients and stresses of u and v, sigma(u):eps(v) and the
+    interface products are formed once. A velocity's volume integrand is
+    formed on its support only, the triangles with a nonzero corner of the
+    extension (a coarse hat's two intervals), and scattered into zeros:
+    off the support the whole-mesh integrand is +-0, which leaves a
+    nonzero sum unchanged, so the pairwise sum over all triangles keeps
+    the bits of the whole-mesh evaluation.
     """
-    nodal = velocity_extension(mesh.vertices, psi, vel)
-
-    bnd = mesh.observation_vertices
-    if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
-        raise ValueError("velocity extension does not vanish on the outer boundary")
-
-    gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], mesh.tri_grads)
-    divL = gL[:, 0, 0] + gL[:, 1, 1]
-
     gu = fem.field_gradients(mesh, u_eps.values)
     gv = fem.field_gradients(mesh, v_eps.values)
-    eu = fem.strain_from_grad(gu)
     ev = fem.strain_from_grad(gv)
-    su = elast.stress(eu)
+    su = elast.stress(fem.strain_from_grad(gu))
     sv = elast.stress(ev)
+    su_ev = np.einsum("eab,eab->e", su, ev)
 
     def E(M, G):
         # derivative of the transported strain: sym(grad(u) @ grad(Lambda))
         # in the (du_a/dx_b) gradient convention
         GM = np.einsum("eab,ebc->eac", G, M)
         return 0.5 * (GM + np.swapaxes(GM, 1, 2))
-
-    vol = divL * np.einsum("eab,eab->e", su, ev) \
-        - np.einsum("eab,eab->e", su, E(gL, gv)) \
-        - np.einsum("eab,eab->e", sv, E(gL, gu))
-    term_vol = -float(np.sum(mesh.tri_area * vol))
 
     # interface term, trapezoid rule consistent with the nodal state quadrature
     ju1 = mesh.jump(u_eps.values, 0)
@@ -256,23 +252,39 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
     jv2 = mesh.jump(v_eps.values, 1)
     p_node = (friction_discrete_prime(ju1, laws) * jv1
               + (cohesion_discrete_prime(ju2, laws) + beta_discrete(ju2, eps)) * jv2)
-
-    lam_if = nodal[mesh.iface_minus, 1]
+    p_edge = 0.5 * (p_node[:-1] + p_node[1:])
     dx = np.diff(mesh.interface_x)
     dy = np.diff(mesh.vertices[mesh.iface_minus, 1])
-    dlam = np.diff(lam_if)
-    div_tau = dy * dlam / (dx * dx + dy * dy)  # tau . dLambda/darc, P1 trace
-    p_edge = 0.5 * (p_node[:-1] + p_node[1:])
-    term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
 
     # perimeter term: exact derivative of the coarse polyline length
     dpsi = np.diff(psi.psi)
-    ds = np.diff(psi.s)
-    if np.array_equal(vel.s, psi.s):
-        dl2 = np.diff(vel.lam2)
-    else:
-        dl2 = np.diff(vel(psi.s))
-    seg = np.hypot(ds, dpsi)
-    term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
+    seg = np.hypot(np.diff(psi.s), dpsi)
 
-    return term_vol + term_sigma + term_perim
+    bnd = mesh.observation_vertices
+    out = []
+    for vel in vels:
+        nodal = velocity_extension(mesh.vertices, psi, vel)
+        if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
+            raise ValueError("velocity extension does not vanish on the outer boundary")
+
+        t = np.flatnonzero(np.any(nodal[mesh.triangles, 1] != 0.0, axis=1))
+        gL = np.einsum("eia,eib->eab", nodal[mesh.triangles[t]], mesh.tri_grads[t])
+        divL = gL[:, 0, 0] + gL[:, 1, 1]
+        vol = np.zeros(mesh.tri_area.size)
+        vol[t] = divL * su_ev[t] \
+            - np.einsum("eab,eab->e", su[t], E(gL, gv[t])) \
+            - np.einsum("eab,eab->e", sv[t], E(gL, gu[t]))
+        term_vol = -float(np.sum(mesh.tri_area * vol))
+
+        dlam = np.diff(nodal[mesh.iface_minus, 1])
+        div_tau = dy * dlam / (dx * dx + dy * dy)  # tau . dLambda/darc, P1 trace
+        term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
+
+        if np.array_equal(vel.s, psi.s):
+            dl2 = np.diff(vel.lam2)
+        else:
+            dl2 = np.diff(vel(psi.s))
+        term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
+
+        out.append(term_vol + term_sigma + term_perim)
+    return out

@@ -441,6 +441,68 @@ def loop_aggregate(mesh, s, field):
     return out
 
 
+def whole_mesh_volumetric_derivative(mesh, psi, u_eps, v_eps, laws, elast,
+                                     eps, vel):
+    """``shape.directional_derivative_volumetric`` for the one velocity
+    ``vel``, every field and the volume integrand formed on every triangle
+    of the mesh: the value the one-pass function must give bit for bit."""
+    from crackid import fem
+    from crackid.laws import (beta_discrete, cohesion_discrete_prime,
+                              friction_discrete_prime)
+    from crackid.shape import velocity_extension
+
+    nodal = velocity_extension(mesh.vertices, psi, vel)
+
+    bnd = mesh.observation_vertices
+    if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
+        raise ValueError("velocity extension does not vanish on the outer boundary")
+
+    gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], mesh.tri_grads)
+    divL = gL[:, 0, 0] + gL[:, 1, 1]
+
+    gu = fem.field_gradients(mesh, u_eps.values)
+    gv = fem.field_gradients(mesh, v_eps.values)
+    eu = fem.strain_from_grad(gu)
+    ev = fem.strain_from_grad(gv)
+    su = elast.stress(eu)
+    sv = elast.stress(ev)
+
+    def E(M, G):
+        GM = np.einsum("eab,ebc->eac", G, M)
+        return 0.5 * (GM + np.swapaxes(GM, 1, 2))
+
+    vol = divL * np.einsum("eab,eab->e", su, ev) \
+        - np.einsum("eab,eab->e", su, E(gL, gv)) \
+        - np.einsum("eab,eab->e", sv, E(gL, gu))
+    term_vol = -float(np.sum(mesh.tri_area * vol))
+
+    ju1 = mesh.jump(u_eps.values, 0)
+    ju2 = mesh.jump(u_eps.values, 1)
+    jv1 = mesh.jump(v_eps.values, 0)
+    jv2 = mesh.jump(v_eps.values, 1)
+    p_node = (friction_discrete_prime(ju1, laws) * jv1
+              + (cohesion_discrete_prime(ju2, laws) + beta_discrete(ju2, eps)) * jv2)
+
+    lam_if = nodal[mesh.iface_minus, 1]
+    dx = np.diff(mesh.interface_x)
+    dy = np.diff(mesh.vertices[mesh.iface_minus, 1])
+    dlam = np.diff(lam_if)
+    div_tau = dy * dlam / (dx * dx + dy * dy)
+    p_edge = 0.5 * (p_node[:-1] + p_node[1:])
+    term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
+
+    dpsi = np.diff(psi.psi)
+    ds = np.diff(psi.s)
+    if np.array_equal(vel.s, psi.s):
+        dl2 = np.diff(vel.lam2)
+    else:
+        dl2 = np.diff(vel(psi.s))
+    seg = np.hypot(ds, dpsi)
+    term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
+
+    return term_vol + term_sigma + term_perim
+
+
 def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
     """``shape._pair_densities`` with gradients, stresses and energies
     formed on every triangle of the mesh, then read on the pair triangles."""

@@ -184,6 +184,39 @@ class TestGradientCheck:
         assert rc == 4
 
 
+    @pytest.mark.parametrize("edge", ["bottom", "top"])
+    def test_psi0_at_the_edge_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch, edge):
+        # psi0 = 2h (or 0.5 - 2h) passes the config check, but the probes
+        # move it by 1e-3 h past build_mesh's bound
+        from crackid import driver
+        two_h = 2.0 * ExperimentConfig(h_measure=0.05).resolved_h_identify()
+        psi0 = two_h if edge == "bottom" else 0.5 - two_h
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_SMALL.format(n_max=0).replace(
+            "psi0 = 0.25", "psi0 = %r" % psi0))
+        calls = []
+        monkeypatch.setattr(driver, "synthesize_measurement",
+                            lambda *a, **k: calls.append(a))
+        rc = run(["gradient-check", "--config", str(cfg), "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("config error: psi0 = ")
+        assert "Traceback" not in err
+        assert calls == []
+
+    def test_identify_at_psi0_2h_runs(self, tmp_path):
+        # identify makes no probe: psi0 = 2h is a valid start for it
+        two_h = 2.0 * ExperimentConfig(h_measure=0.05).resolved_h_identify()
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(CONFIG_SMALL.format(n_max=1).replace(
+            "psi0 = 0.25", "psi0 = %r" % two_h))
+        m = str(tmp_path / "m")
+        assert run(["measure", "--config", str(cfg), "--out", m]) == 0
+        assert run(["identify", "--config", str(cfg), "--out", str(tmp_path / "i"),
+                    "--measurement", os.path.join(m, "measurement.txt")]) == 0
+
+
 class TestLawsCheck:
     def test_pass(self, config_path, tmp_path):
         assert run(["laws-check", "--config", config_path,

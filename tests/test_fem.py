@@ -30,7 +30,8 @@ MESHES = {
 
 def factor_of(A):
     """Band Cholesky of a sparse SPD matrix, checked against it."""
-    return fem.FactorizedSPD(oracles.tril_band(A), A, [A.shape[0]])
+    band = oracles.tril_band(A)
+    return fem.FactorizedSPD(band, A, [A.shape[0]], np.abs(band).max())
 
 
 def free_solve(matrix, rhs, free):

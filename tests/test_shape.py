@@ -207,22 +207,56 @@ class TestUpdateInterface:
         assert clamped == 11
 
 
+class TestOnePassVolumetric:
+    """One call forms the state's fields once and each velocity's volume
+    integrand on its support only; every derivative must equal the
+    whole-mesh, one-velocity computation bit for bit."""
+
+    @pytest.fixture(scope="class", params=["contact", "stretch"])
+    def measurement(self, request, contact_measurement, stretch_measurement):
+        return {"contact": contact_measurement,
+                "stretch": stretch_measurement}[request.param]["meas"]
+
+    @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, CFG.resolved_h_identify()],
+                             ids=["h0.05", "h1/35", "h-identify"])
+    @pytest.mark.parametrize("psi", LINES, ids=LINE_IDS)
+    def test_matches_the_whole_mesh_oracle(self, measurement, psi, h):
+        mesh = build_mesh(psi, h)
+        u, _, op = solvers.solve_penalty_state(
+            mesh, LAWS, ELAST, CFG.traction(measurement.load_case), EPS)
+        v = solvers.solve_adjoint(op, u, driver.interp_measurement(mesh, measurement), EPS)
+        # every interior hat, a smooth field on its own grid that is nonzero
+        # on every triangle, and the zero field, nonzero on none
+        s = np.linspace(0.0, 1.0, 7)
+        vels = [shape.VelocityField(psi.s, hat, h) for hat in np.eye(psi.s.size)[1:-1]]
+        vels += [shape.VelocityField(s, 1.0 + 0.5 * np.sin(2.0 * np.pi * s), h),
+                 shape.VelocityField(psi.s, np.zeros(psi.s.size), h)]
+        nodal = shape.velocity_extension(mesh.vertices, psi, vels[-2])
+        assert np.all(np.any(nodal[mesh.triangles, 1] != 0.0, axis=1))
+        args = (mesh, psi, u, v, LAWS, ELAST, EPS)
+        got = shape.directional_derivative_volumetric(*args, vels)
+        ref = [oracles.whole_mesh_volumetric_derivative(*args, vel) for vel in vels]
+        assert len(got) == len(vels)
+        assert np.array_equal(got, ref)
+        assert got[-1] == 0.0 and np.all(np.array(got[:-1]) != 0.0)
+
+
 class TestVolumetricDerivative:
     def test_zero_velocity(self, contact_state):
         st = contact_state
         vel = shape.VelocityField(st["psi"].s, np.zeros(11), st["h"])
         d = shape.directional_derivative_volumetric(
             st["mesh"], st["psi"], st["u"], st["v"], st["laws"], st["elast"],
-            st["cfg"].eps, vel)
-        assert d == 0.0
+            st["cfg"].eps, [vel])
+        assert d == [0.0]
 
     def test_flat_translation_perimeter_invariance(self):
         psi = constant_graph(0.25)
         mesh = build_mesh(psi, 0.05)
         u, v = zero_fields(mesh)
         vel = shape.VelocityField(psi.s, np.full(11, 1.0), 0.05)
-        d = shape.directional_derivative_volumetric(mesh, psi, u, v, LAWS,
-                                                    ELAST, EPS, vel)
+        (d,) = shape.directional_derivative_volumetric(mesh, psi, u, v, LAWS,
+                                                       ELAST, EPS, [vel])
         assert d == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_central_fd(self, contact_state, contact_measurement):
@@ -232,13 +266,11 @@ class TestVolumetricDerivative:
         psi, h = st["psi"], st["h"]
         start = st["report"].configuration
         worst = 0.0
-        for k in (1, 3, 5, 7, 9):
-            hat = np.zeros(11)
-            hat[k] = 1.0
-            vel = shape.VelocityField(psi.s, hat, h)
-            ana = shape.directional_derivative_volumetric(
-                st["mesh"], psi, st["u"], st["v"], st["laws"], st["elast"],
-                st["cfg"].eps, vel)
+        hats = np.eye(11)[[1, 3, 5, 7, 9]]
+        anas = shape.directional_derivative_volumetric(
+            st["mesh"], psi, st["u"], st["v"], st["laws"], st["elast"],
+            st["cfg"].eps, [shape.VelocityField(psi.s, hat, h) for hat in hats])
+        for hat, ana in zip(hats, anas):
             rels = []
             for step in (1e-3 * h, 1e-4 * h):
                 jp = fd_objective(st["cfg"], meas, psi.with_psi(psi.psi + step * hat),
@@ -259,10 +291,9 @@ class TestVolumetricDerivative:
         h1[2] = 1.0
         h2 = np.zeros(11)
         h2[6] = 1.0
-        d1 = shape.directional_derivative_volumetric(*args, shape.VelocityField(psi.s, h1, h))
-        d2 = shape.directional_derivative_volumetric(*args, shape.VelocityField(psi.s, h2, h))
-        d12 = shape.directional_derivative_volumetric(
-            *args, shape.VelocityField(psi.s, 2.0 * h1 + 3.0 * h2, h))
+        d1, d2, d12 = shape.directional_derivative_volumetric(
+            *args, [shape.VelocityField(psi.s, lam2, h)
+                    for lam2 in (h1, h2, 2.0 * h1 + 3.0 * h2)])
         assert d12 == pytest.approx(2.0 * d1 + 3.0 * d2, rel=1e-9)
 
     def test_consistency_of_forms_gap_shrinks(self, contact_measurement):
@@ -281,12 +312,10 @@ class TestVolumetricDerivative:
             grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
             # contact/penetration sits right of x = 0.8; probe the open part
             rels = []
-            for k in (2, 3, 4, 5):
-                hat = np.zeros(11)
-                hat[k] = 1.0
-                vel = shape.VelocityField(psi.s, hat, h)
-                ana = shape.directional_derivative_volumetric(
-                    mesh, psi, u, v, LAWS, ELAST, EPS, vel)
+            vels = [shape.VelocityField(psi.s, hat, h) for hat in np.eye(11)[2:6]]
+            anas = shape.directional_derivative_volumetric(
+                mesh, psi, u, v, LAWS, ELAST, EPS, vels)
+            for vel, ana in zip(vels, anas):
                 est = oracles.hadamard_estimate(grad, vel)
                 rels.append(abs(ana - est) / max(abs(ana), abs(est)))
             gaps[h] = max(rels)

@@ -387,7 +387,8 @@ class TestFactorReuse:
                 state_reuses[0] += not in_adjoint[0]
                 # the kept factor consumed its band: refactor from B's
                 fresh = fem.FactorizedSPD(oracles.tril_band(self.matrix),
-                                          self.matrix, self.block_end)
+                                          self.matrix, self.block_end,
+                                          self.band_max)
                 if self.coupling is not None:
                     fresh.couple(*self.coupling)
                 self = fresh

@@ -6,9 +6,10 @@
 # Runs the crackid source tree TREE (a checkout holding src/crackid) on the
 # default configuration, an empty config file, with one BLAS thread: per
 # load case, `measure` and then the 200-iteration `identify
-# --dump-gradients` on that measurement; then `gradient-check`. The outputs
-# go to OUT_DIR/m_LOAD, OUT_DIR/i_LOAD and OUT_DIR/g. Two trees are
-# compared with
+# --dump-gradients` on that measurement; then `gradient-check` under the
+# contact load and under the stretch load. The outputs go to OUT_DIR/m_LOAD,
+# OUT_DIR/i_LOAD, OUT_DIR/g and OUT_DIR/g_stretch. Two trees are compared
+# with
 #
 #   tools/make_outputs.sh PARENT a && tools/make_outputs.sh . b &&
 #   tools/compare_outputs.py a b
@@ -36,3 +37,5 @@ for load in contact stretch; do
         --out "$out/i_$load"
 done
 python3 -m crackid gradient-check --config "$config" --out "$out/g"
+python3 -m crackid gradient-check --config "$config" --load-case stretch \
+    --out "$out/g_stretch"
