@@ -351,13 +351,11 @@ def identify(config, meas, record_gradients=False):
         if J0 is None:
             J0 = J
         err = shape_error(psi, psi_true)
-        pen_count = int(np.count_nonzero(
-            mesh.interface_interior() & (mesh.jump(u.values, 1) < 0.0)))
         log.add(n=n, J=J, J_ratio=J / J0,
                 shape_error=err,
                 shape_error_ratio=err / err0 if err0 > 0 else 1.0,
-                pdas_na=pen_count, penalty_iters=rep.iterations,
-                clamped=clamped)
+                pdas_na=int(np.count_nonzero(start[0])),   # converged penetration set
+                penalty_iters=rep.iterations, clamped=clamped)
         if n % config.snapshot_every == 0 or n == config.n_max:
             log.snapshots[n] = psi
 

@@ -493,12 +493,6 @@ def strain_from_grad(gradu):
     return 0.5 * (gradu + np.swapaxes(gradu, -1, -2))
 
 
-def h1_seminorm(mesh, values):
-    """Broken H1 seminorm of a dof vector over both subdomains."""
-    g = field_gradients(mesh, values)
-    return float(np.sqrt(np.sum(mesh.tri_area * np.sum(g * g, axis=(1, 2)))))
-
-
 def boundary_misfit(mesh, values, z_values):
     """1/2 int |u - z|^2 over the observation (Neumann) edges (2-pt Gauss)."""
     edges = mesh.neumann_edges

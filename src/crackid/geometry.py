@@ -97,10 +97,6 @@ def uniform_graph(values, H=None):
     return InterfaceGraph(s, values, H if H is not None else s[1] - s[0])
 
 
-def constant_graph(height, n_nodes=11):
-    return uniform_graph(np.full(n_nodes, float(height)))
-
-
 def write_interface(path, graph):
     lines = [INTERFACE_HEADER]
     for sk, pk in zip(graph.s, graph.psi):

@@ -368,9 +368,3 @@ def solve_adjoint(op, u_eps, z_obs, eps):
                                               - np.asarray(z_obs).reshape(-1))
     closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
     return fem.DofField(mesh, op.solve(rhs, closed, np.zeros_like(closed), eps))
-
-
-def recover_multiplier(u_eps, eps):
-    """Contact multiplier estimate beta_eps([[u]]_2) per interface node."""
-    jump2 = u_eps.mesh.jump(u_eps.values, 1)
-    return beta_discrete(jump2, eps)

@@ -4,7 +4,7 @@ are collected and echoed in the terminal summary."""
 
 import pytest
 
-from crackid import driver, solvers
+from crackid import cli, driver, solvers
 from crackid.geometry import build_mesh
 
 ACCEPTANCE_LINES = []
@@ -60,6 +60,15 @@ def contact_state(contact_config, contact_measurement):
     v = solvers.solve_adjoint(op, u, z_vec, cfg.eps)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
                 u=u, v=v, z_vec=z_vec, report=rep, op=op)
+
+
+@pytest.fixture(scope="session")
+def contact_gradient_check(contact_config, contact_measurement):
+    """``cli.gradient_check`` of the contact case at the CLI's steps 1e-3 h
+    and 1e-4 h: one (s, analytic, [fd per step]) row per interior node."""
+    h = contact_config.resolved_h_identify()
+    return cli.gradient_check(contact_config, contact_measurement["meas"],
+                              (1e-3 * h, 1e-4 * h))
 
 
 @pytest.fixture(scope="session")

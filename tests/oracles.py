@@ -176,6 +176,25 @@ def hadamard_estimate(grad, vel):
     return float(np.sum(vel.lam2 * grad.d3 * w))
 
 
+def constant_graph(height, n_nodes=11):
+    """Flat line at ``height`` on the uniform coarse grid of ``n_nodes``."""
+    from crackid.geometry import uniform_graph
+    return uniform_graph(np.full(n_nodes, float(height)))
+
+
+def h1_seminorm(mesh, values):
+    """Broken H1 seminorm of a dof vector over both subdomains."""
+    from crackid.fem import field_gradients
+    g = field_gradients(mesh, values)
+    return float(np.sqrt(np.sum(mesh.tri_area * np.sum(g * g, axis=(1, 2)))))
+
+
+def recover_multiplier(u_eps, eps):
+    """Contact multiplier estimate beta_eps([[u]]_2) per interface node."""
+    from crackid.laws import beta_discrete
+    return beta_discrete(u_eps.mesh.jump(u_eps.values, 1), eps)
+
+
 def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     """Every array field of a broken mesh, built with plain loops.
 

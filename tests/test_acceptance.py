@@ -15,11 +15,12 @@ import numpy as np
 
 from conftest import record_acceptance
 
-from crackid import driver, fem, laws as laws_mod, shape, solvers
-from crackid.geometry import build_mesh, constant_graph
+from crackid import cli, driver, fem, laws as laws_mod, solvers
+from crackid.geometry import build_mesh
 from crackid.laws import PenaltyParams
 
 import oracles
+from oracles import constant_graph
 
 
 def test_criterion_1_measurement_solve(contact_measurement, tmp_path):
@@ -130,7 +131,7 @@ def test_criterion_4_penalty_convergence_law():
         u, _, _ = solvers.solve_penalty_state(mesh, laws, elast, g, eps)
         pens.append(float(np.sqrt(np.sum(
             w * np.minimum(0.0, mesh.jump(u.values, 1)) ** 2))))
-        dists.append(fem.h1_seminorm(mesh, u.values - z.values))
+        dists.append(oracles.h1_seminorm(mesh, u.values - z.values))
     slope = float(np.polyfit(np.log(asym), np.log(pens[3:]), 1)[0])
     ratio = pens[-1] / (asym[-1] * lam_norm)
     delta = np.array(asym) * elast.E_Y / w[mesh.interface_interior()].min()
@@ -151,33 +152,15 @@ def test_criterion_4_penalty_convergence_law():
     assert abs(ratio - 1.0) <= ratio_tol
 
 
-def test_criterion_5_gradient_check(contact_state, contact_measurement):
+def test_criterion_5_gradient_check(contact_config, contact_measurement):
     """Volumetric shape derivative vs central finite differences at step
-    1e-4*h for every interior coarse node of the contact configuration."""
+    1e-4*h for every interior coarse node of the contact configuration,
+    by the check the CLI runs (``cli.gradient_check``)."""
     t0 = time.time()
-    st = contact_state
-    meas = contact_measurement["meas"]
-    cfg, psi, h = st["cfg"], st["psi"], st["h"]
-
-    def objective_of(graph):
-        m = build_mesh(graph, h)
-        u, _, _ = solvers.solve_penalty_state(m, st["laws"], st["elast"], st["g"],
-                                              cfg.eps,
-                                              start=st["report"].configuration)
-        zv = driver.interp_measurement(m, meas)
-        return driver.objective(m, u, zv, st["elast"].rho_reg, graph)
-
-    rels = []
-    hats = np.eye(psi.s.size)[1:-1]
-    anas = shape.directional_derivative_volumetric(
-        st["mesh"], psi, st["u"], st["v"], st["laws"], st["elast"], cfg.eps,
-        [shape.VelocityField(psi.s, hat, h) for hat in hats])
-    for hat, ana in zip(hats, anas):
-        step = 1e-4 * h
-        jp = objective_of(psi.with_psi(psi.psi + step * hat))
-        jm = objective_of(psi.with_psi(psi.psi - step * hat))
-        fd = (jp - jm) / (2.0 * step)
-        rels.append(abs(ana - fd) / max(abs(ana), abs(fd), 1e-30))
+    step = 1e-4 * contact_config.resolved_h_identify()
+    rels = [abs(ana - fd) / max(abs(ana), abs(fd), 1e-30)
+            for _, ana, (fd,) in cli.gradient_check(
+                contact_config, contact_measurement["meas"], (step,))]
     wall = time.time() - t0
 
     ok = max(rels) <= 0.05 and wall <= 600.0
@@ -249,7 +232,7 @@ def test_criterion_6_property_suites(contact_measurement):
     mesh_m = contact_measurement["mesh"]
     aset = contact_measurement["aset"]
     u8, _, _ = solvers.solve_penalty_state(mesh_m, laws, elast, g, 1e-8)
-    lam_est = solvers.recover_multiplier(u8, 1e-8)
+    lam_est = oracles.recover_multiplier(u8, 1e-8)
     wq = mesh_m.interface_nodal_weights()
     rec_err = float(np.sqrt(np.sum(wq * (lam_est - aset.lam) ** 2))
                     / np.sqrt(np.sum(wq * aset.lam ** 2)))

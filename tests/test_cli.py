@@ -183,6 +183,30 @@ class TestGradientCheck:
                   str(tmp_path / "gc"), "--corrupt-sign"])
         assert rc == 4
 
+    def test_each_probe_is_one_mesh_then_one_objective(self, tmp_path, monkeypatch):
+        # the benchmark times a probe from its cli.build_mesh call to the
+        # return of driver.objective: 2 steps x 2 probes per interior node,
+        # no objective of the base state and no probe meshed elsewhere
+        from crackid import driver
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_SMALL.format(n_max=0))
+        events = []
+        build, objective = cli.build_mesh, driver.objective
+
+        def record(name, fn):
+            def recorded(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(cli, "build_mesh", record("mesh", build))
+        monkeypatch.setattr(driver, "objective", record("objective", objective))
+        assert run(["gradient-check", "--config", str(cfg),
+                    "--out", str(tmp_path / "g")]) == 0
+        interior = cli.load_config(str(cfg)).initial_graph().s.size - 2
+        probes = [i for i, e in enumerate(events) if e == "objective"]
+        assert interior == 9 and len(probes) == 4 * interior
+        assert all(events[i - 1] == "mesh" for i in probes)
 
     @pytest.mark.parametrize("edge", ["bottom", "top"])
     def test_psi0_at_the_edge_exit_2_before_any_solve(self, tmp_path, capsys,

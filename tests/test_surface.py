@@ -15,13 +15,6 @@ from crackid import errors
 
 PACKAGE = Path(crackid.__file__).parent
 
-# Public names that only the tests reference, kept on purpose.
-ALLOWED_UNREFERENCED = {
-    "fem.h1_seminorm",                # error norm of the penalty-consistency tests
-    "solvers.recover_multiplier",     # penalty multiplier against the PDAS one
-    "geometry.constant_graph",        # flat interfaces of the test meshes
-}
-
 
 def _references(node):
     """Identifiers a syntax tree refers to."""
@@ -60,11 +53,7 @@ def unreferenced_public_names():
 
 
 def test_every_public_name_is_used_by_the_package():
-    assert unreferenced_public_names() - ALLOWED_UNREFERENCED == set()
-
-
-def test_allowlist_is_current():
-    assert ALLOWED_UNREFERENCED <= unreferenced_public_names()
+    assert unreferenced_public_names() == set()
 
 
 def test_every_error_class_is_raised():
