@@ -28,8 +28,7 @@ from .laws import PenaltyParams, smooth_law_bounds_check
 CONFIG_SECTIONS = {
     "material": {"young": "E_Y", "poisson": "nu_P", "rho": "rho_reg"},
     "laws": {"friction_bound": "F_b", "friction_delta": "delta",
-             "toughness": "K_c", "cohesion_length": "kappa",
-             "cohesion_exponent": "m"},
+             "toughness": "K_c", "cohesion_length": "kappa"},
     "penalty": {"eps": "eps"},
     "geometry": {"h_measure": "h_measure", "h_identify": "h_identify",
                  "coarse_spacing": "H", "true_interface": "true_interface",

@@ -54,7 +54,6 @@ class ExperimentConfig:
     delta: float = 1.0e-3
     K_c: float = 1.0e-3
     kappa: float = 1.0e-2
-    m: float = 1.0
     eps: float = 1.0e-8
     rho_reg: Optional[float] = None      # None -> 1/mu_L
     h_measure: float = 1.0e-2
@@ -136,7 +135,7 @@ class ExperimentConfig:
 
     def cohesive(self):
         return CohesiveParams(F_b=self.F_b, delta=self.delta, K_c=self.K_c,
-                              kappa=self.kappa, m=self.m)
+                              kappa=self.kappa)
 
     def traction(self, load_case=None):
         """g = (0, (1 - a x1)(4 x2 - 1) mu_L) with a = 7/4 or 5/4."""
@@ -156,7 +155,7 @@ class ExperimentConfig:
         return int(round(1.0 / self.H)) + 1
 
     def initial_graph(self):
-        return uniform_graph(np.full(self.coarse_count(), self.psi0), self.H)
+        return uniform_graph(np.full(self.coarse_count(), self.psi0))
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +351,6 @@ def identify(config, meas, record_gradients=False):
             J0 = J
         err = shape_error(psi, psi_true)
         log.add(n=n, J=J, J_ratio=J / J0,
-                shape_error=err,
                 shape_error_ratio=err / err0 if err0 > 0 else 1.0,
                 pdas_na=int(np.count_nonzero(start[0])),   # converged penetration set
                 penalty_iters=rep.iterations, clamped=clamped)

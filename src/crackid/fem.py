@@ -4,16 +4,16 @@ mesh, boundary/interface integrals and the factors of the linear solves.
 Dof numbering is 2*vertex + component. Assembly is vectorised over elements
 and reads the element areas and shape gradients the mesh carries; the
 element blocks are formed in place as a few products over all elements at
-once, the element axis last. The CSR pattern of the stiffness, and the
-order in which scipy's COO -> CSR conversion would sum each entry's element
-contributions, are derived once per mesh topology and grouped by the number
-of terms an entry sums; each assembly then only gathers and sums the
-element blocks group by group in that order, so the matrix equals the plain
-COO conversion bit for bit, entries that sum to zero included. The boundary
-load and the boundary mass live on the observation rows, which every mesh
-of one topology shares bit for bit, so they are formed once per topology
-and kept read-only. Dirichlet dofs are eliminated by row/column removal, so
-every free block stays symmetric positive definite. Once per mesh,
+once, the element axis last. The CSR pattern of the stiffness, that of
+scipy's COO -> CSR conversion with the entries that sum to zero, and the
+entry each term of the blocks goes to are derived once per mesh topology;
+each assembly then sums the terms into their entries by one
+``np.bincount``, in the order of the raveled blocks, which this module
+fixes and not the installed scipy. The boundary load and the boundary mass
+live on the observation rows, which every mesh of one topology shares bit
+for bit, so they are formed once per topology and kept read-only.
+Dirichlet dofs are eliminated by row/column removal, so every free block
+stays symmetric positive definite. Once per mesh,
 ``subdomain_factor`` gathers K's free block and its band from the cached
 pattern, and ``FactorizedSPD`` factors the band in place by a band Cholesky
 (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large Sparse
@@ -129,59 +129,34 @@ def element_stiffness(area, grads, dmat):
     return out
 
 
-def _dof_table(triangles):
-    t = triangles
-    return np.column_stack([2 * t[:, 0], 2 * t[:, 0] + 1,
-                            2 * t[:, 1], 2 * t[:, 1] + 1,
-                            2 * t[:, 2], 2 * t[:, 2] + 1])
-
-
 @functools.lru_cache(maxsize=8)
-def _stiffness_pattern(topology, n_dofs):
-    """CSR pattern of the stiffness of one mesh topology, with the gathers
-    that sum the element blocks of ``element_stiffness`` into it.
+def _stiffness_pattern(topology):
+    """CSR pattern of the stiffness of one mesh topology, and the entry that
+    each term of ``element_stiffness``'s blocks is summed into.
 
-    ``coo_matrix(...).tocsr()`` of the blocks listed element by element
-    places the entries row by row in input order, sorts each row by column
-    (not stably) and sums each run of equal columns left to right.
-    Replaying it on entry numbers instead of values gives the permutation
-    it applies; the assembly then repeats that sum exactly. The entry
-    numbers are then moved to the element-last layout of the blocks.
-    Returns (indptr, indices, groups): entry k of the data is the sum of
-    the run of terms flat[table[0, m]] + flat[table[1, m]] + ..., left to
-    right, for the one (dst, table) in ``groups`` with dst[m] = k, with
-    flat the raveled blocks; each group holds the runs of one length.
+    Term t = (i*6 + j)*nt + e of the raveled element-last blocks couples
+    the local dofs i and j of element e, at rows[t] and cols[t]; the
+    pattern holds each coupled pair once, rows and then columns in
+    increasing order, as the COO -> CSR conversion of the blocks does,
+    entries that sum to zero included. Returns (indptr, indices, slot):
+    term t goes to entry slot[t].
     """
-    table = _dof_table(topology.triangles)
-    nd = table.shape[1]
-    rows = np.repeat(table, nd, axis=1).reshape(-1)
-    cols = np.tile(table, (1, nd)).reshape(-1)
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    bounds = np.arange(n_dofs + 1)
-    probe = sp.csr_matrix((order, cols[order], np.searchsorted(rows, bounds)),
-                          shape=(n_dofs, n_dofs))
-    probe.sort_indices()
-    perm, cols = probe.data, probe.indices
-    # element-major entry e*36 + i*6 + j sits at (i*6 + j)*nt + e of flat
-    element, local = np.divmod(perm, nd * nd)
-    perm = local * table.shape[0] + element
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
-    run = np.diff(np.append(starts, perm.size))
-    groups = []
-    for length in np.unique(run):
-        dst = np.flatnonzero(run == length)
-        groups.append((dst, perm[starts[dst] + np.arange(length)[:, None]]))
-    indptr = np.searchsorted(rows[starts], bounds).astype(cols.dtype)
-    out = (indptr, cols[starts], tuple(groups))
-    for arr in out[:2] + tuple(a for pair in groups for a in pair):
+    tri = topology.triangles.T[:, None]
+    dofs = (2 * tri + np.arange(2)[:, None]).reshape(6, -1)   # dof 2 a + c of corner a
+    n_dofs = topology.free_row.size
+    rows = np.repeat(dofs, 6, axis=0).reshape(-1)
+    cols = np.tile(dofs, (6, 1)).reshape(-1)
+    pair, slot = np.unique(rows * n_dofs + cols, return_inverse=True)
+    row, col = np.divmod(pair, n_dofs)
+    out = (np.searchsorted(row, np.arange(n_dofs + 1)).astype(np.int32),
+           col.astype(np.int32), slot)
+    for arr in out:
         arr.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=8)
-def _free_block(topology, n_dofs):
+def _free_block(topology):
     """The free block B of a topology's stiffness pattern, rows and columns
     in the order of ``topology.free_dofs``, and its lower band storage.
 
@@ -193,7 +168,8 @@ def _free_block(topology, n_dofs):
     (n_free, kd + 1) array, the transpose of a Fortran-ordered band, kd
     the largest offset among them.
     """
-    indptr, indices, _ = _stiffness_pattern(topology, n_dofs)
+    indptr, indices, _ = _stiffness_pattern(topology)
+    n_dofs = topology.free_row.size
     row = topology.free_row[np.repeat(np.arange(n_dofs), np.diff(indptr))]
     col = topology.free_row[indices]
     src = np.flatnonzero((row >= 0) & (col >= 0))
@@ -213,20 +189,15 @@ def _free_block(topology, n_dofs):
 def assemble_stiffness(mesh, elast):
     """Bulk stiffness over the broken domain (full, pre-elimination).
 
-    The CSR pattern and summation order are those of the mesh's topology,
-    built once; each call gathers the element blocks' terms run length by
-    run length, sums each group's runs left to right and writes the sums
-    into the data once per group. An entry that sums to exactly zero stays
-    in the pattern.
+    The CSR pattern, and the entry each term of the element blocks goes
+    to, are those of the mesh's topology, built once; each call sums the
+    terms into their entries by one ``np.bincount``, which starts every
+    entry at zero and adds its terms in the blocks' raveled order. An entry
+    that sums to exactly zero stays in the pattern.
     """
+    indptr, indices, slot = _stiffness_pattern(mesh.topology)
     flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
-    indptr, indices, groups = _stiffness_pattern(mesh.topology, mesh.n_dofs)
-    data = np.empty(indices.size)
-    for dst, table in groups:
-        total = flat[table[0]]
-        for src in table[1:]:
-            total += flat[src]
-        data[dst] = total
+    data = np.bincount(slot, weights=flat, minlength=indices.size)
     return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                          shape=(mesh.n_dofs, mesh.n_dofs))
 
@@ -241,7 +212,7 @@ def subdomain_factor(mesh, K):
     band are gathered from K's data by the cached pattern; the band is laid
     out in LAPACK's column-major order, so the factor overwrites it.
     """
-    src, indptr, indices, lower, slot, kd = _free_block(mesh.topology, mesh.n_dofs)
+    src, indptr, indices, lower, slot, kd = _free_block(mesh.topology)
     n_free = mesh.free_dofs.size
     data = K.data[src]
     vals = data[lower]

@@ -58,12 +58,10 @@ class InterfaceGraph:
     ``s`` must be strictly increasing with s[0] = 0 and s[-1] = 1, and the
     heights must satisfy 0 < psi < 0.5 so the line stays inside the body;
     the checks are written so that a NaN fails them.
-    ``H`` is the nominal coarse spacing (max node gap unless given).
     """
 
     s: np.ndarray
     psi: np.ndarray
-    H: float = 0.0
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -76,8 +74,6 @@ class InterfaceGraph:
             raise ValueError("psi must lie strictly inside (0, 0.5)")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "psi", p)
-        if self.H <= 0.0:
-            object.__setattr__(self, "H", float(np.max(np.diff(s))))
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.s, self.psi)
@@ -87,14 +83,13 @@ class InterfaceGraph:
         return float(np.sum(np.hypot(np.diff(self.s), np.diff(self.psi))))
 
     def with_psi(self, new_psi):
-        return InterfaceGraph(self.s.copy(), np.asarray(new_psi, dtype=float), self.H)
+        return InterfaceGraph(self.s.copy(), np.asarray(new_psi, dtype=float))
 
 
-def uniform_graph(values, H=None):
+def uniform_graph(values):
     """Graph on the uniform coarse grid implied by len(values)."""
     values = np.asarray(values, dtype=float)
-    s = np.linspace(0.0, 1.0, values.size)
-    return InterfaceGraph(s, values, H if H is not None else s[1] - s[0])
+    return InterfaceGraph(np.linspace(0.0, 1.0, values.size), values)
 
 
 def write_interface(path, graph):

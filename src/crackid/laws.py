@@ -20,25 +20,21 @@ class CohesiveParams:
     delta   friction smoothing length (> 0, only the smooth law uses it)
     K_c     fracture-toughness scale (stress * length)
     kappa   cohesion length scale (> 0)
-    m       cohesion exponent (>= 1)
     """
 
     F_b: float = 1.0e-5
     delta: float = 1.0e-3
     K_c: float = 1.0e-3
     kappa: float = 1.0e-2
-    m: float = 1.0
 
     def __post_init__(self):
         # written so that a NaN fails each check
-        if not np.all(np.isfinite([self.F_b, self.delta, self.K_c, self.kappa, self.m])):
+        if not np.all(np.isfinite([self.F_b, self.delta, self.K_c, self.kappa])):
             raise ValueError("friction and cohesion parameters must be finite")
         if not (self.F_b >= 0.0 and self.K_c >= 0.0):
             raise ValueError("F_b and K_c must be nonnegative")
         if not (self.delta > 0.0 and self.kappa > 0.0):
             raise ValueError("delta and kappa must be positive")
-        if not self.m >= 1.0:
-            raise ValueError("cohesion exponent m must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def update_interface(psi, vel):
     raw = psi.psi + vel.lam2
     new = np.clip(raw, lo, hi)
     clamped = int(np.count_nonzero(new != raw))
-    return InterfaceGraph(psi.s.copy(), new, psi.H), clamped
+    return InterfaceGraph(psi.s.copy(), new), clamped
 
 
 def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,

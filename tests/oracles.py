@@ -563,18 +563,43 @@ def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
             coh_beta * jv2m, d1_at(0, 0.0), d1_at(-1, 1.0))
 
 
+def element_dofs(mesh):
+    """(nt, 6) dofs of each triangle, local dof 2 a + c at corner a."""
+    t = mesh.triangles
+    return np.column_stack([2 * t[:, 0], 2 * t[:, 0] + 1, 2 * t[:, 1],
+                            2 * t[:, 1] + 1, 2 * t[:, 2], 2 * t[:, 2] + 1])
+
+
 def coo_stiffness(mesh, ke_blocks):
     """Sum per-element 6x6 blocks, shaped (nt, 6, 6), with scipy's own
     COO -> CSR conversion, which keeps the entries that sum to zero."""
     import scipy.sparse as sp
 
-    t = mesh.triangles
-    dofs = np.column_stack([2 * t[:, 0], 2 * t[:, 0] + 1, 2 * t[:, 1],
-                            2 * t[:, 1] + 1, 2 * t[:, 2], 2 * t[:, 2] + 1])
+    dofs = element_dofs(mesh)
     rows = np.repeat(dofs, 6, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, 6)).reshape(-1)
     return sp.coo_matrix((ke_blocks.reshape(-1), (rows, cols)),
                          shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+
+
+def flat_order_stiffness(mesh, ke):
+    """The data of the stiffness in the CSR pattern of scipy's COO -> CSR
+    conversion, summed one term at a time: each entry starts at +0.0 and
+    adds the terms of the element-last blocks ``ke`` (6, 6, nt) that land
+    on it in their raveled order, term (i*6 + j)*nt + e."""
+    ref = coo_stiffness(mesh, np.moveaxis(ke, -1, 0))
+    where = {}
+    for row in range(ref.shape[0]):
+        for k in range(ref.indptr[row], ref.indptr[row + 1]):
+            where[row, int(ref.indices[k])] = k
+    dofs = element_dofs(mesh).T.tolist()
+    data = [0.0] * ref.nnz
+    terms = iter(ke.reshape(-1).tolist())
+    for i in range(6):
+        for j in range(6):
+            for a, b in zip(dofs[i], dofs[j]):
+                data[where[a, b]] += next(terms)
+    return np.array(data)
 
 
 def corner_triangle_geometry(vertices, triangles):

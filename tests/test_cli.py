@@ -25,7 +25,6 @@ friction_bound = 1e-5
 friction_delta = 1e-3
 toughness = 1e-3
 cohesion_length = 1e-2
-cohesion_exponent = 1
 
 [penalty]
 eps = 1e-8
@@ -295,7 +294,8 @@ INVALID_CONFIGS = [
     ("cohesion-length-nan", "[laws]\ncohesion_length = nan\n", [], None),
     ("friction-delta-zero", "[laws]\nfriction_delta = 0\n", [], None),
     ("friction-bound-negative", "[laws]\nfriction_bound = -1\n", [], None),
-    ("cohesion-exponent-below-1", "[laws]\ncohesion_exponent = 0.5\n", [], None),
+    # the key is gone: no law read the cohesion exponent
+    ("removed-cohesion-exponent", "[laws]\ncohesion_exponent = 1\n", [], None),
     ("measurement-3-columns", "", [], measurement_text(rows="0 0 0\n1 0.5 0\n")),
     ("measurement-nan", "", [],
      measurement_text(rows="0 0 0 0\n1 0 nan 0\n0 0.5 0 0\n1 0.5 0 0\n")),

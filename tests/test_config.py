@@ -36,6 +36,7 @@ UNKNOWN_NAMES = [
     ("removed-endpoint-cap", "[algorithm]\nendpoint_cap = true\n", "endpoint_cap"),
     ("removed-single-endpoint-factor",
      "[algorithm]\nsingle_endpoint_factor = false\n", "single_endpoint_factor"),
+    ("removed-cohesion-exponent", "[laws]\ncohesion_exponent = 1\n", "cohesion_exponent"),
 ]
 
 
@@ -52,8 +53,11 @@ def test_unknown_name_exit_2(tmp_path, capsys, text, name):
 
 
 EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "word"]
+# keys that no field reads any more: every value of theirs is an unknown key
+REMOVED_KEYS = {"laws": ["cohesion_exponent"]}
 EDGE_ROWS = [(section, key, value)
-             for section, keys in cli.CONFIG_SECTIONS.items()
+             for sections in (cli.CONFIG_SECTIONS, REMOVED_KEYS)
+             for section, keys in sections.items()
              for key in keys for value in EDGE_VALUES]
 
 
@@ -80,6 +84,8 @@ def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
     assert "Traceback" not in err
     if not accepted:
         assert rc == 2
+    if key in REMOVED_KEYS.get(section, ()):
+        assert not accepted and key in err
     assert rc in (0, 2, 3)
     assert len(err.splitlines()) == (rc != 0), err
 

@@ -194,49 +194,52 @@ class TestElementStiffness:
         MESHES["perturbed"] + (False,),
         MESHES["kinked"] + (True,),
     ], ids=["flat", "flat-fine", "perturbed", "kinked"])
-    def test_cached_scatter_matches_coo_bitwise(self, graph, h, sums_to_zero):
+    def test_cached_pattern_is_coo_and_data_within_ulps(self, graph, h, sums_to_zero):
         mesh = build_mesh(graph, h)
-        ke = oracles.einsum_element_stiffness(mesh.tri_area, mesh.tri_grads,
-                                              ELAST.dmatrix())
-        ref = oracles.coo_stiffness(mesh, ke)
+        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        ref = oracles.coo_stiffness(mesh, np.moveaxis(ke, -1, 0))
         fem._stiffness_pattern.cache_clear()
         for _ in range(2):   # the cold pattern build, then the cached one
             K = fem.assemble_stiffness(mesh, ELAST)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(K, attr).dtype == getattr(ref, attr).dtype
+            for attr in ("indptr", "indices"):
                 assert np.array_equal(getattr(K, attr), getattr(ref, attr)), attr
+        # scipy sums each entry in its own order; two orders of an m-term
+        # sum differ by at most 2 (m - 1) u sum|terms| (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2002, ch. 4)
+        slot = fem._stiffness_pattern(mesh.topology)[2]
+        terms = np.bincount(slot)
+        size = np.bincount(slot, weights=np.abs(ke.reshape(-1)))
+        assert np.all(np.abs(K.data - ref.data) <= 2.0 * (terms - 1) * 2.0 ** -53 * size)
         # on axis-aligned cells some entries sum to exactly zero; they stay
-        # in the cached pattern, as they stay in the COO conversion's
-        pattern_nnz = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)[1].size
-        assert K.nnz == pattern_nnz
+        # in the pattern, as they stay in the COO conversion's
+        assert np.array_equal(K.data == 0.0, ref.data == 0.0)
         assert (np.count_nonzero(K.data) < K.nnz) == sums_to_zero
 
     def test_cached_pattern_is_read_only(self):
         mesh = small_mesh()
         fem.assemble_stiffness(mesh, ELAST)
-        indptr, indices, groups = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
-        for arr in (indptr, indices) + tuple(a for group in groups for a in group):
+        for arr in fem._stiffness_pattern(mesh.topology):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    @pytest.mark.parametrize("h,sizes", [
-        (0.05, None),
+    @pytest.mark.parametrize("h,terms", [
+        (0.05, {1: 816, 2: 4416, 3: 368, 6: 608}),
         (0.01 * 8.0 / 7.0, {1: 3536, 2: 91184, 3: 1728, 6: 14616}),
     ], ids=["flat", "identify"])
-    def test_group_tables_cover_every_entry_and_term_once(self, h, sizes):
-        # one group per run length, in increasing order; each entry of the
-        # data in one group, and each term of the blocks in one run
+    def test_data_equal_the_flat_order_oracle_bitwise(self, h, terms):
+        # every term of the blocks goes to one entry, every entry gets one
+        # or more, and each entry sums its terms in the blocks' raveled
+        # order from +0.0
         mesh = build_mesh(constant_graph(0.25), h)
-        _, indices, groups = fem._stiffness_pattern(mesh.topology, mesh.n_dofs)
-        lengths = [table.shape[0] for _, table in groups]
-        assert lengths == sorted(set(lengths))
-        assert all(table.shape[1] == dst.size for dst, table in groups)
-        dst = np.concatenate([dst for dst, _ in groups])
-        assert np.array_equal(np.sort(dst), np.arange(indices.size))
-        terms = np.concatenate([table.reshape(-1) for _, table in groups])
-        assert np.array_equal(np.sort(terms), np.arange(36 * mesh.triangles.shape[0]))
-        if sizes is not None:
-            assert {table.shape[0]: dst.size for dst, table in groups} == sizes
+        ke = fem.element_stiffness(mesh.tri_area, mesh.tri_grads, ELAST.dmatrix())
+        slot = fem._stiffness_pattern(mesh.topology)[2]
+        assert slot.size == ke.size
+        counts = np.bincount(np.bincount(slot))
+        assert {m: int(c) for m, c in enumerate(counts) if c} == terms
+        K = fem.assemble_stiffness(mesh, ELAST)
+        assert K.data.tobytes() == oracles.flat_order_stiffness(mesh, ke).tobytes()
 
     def test_symmetry(self):
         mesh = small_mesh(0.05)

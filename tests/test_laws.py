@@ -10,7 +10,7 @@ from crackid.laws import CohesiveParams, PenaltyParams
 
 @pytest.fixture
 def params():
-    return CohesiveParams(F_b=1e-5, delta=1e-3, K_c=1e-3, kappa=1e-2, m=1.0)
+    return CohesiveParams(F_b=1e-5, delta=1e-3, K_c=1e-3, kappa=1e-2)
 
 
 class TestBetaSmooth:
@@ -139,7 +139,5 @@ class TestParamValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             CohesiveParams(delta=0.0)
-        with pytest.raises(ValueError):
-            CohesiveParams(m=0.5)
         with pytest.raises(ValueError):
             PenaltyParams(0.0)

@@ -1,13 +1,21 @@
-"""tools/compare_outputs.py on two small synthetic output trees."""
+"""tools/compare_outputs.py on two small synthetic output trees, and
+tools/roundoff_envelope.py on a small config."""
 
+import importlib.util
+import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+from crackid import fem
+
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "compare_outputs.py"
 
 FILES = {
     "m_contact/measurement.txt":
@@ -34,8 +42,8 @@ def tree(root, edits=None):
     return root
 
 
-def compare(parent, change):
-    proc = subprocess.run([sys.executable, str(TOOL), str(parent), str(change)],
+def compare(parent, change, *flags):
+    proc = subprocess.run([sys.executable, str(TOOL), *flags, str(parent), str(change)],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout
 
@@ -116,3 +124,69 @@ def test_plots_are_compared_byte_for_byte(tmp_path):
     code, out = compare(parent, change)
     assert code == 1
     assert "MISSING" in out
+
+
+# a coarse measurement and five iterations: the recipe runs in about a second
+SMALL_CONFIG = "[geometry]\nh_measure = 0.05\n[algorithm]\nn_max = 5\n"
+
+
+@pytest.fixture(scope="module")
+def envelope_tool():
+    spec = importlib.util.spec_from_file_location(
+        "roundoff_envelope", REPO / "tools" / "roundoff_envelope.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def envelope(tool, tmp_path, *flags):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    out = tmp_path / "env"
+    assert tool.main([str(REPO), str(out), "--config", str(cfg), *flags]) == 0
+    with open(out / "envelope.json") as fh:
+        return out, str(cfg), json.load(fh)["files"]
+
+
+def test_zero_ulps_give_an_all_zero_envelope(tmp_path, envelope_tool):
+    _, _, files = envelope(envelope_tool, tmp_path, "--seeds", "1", "--ulps", "0")
+    # per load measurement, iterations, gradients and two snapshots; two checks
+    assert len(files) == 12
+    for rel, entry in files.items():
+        assert set(entry["columns"].values()) == {0.0}, rel
+        for column, rows in entry.get("rows", {}).items():
+            assert column == "n" or set(rows) == {0.0}, (rel, column)
+    assert len(files["i_contact/iterations.csv"]["rows"]["J"]) == 6
+
+
+def test_a_traction_defect_lands_far_outside_the_envelope(tmp_path, envelope_tool,
+                                                          monkeypatch):
+    out, cfg, files = envelope(envelope_tool, tmp_path, "--seeds", "2")
+    assert files["m_contact/measurement.txt"]["columns"]["2"] > 0.0
+    # a defect of the size a wrong formula leaves: one seeded term of the
+    # boundary load moved by 1e-6 relative
+    assemble = fem.assemble_traction
+
+    def defect(mesh, g):
+        f = assemble(mesh, g).copy()
+        f[np.random.default_rng(7).choice(np.flatnonzero(f))] *= 1.0 + 1e-6
+        return f
+
+    monkeypatch.setattr(fem, "assemble_traction", defect)
+    envelope_tool.run_recipe(str(tmp_path / "defect"), cfg)
+    plain_code, plain = compare(out / "base", tmp_path / "defect")
+    code, text = compare(out / "base", tmp_path / "defect",
+                         "--envelope", str(out / "envelope.json"))
+    # the envelope adds notes, and changes no verdict
+    assert code == plain_code
+    assert [l.split()[:2] for l in text.splitlines()] == \
+        [l.split()[:2] for l in plain.splitlines()]
+    lines = {l.split()[0]: l for l in text.splitlines()}
+    for rel, column in (("m_contact/measurement.txt", "2"),
+                        ("m_stretch/measurement.txt", "3"),
+                        ("i_contact/iterations.csv", "J"),
+                        ("i_stretch/iterations.csv", "J")):
+        note = re.search(r"\b%s \S+ .*?(?:; |\()(?:envelope n<=5 )?(inf|\S+)x" % column,
+                         lines[rel])
+        assert note, lines[rel]
+        assert float(note.group(1)) >= 1e3, lines[rel]

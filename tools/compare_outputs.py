@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the outputs of two crackid runs under the roundoff tolerance.
 
-Usage: python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+Usage: python3 tools/compare_outputs.py [--envelope FILE] PARENT_DIR CHANGE_DIR
 
 Both directories hold the outputs of the same commands, found anywhere
 below them: ``measurement.txt``, ``iterations.csv``, ``gradients.csv``,
@@ -30,21 +30,33 @@ kind, relative to the parent's value:
 Prints one line per file and a summary, and exits 0 when every file is
 identical or within its bound, 1 otherwise, a file found on one side only
 included.
+
+With ``--envelope FILE``, the output of ``tools/roundoff_envelope.py``,
+each difference is also printed as a multiple of the envelope, the
+largest spread that moving K's last bits gives the same file and column;
+for ``iterations.csv`` that multiple is taken over n <= N, for every 50th
+N and the last. The bounds and the exit status do not change.
 """
 
 import filecmp
+import json
 import os
 import sys
 
 import numpy as np
 
 
+def relative(a, b):
+    """|a - b| / |a| entry by entry, 0 where they are equal."""
+    diff = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diff == 0.0, 0.0, diff / np.abs(a))
+
+
 def entrywise(a, b):
     """Largest |a - b| / |a| over the entries (0 where they are equal), and
     the row where it is."""
-    diff = np.abs(a - b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(diff == 0.0, 0.0, diff / np.abs(a))
+    rel = relative(a, b)
     return float(rel.max(initial=0.0)), int(np.argmax(rel)) if rel.size else None
 
 
@@ -95,8 +107,39 @@ def load(path):
     return head, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
-def compare(parent, change):
-    """(ok, verdict) for one pair of files that differ in their bytes."""
+def times(got, env):
+    """got as a multiple of the envelope env."""
+    if got == 0.0:
+        return "0x"
+    return "%.3gx" % (got / env) if env > 0.0 else "infx"
+
+
+def prefix_times(diff, spread, n):
+    """For every 50th n and the last: the largest of ``diff`` over the rows
+    n' <= n as a multiple of the largest of ``spread`` there."""
+    ends = [k for k, nk in enumerate(n) if nk % 50 == 0 and nk > 0]
+    ends = sorted(set(ends) | {len(n) - 1})
+    diff = np.maximum.accumulate(diff)
+    spread = np.maximum.accumulate(np.asarray(spread, dtype=float))
+    return ", ".join("n<=%g %s" % (n[k], times(diff[k], spread[k])) for k in ends)
+
+
+def against(env, name, got, rows=None, n=None):
+    """The note that sets a difference against the envelope ``env`` of its
+    file: ``got`` over the whole file, or ``rows`` per row of n."""
+    if name not in env.get("columns", {}):
+        return "no envelope"
+    if rows is not None and name in env.get("rows", {}):
+        spread = env["rows"][name]
+        if len(spread) == len(rows) and np.array_equal(env["rows"]["n"], n):
+            return "envelope " + prefix_times(rows, spread, n)
+    return "%s envelope %.2e" % (times(got, env["columns"][name]), env["columns"][name])
+
+
+def compare(parent, change, env=None):
+    """(ok, verdict) for one pair of files that differ in their bytes; with
+    ``env``, the envelope of the file ({} for none), each difference is
+    also set against it."""
     head_p, names, data_p = load(parent)
     head_c, names_c, data_c = load(change)
     if head_p != head_c or names != names_c or data_p.shape != data_c.shape:
@@ -104,7 +147,9 @@ def compare(parent, change):
     col = {name: k for k, name in enumerate(names)}
     rule = RULES.get(os.path.basename(parent))
     if rule is None:
-        return True, "UNBOUND  max relative difference %.2e" % normwise(data_p, data_c)[0]
+        got = normwise(data_p, data_c)[0]
+        note = "" if env is None else " (%s)" % against(env, "*", got)
+        return True, "UNBOUND  max relative difference %.2e%s" % (got, note)
     exact, bounds = rule
     ok = True
     notes = []
@@ -120,12 +165,22 @@ def compare(parent, change):
             # the first identical column names the row
             at = "" if row is None or got == 0.0 else \
                 " at %s=%g" % (exact[0], data_p[row, col[exact[0]]])
-            notes.append("%s %.2e%s (<= %.0e)" % (name, got, at, bound))
+            note = ""
+            if env is not None:
+                rows = relative(data_p[:, col[name]], data_c[:, col[name]]) \
+                    if measure is entrywise else None
+                note = "; " + against(env, name, got, rows, data_p[:, 0])
+            notes.append("%s %.2e%s (<= %.0e%s)" % (name, got, at, bound, note))
     return ok, ("WITHIN   " if ok else "EXCEEDS  ") + ", ".join(notes)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    envelope = None
+    if argv[:1] == ["--envelope"] and len(argv) > 1:
+        with open(argv[1]) as fh:
+            envelope = json.load(fh)["files"]
+        argv = argv[2:]
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 1
@@ -143,7 +198,8 @@ def main(argv=None):
         elif os.path.basename(rel) in PLOTS:
             ok, verdict = True, "UNBOUND  bytes differ"
         else:
-            ok, verdict = compare(os.path.join(parent, rel), os.path.join(change, rel))
+            ok, verdict = compare(os.path.join(parent, rel), os.path.join(change, rel),
+                                  None if envelope is None else envelope.get(rel, {}))
         failed += not ok
         kind = verdict.split()[0]
         tally[kind] = tally.get(kind, 0) + 1

@@ -13,6 +13,10 @@
 #
 #   tools/make_outputs.sh PARENT a && tools/make_outputs.sh . b &&
 #   tools/compare_outputs.py a b
+#
+# and tools/roundoff_envelope.py PARENT env measures how far roundoff alone
+# moves these outputs; tools/compare_outputs.py --envelope
+# env/envelope.json a b sets each difference against it.
 
 set -eu
 
