@@ -249,16 +249,16 @@ def gradient_check(config, meas, steps):
     """The one home of the gradient check: the volumetric shape derivative
     of each interior coarse node's hat against central differences of the
     objective, one per step. Each probe re-meshes through this module's
-    ``build_mesh``, solves the state from the base state's active sets and
-    ends in one ``driver.objective`` against the base mesh's measurement
-    trace, whose observation rows every probe mesh shares. Returns one
-    ``(s, analytic, [fd per step])`` per interior node.
+    ``build_mesh``, solves the state on the base mesh's factor from the
+    base state's active sets and ends in one ``driver.objective`` against
+    the base mesh's measurement trace, whose observation rows every probe
+    mesh shares. Returns one ``(s, analytic, [fd per step])`` per node.
     """
     laws, elast, g = config.cohesive(), config.elasticity(), config.traction()
     h, psi, eps = config.resolved_h_identify(), config.initial_graph(), config.eps
     mesh = build_mesh(psi, h)
-    u, base, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
-                                              max_outer=config.max_outer)
+    u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
+                                                max_outer=config.max_outer)
     zv = driver.interp_measurement(mesh, meas)
     v = solvers.solve_adjoint(op, u, zv, eps)
     hats = np.eye(psi.s.size)[1:-1]
@@ -273,11 +273,9 @@ def gradient_check(config, meas, steps):
             for sign in (1.0, -1.0):
                 line = psi.with_psi(psi.psi + sign * st * hat)
                 m = build_mesh(line, h)
-                # only the state: the probe's operator and factor are freed
-                # before the next probe's (kept, they slowed each probe ~6%)
                 up = solvers.solve_penalty_state(
                     m, laws, elast, g, eps, max_outer=config.max_outer,
-                    start=base.configuration)[0]
+                    start=report.configuration, base=op)[0]
                 js.append(driver.objective(m, up, zv, elast.rho_reg, line))
             fds.append((js[0] - js[1]) / (2.0 * st))
         rows.append((s, ana, fds))

@@ -11,20 +11,21 @@ each assembly then sums the terms into their entries by one
 ``np.bincount``, in the order of the raveled blocks, which this module
 fixes and not the installed scipy. The boundary load and the boundary mass
 live on the observation rows, which every mesh of one topology shares bit
-for bit, so they are formed once per topology and kept read-only.
-Dirichlet dofs are eliminated by row/column removal, so every free block
-stays symmetric positive definite. Once per mesh,
-``subdomain_factor`` gathers K's free block and its band from the cached
-pattern, and ``FactorizedSPD`` factors the band in place by a band Cholesky
-(LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981). Its rows are the mesh's free dofs in
-their one order, the lower subdomain first, so the block is block diagonal,
-one band per subdomain, and the mesh's topology says where the blocks end.
-Every Newton matrix of the mesh is that block plus a low-rank coupling on
-interface jump dofs, which the factor solves through the Woodbury identity:
-a penalty's jump mass, or a pair merged shut as the infinite-weight limit.
-The factor checks definiteness and rank when it factors and the backward
-error of every solve.
+for bit, so they are formed once per topology and kept read-only. Dirichlet
+dofs are eliminated by row/column removal, so every free block stays
+symmetric positive definite. Once per mesh, ``subdomain_factor`` gathers
+K's free block and its band from the cached pattern, and ``FactorizedSPD``
+factors the band in place by a band Cholesky (LAPACK ``dpbtrf``; George and
+Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981), or
+solves on the factor of a nearby mesh of the same topology, such as a
+finite-difference probe's base, refining against its own block. Its rows
+are the mesh's free dofs in their one order, the lower subdomain first, so
+the block is block diagonal, one band per subdomain, and the mesh's
+topology says where the blocks end. Every Newton matrix of the mesh is that
+block plus a low-rank coupling on interface jump dofs, which the factor
+solves through the Woodbury identity: a penalty's jump mass, or a pair
+merged shut as the infinite-weight limit. The factor checks definiteness
+and rank when it factors and the backward error of every solve.
 """
 
 import functools
@@ -42,6 +43,7 @@ GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
 # |Ax - b| <= tol (|b| + max|A| |x|): every FactorizedSPD.solve, and the
 # stationarity residual of every converged solvers._active_set_solve state
 BACKWARD_TOL = 1e-10
+REFINE_CAP = 8   # refinement steps on a borrowed factor before it factors
 
 
 def lame_from_young(E_Y, nu_P):
@@ -202,25 +204,32 @@ def assemble_stiffness(mesh, elast):
                          shape=(mesh.n_dofs, mesh.n_dofs))
 
 
-def subdomain_factor(mesh, K):
+def subdomain_factor(mesh, K, base=None):
     """``FactorizedSPD`` of the free block of K, the mesh's
-    ``assemble_stiffness``: the one band factor of the mesh.
+    ``assemble_stiffness``: the mesh's band factor, or one on ``base``'s L.
 
     No entry of K joins the two subdomains, so in the order of
     ``mesh.free_dofs`` its free block is block diagonal, one band per
     subdomain, the blocks ending at ``mesh.block_end``. The block and its
     band are gathered from K's data by the cached pattern; the band is laid
-    out in LAPACK's column-major order, so the factor overwrites it.
+    out in LAPACK's column-major order, so the factor overwrites it (one on
+    the L of ``base``, of a mesh of this topology, builds it to fall back on).
     """
     src, indptr, indices, lower, slot, kd = _free_block(mesh.topology)
     n_free = mesh.free_dofs.size
     data = K.data[src]
     vals = data[lower]
-    band = np.zeros((n_free, kd + 1))
-    band.reshape(-1)[slot] = vals
+
+    def band():
+        out = np.zeros((n_free, kd + 1))
+        out.reshape(-1)[slot] = vals
+        return out.T
+
     block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
-    return FactorizedSPD(band.T, block, mesh.block_end,
-                         max(vals.max(initial=0.0), -vals.min(initial=0.0)))
+    band_max = max(vals.max(initial=0.0), -vals.min(initial=0.0))
+    if base is None:
+        return FactorizedSPD(band(), block, mesh.block_end, band_max)
+    return FactorizedSPD.borrowing(base, block, band_max, band)
 
 
 def _neumann_ends(mesh):
@@ -324,8 +333,11 @@ class FactorizedSPD:
     SIAM Review 31, 1989).
     A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
     the pair shut, and mu_k is the reaction that keeps it shut. Such a
-    solve is the Galerkin merge's: the minus row's load moves onto the
-    plus row first, and the minus dof takes the plus dof's value after.
+    solve is the Galerkin merge's: the minus row's load moves onto the plus
+    row first, and the minus dof takes the plus dof's value after. A solve
+    refines x against ``matrix``, one step if coupled; on a ``borrowing``
+    factor until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon, or
+    it factors B after ``REFINE_CAP`` steps.
 
     Each solve's backward error is checked against ``matrix`` on every
     row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
@@ -337,6 +349,7 @@ class FactorizedSPD:
     """
 
     def __init__(self, band, matrix, block_end, band_max):
+        self.fallback = None   # a borrowing factor's builder of B's band
         self.diag = band[0].copy()
         self.band_max = band_max
         try:
@@ -351,6 +364,15 @@ class FactorizedSPD:
         self.block_end = np.asarray(block_end)
         self.lu = _Band(lower, lower.size)
         self.couple((), (), ())
+
+    @classmethod
+    def borrowing(cls, base, matrix, band_max, band):
+        """``matrix`` on the L of ``base``; it factors nothing, nor runs ``__init__``."""
+        self = cls.__new__(cls)
+        self.fallback, self.diag, self.band_max = band, matrix.diagonal(), band_max
+        self.matrix, self.block_end, self.lu = matrix, base.block_end, base.lu
+        self.couple((), (), ())
+        return self
 
     def couple(self, plus, minus, weights):
         """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
@@ -404,20 +426,28 @@ class FactorizedSPD:
         return y
 
     def solve(self, rhs):
-        if self.coupling is None:
-            x, _ = self._substitute(rhs)
-            res = self._apply(x, None) - rhs
-        else:
+        given, p, m = rhs, slice(0), slice(0)
+        if self.coupling is not None:
             plus, minus, _ = self.coupling
             p, m = plus[self.shut], minus[self.shut]
             rhs = rhs.copy()
             rhs[p] += rhs[m]   # the merge's R^T b: zero stays exactly zero
             rhs[m] = 0.0
-            x, mu = self._substitute(rhs)
-            # the Woodbury update cancels in the coupled directions; one step
-            # of iterative refinement restores the accuracy of a Cholesky
-            # solve (Yip, SIAM J. Sci. Stat. Comput. 7, 1986)
-            dx, dmu = self._substitute(self._apply(x, mu) - rhs)
+        x, mu = self._substitute(rhs)
+        res = self._apply(x, mu) - rhs
+        # the Woodbury update cancels in the coupled directions, and one step
+        # restores a Cholesky solve's accuracy (Yip, SIAM J. Sci. Stat. Comput.
+        # 7, 1986); on a borrowed L each step cuts r by about |B - B_base|/|B|
+        for step in range(REFINE_CAP + 1 if self.fallback else self.coupling is not None):
+            if self.fallback and np.linalg.norm(res) <= np.finfo(float).eps * (
+                    np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)):
+                break
+            if step == REFINE_CAP:   # borrowed, not converged: factor B, solve on it
+                coupling = self.coupling or ((), (), ())
+                self.__init__(self.fallback(), self.matrix, self.block_end, self.band_max)
+                self.couple(*coupling)
+                return self.solve(given)
+            dx, dmu = self._substitute(res)
             x, mu = x - dx, mu - dmu
             x[m] = x[p]
             res = self._apply(x, mu) - rhs
@@ -432,7 +462,7 @@ class FactorizedSPD:
     def _substitute(self, rhs):
         """x = L^-T (z - Y mu) and mu = C^-1 Y^T z, z = L^-1 rhs."""
         z = dtbtrs(self.lu.lower, rhs, uplo="L")[0]
-        mu = None
+        mu = np.zeros(0)
         if self.coupling is not None:
             mu = cho_solve((self.c, True), self.y.T @ z, check_finite=False)
             z -= self.y @ mu

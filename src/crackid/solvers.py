@@ -17,16 +17,16 @@ differ only in the normal law:
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
 final state Newton matrix. Every linear solve goes through one method,
 ``_InterfaceOperator.solve``. The operator factors K once per mesh, one
-band per subdomain (``fem.subdomain_factor``), its rows the mesh's free
-dofs in their one order; each Newton matrix is that factor with a low-rank
-coupling on the interface pairs, their rows read from ``mesh.free_row``:
-the w/eps jump mass of the closed pairs for a penalty, and the
-contact-closed and sticking pairs merged shut. No sparse K + J and no
-second factor is built. The coupling is keyed on the ``(closed, stick)``
-pair of normal and stick sets and eps, so a Newton step that changes only
-the load (slip signs, cohesion indicator) solves with the previous step's
-coupling, and the adjoint with the state's when its last step merged
-nothing.
+band per subdomain (``fem.subdomain_factor``), or borrows a ``base``
+operator's on a mesh of its topology (a probe's); its rows are the mesh's
+free dofs in their one order. Each Newton matrix is that factor with a
+low-rank coupling on the interface pairs, their rows read from
+``mesh.free_row``: the w/eps jump mass of the closed pairs for a penalty,
+and the contact-closed and sticking pairs merged shut. No sparse K + J is
+built. The coupling is keyed on the ``(closed, stick)`` pair of normal and
+stick sets and eps, so a Newton step that changes only the load (slip
+signs, cohesion indicator) solves with the previous step's coupling, and
+the adjoint with the state's when its last step merged nothing.
 
 The operator is also the one home of the nodal interface forces: it
 scatters them onto the plus and minus dofs (``interface_load``) and reads
@@ -82,7 +82,7 @@ class _InterfaceOperator:
     and the owner of the mesh's factor and the current Newton matrix's
     coupling on it."""
 
-    def __init__(self, mesh, laws, elast, g):
+    def __init__(self, mesh, laws, elast, g, base=None):
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
@@ -102,7 +102,8 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        self.factor = fem.subdomain_factor(mesh, self.K)
+        same = base is not None and base.mesh.topology is mesh.topology
+        self.factor = fem.subdomain_factor(mesh, self.K, base.factor if same else None)
         self._key = None
 
     def jumps(self, values):
@@ -334,19 +335,20 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
 # Penalty state and adjoint
 # ----------------------------------------------------------------------
 
-def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None):
+def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, base=None):
     """Solve the penalty-regularised state equation.
 
     Semismooth Newton on the penalty term, stopped by the engine's one
     rule: a repeated active set whose residual passes the backward-error
-    test (``_active_set_solve``). ``start`` seeds the
-    active sets with the ``configuration`` of an earlier report on a mesh
-    with the same interface nodes (the previous identification iterate, or
-    the base state of a finite-difference probe). Returns the state, the
+    test (``_active_set_solve``). ``start`` seeds the active sets with the
+    ``configuration`` of an earlier report on a mesh with the same
+    interface nodes (the previous identification iterate, or the base state
+    of a finite-difference probe); ``base``, an operator of such a state,
+    lends its factor (``fem.subdomain_factor``). Returns the state, the
     ``SolveReport`` and the operator, which keeps the mesh's factor and the
     final Newton matrix's coupling for ``solve_adjoint``.
     """
-    op = _InterfaceOperator(mesh, laws, elast, g)
+    op = _InterfaceOperator(mesh, laws, elast, g, base)
     values, _, _, report = _active_set_solve(op, eps, max_outer, start)
     return fem.DofField(mesh, values), report, op
 

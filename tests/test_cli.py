@@ -207,6 +207,24 @@ class TestGradientCheck:
         assert interior == 9 and len(probes) == 4 * interior
         assert all(events[i - 1] == "mesh" for i in probes)
 
+    def test_probes_solve_on_the_base_factor(self, config_path, monkeypatch):
+        # the base state factors its mesh once; the 36 probe meshes share
+        # its topology, so each probe solves on that factor and makes none
+        from crackid import driver, fem
+        config = cli.load_config(config_path)
+        meas = driver.synthesize_measurement(config)[0]
+        made = []
+        init = fem.FactorizedSPD.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
+        h = config.resolved_h_identify()
+        rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        assert len(rows) == 9 and len(made) == 1
+
     @pytest.mark.parametrize("edge", ["bottom", "top"])
     def test_psi0_at_the_edge_exit_2_before_any_solve(self, tmp_path, capsys,
                                                       monkeypatch, edge):

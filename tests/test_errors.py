@@ -57,6 +57,25 @@ def test_identify_at_eps_1e_20_converges():
     assert len(log.rows) == 6
 
 
+def test_cli_identify_at_eps_near_the_floor_exit_3(tmp_path, capsys):
+    # eps = 2e-22 passes the config floor of 1.74e-22, but the penalty's
+    # active sets cycle on the first iterate: exit 3 in one line
+    from crackid import cli
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[penalty]\neps = 2e-22\n[geometry]\nh_measure = 0.05\n"
+                   "[algorithm]\nload_case = contact\nn_max = 2\n")
+    mout = str(tmp_path / "m")
+    assert cli.main(["measure", "--config", str(cfg), "--out", mout]) == 0
+    capsys.readouterr()
+    rc = cli.main(["identify", "--config", str(cfg),
+                   "--measurement", mout + "/measurement.txt",
+                   "--out", str(tmp_path / "i")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1, err
+    assert "penalty solver did not stabilise in 50 iterations" in err, err
+
+
 def test_degenerate_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear
     tris = np.array([[0, 1, 2]])

@@ -718,6 +718,128 @@ class TestCoupling:
         assert refined <= unrefined / (3.0 if case == "penalty-and-sticking" else 1.0)
 
 
+# interface nodes coupled on x2 with a penalty (eps = 1e-8), and merged shut
+# on x1 (sticking), by case
+BORROW_CASES = {
+    "uncoupled": lambda i: (i[:0], i[:0]),
+    "penalty": lambda i: (i[::2], i[:0]),
+    "penalty-and-sticking": lambda i: (i[::2], i),
+}
+
+
+class TestBorrowedFactor:
+    """A factor that solves on the L of a nearby matrix with the same
+    blocks (a finite-difference probe's on its base mesh's) and refines
+    against its own block; an own factor keeps its one step."""
+
+    @staticmethod
+    def coupled(factor, mesh, case):
+        penalty, stick = BORROW_CASES[case](np.flatnonzero(mesh.interface_interior()))
+        return couple(factor, mesh, penalty,
+                      mesh.interface_nodal_weights()[penalty] / 1e-8, stick)
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count ``FactorizedSPD.__init__`` (the factorisations) and
+        ``_substitute`` (the solve plus one per refinement step)."""
+        counts = {"factor": 0, "substitute": 0}
+        init, substitute = fem.FactorizedSPD.__init__, fem.FactorizedSPD._substitute
+
+        def counted_init(self, *args):
+            counts["factor"] += 1
+            init(self, *args)
+
+        def counted_substitute(self, rhs):
+            counts["substitute"] += 1
+            return substitute(self, rhs)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "__init__", counted_init)
+        monkeypatch.setattr(fem.FactorizedSPD, "_substitute", counted_substitute)
+        return counts
+
+    @staticmethod
+    def load(mesh):
+        cfg = ExperimentConfig()
+        return fem.assemble_traction(mesh, cfg.traction("contact"))[mesh.free_dofs]
+
+    @pytest.mark.parametrize("case", list(BORROW_CASES))
+    @pytest.mark.parametrize("name,step", [("flat-fine", 1e-3), ("identify", 1e-3),
+                                           ("identify", 1e-4)])
+    def test_probe_block_refines_to_roundoff_on_the_base_factor(self, monkeypatch,
+                                                                name, step, case):
+        # a probe moves one coarse node by step h: its block is within about
+        # 1e-4 of the base's, and refinement on the base's L reaches
+        # |r| <= eps (|b| + max|A| |x|) in a few steps, with no factor made
+        cfg = ExperimentConfig()
+        psi = cfg.initial_graph()
+        h = cfg.resolved_h_identify() if name == "identify" else MESHES[name][1]
+        base_mesh = build_mesh(psi, h)
+        mesh = build_mesh(psi.with_psi(psi.psi + step * h * np.eye(psi.s.size)[4]), h)
+        assert mesh.topology is base_mesh.topology
+        base = fem.subdomain_factor(base_mesh, fem.assemble_stiffness(base_mesh, ELAST))
+        K = fem.assemble_stiffness(mesh, ELAST)
+        own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
+        counts = self.counting(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        # diag(B) and max|A| hold the bits the probe's own band gives
+        assert borrowed.diag.tobytes() == own.diag.tobytes()
+        assert borrowed.max_abs == own.max_abs and borrowed.lu is base.lu
+        rhs = self.load(mesh)
+        x = borrowed.solve(rhs)
+        # no fallback: the loop left on the roundoff bound before the cap
+        assert counts["factor"] == 0
+        assert borrowed.fallback is not None and borrowed.lu is base.lu
+        assert 1 <= counts["substitute"] - 1 <= 4, counts
+        ref = own.solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", list(BORROW_CASES))
+    def test_far_block_falls_back_on_its_own_factor_bitwise(self, monkeypatch, case):
+        # B = 2 B_base: each step maps the error e to -e, so the residual
+        # never contracts; after REFINE_CAP steps the factor factors B once
+        # and solves as a factor made from B's band does, then and after
+        mesh = build_mesh(*MESHES["perturbed"])
+        base = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
+        stiff = IsotropicElasticity.from_young(2.0 * ELAST.E_Y, ELAST.nu_P)
+        K = fem.assemble_stiffness(mesh, stiff)
+        assert np.array_equal(K.data, 2.0 * fem.assemble_stiffness(mesh, ELAST).data)
+        own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
+        counts = self.counting(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        rhs = self.load(mesh)
+        x = borrowed.solve(rhs)
+        one_own = 1 + (own.coupling is not None)   # substitutions of an own solve
+        assert counts == {"factor": 1, "substitute": 1 + fem.REFINE_CAP + one_own}
+        assert borrowed.fallback is None and borrowed.lu is not base.lu
+        assert np.array_equal(borrowed.lu.lower, own.lu.lower)
+        assert x.tobytes() == own.solve(rhs).tobytes()
+        assert borrowed.solve(2.0 * rhs).tobytes() == own.solve(2.0 * rhs).tobytes()
+        assert counts["factor"] == 1
+
+    @pytest.mark.parametrize("case", list(BORROW_CASES))
+    def test_own_factor_solve_is_one_step_when_coupled(self, monkeypatch, case):
+        # an own factor substitutes once, and refines once when coupled: the
+        # merge's fold, the Woodbury solve, one refinement step, the merge
+        mesh = build_mesh(*MESHES["perturbed"])
+        factor = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+                              mesh, case)
+        rhs = self.load(mesh)
+        coupled = factor.coupling is not None
+        b = rhs.copy()
+        if coupled:
+            plus, minus, _ = factor.coupling
+            p, m = plus[factor.shut], minus[factor.shut]
+            b[p] += b[m]
+            b[m] = 0.0
+        x, mu = factor._substitute(b)
+        if coupled:
+            x = x - factor._substitute(factor._apply(x, mu) - b)[0]
+            x[m] = x[p]
+        counts = self.counting(monkeypatch)
+        assert factor.solve(rhs).tobytes() == x.tobytes()
+        assert counts == {"factor": 0, "substitute": 1 + coupled}
+
+
 class TestBandOrder:
     def test_half_bandwidth_on_the_identify_mesh(self, monkeypatch):
         # the one band of the mesh, each subdomain block in block order; the
