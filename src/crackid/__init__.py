@@ -15,5 +15,5 @@ from .errors import (  # noqa: F401
 )
 from .geometry import BrokenMesh, InterfaceGraph, build_mesh  # noqa: F401
 from .fem import DofField, IsotropicElasticity, lame_from_young  # noqa: F401
-from .laws import CohesiveParams, PenaltyParams  # noqa: F401
+from .laws import CohesiveParams  # noqa: F401
 from .driver import ExperimentConfig  # noqa: F401

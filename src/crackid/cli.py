@@ -7,7 +7,8 @@ is the one home of that check, which the tests call too), laws-check
 (verify the smooth-law bounds). Every subcommand echoes its full parameter
 set into a run manifest written last.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver failure, 4 check failure.
+Exit codes: 0 ok, 2 configuration error (an output that cannot be written
+included), 3 solver failure, 4 check failure.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, driver, shape, solvers, svgplot
 from .errors import BoundViolated, ConfigError, CrackidError
 from .geometry import HEIGHT, build_mesh, write_interface
-from .laws import PenaltyParams, smooth_law_bounds_check
+from .laws import smooth_law_bounds_check
 
 CONFIG_SECTIONS = {
     "material": {"young": "E_Y", "poisson": "nu_P", "rho": "rho_reg"},
@@ -116,20 +117,13 @@ class Manifest:
         return path
 
 
-def _prepare_out(out_dir):
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("cannot create the output directory: %s" % exc) from exc
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
 def cmd_measure(args):
     config = load_config(args.config, _overrides(args))
-    _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("measure", args.config, args.out, config)
 
     meas, z, aset, report, mesh = driver.synthesize_measurement(config)
@@ -160,7 +154,7 @@ def cmd_identify(args):
                           % (args.load_case, meas.load_case))
     # the measurement's load case is the one the solves run; record that one
     config = dataclasses.replace(config, load_case=meas.load_case)
-    _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("identify", args.config, args.out, config)
     manifest.data["measurement_path"] = os.path.abspath(args.measurement)
 
@@ -216,7 +210,7 @@ def cmd_gradient_check(args):
         raise ConfigError("psi0 = %r moved by the probe step %.3g leaves [2h, 0.5 - 2h]"
                           " = [%.4g, %.4g] at h_identify"
                           % (config.psi0, steps[0], 2.0 * h, HEIGHT - 2.0 * h))
-    _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("gradient-check", args.config, args.out, config)
 
     meas, *_ = driver.synthesize_measurement(config)
@@ -284,11 +278,10 @@ def gradient_check(config, meas, steps):
 
 def cmd_laws_check(args):
     config = load_config(args.config, _overrides(args))
-    _prepare_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("laws-check", args.config, args.out, config)
     try:
-        report = smooth_law_bounds_check(config.cohesive(),
-                                         PenaltyParams(config.eps))
+        report = smooth_law_bounds_check(config.cohesive(), config.eps)
     except BoundViolated as exc:
         print("laws-check: FAIL -- %s (s = %r)" % (exc.args[0], exc.s))
         manifest.write(args.out)
@@ -371,6 +364,10 @@ def main(argv=None):
     except CrackidError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3
+    except OSError as exc:
+        # every input is read under ConfigError: this is an output
+        print("config error: cannot write the outputs: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

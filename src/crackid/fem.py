@@ -498,9 +498,7 @@ def boundary_misfit(mesh, values, z_values):
     """1/2 int |u - z|^2 over the observation (Neumann) edges (2-pt Gauss)."""
     edges = mesh.neumann_edges
     d = (np.asarray(values) - np.asarray(z_values)).reshape(-1, 2)
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    L = np.hypot(*(b - a).T)
+    L = _edge_points(*_neumann_ends(mesh)[1:])[2]
     da = d[edges[:, 0]]
     db = d[edges[:, 1]]
     total = 0.0

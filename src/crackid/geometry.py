@@ -10,13 +10,13 @@ line; matched plus/minus edge pairs carry the interface frame.
 The identification loop re-meshes at every step, but under the
 column-preserving protocol only the vertex heights move. ``build_mesh``
 therefore splits in two: a cached, vectorised builder of the integer
-tables (triangles, subdomain tags, interface pairs, boundary vertices and
-edges, observation vertices, and the free dofs in the band factor's row
-order with its block ends), keyed on the column and row counts and
-returned as read-only arrays, and a
+tables (triangles, interface pairs, boundary edges, observation vertices,
+and the free dofs in the band factor's row order with its block ends),
+keyed on the column and row counts and returned as read-only arrays, and a
 per-graph part that computes the vertices, the interface frame and
 lengths, and the triangle areas and shape gradients -- the one home of the
-element geometry that assembly and the shape derivative read.
+element geometry that assembly and the shape derivative read. A mesh holds
+only the per-graph part and reads the tables through its topology.
 
 All construction is pure arithmetic on the inputs: identical inputs yield
 bitwise-identical meshes, whether the tables are built or come from the
@@ -35,6 +35,7 @@ boundary load and mass in ``fem``, the interpolated measurement in
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,20 +155,18 @@ class _Topology:
     (n_cols, n_rows_below, n_rows_above); hashed by identity, so caches
     of derived structure (the stiffness pattern) can key on it."""
 
-    triangles: np.ndarray
-    tri_sub: np.ndarray
-    dirichlet_vertices: np.ndarray
-    neumann_edges: np.ndarray
-    observation_vertices: np.ndarray
-    iface_minus: np.ndarray
-    iface_plus: np.ndarray
-    pair_minus: np.ndarray
-    pair_plus: np.ndarray
-    pair_tri_minus: np.ndarray
-    pair_tri_plus: np.ndarray
-    free_dofs: np.ndarray
-    free_row: np.ndarray
-    block_end: np.ndarray
+    triangles: np.ndarray         # (nt, 3) CCW
+    neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
+    observation_vertices: np.ndarray  # bottom row, then top row, x-sorted
+    iface_minus: np.ndarray       # (n_cols+1,) vertex ids on the minus side
+    iface_plus: np.ndarray        # (n_cols+1,)
+    pair_minus: np.ndarray        # (n_cols, 2) edge vertex ids
+    pair_plus: np.ndarray         # (n_cols, 2)
+    pair_tri_minus: np.ndarray    # (n_cols,)
+    pair_tri_plus: np.ndarray     # (n_cols,)
+    free_dofs: np.ndarray         # unclamped dofs in band order, by block
+    free_row: np.ndarray          # (n_dofs,) row in free_dofs, -1 if clamped
+    block_end: np.ndarray         # (2,) where the blocks of free_dofs end
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,7 +197,6 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     tris_lo = block_triangles(0, n_rows_below)
     tris_hi = block_triangles(off_hi, n_rows_above)
     n_vertices = off_hi + (n_rows_above + 1) * nx
-    vertex_col = np.arange(n_vertices) % nx
     grid = np.arange(n_vertices).reshape(-1, nx)
     by_column = np.concatenate([grid[:n_rows_below + 1].T[1:-1].reshape(-1),
                                 grid[n_rows_below + 1:].T[1:-1].reshape(-1)])
@@ -214,8 +212,6 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     free_row[free_dofs] = np.arange(free_dofs.size)
     tables = dict(
         triangles=np.vstack([tris_lo, tris_hi]),
-        tri_sub=np.repeat(np.array([-1, 1]), [len(tris_lo), len(tris_hi)]),
-        dirichlet_vertices=np.flatnonzero((vertex_col == 0) | (vertex_col == n_cols)),
         neumann_edges=np.column_stack([np.concatenate([cols[:-1], top + cols[:-1]]),
                                        np.concatenate([cols[1:], top + cols[1:]])]),
         observation_vertices=np.concatenate([cols, top + cols]),
@@ -245,28 +241,14 @@ class BrokenMesh:
     ``free_dofs`` lists the unclamped dofs lower block first, each block
     column by column: the one order of every free-dof vector, and of the
     mesh's band factor, whose blocks end at ``block_end``. The integer
-    tables are the read-only arrays of ``topology``, shared by every mesh
-    with the same column and row counts.
+    tables are no fields of the mesh: each is a read-only property that
+    returns the array of ``topology``, shared by every mesh with the same
+    column and row counts.
     """
 
     vertices: np.ndarray          # (nv, 2)
     topology: _Topology
-    triangles: np.ndarray         # (nt, 3) CCW
-    tri_sub: np.ndarray           # (nt,) -1 below / +1 above
     h: float
-    n_cols: int
-    dirichlet_vertices: np.ndarray
-    neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
-    observation_vertices: np.ndarray  # bottom row, then top row, x-sorted
-    iface_minus: np.ndarray       # (n_cols+1,) vertex ids on the minus side
-    iface_plus: np.ndarray        # (n_cols+1,)
-    pair_minus: np.ndarray        # (n_cols, 2) edge vertex ids
-    pair_plus: np.ndarray         # (n_cols, 2)
-    pair_tri_minus: np.ndarray    # (n_cols,)
-    pair_tri_plus: np.ndarray     # (n_cols,)
-    free_dofs: np.ndarray         # unclamped dofs in band order, by block
-    free_row: np.ndarray          # (n_dofs,) row in free_dofs, -1 if clamped
-    block_end: np.ndarray         # (2,) where the blocks of free_dofs end
     normals: np.ndarray           # (n_cols, 2) unit nu per pair
     tangents: np.ndarray          # (n_cols, 2) unit tau per pair
     pair_lengths: np.ndarray      # (n_cols,)
@@ -301,6 +283,10 @@ class BrokenMesh:
         """Nodal interface jump of dof vector ``values``: plus minus minus."""
         v = np.asarray(values).reshape(-1)
         return v[2 * self.iface_plus + comp] - v[2 * self.iface_minus + comp]
+
+
+for _name in _Topology.__dataclass_fields__:
+    setattr(BrokenMesh, _name, property(operator.attrgetter("topology." + _name)))
 
 
 def grid_counts(h):
@@ -367,6 +353,6 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])  # nu = n^- points up
 
     return BrokenMesh(
-        vertices=vertices, topology=topo, h=float(h), n_cols=n_cols,
+        vertices=vertices, topology=topo, h=float(h),
         normals=normals, tangents=tangents, pair_lengths=lengths,
-        tri_area=area, tri_grads=grads, **vars(topo))
+        tri_area=area, tri_grads=grads)

@@ -3,7 +3,8 @@
 Each law exists in a discrete variant (piecewise linear/constant), the one
 the solvers use. The penalty and friction laws also have a smooth variant,
 whose analytic bounds ``smooth_law_bounds_check`` verifies. All functions
-are vectorised over numpy arrays and stateless.
+are vectorised over numpy arrays and stateless; the penalty laws take eps
+as a plain float, which ``driver.ExperimentConfig`` has already checked.
 """
 
 from dataclasses import dataclass
@@ -35,17 +36,6 @@ class CohesiveParams:
             raise ValueError("F_b and K_c must be nonnegative")
         if not (self.delta > 0.0 and self.kappa > 0.0):
             raise ValueError("delta and kappa must be positive")
-
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Penalty regularisation parameter eps > 0."""
-
-    eps: float = 1.0e-8
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +127,9 @@ class LawBoundsReport:
     max_beta_offset: float
 
 
-def smooth_law_bounds_check(params, pen):
-    """Verify the analytic bounds of the smooth laws on a sampled grid of
+def smooth_law_bounds_check(params, eps):
+    """Verify the analytic bounds of the smooth laws, at the friction and
+    cohesion ``params`` and the penalty eps > 0, on a sampled grid of
     10 000 points per law.
 
     Checks, with K_f1 = F_b, K_f2 = F_b/delta and K_beta = K_beta1 = 1:
@@ -149,7 +140,6 @@ def smooth_law_bounds_check(params, pen):
     Raises BoundViolated with the offending sample on the first failure.
     """
     sample_count = 10_000
-    eps = pen.eps
     tol = 1e-12  # roundoff slack on the closed-form bounds
 
     s_pen = np.linspace(-10.0 * eps, 10.0 * eps, sample_count)

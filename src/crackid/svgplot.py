@@ -9,36 +9,37 @@ import numpy as np
 STATUS_COLORS = {"contact": "#d62728", "cohesive": "#ff9f1c", "open": "#1f77b4"}
 CURVE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#ff9f1c",
                 "#17becf", "#7f7f7f"]
+MARGIN = 50   # pixels around the plot area
+N_TICKS = 5   # per axis
+OVERLAY_PICKS = (0, 10, 20, 40, 100, 200)   # iterations interface_overlay draws
 
 
 class SvgCanvas:
     """Minimal SVG builder mapping data coordinates to pixel space."""
 
-    def __init__(self, width, height, xlim, ylim, margin=50):
+    def __init__(self, width, height, xlim, ylim):
         self.width = width
         self.height = height
         self.xlim = xlim
         self.ylim = ylim
-        self.margin = margin
         self.parts = []
 
     def x(self, xd):
         x0, x1 = self.xlim
-        return self.margin + (xd - x0) / (x1 - x0) * (self.width - 2 * self.margin)
+        return MARGIN + (xd - x0) / (x1 - x0) * (self.width - 2 * MARGIN)
 
     def y(self, yd):
         y0, y1 = self.ylim
-        return self.height - self.margin - (yd - y0) / (y1 - y0) * (self.height - 2 * self.margin)
+        return self.height - MARGIN - (yd - y0) / (y1 - y0) * (self.height - 2 * MARGIN)
 
-    def polyline(self, xs, ys, color="#000", width=1.0, dash=None, opacity=1.0):
+    def polyline(self, xs, ys, color="#000", width=1.0):
         pts = " ".join("%.2f,%.2f" % (self.x(px), self.y(py))
                        for px, py in zip(xs, ys))
-        extra = ' stroke-dasharray="%s"' % dash if dash else ""
         self.parts.append(
             '<polyline points="%s" fill="none" stroke="%s" stroke-width="%.2f"'
-            ' stroke-opacity="%.3f"%s/>' % (pts, color, width, opacity, extra))
+            ' stroke-opacity="1.000"/>' % (pts, color, width))
 
-    def segments(self, a, b, color="#000", width=1.0, opacity=1.0):
+    def segments(self, a, b, color="#000", width=1.0):
         """Batch of line segments, a/b arrays of endpoints (n, 2); the
         coordinates are mapped as whole arrays and formatted in one pass."""
         coords = np.column_stack([self.x(a[:, 0]), self.y(a[:, 1]),
@@ -46,7 +47,7 @@ class SvgCanvas:
         path = ("M%.2f %.2fL%.2f %.2f" * len(coords)) % tuple(coords.ravel().tolist())
         self.parts.append(
             '<path d="%s" fill="none" stroke="%s" stroke-width="%.2f"'
-            ' stroke-opacity="%.3f"/>' % (path, color, width, opacity))
+            ' stroke-opacity="1.000"/>' % (path, color, width))
 
     def text(self, xd, yd, s, size=12, color="#000", anchor="start"):
         self.parts.append(
@@ -54,16 +55,16 @@ class SvgCanvas:
             ' font-family="sans-serif">%s</text>'
             % (self.x(xd), self.y(yd), size, color, anchor, escape(s)))
 
-    def axes(self, xlabel="", ylabel="", n_ticks=5):
+    def axes(self, xlabel="", ylabel=""):
         x0, x1 = self.xlim
         y0, y1 = self.ylim
         self.polyline([x0, x1], [y0, y0], color="#333", width=1.2)
         self.polyline([x0, x0], [y0, y1], color="#333", width=1.2)
-        for t in np.linspace(x0, x1, n_ticks):
+        for t in np.linspace(x0, x1, N_TICKS):
             self.parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#333"/>'
                               % (self.x(t), self.y(y0), self.x(t), self.y(y0) + 4))
             self.text(t, y0 - 0.06 * (y1 - y0), "%.3g" % t, size=10, anchor="middle")
-        for t in np.linspace(y0, y1, n_ticks):
+        for t in np.linspace(y0, y1, N_TICKS):
             self.parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#333"/>'
                               % (self.x(x0) - 4, self.y(t), self.x(x0), self.y(t)))
             self.text(x0 - 0.02 * (x1 - x0), t, "%.3g" % t, size=10, anchor="end")
@@ -132,7 +133,7 @@ def ratio_curves(path, ns, j_ratio, err_ratio):
     canvas.write(path)
 
 
-def interface_overlay(path, snapshots, psi_true, picks=(0, 10, 20, 40, 100, 200)):
+def interface_overlay(path, snapshots, psi_true):
     """Selected interface iterates over the true breaking line."""
     canvas = SvgCanvas(900, 560, (0.0, 1.0), (0.0, 0.5))
     canvas.axes(xlabel="x1", ylabel="x2")
@@ -140,7 +141,7 @@ def interface_overlay(path, snapshots, psi_true, picks=(0, 10, 20, 40, 100, 200)
     canvas.polyline(xx, psi_true(xx), color="#000", width=3.0)
     canvas.text(0.02, 0.47, "true interface", size=12)
     shown = 0
-    for i, n in enumerate(picks):
+    for i, n in enumerate(OVERLAY_PICKS):
         if n not in snapshots:
             continue
         col = CURVE_COLORS[(i + 2) % len(CURVE_COLORS)]

@@ -82,9 +82,19 @@ def interface_traction_vector(mesh, laws, u, eps=None):
     return f
 
 
+def dirichlet_vertices(mesh):
+    """The clamped vertices found from the coordinates: x1 = 0 or x1 = 1."""
+    return np.flatnonzero(np.isin(mesh.vertices[:, 0], (0.0, 1.0)))
+
+
+def column_count(mesh):
+    """The mesh's columns: one fewer than the interface nodes."""
+    return mesh.iface_minus.size - 1
+
+
 def free_dofs(mesh):
     fixed = set()
-    for v in mesh.dirichlet_vertices:
+    for v in dirichlet_vertices(mesh):
         fixed.add(2 * v)
         fixed.add(2 * v + 1)
     return np.array([d for d in range(mesh.n_dofs) if d not in fixed])
@@ -196,7 +206,8 @@ def recover_multiplier(u_eps, eps):
 
 
 def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
-    """Every array field of a broken mesh, built with plain loops.
+    """Every array field of a broken mesh and of its topology, built with
+    plain loops.
 
     Same vertex numbering and triangle orientation as ``build_mesh``:
     vertices row by row (x1 fastest), the lower block first, each cell
@@ -259,7 +270,6 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     tangents = edge_vec / lengths[:, None]
     base_lo = (n_rows_below - 1) * 2 * n_cols
-    dirichlet = [v for v in range(len(vertices)) if vertices[v, 0] in (0.0, 1.0)]
     bottom = [(idx_lo(0, j), idx_lo(0, j + 1)) for j in range(n_cols)]
     top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
     observation = ([idx_lo(0, j) for j in range(nx)]
@@ -276,8 +286,6 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         free_row[d] = k
     return dict(
         vertices=vertices, triangles=triangles,
-        tri_sub=np.array([-1] * len(tris_lo) + [1] * len(tris_hi), dtype=np.int64),
-        dirichlet_vertices=np.array(dirichlet, dtype=np.int64),
         neumann_edges=np.array(bottom + top, dtype=np.int64),
         observation_vertices=np.array(observation, dtype=np.int64),
         iface_minus=iface_minus, iface_plus=iface_plus,
@@ -340,7 +348,7 @@ def column_order(mesh):
     component), each minus copy next to its plus copy: the order in which
     K plus a jump coupling stays banded. In the mesh's own block order such
     a matrix joins the blocks, and its band spans half of it."""
-    nx = mesh.n_cols + 1
+    nx = column_count(mesh) + 1
     return np.array(sorted(mesh.free_dofs, key=lambda d: (d // 2 % nx, d)),
                     dtype=np.int64)
 

@@ -17,7 +17,6 @@ from conftest import record_acceptance
 
 from crackid import cli, driver, fem, laws as laws_mod, solvers
 from crackid.geometry import build_mesh
-from crackid.laws import PenaltyParams
 
 import oracles
 from oracles import constant_graph
@@ -181,7 +180,7 @@ def test_criterion_6_property_suites(contact_measurement):
 
     # law bounds on 1e4 samples
     # the check raises BoundViolated on the first failing sample
-    laws_mod.smooth_law_bounds_check(laws, PenaltyParams(cfg.eps))
+    laws_mod.smooth_law_bounds_check(laws, cfg.eps)
     bounds_ok = True
 
     # stiffness symmetry / SPD after reduction / rigid-mode kernel

@@ -341,10 +341,17 @@ INVALID_CONFIGS = [
     ("young-overflows", "[material]\nyoung = 1e300\n", [], None),
     # a config file that is not UTF-8
     ("config-not-utf-8", b"\xff\xfe[material]\n", [], None),
+    # an output that cannot be opened: a directory stands in its place
+    ("out-measurement-is-a-directory", "", [], None),
+    ("out-manifest-is-a-directory", "", [], None),
 ]
 
 # rows that pass the config check and stop at the solver's own check
 SOLVER_ERROR_ROWS = {"young-overflows"}
+
+# rows that run another subcommand, with a directory where it writes a file
+BLOCKED_OUTPUT_ROWS = {"out-measurement-is-a-directory": ("measure", "measurement.txt"),
+                       "out-manifest-is-a-directory": ("laws-check", "manifest.json")}
 
 
 @pytest.mark.parametrize("name,text,extra,measurement", INVALID_CONFIGS,
@@ -359,7 +366,11 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
         cfg.write_bytes(text)
     else:
         cfg.write_text(text)
-    if measurement is None:
+    if name in BLOCKED_OUTPUT_ROWS:
+        command, blocked = BLOCKED_OUTPUT_ROWS[name]
+        (tmp_path / "m" / blocked).mkdir(parents=True)
+        args = [command]
+    elif measurement is None:
         args = ["measure"]
     else:
         mpath = tmp_path / "measurement.txt"

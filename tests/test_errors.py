@@ -1,5 +1,7 @@
 """Error paths of the solvers and assembly guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,10 @@ def test_degenerate_element_rejected():
 
 def test_missing_adjacent_triangle():
     mesh = build_mesh(constant_graph(0.25), 0.1)
-    mesh.pair_tri_plus = mesh.pair_tri_plus.copy()
-    mesh.pair_tri_plus[0] = -1
+    # the tables are the shared topology's: corrupt a copy of it
+    bad = mesh.pair_tri_plus.copy()
+    bad[0] = -1
+    mesh.topology = dataclasses.replace(mesh.topology, pair_tri_plus=bad)
     zero = fem.DofField(mesh, np.zeros(mesh.n_dofs))
     with pytest.raises(MissingAdjacentTriangle):
         shape.boundary_gradient(mesh, constant_graph(0.25), zero, zero,

@@ -1,5 +1,9 @@
 """Interface graph and broken-mesh construction."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -115,19 +119,23 @@ class TestBuildMesh:
 
     def test_both_subdomains_touch_dirichlet(self):
         mesh = build_mesh(KINKED, 0.05)
-        dir_set = set(mesh.dirichlet_vertices.tolist())
-        minus_verts = set(mesh.triangles[mesh.tri_sub < 0].reshape(-1).tolist())
-        plus_verts = set(mesh.triangles[mesh.tri_sub > 0].reshape(-1).tolist())
+        dir_set = set(oracles.dirichlet_vertices(mesh).tolist())
+        # the lower block numbers its vertices first: a triangle lies below
+        # the line when its corners' ids do
+        below = mesh.triangles < mesh.iface_plus[0]
+        assert np.all(below.all(axis=1) | ~below.any(axis=1))
+        minus_verts = set(mesh.triangles[below.all(axis=1)].reshape(-1).tolist())
+        plus_verts = set(mesh.triangles[~below.any(axis=1)].reshape(-1).tolist())
         assert dir_set & minus_verts
         assert dir_set & plus_verts
 
     def test_boundary_edge_partition(self):
         mesh = build_mesh(constant_graph(0.25), 0.1)
         # every outer boundary edge appears exactly once across the tags
-        n_bottom = mesh.n_cols
+        n_bottom = oracles.column_count(mesh)
         assert mesh.neumann_edges.shape[0] == 2 * n_bottom
         # two Dirichlet vertices, left and right, on every vertex row
-        assert mesh.dirichlet_vertices.size == 2 * mesh.n_vertices // (mesh.n_cols + 1)
+        assert oracles.dirichlet_vertices(mesh).size == 2 * mesh.n_vertices // (n_bottom + 1)
         assert np.array_equal(np.sort(mesh.observation_vertices),
                               np.unique(mesh.neumann_edges))
 
@@ -158,7 +166,8 @@ class TestCachedTopology:
         geometry._topology.cache_clear()
         for _ in range(2):
             mesh = build_mesh(graph, h, **pinned)
-            arrays = {f: v for f, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+            arrays = {f: v for f, v in {**vars(mesh), **vars(mesh.topology)}.items()
+                      if isinstance(v, np.ndarray)}
             assert sorted(arrays) == sorted(expect)
             for field, value in arrays.items():
                 assert value.dtype == expect[field].dtype, field
@@ -169,8 +178,8 @@ class TestCachedTopology:
         graph, h, pinned = ORACLE_MESHES[name]
         mesh = build_mesh(graph, h, **pinned)
         free = mesh.free_dofs
-        clamped = np.concatenate([2 * mesh.dirichlet_vertices,
-                                  2 * mesh.dirichlet_vertices + 1])
+        clamped = np.concatenate([2 * oracles.dirichlet_vertices(mesh),
+                                  2 * oracles.dirichlet_vertices(mesh) + 1])
         assert np.array_equal(np.sort(free), np.setdiff1d(np.arange(mesh.n_dofs), clamped))
         # every lower-block dof comes before any upper-block one
         upper = free // 2 >= mesh.iface_plus[0]
@@ -178,7 +187,7 @@ class TestCachedTopology:
         # in each block: column by column, then x2 (rows run bottom to top
         # in vertex order), then component
         for block in (~upper, upper):
-            column = free[block] // 2 % (mesh.n_cols + 1)
+            column = free[block] // 2 % (oracles.column_count(mesh) + 1)
             assert np.all(np.diff(column * mesh.n_dofs + free[block]) > 0)
         assert np.array_equal(free, oracles.loop_mesh(graph, h, **pinned)["free_dofs"])
         assert np.array_equal(mesh.free_row[free], np.arange(free.size))
@@ -204,6 +213,25 @@ class TestCachedTopology:
         for field in vars(m1.topology):
             with pytest.raises(ValueError):
                 getattr(m1, field)[0] = 0
+
+    def test_mesh_reads_every_table_through_its_topology(self):
+        # two meshes of one topology: no table is a mesh field, and each
+        # reads as the topology's own array, which no mesh can rebind; a
+        # copy and a pickle round trip read the same tables
+        m1 = build_mesh(KINKED, 0.05)
+        m2 = build_mesh(KINKED.with_psi(KINKED.psi + 0.01), 0.05)
+        names = [f.name for f in dataclasses.fields(geometry._Topology)]
+        assert not set(names) & {f.name for f in dataclasses.fields(geometry.BrokenMesh)}
+        assert m1.topology is m2.topology
+        for mesh in (m1, m2, copy.copy(m1)):
+            for name in names:
+                assert getattr(mesh, name) is getattr(m1.topology, name), name
+                assert name not in vars(mesh), name
+        back = pickle.loads(pickle.dumps(m1))
+        for name in names:
+            assert np.array_equal(getattr(back, name), getattr(m1, name)), name
+        with pytest.raises(AttributeError):
+            m1.free_row = m1.free_row.copy()
 
 
 def observation_meshes():

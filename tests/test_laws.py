@@ -5,7 +5,7 @@ import pytest
 
 from crackid import laws
 from crackid.errors import BoundViolated
-from crackid.laws import CohesiveParams, PenaltyParams
+from crackid.laws import CohesiveParams
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ class TestFrictionCohesion:
 
 class TestBoundsCheck:
     def test_defaults_pass(self, params):
-        report = laws.smooth_law_bounds_check(params, PenaltyParams(1e-8))
+        report = laws.smooth_law_bounds_check(params, 1e-8)
         s = np.linspace(-1e-7, 1e-7, report.sample_count)   # the check's grid
         assert laws.beta_smooth_prime(s, 1e-8).min() >= 0.0
         assert report.max_beta_offset <= 1.0
@@ -124,7 +124,7 @@ class TestBoundsCheck:
 
         monkeypatch.setattr(laws, "beta_smooth", bad_beta)
         with pytest.raises(BoundViolated):
-            laws.smooth_law_bounds_check(params, PenaltyParams(1e-4))
+            laws.smooth_law_bounds_check(params, 1e-4)
 
     def test_adversarial_beta_prime_rejected(self, params, monkeypatch):
         def bad_beta_prime(s, eps):
@@ -132,12 +132,10 @@ class TestBoundsCheck:
 
         monkeypatch.setattr(laws, "beta_smooth_prime", bad_beta_prime)
         with pytest.raises(BoundViolated):
-            laws.smooth_law_bounds_check(params, PenaltyParams(1e-4))
+            laws.smooth_law_bounds_check(params, 1e-4)
 
 
 class TestParamValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             CohesiveParams(delta=0.0)
-        with pytest.raises(ValueError):
-            PenaltyParams(0.0)

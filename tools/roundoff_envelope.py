@@ -4,15 +4,16 @@
 Usage: python3 tools/roundoff_envelope.py TREE OUT [--seeds N] [--ulps K]
                                           [--config FILE]
 
-Runs the numeric part of ``tools/make_outputs.sh``'s recipe on the crackid
-source tree TREE (a checkout holding src/crackid), in this process and with
-one BLAS thread: per load case ``measure`` and then ``identify
---dump-gradients`` on that measurement, then ``gradient-check`` under each
-load. It runs the recipe once as it is, into OUT/base, and then once per
-seed 0 .. N-1 (3 by default), into OUT/seed_S, with every stiffness matrix
-that ``fem.assemble_stiffness`` returns moved: a draw seeded by S picks
-each nonzero entry with probability 0.05 and moves it by K ulps (1 by
-default), up or down at random. No source file is changed.
+Runs the output recipe, ``run_recipe``, which ``tools/make_outputs.sh``
+runs too, on the crackid source tree TREE (a checkout holding src/crackid),
+in this process and with one BLAS thread: per load case ``measure`` and
+then ``identify --dump-gradients`` on that measurement, then
+``gradient-check`` under each load. It runs the recipe once as it is, into
+OUT/base, and then once per seed 0 .. N-1 (3 by default), into OUT/seed_S,
+with every stiffness matrix that ``fem.assemble_stiffness`` returns moved:
+a draw seeded by S picks each nonzero entry with probability 0.05 and moves
+it by K ulps (1 by default), up or down at random. No source file is
+changed.
 
 The envelope is the largest relative spread between a perturbed run and
 the unperturbed one, per file and column, measured as
@@ -44,8 +45,9 @@ FRACTION = 0.05   # of K's entries moved in a perturbed run
 
 
 def run_recipe(out, config):
-    """The numeric part of the recipe into the directory ``out``, on the
-    crackid this process imports, with the config file ``config``."""
+    """The output recipe into the directory ``out``, on the crackid this
+    process imports, with the config file ``config``: the one place the
+    recipe is written down."""
     from crackid import cli
 
     def run(*argv):
