@@ -4,8 +4,9 @@ Subcommands: measure (synthesise a boundary measurement), identify (run the
 breaking-line identification), gradient-check (validate the analytic
 directional derivative against central finite differences; ``gradient_check``
 is the one home of that check, which the tests call too), laws-check
-(verify the smooth-law bounds). Every subcommand echoes its full parameter
-set into a run manifest written last.
+(verify the smooth-law bounds). Every subcommand places its outputs through
+a run manifest (``Manifest``), which creates ``--out``, records each output
+and echoes the full parameter set; it is written last.
 
 Exit codes: 0 ok, 2 configuration error (an output that cannot be written
 included), 3 solver failure, 4 check failure.
@@ -84,9 +85,13 @@ def load_config(path, overrides=None):
 
 
 class Manifest:
-    """Collects run provenance; written as JSON after all other outputs."""
+    """The run directory and its provenance: it creates ``out_dir``, places
+    and records every output (``output``) and is written as JSON after them
+    all."""
 
     def __init__(self, subcommand, config_path, out_dir, config):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
         self.data = {
             "tool": "crackid",
             "version": __version__,
@@ -105,16 +110,16 @@ class Manifest:
         self.data["timings_s"][name] = round(now - self._phase_start, 3)
         self._phase_start = now
 
-    def add_output(self, path):
-        self.data["outputs"].append(os.path.basename(path))
+    def output(self, name):
+        """Record the output ``name`` and return its path in the run directory."""
+        self.data["outputs"].append(name)
+        return os.path.join(self.out_dir, name)
 
-    def write(self, out_dir):
+    def write(self):
         self.data["timings_s"]["total"] = round(time.time() - self._t0, 3)
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
+        with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
 
 
 # ----------------------------------------------------------------------
@@ -123,23 +128,19 @@ class Manifest:
 
 def cmd_measure(args):
     config = load_config(args.config, _overrides(args))
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("measure", args.config, args.out, config)
 
     meas, z, aset, report, mesh = driver.synthesize_measurement(config)
     manifest.phase("solve")
 
-    mpath = os.path.join(args.out, "measurement.txt")
-    driver.write_measurement(mpath, meas)
-    manifest.add_output(mpath)
-    spath = os.path.join(args.out, "deformed.svg")
-    svgplot.deformed_configuration(spath, mesh, z, aset.statuses)
-    manifest.add_output(spath)
+    driver.write_measurement(manifest.output("measurement.txt"), meas)
+    svgplot.deformed_configuration(manifest.output("deformed.svg"), mesh, z,
+                                   aset.active, config.kappa)
     manifest.phase("outputs")
 
     print("measure: PDAS converged in %d iterations, %d contact nodes"
-          % (report.iterations, aset.contact_count))
-    manifest.write(args.out)
+          % (report.iterations, np.count_nonzero(aset.active)))
+    manifest.write()
     return 0
 
 
@@ -154,47 +155,37 @@ def cmd_identify(args):
                           % (args.load_case, meas.load_case))
     # the measurement's load case is the one the solves run; record that one
     config = dataclasses.replace(config, load_case=meas.load_case)
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("identify", args.config, args.out, config)
     manifest.data["measurement_path"] = os.path.abspath(args.measurement)
 
     log = driver.identify(config, meas, record_gradients=args.dump_gradients)
     manifest.phase("identify")
 
-    cpath = os.path.join(args.out, "iterations.csv")
-    with open(cpath, "w") as fh:
+    with open(manifest.output("iterations.csv"), "w") as fh:
         fh.write(log.to_csv())
-    manifest.add_output(cpath)
 
     for n, snap in sorted(log.snapshots.items()):
-        ipath = os.path.join(args.out, "interface_n%03d.txt" % n)
-        write_interface(ipath, snap)
-        manifest.add_output(ipath)
+        write_interface(manifest.output("interface_n%03d.txt" % n), snap)
 
     if log.rows:
-        rpath = os.path.join(args.out, "ratios.svg")
-        svgplot.ratio_curves(rpath, log.column("n"), log.column("J_ratio"),
-                             log.column("shape_error_ratio"))
-        manifest.add_output(rpath)
-        opath = os.path.join(args.out, "interfaces.svg")
-        svgplot.interface_overlay(opath, log.snapshots, config.true_graph())
-        manifest.add_output(opath)
+        svgplot.ratio_curves(manifest.output("ratios.svg"), log.column("n"),
+                             log.column("J_ratio"), log.column("shape_error_ratio"))
+        svgplot.interface_overlay(manifest.output("interfaces.svg"), log.snapshots,
+                                  config.true_graph())
 
     if args.dump_gradients:
-        gpath = os.path.join(args.out, "gradients.csv")
-        with open(gpath, "w") as fh:
+        with open(manifest.output("gradients.csv"), "w") as fh:
             fh.write("n,s_H,D3,Lambda2\n")
             for n, s, d3, lam2 in log.gradients:
                 for sk, dk, lk in zip(s, d3, lam2):
                     fh.write("%d,%.17g,%.17g,%.17g\n" % (n, sk, dk, lk))
-        manifest.add_output(gpath)
     manifest.phase("outputs")
 
     if log.rows:
         print("identify: %d iterations, min J ratio %.4g, min shape-error ratio %.4g"
               % (len(log.rows) - 1, log.min_ratio("J_ratio"),
                  log.min_ratio("shape_error_ratio")))
-    manifest.write(args.out)
+    manifest.write()
     if log.aborted:
         print("identify: aborted -- %s" % log.aborted, file=sys.stderr)
         return 3
@@ -210,7 +201,6 @@ def cmd_gradient_check(args):
         raise ConfigError("psi0 = %r moved by the probe step %.3g leaves [2h, 0.5 - 2h]"
                           " = [%.4g, %.4g] at h_identify"
                           % (config.psi0, steps[0], 2.0 * h, HEIGHT - 2.0 * h))
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("gradient-check", args.config, args.out, config)
 
     meas, *_ = driver.synthesize_measurement(config)
@@ -228,13 +218,11 @@ def cmd_gradient_check(args):
         print("%4d  %5.2f  %14.6e  %14.6e  %14.6e  %8.2e" % (k, s, ana, *fds, rel))
     ok = all(r[-1] <= 0.05 for r in rows)
 
-    cpath = os.path.join(args.out, "gradient_check.csv")
-    with open(cpath, "w") as fh:
+    with open(manifest.output("gradient_check.csv"), "w") as fh:
         fh.write("s_H,analytic,fd_coarse,fd_fine,rel_err\n")
         for r in rows:
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % r)
-    manifest.add_output(cpath)
-    manifest.write(args.out)
+    manifest.write()
     print("gradient-check: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 4
 
@@ -278,13 +266,12 @@ def gradient_check(config, meas, steps):
 
 def cmd_laws_check(args):
     config = load_config(args.config, _overrides(args))
-    os.makedirs(args.out, exist_ok=True)
     manifest = Manifest("laws-check", args.config, args.out, config)
     try:
         report = smooth_law_bounds_check(config.cohesive(), config.eps)
     except BoundViolated as exc:
         print("laws-check: FAIL -- %s (s = %r)" % (exc.args[0], exc.s))
-        manifest.write(args.out)
+        manifest.write()
         return 4
     manifest.phase("check")
     print("laws-check: PASS over %d samples" % report.sample_count)
@@ -293,7 +280,7 @@ def cmd_laws_check(args):
     print("  max |alpha_f''| = %.3e (bound %.3e)" % (report.max_friction_second,
                                                      config.F_b / config.delta))
     print("  max |beta + [s]^-/eps| = %.3e (bound 1)" % report.max_beta_offset)
-    manifest.write(args.out)
+    manifest.write()
     return 0
 
 

@@ -222,8 +222,11 @@ def read_measurement(path):
         raise ConfigError("measurement holds non-finite values")
     on_edge = [np.abs(data[:, 1] - y) < 1e-12 for y in (0.0, HEIGHT)]
     for y, on in zip((0.0, HEIGHT), on_edge):    # the observation edges
-        if not np.any(on):
-            raise ConfigError("measurement has no samples on the edge x2 = %g" % y)
+        # interp_measurement would extend an edge's end samples flat over a gap
+        if not (np.any(on) and data[on, 0].min() <= 1e-12
+                and data[on, 0].max() >= WIDTH - 1e-12):
+            raise ConfigError("measurement samples on the edge x2 = %g do not reach "
+                              "from x1 = 0 to x1 = %g" % (y, WIDTH))
     off = ~(on_edge[0] | on_edge[1]) | (data[:, 0] < 0.0) | (data[:, 0] > WIDTH)
     if np.any(off):
         k = int(np.argmax(off))

@@ -110,8 +110,6 @@ def coarse_curvature(graph):
     Dirichlet boundary where the endpoint gradient term governs instead.
     """
     s, p = graph.s, graph.psi
-    if s.size < 3:
-        return np.zeros_like(p)
     kap = np.zeros_like(p)
     hl = s[1:-1] - s[:-2]
     hr = s[2:] - s[1:-1]

@@ -9,7 +9,9 @@ differ only in the normal law:
 
 * ``solve_vi_pdas``      -- exact contact, the variational inequality used
   to synthesise measurements: the contact set is merged shut and re-guessed
-  from the multiplier estimate (a primal-dual active-set iteration);
+  from the multiplier estimate (a primal-dual active-set iteration); it
+  returns that set and estimate (``ActiveSet``), and ``svgplot`` derives
+  the interface colours from them;
 * ``solve_penalty_state`` -- the penalty-regularised state equation: the
   penetration set carries a w/eps nodal jump mass (the penalty term is
   piecewise linear, so each semismooth Newton step is an exact solve).
@@ -48,10 +50,6 @@ from . import fem
 from .errors import NoConvergence, NumericalOverflow
 from .laws import beta_discrete, cohesion_discrete_prime, friction_discrete_prime
 
-STATUS_CONTACT = "contact"
-STATUS_COHESIVE = "cohesive"
-STATUS_OPEN = "open"
-
 SIGN_DEADBAND = 1e-14  # keep the previous lagged sign below this magnitude
 
 
@@ -66,15 +64,11 @@ class SolveReport:
 
 @dataclass
 class ActiveSet:
-    """Per-interface-node contact status and multiplier estimate."""
+    """The contact VI's converged contact set and multiplier estimate, per
+    interface node; the plot colours the other nodes from the jump."""
 
-    statuses: np.ndarray   # array of STATUS_* strings
     lam: np.ndarray        # multiplier (stress), <= 0 at convergence
     active: np.ndarray     # bool, the converged contact-active mask
-
-    @property
-    def contact_count(self):
-        return int(np.count_nonzero(self.active))
 
 
 class _InterfaceOperator:
@@ -219,12 +213,6 @@ class _InterfaceOperator:
         return np.where(at_edge, ind, (np.abs(j2) < self.laws.kappa).astype(float))
 
 
-def _statuses(jump2, active, kappa):
-    out = np.where(jump2 < kappa, STATUS_COHESIVE, STATUS_OPEN)
-    out[active] = STATUS_CONTACT
-    return out
-
-
 # ----------------------------------------------------------------------
 # The active-set engine and its two normal laws
 # ----------------------------------------------------------------------
@@ -325,8 +313,7 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
     """
     op = _InterfaceOperator(mesh, laws, elast, g)
     values, active, lam, report = _active_set_solve(op, None, max_outer)
-    aset = ActiveSet(statuses=_statuses(mesh.jump(values, 1), active, laws.kappa),
-                     lam=np.where(active, lam, 0.0),  # inactive: no multiplier
+    aset = ActiveSet(lam=np.where(active, lam, 0.0),  # inactive: no multiplier
                      active=active)
     return fem.DofField(mesh, values), aset, report
 

@@ -6,6 +6,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+# the order is the precedence: an interface edge takes the first status of its two nodes
 STATUS_COLORS = {"contact": "#d62728", "cohesive": "#ff9f1c", "open": "#1f77b4"}
 CURVE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#ff9f1c",
                 "#17becf", "#7f7f7f"]
@@ -95,9 +96,12 @@ def _triangle_edges(mesh):
     return np.column_stack(np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n))
 
 
-def deformed_configuration(path, mesh, field, statuses):
+def deformed_configuration(path, mesh, field, active, kappa):
     """Current-configuration plot x + u(x) with interface edges coloured by
-    contact status (red contact, orange cohesive, blue open)."""
+    status. An interface node is contact if in ``active``, else cohesive if
+    its normal jump [[u]]_2 < ``kappa``, else open; an edge takes the first
+    of its two nodes' statuses in ``STATUS_COLORS`` order (red contact,
+    orange cohesive, blue open)."""
     pos = mesh.vertices + field.as_points()
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
@@ -105,11 +109,12 @@ def deformed_configuration(path, mesh, field, statuses):
     canvas = SvgCanvas(900, 560, (lo[0] - pad, hi[0] + pad), (lo[1] - pad, hi[1] + pad))
     edges = _triangle_edges(mesh)
     canvas.segments(pos[edges[:, 0]], pos[edges[:, 1]], color="#bbbbbb", width=0.4)
+    rank = np.where(active, 0, np.where(mesh.jump(field.values, 1) < kappa, 1, 2))
+    colors = list(STATUS_COLORS.values())
     for side in (mesh.pair_minus, mesh.pair_plus):
         for k, (a, b) in enumerate(side):
-            st = min(statuses[k], statuses[k + 1],
-                     key=lambda s: ("contact", "cohesive", "open").index(s))
-            canvas.segments(pos[[a]], pos[[b]], color=STATUS_COLORS[st], width=2.0)
+            color = colors[min(rank[k], rank[k + 1])]
+            canvas.segments(pos[[a]], pos[[b]], color=color, width=2.0)
     for i, (name, col) in enumerate(STATUS_COLORS.items()):
         yl = lo[1] - pad + 0.035 * (hi[1] - lo[1] + 2 * pad) * (i + 1)
         canvas.polyline([lo[0], lo[0] + 0.04], [yl, yl], color=col, width=3)

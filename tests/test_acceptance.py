@@ -22,7 +22,7 @@ import oracles
 from oracles import constant_graph
 
 
-def test_criterion_1_measurement_solve(contact_measurement, tmp_path):
+def test_criterion_1_measurement_solve(contact_config, contact_measurement, tmp_path):
     """Contact-case PDAS at h = 1e-2: iteration budget, complementarity,
     and the open-left / contact-right interface picture."""
     t0 = time.time()
@@ -36,12 +36,11 @@ def test_criterion_1_measurement_solve(contact_measurement, tmp_path):
     mu = driver.ExperimentConfig().elasticity().mu_L
     x = mesh.interface_x
     left_open = bool(np.all(jump2[(x > 0.05) & (x < 0.4)] > 0.0))
-    right_closed = bool(aset.contact_count > 0
-                        and np.min(x[aset.active]) > 0.5)
+    right_closed = bool(np.any(aset.active) and np.min(x[aset.active]) > 0.5)
 
     from crackid import svgplot
     svg = tmp_path / "deformed.svg"
-    svgplot.deformed_configuration(str(svg), mesh, z, aset.statuses)
+    svgplot.deformed_configuration(str(svg), mesh, z, aset.active, contact_config.kappa)
     import xml.etree.ElementTree as ET
     ET.parse(str(svg))
     wall = time.time() - t0

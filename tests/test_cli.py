@@ -54,6 +54,23 @@ def run(args):
     return cli.main(args)
 
 
+def listed_outputs(out):
+    """The manifest's output list, checked against ``out``: every file there
+    but the manifest, each once, in the order they were written."""
+    listed = json.load(open(os.path.join(out, "manifest.json")))["outputs"]
+    assert sorted(listed) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    times = [os.stat(os.path.join(out, name)).st_mtime_ns for name in listed]
+    assert times == sorted(times)
+    return listed
+
+
+def interface_edges(svg, status):
+    """Interface segments drawn in the colour of ``status`` (the legend's
+    swatches are polylines of another width)."""
+    from crackid.svgplot import STATUS_COLORS
+    return svg.count('stroke="%s" stroke-width="2.00"' % STATUS_COLORS[status])
+
+
 class TestMeasure:
     def test_outputs_exist(self, config_path, tmp_path):
         out = str(tmp_path / "m")
@@ -65,6 +82,27 @@ class TestMeasure:
         assert manifest["subcommand"] == "measure"
         assert manifest["parameters"]["E_Y"] == 73000.0
         assert "total" in manifest["timings_s"]
+        assert listed_outputs(out) == ["measurement.txt", "deformed.svg"]
+        # the contact measurement holds contact, cohesive and open nodes
+        svg = open(os.path.join(out, "deformed.svg")).read()
+        assert all(interface_edges(svg, st) > 0 for st in ("contact", "cohesive", "open"))
+
+    def test_interface_edge_takes_the_first_status_of_its_nodes(self, tmp_path):
+        # nodes contact, open (jump above kappa), cohesive (jump below it):
+        # on each face the contact-open edge is red, the open-cohesive one orange
+        from crackid import fem, svgplot
+        from crackid.geometry import build_mesh, uniform_graph
+        mesh = build_mesh(uniform_graph(np.full(3, 0.25)), 0.125,
+                          n_cols=2, n_rows_below=1, n_rows_above=1)
+        assert mesh.iface_plus.size == 3
+        values = np.zeros(mesh.n_dofs)
+        values[2 * mesh.iface_plus + 1] = [0.0, 2e-2, 5e-3]
+        path = tmp_path / "d.svg"
+        svgplot.deformed_configuration(str(path), mesh, fem.DofField(mesh, values),
+                                       np.array([True, False, False]), 1e-2)
+        svg = path.read_text()
+        assert [interface_edges(svg, st) for st in ("contact", "cohesive", "open")] \
+            == [2, 2, 0]
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "m")
@@ -117,6 +155,9 @@ class TestIdentify:
             assert os.path.isfile(os.path.join(out1, name))
             if name.endswith(".svg"):
                 ET.parse(os.path.join(out1, name))
+        assert listed_outputs(out1) == ["iterations.csv", "interface_n000.txt",
+                                        "interface_n003.txt", "ratios.svg",
+                                        "interfaces.svg", "gradients.csv"]
 
     def test_interface_overlay_curve_count(self, tmp_path):
         # with snapshots at 0,10,20,40,100,200 the overlay holds 6 curves
@@ -177,6 +218,7 @@ class TestGradientCheck:
         assert len(table) == 10  # 9 interior nodes
         rels = [float(l.split(",")[-1]) for l in table[1:]]
         assert max(rels) <= 0.05
+        assert listed_outputs(out) == ["gradient_check.csv"]
         # corrupted analytic sign must fail with exit code 4
         rc = run(["gradient-check", "--config", str(cfg), "--out",
                   str(tmp_path / "gc"), "--corrupt-sign"])
@@ -262,6 +304,7 @@ class TestLawsCheck:
     def test_pass(self, config_path, tmp_path):
         assert run(["laws-check", "--config", config_path,
                     "--out", str(tmp_path / "l")]) == 0
+        assert listed_outputs(str(tmp_path / "l")) == []
 
     def test_eps_override_in_manifest(self, config_path, tmp_path):
         out = str(tmp_path / "l2")
@@ -323,6 +366,9 @@ INVALID_CONFIGS = [
     ("measurement-no-rows", "", [], measurement_text(rows="")),
     ("measurement-missing-top-edge", "", [],
      measurement_text(rows="0 0 0 0\n0.5 0 1e-6 0\n1 0 0 0\n")),
+    # a file cut short: interp_measurement would extend x1 = 0.25 flat to 1
+    ("measurement-top-edge-truncated", "", [],
+     measurement_text(rows="0 0 0 0\n1 0 0 0\n0 0.5 0 0\n0.25 0.5 1e-6 0\n")),
     # a row on neither observation edge, or beyond the body's ends
     ("measurement-row-off-the-edges", "", [],
      measurement_text(rows="0 0 0 0\n1 0 0 0\n0.5 0.25 1e-6 0\n0 0.5 0 0\n1 0.5 0 0\n")),

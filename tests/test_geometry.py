@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crackid import geometry
-from crackid.driver import ExperimentConfig
+from crackid.driver import TRUE_INTERFACES, ExperimentConfig
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (HEIGHT, InterfaceGraph, build_mesh, coarse_curvature,
                               triangle_geometry, uniform_graph, write_interface)
@@ -297,6 +297,8 @@ class TestInterfaceFrame:
 class TestCoarseCurvature:
     def test_flat_is_zero(self):
         assert np.allclose(coarse_curvature(constant_graph(0.25)), 0.0)
+        # two nodes: the interior slices are empty, both ends get 0
+        assert np.array_equal(coarse_curvature(TRUE_INTERFACES["flat"]), [0.0, 0.0])
 
     def test_circle_arc(self):
         # arc of radius 2 spanning x in [0,1], concave up, center above

@@ -56,15 +56,14 @@ class TestPdas:
         assert rep.residual <= 1e-9
         # contact confined to the right part, open region on the left
         x = mesh.interface_x
-        assert aset.contact_count > 0
+        assert np.any(aset.active)
         assert np.min(x[aset.active]) > 0.5
         left = (x > 0.05) & (x < 0.4)
         assert np.all(jump2[left] > 0.0)
-        assert {"contact", "cohesive", "open"} <= set(aset.statuses.tolist())
 
     def test_stretch_case_fully_open(self, stretch_measurement):
         aset = stretch_measurement["aset"]
-        assert aset.contact_count == 0
+        assert not np.any(aset.active)
         assert np.all(aset.lam == 0.0)
 
     def test_deterministic(self):
@@ -110,7 +109,7 @@ class TestPdasRandomLines:
                 u, _, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, g, eps)
                 pen = mesh.jump(u.values, 1)
                 assert np.array_equal(pen < 0.0, aset.active)
-                if aset.contact_count:
+                if np.any(aset.active):
                     ratio = -np.min(pen) / (eps * np.max(np.abs(aset.lam)))
                     assert abs(ratio - 1.0) <= eps * ELAST.E_Y / h
 
