@@ -2,7 +2,8 @@
 identification loop on the offset mesh, objective and shape-error tracking.
 
 The measurement side solves the contact variational inequality for the true
-breaking line and stores its trace at the mesh's ``observation_vertices``;
+breaking line and stores its trace at the mesh topology's
+``observation_points``;
 identification starts from the flat line psi = 0.25 and walks the
 penalty/adjoint/descent loop for a fixed number of iterations, logging
 objective and shape-error ratios. The two meshes use different column
@@ -181,9 +182,9 @@ def synthesize_measurement(config):
     z, aset, report = solvers.solve_vi_pdas(
         mesh, config.cohesive(), config.elasticity(), config.traction(),
         max_outer=config.max_outer)
-    ids = mesh.observation_vertices
     meas = Measurement(h=config.h_measure, load_case=config.load_case,
-                       points=mesh.vertices[ids], disp=z.as_points()[ids])
+                       points=mesh.observation_points,
+                       disp=z.as_points()[mesh.observation_vertices])
     return meas, z, aset, report, mesh
 
 
@@ -238,19 +239,19 @@ def read_measurement(path):
 
 
 def interp_measurement(mesh, meas):
-    """Arclength-linear interpolation of the measurement onto the current
+    """Arclength-linear interpolation of the measurement onto the mesh's
     observation nodes; returns a full-length dof vector (zero elsewhere).
-    It reads only the observation rows, which every mesh of one topology
-    shares bit for bit (``geometry``), so one result serves them all."""
+    It reads only the topology's ``observation_points``, so one result
+    serves every mesh of one topology."""
     z = np.zeros(mesh.n_dofs)
-    ids = mesh.observation_vertices
-    pts = mesh.vertices[ids]
+    pts = mesh.observation_points
     for y_group in np.unique(meas.points[:, 1]):
         src = np.abs(meas.points[:, 1] - y_group) < 1e-12
-        dst = ids[np.abs(pts[:, 1] - y_group) < 1e-12]
+        on = np.abs(pts[:, 1] - y_group) < 1e-12
+        dst = mesh.observation_vertices[on]
         xs = meas.points[src, 0]
         order = np.argsort(xs)
-        xd = mesh.vertices[dst, 0]
+        xd = pts[on, 0]
         for comp in (0, 1):
             z[2 * dst + comp] = np.interp(xd, xs[order],
                                           meas.disp[src, comp][order])

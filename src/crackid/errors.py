@@ -22,7 +22,7 @@ class NotPositiveDefinite(CrackidError):
 
 
 class NumericalOverflow(CrackidError):
-    """A system matrix or load vector is not finite in double precision."""
+    """A matrix, a load or a shape gradient is not finite in double precision."""
 
 
 class NoConvergence(CrackidError):

@@ -9,9 +9,10 @@ scipy's COO -> CSR conversion with the entries that sum to zero, and the
 entry each term of the blocks goes to are derived once per mesh topology;
 each assembly then sums the terms into their entries by one
 ``np.bincount``, in the order of the raveled blocks, which this module
-fixes and not the installed scipy. The boundary load and the boundary mass
-live on the observation rows, which every mesh of one topology shares bit
-for bit, so they are formed once per topology and kept read-only. Dirichlet
+fixes and not the installed scipy. The boundary load, the boundary mass and
+the misfit read the Neumann edges' end points and lengths from the mesh's
+topology, which every mesh of it holds bit for bit (``geometry``), so the
+load and the mass are formed once per topology and kept read-only. Dirichlet
 dofs are eliminated by row/column removal, so every free block stays
 symmetric positive definite. Once per mesh, ``subdomain_factor`` gathers
 K's free block and its band from the cached pattern, and ``FactorizedSPD``
@@ -96,7 +97,6 @@ class IsotropicElasticity:
 class DofField:
     """Nodal 2-vector field on a broken mesh, stored flat (2 per vertex)."""
 
-    mesh: object
     values: np.ndarray
 
     def as_points(self):
@@ -232,36 +232,18 @@ def subdomain_factor(mesh, K, base=None):
     return FactorizedSPD.borrowing(base, block, band_max, band)
 
 
-def _neumann_ends(mesh):
-    """(topology, a, b): the mesh's topology and the bytes of its Neumann
-    edges' end points, all that the boundary terms read of a mesh, and the
-    key they are cached on. Every mesh of one topology has the same bits
-    there (``geometry``), so the terms are formed once per topology."""
-    edges = mesh.neumann_edges
-    return (mesh.topology, mesh.vertices[edges[:, 0]].tobytes(),
-            mesh.vertices[edges[:, 1]].tobytes())
-
-
-def _edge_points(a, b):
-    """The end points of ``_neumann_ends`` as (n, 2) arrays, and the edge
-    lengths."""
-    a = np.frombuffer(a).reshape(-1, 2)
-    b = np.frombuffer(b).reshape(-1, 2)
-    return a, b, np.hypot(*(b - a).T)
-
-
 def assemble_traction(mesh, g):
     """Boundary load vector of the traction ``g(x, y) -> (gx, gy)`` over the
     Neumann edges, via 2-point Gauss quadrature per edge; read-only, and
-    formed once per topology, edge end points and ``g``."""
-    return _traction(*_neumann_ends(mesh), g)
+    formed once per topology and ``g``."""
+    return _traction(mesh.topology, g)
 
 
 @functools.lru_cache(maxsize=8)
-def _traction(topology, a, b, g):
+def _traction(topology, g):
     edges = topology.neumann_edges
     f = np.zeros(topology.free_row.size)
-    a, b, L = _edge_points(a, b)
+    (a, b), L = topology.neumann_points, topology.neumann_lengths
     for t in GAUSS2:
         pts = a + t * (b - a)
         gx, gy = g(pts[:, 0], pts[:, 1])
@@ -278,14 +260,14 @@ def _traction(topology, a, b, g):
 def assemble_boundary_mass(mesh):
     """Consistent boundary mass over the observation (Neumann) edges, acting
     identically on both displacement components; read-only, and formed once
-    per topology and edge end points."""
-    return _boundary_mass(*_neumann_ends(mesh))
+    per topology."""
+    return _boundary_mass(mesh.topology)
 
 
 @functools.lru_cache(maxsize=8)
-def _boundary_mass(topology, a, b):
+def _boundary_mass(topology):
     edges = topology.neumann_edges
-    _, _, L = _edge_points(a, b)
+    L = topology.neumann_lengths
     rows, cols, vals = [], [], []
     for comp in (0, 1):
         da = 2 * edges[:, 0] + comp
@@ -385,8 +367,10 @@ class FactorizedSPD:
         if d.size == 0:
             return
         y = self._trailing_solves(plus, minus)
+        with np.errstate(over="ignore"):   # 1/d = inf, the d -> 0 limit: mu_k = 0
+            inverse = 1.0 / d
         try:
-            self.c = cholesky(np.diag(1.0 / d) + y.T @ y, lower=True,
+            self.c = cholesky(np.diag(inverse) + y.T @ y, lower=True,
                               check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
@@ -498,7 +482,7 @@ def boundary_misfit(mesh, values, z_values):
     """1/2 int |u - z|^2 over the observation (Neumann) edges (2-pt Gauss)."""
     edges = mesh.neumann_edges
     d = (np.asarray(values) - np.asarray(z_values)).reshape(-1, 2)
-    L = _edge_points(*_neumann_ends(mesh)[1:])[2]
+    L = mesh.neumann_lengths
     da = d[edges[:, 0]]
     db = d[edges[:, 1]]
     total = 0.0

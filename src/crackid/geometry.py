@@ -9,14 +9,14 @@ line; matched plus/minus edge pairs carry the interface frame.
 
 The identification loop re-meshes at every step, but under the
 column-preserving protocol only the vertex heights move. ``build_mesh``
-therefore splits in two: a cached, vectorised builder of the integer
-tables (triangles, interface pairs, boundary edges, observation vertices,
-and the free dofs in the band factor's row order with its block ends),
-keyed on the column and row counts and returned as read-only arrays, and a
-per-graph part that computes the vertices, the interface frame and
-lengths, and the triangle areas and shape gradients -- the one home of the
-element geometry that assembly and the shape derivative read. A mesh holds
-only the per-graph part and reads the tables through its topology.
+therefore splits in two: a cached, vectorised part that builds the
+read-only tables of one column and row count, the integer ones and the
+coordinates no line moves (the column abscissae, the observation points,
+the Neumann edges' end points and lengths), and a per-graph part that
+computes the vertices, the interface frame and lengths, and the triangle
+areas and shape gradients -- the one home of the element geometry that
+assembly and the shape derivative read. A mesh holds only the per-graph
+part and reads the tables through its topology.
 
 All construction is pure arithmetic on the inputs: identical inputs yield
 bitwise-identical meshes, whether the tables are built or come from the
@@ -29,9 +29,9 @@ psi + 1.0 (0.5 - psi), which is exactly 0.5 for every psi in (0, 0.5).
 For psi >= 0.25 the difference is exact (Sterbenz); below 0.25,
 fl(0.5 - psi) lies within 2^-55 of 0.5 - psi, half the spacing of the
 doubles just below 0.5, so the sum rounds back to 0.5, and a tie goes to
-0.5, whose significand is even. The terms that live on those rows (the
-boundary load and mass in ``fem``, the interpolated measurement in
-``driver``) are therefore formed once per topology.
+0.5, whose significand is even. So those rows are the topology's tables,
+and the terms that live on them (the boundary load and mass in ``fem``,
+the interpolated measurement in ``driver``) are formed once per topology.
 """
 
 import functools
@@ -149,9 +149,9 @@ def triangle_geometry(vertices, triangles):
 
 @dataclass(frozen=True, eq=False)
 class _Topology:
-    """Read-only integer tables shared by every mesh of one
-    (n_cols, n_rows_below, n_rows_above); hashed by identity, so caches
-    of derived structure (the stiffness pattern) can key on it."""
+    """Read-only tables shared by every mesh of one (n_cols, n_rows_below,
+    n_rows_above); hashed by identity, so caches of derived structure (the
+    stiffness pattern, the boundary terms) can key on it."""
 
     triangles: np.ndarray         # (nt, 3) CCW
     neumann_edges: np.ndarray     # (nn, 2) vertex pairs, x-sorted
@@ -165,6 +165,10 @@ class _Topology:
     free_dofs: np.ndarray         # unclamped dofs in band order, by block
     free_row: np.ndarray          # (n_dofs,) row in free_dofs, -1 if clamped
     block_end: np.ndarray         # (2,) where the blocks of free_dofs end
+    interface_x: np.ndarray       # (n_cols+1,) column abscissae
+    observation_points: np.ndarray    # coordinates of observation_vertices
+    neumann_points: np.ndarray    # (2, nn, 2) end points of neumann_edges
+    neumann_lengths: np.ndarray   # (nn,)
 
 
 @functools.lru_cache(maxsize=8)
@@ -182,6 +186,9 @@ def _topology(n_cols, n_rows_below, n_rows_above):
     -1 on the clamped sides.
     """
     nx = n_cols + 1
+    xs = np.linspace(0.0, WIDTH, nx)
+    rows = np.stack([np.column_stack([xs, np.full(nx, y)]) for y in (0.0, HEIGHT)])
+    ends = np.stack([rows[:, :-1].reshape(-1, 2), rows[:, 1:].reshape(-1, 2)])
     off_hi = (n_rows_below + 1) * nx
     cols = np.arange(nx)
 
@@ -222,6 +229,10 @@ def _topology(n_cols, n_rows_below, n_rows_above):
         free_dofs=free_dofs,
         free_row=free_row,
         block_end=np.array([2 * (n_rows_below + 1) * (n_cols - 1), free_dofs.size]),
+        interface_x=xs,
+        observation_points=rows.reshape(-1, 2),
+        neumann_points=ends,
+        neumann_lengths=np.hypot(*(ends[1] - ends[0]).T),
     )
     for table in tables.values():
         table.setflags(write=False)
@@ -238,10 +249,10 @@ class BrokenMesh:
     side, tau with positive x1-component) plus the adjacent triangles.
     ``free_dofs`` lists the unclamped dofs lower block first, each block
     column by column: the one order of every free-dof vector, and of the
-    mesh's band factor, whose blocks end at ``block_end``. The integer
-    tables are no fields of the mesh: each is a read-only property that
-    returns the array of ``topology``, shared by every mesh with the same
-    column and row counts.
+    mesh's band factor, whose blocks end at ``block_end``. The tables are
+    no fields of the mesh: each is a read-only property that returns the
+    array of ``topology``, shared by every mesh with the same column and
+    row counts; ``interface_x`` is the column abscissae among them.
     """
 
     vertices: np.ndarray          # (nv, 2)
@@ -260,10 +271,6 @@ class BrokenMesh:
     @property
     def n_dofs(self):
         return 2 * self.vertices.shape[0]
-
-    @property
-    def interface_x(self):
-        return self.vertices[self.iface_minus, 0]
 
     def interface_interior(self):
         """Mask of interface node pairs not lying on the Dirichlet boundary."""
@@ -311,8 +318,8 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     Column count and row counts default to round(1/h) and round(0.25/h);
     they may be pinned explicitly for tiny oracle meshes. Requires the
     interface to keep a 2h margin from the top/bottom boundary. Only the
-    vertex heights depend on ``graph``: the integer tables come from a
-    cache keyed on the column and row counts.
+    vertex heights depend on ``graph``: the tables, the column abscissae
+    among them, come from a cache keyed on the column and row counts.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -321,8 +328,8 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     n_rows_below = default[1] if n_rows_below is None else n_rows_below
     n_rows_above = default[2] if n_rows_above is None else n_rows_above
 
-    xs = np.linspace(0.0, WIDTH, n_cols + 1)
-    psi_cols = graph(xs)
+    topo = _topology(n_cols, n_rows_below, n_rows_above)
+    psi_cols = graph(topo.interface_x)
     margin = min(float(np.min(graph.psi)), float(np.min(psi_cols)),
                  HEIGHT - float(np.max(graph.psi)), HEIGHT - float(np.max(psi_cols)))
     if margin < 2.0 * h - 1e-12:  # slack: clamped updates sit exactly at 2h
@@ -330,12 +337,10 @@ def build_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
             "interface within %.3g of the boundary; need >= 2h = %.3g"
             % (margin, 2.0 * h))
 
-    topo = _topology(n_cols, n_rows_below, n_rows_above)
-
     def block(y_bottom, y_top, n_rows):
         fr = np.linspace(0.0, 1.0, n_rows + 1)
         yy = y_bottom[None, :] + fr[:, None] * (y_top - y_bottom)[None, :]
-        return np.column_stack([np.tile(xs, n_rows + 1), yy.reshape(-1)])
+        return np.column_stack([np.tile(topo.interface_x, n_rows + 1), yy.reshape(-1)])
 
     vertices = np.vstack([block(np.zeros(n_cols + 1), psi_cols, n_rows_below),
                           block(psi_cols, np.full(n_cols + 1, HEIGHT), n_rows_above)])

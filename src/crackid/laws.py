@@ -88,12 +88,14 @@ def beta_discrete_prime(s, eps):
 
 def friction_smooth_prime(s, params):
     s = np.asarray(s, dtype=float)
-    return params.F_b * s / np.sqrt(params.delta**2 + s * s)
+    # numpy's ** rounds as Python's, but overflows to inf, not an OverflowError
+    return params.F_b * s / np.sqrt(np.float64(params.delta) ** 2 + s * s)
 
 
 def friction_smooth_second(s, params):
     s = np.asarray(s, dtype=float)
-    return params.F_b * params.delta**2 / (params.delta**2 + s * s) ** 1.5
+    d2 = np.float64(params.delta) ** 2
+    return params.F_b * d2 / (d2 + s * s) ** 1.5
 
 
 def friction_discrete_prime(s, params):
@@ -137,42 +139,42 @@ def smooth_law_bounds_check(params, eps):
       |beta(s) + [s]^-/eps| <= 1,    0 <= beta' <= 1/eps,
       beta(s)[s]^+ >= -eps,   beta(s)[s]^- <= -([s]^-)^2/eps + eps.
 
-    Raises BoundViolated with the offending sample on the first failure.
+    Raises BoundViolated with the first offending sample of the first
+    failed check. A NaN value fails, and so do a sample or a bound that is
+    not finite: an overflow never passes, nor warns.
     """
     sample_count = 10_000
     tol = 1e-12  # roundoff slack on the closed-form bounds
 
-    s_pen = np.linspace(-10.0 * eps, 10.0 * eps, sample_count)
-    b = np.asarray(beta_smooth(s_pen, eps), dtype=float)
-    bp = np.asarray(beta_smooth_prime(s_pen, eps), dtype=float)
-    s_neg = np.maximum(0.0, -s_pen)
-    s_pos = np.maximum(0.0, s_pen)
-
-    offset = np.abs(b + s_neg / eps)
-    if np.any(offset > 1.0 + tol):
-        i = int(np.argmax(offset))
-        raise BoundViolated("|beta + [s]^-/eps| exceeds K_beta = 1", s_pen[i])
-    if np.any(bp < -tol / eps) or np.any(bp > (1.0 + tol) / eps):
-        i = int(np.argmax(np.maximum(-bp, bp - 1.0 / eps)))
-        raise BoundViolated("beta' outside [0, 1/eps]", s_pen[i])
-    comp_plus = b * s_pos
-    if np.any(comp_plus < -eps * (1.0 + tol)):
-        i = int(np.argmin(comp_plus))
-        raise BoundViolated("beta(s)[s]^+ below -eps", s_pen[i])
-    comp_minus = b * s_neg - (-(s_neg**2) / eps + eps)
-    if np.any(comp_minus > eps * tol):
-        i = int(np.argmax(comp_minus))
-        raise BoundViolated("beta(s)[s]^- above -([s]^-)^2/eps + eps", s_pen[i])
-
-    s_fric = np.linspace(-10.0 * params.delta, 10.0 * params.delta, sample_count)
-    fp = np.abs(friction_smooth_prime(s_fric, params))
-    fpp = np.abs(friction_smooth_second(s_fric, params))
-    if np.any(fp > params.F_b * (1.0 + tol)):
-        i = int(np.argmax(fp))
-        raise BoundViolated("|alpha_f'| exceeds K_f1 = F_b", s_fric[i])
-    if np.any(fpp > params.F_b / params.delta * (1.0 + tol)):
-        i = int(np.argmax(fpp))
-        raise BoundViolated("|alpha_f''| exceeds K_f2 = F_b/delta", s_fric[i])
+    with np.errstate(all="ignore"):   # what overflows fails below instead
+        s_pen = np.linspace(-10.0 * eps, 10.0 * eps, sample_count)
+        b = np.asarray(beta_smooth(s_pen, eps), dtype=float)
+        bp = np.asarray(beta_smooth_prime(s_pen, eps), dtype=float)
+        s_neg = np.maximum(0.0, -s_pen)
+        offset = np.abs(b + s_neg / eps)
+        comp_minus = b * s_neg - (-(s_neg**2) / eps + eps)
+        s_fric = np.linspace(-10.0 * params.delta, 10.0 * params.delta, sample_count)
+        fp = np.abs(friction_smooth_prime(s_fric, params))
+        fpp = np.abs(friction_smooth_second(s_fric, params))
+        checks = (
+            ("|beta + [s]^-/eps| exceeds K_beta = 1", s_pen, offset, 1.0 + tol),
+            ("beta' outside [0, 1/eps]", s_pen, -bp, tol / eps),
+            ("beta' outside [0, 1/eps]", s_pen, bp, (1.0 + tol) / eps),
+            ("beta(s)[s]^+ below -eps", s_pen, -b * np.maximum(0.0, s_pen),
+             eps * (1.0 + tol)),
+            ("beta(s)[s]^- above -([s]^-)^2/eps + eps", s_pen, comp_minus, eps * tol),
+            ("|alpha_f'| exceeds K_f1 = F_b", s_fric, fp, params.F_b * (1.0 + tol)),
+            ("|alpha_f''| exceeds K_f2 = F_b/delta", s_fric, fpp,
+             params.F_b / params.delta * (1.0 + tol)),
+        )
+    for message, s, value, bound in checks:
+        finite = np.isfinite(s) & np.isfinite(bound)
+        ok = finite & (value <= bound)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not finite[i]:
+                message += ": sample or bound not finite"
+            raise BoundViolated(message, float(s[i]))
 
     return LawBoundsReport(
         sample_count=sample_count,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import MissingAdjacentTriangle
+from .errors import MissingAdjacentTriangle, NumericalOverflow
 from .geometry import HEIGHT, InterfaceGraph, coarse_curvature
 from .laws import beta_discrete, beta_discrete_prime, cohesion_discrete_prime, \
     friction_discrete_prime
@@ -153,6 +153,7 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
     midpoint jump values (``_pair_densities``). Fine values are aggregated
     to the coarse nodes by hat-weighted edge-length averaging, and the
     curvature term is added on the coarse grid where the velocity lives.
+    A gradient that is not finite raises ``NumericalOverflow``.
     """
     if np.any(mesh.pair_tri_plus < 0) or np.any(mesh.pair_tri_minus < 0):
         raise MissingAdjacentTriangle("interface pair lacks an adjacent triangle")
@@ -160,7 +161,10 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
         mesh, u_eps, v_eps, laws, elast, eps)
 
     core, pf, pc = _aggregate(mesh, psi.s, field_core, p_f, p_c)
-    d3 = core + coarse_curvature(psi) * (elast.rho_reg - pf - pc)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        d3 = core + coarse_curvature(psi) * (elast.rho_reg - pf - pc)
+    if not np.isfinite([*d3, d1_left, d1_right]).all():
+        raise NumericalOverflow("shape gradient not finite (rho = %.3g)" % elast.rho_reg)
 
     return BoundaryGradient(s=psi.s.copy(), d3=d3, d1_left=d1_left,
                             d1_right=d1_right)
@@ -280,10 +284,7 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
         div_tau = dy * dlam / (dx * dx + dy * dy)  # tau . dLambda/darc, P1 trace
         term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
 
-        if np.array_equal(vel.s, psi.s):
-            dl2 = np.diff(vel.lam2)
-        else:
-            dl2 = np.diff(vel(psi.s))
+        dl2 = np.diff(vel(psi.s))   # the knot values, bit for bit, on vel's own grid
         term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
 
         out.append(term_vol + term_sigma + term_perim)

@@ -81,16 +81,19 @@ class _InterfaceOperator:
         self.laws = laws
         self.elast = elast
         self.free_mask = mesh.free_row >= 0
+        self.w = mesh.interface_nodal_weights()
         # an overflow is reported below, once, as the solver error it is
         with np.errstate(over="ignore", invalid="ignore"):
             self.K = fem.assemble_stiffness(mesh, elast)
             self.F = fem.assemble_traction(mesh, g)
             self.Fnorm = np.linalg.norm(self.F[self.free_mask])
-        if not (np.isfinite(self.Fnorm) and np.isfinite(self.K.data).all()):
+            self.load_scale = (self.w * laws.F_b, self.w * (laws.K_c / laws.kappa))
+        if not (np.isfinite(self.Fnorm) and np.isfinite(self.K.data).all()
+                and np.isfinite(self.load_scale).all()):
             raise NumericalOverflow(
                 "stiffness or load overflows double precision (load norm %.3g, "
-                "Young modulus %.3g)" % (self.Fnorm, elast.E_Y))
-        self.w = mesh.interface_nodal_weights()
+                "Young modulus %.3g, interface load scale %.3g)"
+                % (self.Fnorm, elast.E_Y, np.max(self.load_scale)))
         self.interior = mesh.interface_interior()
         self.p1 = 2 * mesh.iface_plus
         self.p2 = 2 * mesh.iface_plus + 1
@@ -120,9 +123,9 @@ class _InterfaceOperator:
 
     def lagged_load(self, sgn, ind):
         """Interface traction vector for frozen friction sign / cohesion
-        indicator: t1 = F_b*sgn, t2 = (K_c/kappa)*ind on [[phi]]."""
-        return self.interface_load(self.w * self.laws.F_b * sgn,
-                                   self.w * (self.laws.K_c / self.laws.kappa) * ind)
+        indicator: t1 = F_b*sgn, t2 = (K_c/kappa)*ind on [[phi]], scaled by
+        w in ``load_scale``."""
+        return self.interface_load(self.load_scale[0] * sgn, self.load_scale[1] * ind)
 
     def solve(self, rhs, closed, stick, eps):
         """Solve the Newton matrix of the normal set ``closed`` and the
@@ -315,7 +318,7 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
     values, active, lam, report = _active_set_solve(op, None, max_outer)
     aset = ActiveSet(lam=np.where(active, lam, 0.0),  # inactive: no multiplier
                      active=active)
-    return fem.DofField(mesh, values), aset, report
+    return fem.DofField(values), aset, report
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +340,7 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     """
     op = _InterfaceOperator(mesh, laws, elast, g, base)
     values, _, _, report = _active_set_solve(op, eps, max_outer, start)
-    return fem.DofField(mesh, values), report, op
+    return fem.DofField(values), report, op
 
 
 def solve_adjoint(op, u_eps, z_obs, eps):
@@ -356,4 +359,4 @@ def solve_adjoint(op, u_eps, z_obs, eps):
     rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
                                               - np.asarray(z_obs).reshape(-1))
     closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-    return fem.DofField(mesh, op.solve(rhs, closed, np.zeros_like(closed), eps))
+    return fem.DofField(op.solve(rhs, closed, np.zeros_like(closed), eps))

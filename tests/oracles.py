@@ -199,15 +199,17 @@ def h1_seminorm(mesh, values):
     return float(np.sqrt(np.sum(mesh.tri_area * np.sum(g * g, axis=(1, 2)))))
 
 
-def recover_multiplier(u_eps, eps):
-    """Contact multiplier estimate beta_eps([[u]]_2) per interface node."""
+def recover_multiplier(mesh, u_eps, eps):
+    """Contact multiplier estimate beta_eps([[u]]_2) per interface node of
+    ``mesh``, on which ``u_eps`` lives."""
     from crackid.laws import beta_discrete
-    return beta_discrete(u_eps.mesh.jump(u_eps.values, 1), eps)
+    return beta_discrete(mesh.jump(u_eps.values, 1), eps)
 
 
 def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     """Every array field of a broken mesh and of its topology, built with
-    plain loops.
+    plain loops; the topology's coordinate tables are read off the
+    vertices.
 
     Same vertex numbering and triangle orientation as ``build_mesh``:
     vertices row by row (x1 fastest), the lower block first, each cell
@@ -274,6 +276,7 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
     top = [(idx_hi(n_rows_above, j), idx_hi(n_rows_above, j + 1)) for j in range(n_cols)]
     observation = ([idx_lo(0, j) for j in range(nx)]
                    + [idx_hi(n_rows_above, j) for j in range(nx)])
+    edges = bottom + top
     # unclamped dofs block by block, the lower first, each column by column
     free, block_end = [], []
     for idx, n_rows in ((idx_lo, n_rows_below), (idx_hi, n_rows_above)):
@@ -286,8 +289,12 @@ def loop_mesh(graph, h, n_cols=None, n_rows_below=None, n_rows_above=None):
         free_row[d] = k
     return dict(
         vertices=vertices, triangles=triangles,
-        neumann_edges=np.array(bottom + top, dtype=np.int64),
+        neumann_edges=np.array(edges, dtype=np.int64),
         observation_vertices=np.array(observation, dtype=np.int64),
+        interface_x=np.array([vertices[v, 0] for v in iface_minus]),
+        observation_points=np.array([vertices[v] for v in observation]),
+        neumann_points=np.array([[vertices[v] for v in ends] for ends in zip(*edges)]),
+        neumann_lengths=np.array([np.hypot(*(vertices[b] - vertices[a])) for a, b in edges]),
         iface_minus=iface_minus, iface_plus=iface_plus,
         pair_minus=np.column_stack([iface_minus[:-1], iface_minus[1:]]),
         pair_plus=np.column_stack([iface_plus[:-1], iface_plus[1:]]),

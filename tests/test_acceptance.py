@@ -89,8 +89,8 @@ def test_criterion_4_penalty_convergence_law():
 
     The penalty term puts the nodal jump mass w/eps on the penetration set,
     so a converged state has nodal penetration exactly eps * lambda_eps,
-    with lambda_eps = recover_multiplier(u_eps, eps). The penetration norm
-    pen(eps) = sqrt(sum w min(0, [[u]]_2)^2) passes through two regimes:
+    with lambda_eps = recover_multiplier(mesh, u_eps, eps). The penetration
+    norm pen(eps) = sqrt(sum w min(0, [[u]]_2)^2) passes through two regimes:
 
     * eps >~ 1e-4: w/eps is weak next to the elastic stiffness (of order E)
       and pen saturates at the unconstrained overlap (about 1e-2);
@@ -230,7 +230,7 @@ def test_criterion_6_property_suites(contact_measurement):
     mesh_m = contact_measurement["mesh"]
     aset = contact_measurement["aset"]
     u8, _, _ = solvers.solve_penalty_state(mesh_m, laws, elast, g, 1e-8)
-    lam_est = oracles.recover_multiplier(u8, 1e-8)
+    lam_est = oracles.recover_multiplier(mesh_m, u8, 1e-8)
     wq = mesh_m.interface_nodal_weights()
     rec_err = float(np.sqrt(np.sum(wq * (lam_est - aset.lam) ** 2))
                     / np.sqrt(np.sum(wq * aset.lam ** 2)))

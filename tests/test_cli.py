@@ -98,7 +98,7 @@ class TestMeasure:
         values = np.zeros(mesh.n_dofs)
         values[2 * mesh.iface_plus + 1] = [0.0, 2e-2, 5e-3]
         path = tmp_path / "d.svg"
-        svgplot.deformed_configuration(str(path), mesh, fem.DofField(mesh, values),
+        svgplot.deformed_configuration(str(path), mesh, fem.DofField(values),
                                        np.array([True, False, False]), 1e-2)
         svg = path.read_text()
         assert [interface_edges(svg, st) for st in ("contact", "cohesive", "open")] \

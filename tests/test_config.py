@@ -52,6 +52,15 @@ def test_unknown_name_exit_2(tmp_path, capsys, text, name):
     assert name in err
 
 
+def write_config(path, settings, section, key, value):
+    """Write ``settings`` with ``[section] key = value`` set on top of them."""
+    settings = {name: dict(keys) for name, keys in settings.items()}
+    settings.setdefault(section, {})[key] = value
+    path.write_text("".join("[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items())
+                            for name, keys in settings.items()))
+    return path
+
+
 EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "word"]
 # keys that no field reads any more: every value of theirs is an unknown key
 REMOVED_KEYS = {"laws": ["cohesion_exponent"]}
@@ -67,11 +76,8 @@ def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
     # a rejected value exits 2 in one line; an accepted one runs measure on
     # a coarse mesh and ends in 0, 2 or 3, never in a traceback. The band
     # guard of the config check runs before any mesh is built.
-    settings = {"geometry": {"h_measure": "0.05"}}
-    settings.setdefault(section, {})[key] = value
-    cfg = tmp_path / "edge.cfg"
-    cfg.write_text("".join("[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items())
-                           for name, keys in settings.items()))
+    cfg = write_config(tmp_path / "edge.cfg", {"geometry": {"h_measure": "0.05"}},
+                       section, key, value)
     try:
         cli.load_config(str(cfg))
         accepted = True
@@ -88,6 +94,46 @@ def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
         assert not accepted and key in err
     assert rc in (0, 2, 3)
     assert len(err.splitlines()) == (rc != 0), err
+
+
+EXTREME_ROWS = [(command, section, key, value)
+                for command in ("identify", "laws-check")
+                for section, keys in cli.CONFIG_SECTIONS.items()
+                for key in keys for value in ("1e308", "5e-324")]
+
+
+@pytest.fixture(scope="module")
+def coarse_measurement(tmp_path_factory):
+    out = tmp_path_factory.mktemp("coarse")
+    cfg = out / "measure.cfg"
+    cfg.write_text("[geometry]\nh_measure = 0.05\n")
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out / "m")]) == 0
+    return str(out / "m" / "measurement.txt")
+
+
+@pytest.mark.parametrize("command,section,key,value", EXTREME_ROWS,
+                         ids=["%s-%s=%s" % (row[0], *row[2:]) for row in EXTREME_ROWS])
+def test_every_key_at_the_double_extremes(tmp_path, capsys, coarse_measurement,
+                                          command, section, key, value):
+    # the largest double and the smallest subnormal, through a 3-iteration
+    # identify on a coarse measurement and through laws-check: a documented
+    # exit code, one line for a config or solver error, no warning and no
+    # traceback, and no PASS on a value that is not finite
+    cfg = write_config(tmp_path / "extreme.cfg",
+                       {"geometry": {"h_measure": "0.05"}, "algorithm": {"n_max": "3"}},
+                       section, key, value)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "identify":
+        argv += ["--measurement", coarse_measurement]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert rc in (0, 2, 3, 4)
+    assert len(err.splitlines()) == (rc in (2, 3)), err
+    if "PASS" in out:
+        assert not re.search(r"\b(nan|inf)\b", out), out
 
 
 def test_size_guard_counts_band_and_coupling(tmp_path, capsys, monkeypatch):

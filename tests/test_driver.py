@@ -80,7 +80,7 @@ class TestObjective:
         cfg = driver.ExperimentConfig()
         psi = constant_graph(0.25)
         mesh = build_mesh(psi, 0.05)
-        u = fem.DofField(mesh, np.zeros(mesh.n_dofs))
+        u = fem.DofField(np.zeros(mesh.n_dofs))
         J = driver.objective(mesh, u, np.zeros(mesh.n_dofs), 2.5, psi)
         assert J == pytest.approx(2.5 * 1.0, rel=1e-14)
 
@@ -88,7 +88,7 @@ class TestObjective:
         cfg = driver.ExperimentConfig()
         psi = cfg.true_graph()
         mesh = build_mesh(psi, 0.01)
-        u = fem.DofField(mesh, np.zeros(mesh.n_dofs))
+        u = fem.DofField(np.zeros(mesh.n_dofs))
         J = driver.objective(mesh, u, np.zeros(mesh.n_dofs), 1.0, psi)
         assert J == pytest.approx(0.6 * np.sqrt(1.0 + 1.0 / 9.0) + 0.4, rel=1e-14)
 
@@ -97,8 +97,8 @@ class TestObjective:
         mesh = build_mesh(psi, 0.05)
         rng = np.random.default_rng(9)
         z = rng.standard_normal(mesh.n_dofs)
-        u1 = fem.DofField(mesh, 2.0 * z)
-        u2 = fem.DofField(mesh, 3.0 * z)
+        u1 = fem.DofField(2.0 * z)
+        u2 = fem.DofField(3.0 * z)
         m1 = driver.objective(mesh, u1, z, 0.0, psi)
         m2 = driver.objective(mesh, u2, z, 0.0, psi)
         assert m2 == pytest.approx(4.0 * m1, rel=1e-12)

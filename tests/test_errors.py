@@ -91,7 +91,7 @@ def test_missing_adjacent_triangle():
     bad = mesh.pair_tri_plus.copy()
     bad[0] = -1
     mesh.topology = dataclasses.replace(mesh.topology, pair_tri_plus=bad)
-    zero = fem.DofField(mesh, np.zeros(mesh.n_dofs))
+    zero = fem.DofField(np.zeros(mesh.n_dofs))
     with pytest.raises(MissingAdjacentTriangle):
         shape.boundary_gradient(mesh, constant_graph(0.25), zero, zero,
                                 CFG.cohesive(), CFG.elasticity(), CFG.eps)

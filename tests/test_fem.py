@@ -293,9 +293,9 @@ class TestTraction:
 
 class TestObservationRows:
     """The terms on the observation rows, formed once per topology: every
-    mesh of one topology holds the same bits there (``geometry``), so the
-    cached load and mass, and the measurement interpolated on the first
-    mesh, equal each mesh's own."""
+    mesh of one topology holds the topology's coordinate tables bit for bit
+    in its vertices (``geometry``), so the cached load and mass, and the
+    measurement interpolated on the first mesh, equal each mesh's own."""
 
     @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, 0.01 * 8.0 / 7.0],
                              ids=["flat", "flat-fine", "identify"])
@@ -314,6 +314,10 @@ class TestObservationRows:
             # every other line lies wholly below 0.25, where 0.5 - psi rounds
             top = 0.25 if k % 2 else HEIGHT - 2.0 * h
             mesh = build_mesh(uniform_graph(rng.uniform(2.0 * h, top, 11)), h)
+            rows = mesh.vertices[mesh.observation_vertices]
+            assert rows.tobytes() == mesh.observation_points.tobytes()
+            for side in (mesh.iface_minus, mesh.iface_plus):
+                assert mesh.vertices[side, 0].tobytes() == mesh.interface_x.tobytes()
             F = fem.assemble_traction(mesh, g)
             assert F.tobytes() == oracles.vertex_traction(mesh, g).tobytes()
             M, ref = fem.assemble_boundary_mass(mesh), oracles.vertex_boundary_mass(mesh)

@@ -18,7 +18,7 @@ EPS = CFG.eps
 
 def zero_fields(mesh):
     z = np.zeros(mesh.n_dofs)
-    return fem.DofField(mesh, z), fem.DofField(mesh, z.copy())
+    return fem.DofField(z), fem.DofField(z.copy())
 
 
 # flat, perturbed and kinked lines
@@ -39,7 +39,7 @@ class TestPairTriangles:
     def test_matches_the_full_mesh_computation(self, monkeypatch, psi):
         mesh = build_mesh(psi, 0.02)
         rng = np.random.default_rng(4)
-        u, v = (fem.DofField(mesh, 1e-3 * rng.standard_normal(mesh.n_dofs))
+        u, v = (fem.DofField(1e-3 * rng.standard_normal(mesh.n_dofs))
                 for _ in range(2))
         args = (mesh, u, v, LAWS, ELAST, EPS)
         for fast, full in zip(shape._pair_densities(*args),
@@ -107,7 +107,7 @@ class TestBoundaryGradient:
         # on both sides of every pair, so all jump quantities vanish, and a
         # flat line has no curvature term
         A = np.array([[2.0e-3, -1.0e-3], [4.0e-4, 3.0e-3]])
-        u = fem.DofField(mesh, (mesh.vertices @ A.T).reshape(-1))
+        u = fem.DofField((mesh.vertices @ A.T).reshape(-1))
         grad = shape.boundary_gradient(mesh, psi, u, u, LAWS, ELAST, EPS)
         # the energy density itself is of order E |A|^2 ~ 1
         gu = fem.field_gradients(mesh, u.values)

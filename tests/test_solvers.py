@@ -519,11 +519,11 @@ class TestMultiplierRecovery:
         eps = 1e-6
         vals = np.zeros(mesh.n_dofs)
         vals[2 * mesh.iface_plus[1] + 1] = 0.5       # open node
-        u = fem.DofField(mesh, vals)
-        lam = oracles.recover_multiplier(u, eps)
+        u = fem.DofField(vals)
+        lam = oracles.recover_multiplier(mesh, u, eps)
         assert lam[1] == 0.0
         vals[2 * mesh.iface_plus[1] + 1] = -eps * 4.0  # penetrating node
-        lam = oracles.recover_multiplier(fem.DofField(mesh, vals), eps)
+        lam = oracles.recover_multiplier(mesh, fem.DofField(vals), eps)
         assert lam[1] == pytest.approx(-4.0)
         assert np.all(lam <= 0.0)
 
@@ -531,7 +531,7 @@ class TestMultiplierRecovery:
         mesh = contact_measurement["mesh"]
         aset = contact_measurement["aset"]
         u, _, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
-        lam_est = oracles.recover_multiplier(u, 1e-8)
+        lam_est = oracles.recover_multiplier(mesh, u, 1e-8)
         num = l2_interface(mesh, lam_est - aset.lam)
         den = l2_interface(mesh, aset.lam)
         assert num <= 0.10 * den
