@@ -242,11 +242,10 @@ def gradient_check(config, meas, steps):
     u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
                                                 max_outer=config.max_outer)
     zv = driver.interp_measurement(mesh, meas)
-    v = solvers.solve_adjoint(op, u, zv, eps)
+    v = solvers.solve_adjoint(op, u, zv)
     hats = np.eye(psi.s.size)[1:-1]
-    anas = shape.directional_derivative_volumetric(
-        mesh, psi, u, v, laws, elast, eps,
-        [shape.VelocityField(psi.s, hat, h) for hat in hats])
+    anas = shape.directional_derivative_volumetric(mesh, psi, u, v, laws, elast,
+                                                   eps, hats)
     rows = []
     for s, hat, ana in zip(psi.s[1:-1], hats, anas):
         fds = []
@@ -346,15 +345,14 @@ def main(argv=None):
     try:
         return args.func(args)
     except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        message, code = "config error: %s" % exc, 2
     except CrackidError as exc:
-        print("solver error: %s" % exc, file=sys.stderr)
-        return 3
+        message, code = "solver error: %s" % exc, 3
     except OSError as exc:
         # every input is read under ConfigError: this is an output
-        print("config error: cannot write the outputs: %s" % exc, file=sys.stderr)
-        return 2
+        message, code = "config error: cannot write the outputs: %s" % exc, 2
+    print(" ".join(message.splitlines()), file=sys.stderr)   # also a quoted file line
+    return code
 
 
 if __name__ == "__main__":

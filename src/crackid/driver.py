@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import fem, shape, solvers
-from .errors import ConfigError, CrackidError, InvalidPoisson
+from .errors import ConfigError, CrackidError, InvalidPoisson, NumericalOverflow
 from .geometry import (HEIGHT, WIDTH, InterfaceGraph, band_shape, build_mesh,
                        grid_counts, uniform_graph)
 from .laws import CohesiveParams
@@ -263,9 +263,14 @@ def interp_measurement(mesh, meas):
 # ----------------------------------------------------------------------
 
 def objective(mesh, u_eps, z_interp, rho_reg, psi):
-    """Least-squares boundary misfit plus perimeter regularisation."""
-    misfit = fem.boundary_misfit(mesh, u_eps.values, z_interp)
-    return misfit + rho_reg * psi.length()
+    """Least-squares boundary misfit plus perimeter regularisation; one
+    that is not finite raises ``NumericalOverflow``."""
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        J = fem.boundary_misfit(mesh, u_eps.values, z_interp) + rho_reg * psi.length()
+    if not np.isfinite(J):
+        raise NumericalOverflow("objective not finite (max |z| = %.3g, rho = %.3g)"
+                                % (np.max(np.abs(z_interp)), rho_reg))
+    return J
 
 
 def shape_error(psi_a, psi_b):
@@ -343,14 +348,14 @@ def identify(config, meas, record_gradients=False):
             u, rep, op = solvers.solve_penalty_state(
                 mesh, laws, elast, g, config.eps, max_outer=config.max_outer,
                 start=start)
+            if z_vec is None:
+                z_vec = interp_measurement(mesh, meas)
+            J = objective(mesh, u, z_vec, elast.rho_reg, psi)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break
 
         start = rep.configuration
-        if z_vec is None:
-            z_vec = interp_measurement(mesh, meas)
-        J = objective(mesh, u, z_vec, elast.rho_reg, psi)
         if J0 is None:
             J0 = J
         err = shape_error(psi, psi_true)
@@ -365,19 +370,18 @@ def identify(config, meas, record_gradients=False):
             break
 
         try:
-            v = solvers.solve_adjoint(op, u, z_vec, config.eps)
+            v = solvers.solve_adjoint(op, u, z_vec)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
                                            config.eps)
-            vel = shape.descent_velocity(grad, h)
+            lam2 = shape.descent_velocity(grad, h)
         except CrackidError as exc:
             log.aborted = "iteration %d: %s" % (n, exc)
             break
 
         if record_gradients:
-            log.gradients.append((n, grad.s.copy(), grad.d3.copy(),
-                                  vel.lam2.copy()))
-        if vel.zero_gradient:
+            log.gradients.append((n, psi.s, grad.d3, lam2))
+        if not lam2.any():
             break
-        psi, clamped = shape.update_interface(psi, vel)
+        psi, clamped = shape.update_interface(psi, lam2, h)
 
     return log

@@ -47,6 +47,16 @@ BACKWARD_TOL = 1e-10
 REFINE_CAP = 8   # refinement steps on a borrowed factor before it factors
 
 
+def norm(v):
+    """The Euclidean norm of the backward-error tests: ``np.linalg.norm``'s
+    bits wherever that is finite, and max|v| |v / max|v|| where only its
+    sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+        big = np.max(np.abs(v)) if n == np.inf else 0.0
+        return big * np.linalg.norm(v / big) if 0.0 < big < np.inf else n
+
+
 def lame_from_young(E_Y, nu_P):
     """Lame parameters mu = E/(2(1+nu)), lambda = 2 mu nu/(1-2 nu)."""
     if not 0.0 <= nu_P < 0.5:
@@ -423,8 +433,8 @@ class FactorizedSPD:
         # restores a Cholesky solve's accuracy (Yip, SIAM J. Sci. Stat. Comput.
         # 7, 1986); on a borrowed L each step cuts r by about |B - B_base|/|B|
         for step in range(REFINE_CAP + 1 if self.fallback else self.coupling is not None):
-            if self.fallback and np.linalg.norm(res) <= np.finfo(float).eps * (
-                    np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)):
+            if self.fallback and norm(res) <= np.finfo(float).eps * (
+                    norm(rhs) + self.max_abs * norm(x)):
                 break
             if step == REFINE_CAP:   # borrowed, not converged: factor B, solve on it
                 coupling = self.coupling or ((), (), ())
@@ -435,8 +445,8 @@ class FactorizedSPD:
             x, mu = x - dx, mu - dmu
             x[m] = x[p]
             res = self._apply(x, mu) - rhs
-        res = np.linalg.norm(res)
-        scale = np.linalg.norm(rhs) + self.max_abs * np.linalg.norm(x)
+        res = norm(res)
+        scale = norm(rhs) + self.max_abs * norm(x)
         if not res <= BACKWARD_TOL * scale:   # a NaN residual fails too
             raise NotPositiveDefinite(
                 "factorised solve failed its backward-error check "

@@ -69,8 +69,9 @@ def beta_smooth_prime(s, eps):
 
 
 def beta_discrete(s, eps):
-    """Discrete penalty min(0, s)/eps."""
-    return np.minimum(0.0, np.asarray(s, dtype=float)) / eps
+    """Discrete penalty min(0, s)/eps; -inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.minimum(0.0, np.asarray(s, dtype=float)) / eps
 
 
 def beta_discrete_prime(s, eps):

@@ -6,8 +6,9 @@ Two routes to the same directional derivative of the misfit objective:
   fine interface edges (energy jump, friction/cohesion products and their
   normal gradients, curvature and perimeter terms), reading gradients and
   stresses on the two triangles beside each edge only, and aggregates them
-  to the coarse velocity grid; ``descent_velocity`` turns them into the
-  scaled vertical descent field and ``update_interface`` applies it.
+  to the line's coarse nodes psi.s; ``descent_velocity`` turns them into
+  the descent velocity and ``update_interface`` applies it. A velocity is
+  vertical, an array of its nodal values lam2 on psi.s.
 * ``directional_derivative_volumetric`` evaluates the distributed-form
   derivative with a volumetric tent extension of each of many velocities,
   the state's fields formed once and each volume integrand on its own
@@ -29,57 +30,33 @@ from .laws import beta_discrete, beta_discrete_prime, cohesion_discrete_prime, \
 
 
 @dataclass
-class VelocityField:
-    """Vertical interface velocity on the coarse grid (component 1 is 0).
-
-    ``lam2`` holds the nodal values; the volumetric extension is the tent
-    blend (0, lam2(x1) * w(x2)) with w = x2/psi below the interface and
-    (0.5 - x2)/(0.5 - psi) above, which vanishes on the top and bottom
-    boundary so n . Lambda = 0 on the whole outer boundary.
-    """
-
-    s: np.ndarray
-    lam2: np.ndarray
-    h: float
-    zero_gradient: bool = False
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.s, self.lam2)
-
-
-@dataclass
 class BoundaryGradient:
-    """Hadamard gradient densities aggregated to the coarse grid."""
+    """Hadamard gradient densities aggregated to the line's coarse nodes."""
 
-    s: np.ndarray            # coarse nodes
     d3: np.ndarray           # aggregated D3 per coarse node
     d1_left: float           # nu . D1 at the left Dirichlet endpoint
     d1_right: float
 
 
-def velocity_extension(points, psi, vel):
-    """Evaluate the volumetric tent extension of ``vel`` at ``points``."""
+def velocity_extension(points, psi, lam2):
+    """The volumetric tent extension, at ``points``, of the vertical
+    velocity with the nodal values ``lam2`` on the coarse grid ``psi.s``:
+    (0, lam2(x1) w(x2)), lam2 interpolated linearly, with w = x2/psi below
+    the interface and (0.5 - x2)/(0.5 - psi) above. It vanishes on the top
+    and bottom boundary, so n . Lambda = 0 on the whole outer boundary."""
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     p = psi(x)
-    lam = vel(x)
+    lam = np.interp(x, psi.s, lam2)
     w = np.where(y <= p, y / p, (HEIGHT - y) / (HEIGHT - p))
     out = np.zeros_like(pts)
     out[:, 1] = lam * w
     return out
 
 
-def _edge_midpoint_pairs(mesh, u_values, v_values):
-    """Midpoint jumps of u and v (both components) on each pair edge."""
-    ju1 = mesh.jump(u_values, 0)
-    ju2 = mesh.jump(u_values, 1)
-    jv1 = mesh.jump(v_values, 0)
-    jv2 = mesh.jump(v_values, 1)
-
-    def mid(a):
-        return 0.5 * (a[:-1] + a[1:])
-
-    return mid(ju1), mid(ju2), mid(jv1), mid(jv2)
+def _jumps(mesh, u_eps, v_eps):
+    """The nodal interface jumps of u and v, components 0 and 1 of each."""
+    return [mesh.jump(w.values, c) for w in (u_eps, v_eps) for c in (0, 1)]
 
 
 def _pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
@@ -105,7 +82,7 @@ def _pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
     gv_j = gv_p - gv_m
     nu, tau = mesh.normals, mesh.tangents
 
-    ju1m, ju2m, jv1m, jv2m = _edge_midpoint_pairs(mesh, u_eps.values, v_eps.values)
+    ju1m, ju2m, jv1m, jv2m = (0.5 * (j[:-1] + j[1:]) for j in _jumps(mesh, u_eps, v_eps))
     fric = friction_discrete_prime(ju1m, laws)
     coh_beta = cohesion_discrete_prime(ju2m, laws) + beta_discrete(ju2m, eps)
     beta_p = beta_discrete_prime(ju2m, eps)
@@ -166,12 +143,12 @@ def boundary_gradient(mesh, psi, u_eps, v_eps, laws, elast, eps):
     if not np.isfinite([*d3, d1_left, d1_right]).all():
         raise NumericalOverflow("shape gradient not finite (rho = %.3g)" % elast.rho_reg)
 
-    return BoundaryGradient(s=psi.s.copy(), d3=d3, d1_left=d1_left,
-                            d1_right=d1_right)
+    return BoundaryGradient(d3=d3, d1_left=d1_left, d1_right=d1_right)
 
 
 def descent_velocity(grad, h):
-    """Scaled descent velocity from the boundary gradient.
+    """The scaled descent velocity from the boundary gradient: its nodal
+    values lam2 on the line's coarse nodes.
 
     Interior: lam2 = -k D3. Endpoints: lam2 = (k/sqrt(h)) (2 x1 - 1) nu.D1
     with the empirical 1/sqrt(h) Dirichlet weight, on top of the
@@ -183,11 +160,9 @@ def descent_velocity(grad, h):
     its mesh-dependent magnitude would otherwise throttle the interior
     descent. If the interior field vanishes, the sup is taken over all
     nodes. Either way the scaled field satisfies max |lam2| = 0.1 h
-    exactly.
-
-    Returns a flagged zero field if the raw gradient vanishes.
+    exactly, so it is zero only where the raw gradient vanishes.
     """
-    raw = np.zeros(grad.s.size)
+    raw = np.zeros(grad.d3.size)
     raw[1:-1] = -grad.d3[1:-1]
     raw[0] = -grad.d1_left / np.sqrt(h)
     raw[-1] = grad.d1_right / np.sqrt(h)
@@ -196,21 +171,18 @@ def descent_velocity(grad, h):
     if mx < 1e-30:
         mx = float(np.max(np.abs(raw)))
     if mx < 1e-30:
-        return VelocityField(grad.s.copy(), np.zeros_like(raw), h,
-                             zero_gradient=True)
-    k = cap / mx
-    lam2 = np.clip(k * raw, -cap, cap)
-    return VelocityField(grad.s.copy(), lam2, h)
+        return np.zeros_like(raw)
+    return np.clip(cap / mx * raw, -cap, cap)
 
 
-def update_interface(psi, vel):
-    """Nodewise interface update with clamping to [2h, 0.5 - 2h].
+def update_interface(psi, lam2, h):
+    """Move the line's coarse nodes by the nodal velocity ``lam2``,
+    clamped to [2h, 0.5 - 2h].
 
     Returns the new graph and the number of clamped nodes.
     """
-    lo, hi = 2.0 * vel.h, HEIGHT - 2.0 * vel.h
-    raw = psi.psi + vel.lam2
-    new = np.clip(raw, lo, hi)
+    raw = psi.psi + lam2
+    new = np.clip(raw, 2.0 * h, HEIGHT - 2.0 * h)
     clamped = int(np.count_nonzero(new != raw))
     return InterfaceGraph(psi.s.copy(), new), clamped
 
@@ -218,7 +190,8 @@ def update_interface(psi, vel):
 def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
                                       eps, vels):
     """Directional derivatives of the objective, a list with one for each
-    tent velocity of ``vels``.
+    velocity of ``vels``, each the nodal values on ``psi.s`` of a vertical
+    velocity, extended by its tent (``velocity_extension``).
 
     Evaluates the distributed form: the volume term with div(Lambda) and
     the transported strains E(grad Lambda, .) at element midpoints, the
@@ -250,10 +223,7 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
         return 0.5 * (GM + np.swapaxes(GM, 1, 2))
 
     # interface term, trapezoid rule consistent with the nodal state quadrature
-    ju1 = mesh.jump(u_eps.values, 0)
-    ju2 = mesh.jump(u_eps.values, 1)
-    jv1 = mesh.jump(v_eps.values, 0)
-    jv2 = mesh.jump(v_eps.values, 1)
+    ju1, ju2, jv1, jv2 = _jumps(mesh, u_eps, v_eps)
     p_node = (friction_discrete_prime(ju1, laws) * jv1
               + (cohesion_discrete_prime(ju2, laws) + beta_discrete(ju2, eps)) * jv2)
     p_edge = 0.5 * (p_node[:-1] + p_node[1:])
@@ -266,9 +236,9 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
 
     bnd = mesh.observation_vertices
     out = []
-    for vel in vels:
-        nodal = velocity_extension(mesh.vertices, psi, vel)
-        if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
+    for lam2 in vels:
+        nodal = velocity_extension(mesh.vertices, psi, lam2)
+        if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(lam2))):
             raise ValueError("velocity extension does not vanish on the outer boundary")
 
         t = np.flatnonzero(np.any(nodal[mesh.triangles, 1] != 0.0, axis=1))
@@ -284,8 +254,7 @@ def directional_derivative_volumetric(mesh, psi, u_eps, v_eps, laws, elast,
         div_tau = dy * dlam / (dx * dx + dy * dy)  # tau . dLambda/darc, P1 trace
         term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
 
-        dl2 = np.diff(vel(psi.s))   # the knot values, bit for bit, on vel's own grid
-        term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
+        term_perim = elast.rho_reg * float(np.sum(dpsi * np.diff(lam2) / seg))
 
         out.append(term_vol + term_sigma + term_perim)
     return out

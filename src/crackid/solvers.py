@@ -4,8 +4,9 @@ One active-set engine, ``_active_set_solve``, solves both nonlinear
 interface problems; they share the bulk stiffness, the nodal interface
 quadrature, the friction and cohesion iteration and the stopping rule (a
 repeated active set whose stationarity residual passes the normwise
-backward-error test of the factored solves, ``fem.BACKWARD_TOL``), and
-differ only in the normal law:
+backward-error test of the factored solves, ``fem.BACKWARD_TOL``; a cycle
+of active sets is named as such), and differ only in the normal law, which
+the operator holds with its penalty eps:
 
 * ``solve_vi_pdas``      -- exact contact, the variational inequality used
   to synthesise measurements: the contact set is merged shut and re-guessed
@@ -17,7 +18,8 @@ differ only in the normal law:
   piecewise linear, so each semismooth Newton step is an exact solve).
 
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
-final state Newton matrix. Every linear solve goes through one method,
+final state Newton matrix, on the state's operator and so at its eps.
+Every linear solve goes through one method,
 ``_InterfaceOperator.solve``. The operator factors K once per mesh, one
 band per subdomain (``fem.subdomain_factor``), or borrows a ``base``
 operator's on a mesh of its topology (a probe's); its rows are the mesh's
@@ -26,7 +28,7 @@ low-rank coupling on the interface pairs, their rows read from
 ``mesh.free_row``: the w/eps jump mass of the closed pairs for a penalty,
 and the contact-closed and sticking pairs merged shut. No sparse K + J is
 built. The coupling is keyed on the ``(closed, stick)`` pair of normal and
-stick sets and eps, so a Newton step that changes only the load (slip
+stick sets, so a Newton step that changes only the load (slip
 signs, cohesion indicator) solves with the previous step's coupling, and
 the adjoint with the state's when its last step merged nothing.
 
@@ -72,14 +74,15 @@ class ActiveSet:
 
 
 class _InterfaceOperator:
-    """Shared assembly context for one (mesh, laws, elast, g) quadruple,
-    and the owner of the mesh's factor and the current Newton matrix's
-    coupling on it."""
+    """Shared assembly context for one (mesh, laws, elast, g, eps) tuple,
+    ``eps`` the penalty or None for exact contact, and the owner of the
+    mesh's factor and the current Newton matrix's coupling on it."""
 
-    def __init__(self, mesh, laws, elast, g, base=None):
+    def __init__(self, mesh, laws, elast, g, eps, base=None):
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
+        self.eps = eps
         self.free_mask = mesh.free_row >= 0
         self.w = mesh.interface_nodal_weights()
         # an overflow is reported below, once, as the solver error it is
@@ -127,7 +130,7 @@ class _InterfaceOperator:
         w in ``load_scale``."""
         return self.interface_load(self.load_scale[0] * sgn, self.load_scale[1] * ind)
 
-    def solve(self, rhs, closed, stick, eps):
+    def solve(self, rhs, closed, stick):
         """Solve the Newton matrix of the normal set ``closed`` and the
         sticking nodes ``stick`` for the full-length load ``rhs``; the
         solution is zero on the Dirichlet dofs.
@@ -136,11 +139,11 @@ class _InterfaceOperator:
         pairs' x2 dofs and the sticking pairs' x1 dofs: with the w/eps jump
         mass for a penalty ``eps``, merged shut in contact (``eps`` None)
         and for a sticking pair. The coupling is kept while
-        ``(closed, stick, eps)`` repeat.
+        ``(closed, stick)`` repeat.
         """
-        key = (closed.tobytes(), stick.tobytes(), eps)
+        key = (closed.tobytes(), stick.tobytes())
         if key != self._key:
-            normal = self.w[closed] / eps if eps is not None \
+            normal = self.w[closed] / self.eps if self.eps is not None \
                 else np.full(np.count_nonzero(closed), np.inf)
             row = self.mesh.free_row
             self.factor.couple(
@@ -162,29 +165,26 @@ class _InterfaceOperator:
         sticking), sends them back to sticking."""
         new = sgn.copy()
         new_flips = flips.copy()
-        stick = self.interior & (sgn == 0.0)
-        idx = np.nonzero(stick)[0]
-        if idx.size:
-            t = self.traction(r, 0, idx)
-            release = np.abs(t) > self.laws.F_b * (1.0 + 1e-12)
-            new[idx[release]] = np.sign(t[release])
-            new_flips[idx] = 0
-        slip = self.interior & (sgn != 0.0)
-        jdx = np.nonzero(slip)[0]
-        if jdx.size:
-            tiny = np.abs(j1[jdx]) < SIGN_DEADBAND
-            flipped = ~tiny & (np.sign(j1[jdx]) != sgn[jdx])
-            new[jdx] = np.where(tiny, 0.0, np.sign(j1[jdx]))
-            new_flips[jdx] = np.where(flipped, flips[jdx] + 1, 0)
-            cycling = new_flips[jdx] >= 2
-            new[jdx[cycling]] = 0.0
-            new_flips[jdx[cycling]] = 0
+        idx = np.nonzero(self.interior & (sgn == 0.0))[0]
+        t = self.traction(r, 0, idx)
+        release = np.abs(t) > self.laws.F_b * (1.0 + 1e-12)
+        new[idx[release]] = np.sign(t[release])
+        new_flips[idx] = 0
+        jdx = np.nonzero(self.interior & (sgn != 0.0))[0]
+        tiny = np.abs(j1[jdx]) < SIGN_DEADBAND
+        flipped = ~tiny & (np.sign(j1[jdx]) != sgn[jdx])
+        new[jdx] = np.where(tiny, 0.0, np.sign(j1[jdx]))
+        new_flips[jdx] = np.where(flipped, flips[jdx] + 1, 0)
+        cycling = new_flips[jdx] >= 2
+        new[jdx[cycling]] = 0.0
+        new_flips[jdx[cycling]] = 0
         return new, new_flips
 
-    def stationarity(self, values, eps, stick, shut):
+    def stationarity(self, values, stick, shut):
         """Relative residual of K u + f_int(u) - F on the free rows, with
         f_int the discrete friction and cohesion laws plus, for a penalty
-        ``eps``, the penalty law; Euclidean, relative to the load norm.
+        operator, the penalty law; Euclidean (``fem.norm``), relative to
+        the load norm.
         Returns it with the product K u.
 
         Rows that carry constraint reactions are excused: the x2 rows of
@@ -195,21 +195,20 @@ class _InterfaceOperator:
         j1, j2 = self.jumps(values)
         t1 = self.w * friction_discrete_prime(j1, self.laws)
         t2 = self.w * cohesion_discrete_prime(j2, self.laws)
-        if eps is not None:
-            t2 = t2 + self.w * beta_discrete(j2, eps)
+        if self.eps is not None:
+            t2 = t2 + self.w * beta_discrete(j2, self.eps)
         k_u = self.K @ values
         r = k_u - self.F + self.interface_load(t1, t2)
         idx = np.nonzero(stick)[0]
-        if idx.size:
-            t = self.traction(r, 0, idx)
-            excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
-            r[self.p1[idx]] = excess
-            r[self.m1[idx]] = -excess
+        t = self.traction(r, 0, idx)
+        excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
+        r[self.p1[idx]] = excess
+        r[self.m1[idx]] = -excess
         rows = self.free_mask.copy()
         rows[self.p2[shut]] = False
         rows[self.m2[shut]] = False
         scale = self.Fnorm if self.Fnorm > 0.0 else 1.0
-        return float(np.linalg.norm(r[rows]) / scale), k_u
+        return float(fem.norm(r[rows]) / scale), k_u
 
     def cohesion_update(self, j2, ind):
         at_edge = np.abs(np.abs(j2) - self.laws.kappa) < SIGN_DEADBAND
@@ -220,61 +219,78 @@ class _InterfaceOperator:
 # The active-set engine and its two normal laws
 # ----------------------------------------------------------------------
 
-def _active_set_solve(op, eps, max_outer, start=None):
-    """One active-set iteration for both normal laws.
+def _active_set_solve(op, max_outer, start=None):
+    """One active-set iteration for both normal laws, the operator's.
 
-    ``closed`` is the normal set. With ``eps=None`` (exact contact) its x2
-    pairs are merged shut; it starts fully closed and is re-guessed from
-    lambda + (mu_L/h) [[u]]_2 < 0. With a penalty ``eps`` it is the
+    ``closed`` is the normal set. For exact contact (``op.eps`` None) its
+    x2 pairs are merged shut; it starts fully closed and is re-guessed from
+    lambda + (mu_L/h) [[u]]_2 < 0. With a penalty eps it is the
     penetration set {[[u]]_2 < 0}, carrying the w/eps jump mass. The loop
     stops when the normal set, signs and indicator repeat: the active-set
     Newton method has then converged, and a further step would solve the
     same matrix for the same load. The state is accepted if its
     stationarity residual r passes the test each factored solve passes,
     ||r|| <= ``fem.BACKWARD_TOL`` (||F|| + max|A| ||u||), with max|A| the
-    factor's ``max_abs`` for the final coupling (a normwise backward
-    error, after Rigal and Gaches; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 7); otherwise, or without a repeat in
-    ``max_outer`` steps, it raises ``NoConvergence``.
+    factor's ``max_abs`` for the final coupling and the norms
+    ``fem.norm``'s (a normwise backward error, after Rigal and Gaches;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7);
+    otherwise, or without a repeat in ``max_outer`` steps, it raises
+    ``NoConvergence``.
+
+    On one factor a step is a function of the state (closed, sgn, ind,
+    flips), so a state that comes back means the sets cycle for good: the
+    first repeat raises ``NoConvergence`` with the period, the step the
+    cycle starts at and how many nodes flip in each set.
 
     ``start`` seeds the normal set, the signs and the indicator with a
-    converged ``(closed, sgn, ind)`` (``SolveReport.configuration``); a
-    seed whose arrays do not match the interface node count is ignored.
-    The active-set Newton method converges superlinearly from a nearby set
-    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); a seed equal
-    to the converged configuration makes the first step the last.
+    converged ``(closed, sgn, ind)`` (``SolveReport.configuration``) of a
+    mesh with the same interface nodes. The active-set Newton method
+    converges superlinearly from a nearby set (Hintermueller, Ito and
+    Kunisch, SIAM J. Optim. 13, 2002); a seed equal to the converged
+    configuration makes the first step the last.
 
     A step's matrix is keyed on ``(closed, stick)``, stick being the
     interior nodes with ``sgn == 0``; the slip signs and the indicator
     reach only the load, so a step that repeats the previous step's key
     solves with its coupling (``_InterfaceOperator.solve``).
 
-    Returns (values, closed, lam, report), with ``lam`` the contact
-    multiplier estimate.
+    Returns (values, lam, report), with ``lam`` the contact multiplier
+    estimate and the converged normal set ``report.configuration[0]``.
     """
-    contact = eps is None
+    contact = op.eps is None
     name = "PDAS" if contact else "penalty solver"
     interior = op.interior
     n_if = interior.size
     c = op.elast.mu_L / op.mesh.h
-    if start is not None and all(np.size(a) == n_if for a in start):
+    if start is not None:
         closed, sgn, ind = start   # the loop never writes into these
     else:
         closed = interior.copy() if contact else np.zeros(n_if, dtype=bool)
         sgn = np.zeros(n_if)            # 0 = sticking
         ind = np.ones(n_if)
-    none_shut = np.zeros(n_if, dtype=bool)
     flips = np.zeros(n_if, dtype=np.int64)
     lam = np.zeros(n_if)
     res = np.inf
     history = []
+    seen = {}   # each state's step and sets, in step order
 
     for it in range(1, max_outer + 1):
-        shut = closed if contact else none_shut
+        state = (op.factor.fallback is None,
+                 *(a.tobytes() for a in (closed, sgn, ind, flips)))
+        if state in seen:
+            first = seen[state][0]
+            cycle = zip(*(sets for step, *sets in seen.values() if step >= first))
+            flipping = [np.count_nonzero(np.ptp(np.array(s, dtype=float), axis=0))
+                        for s in cycle]
+            raise NoConvergence("%s cycles with period %d from step %d: %d normal, %d "
+                                "friction and %d cohesion nodes flip"
+                                % (name, it - first, first, *flipping))
+        seen[state] = (it, closed, sgn, ind)
+        shut = closed & contact   # no pair is shut under a penalty
         stick = interior & (sgn == 0.0)
         f = op.F - op.lagged_load(sgn, ind)
-        values = op.solve(f, closed, stick, eps)
-        res, k_u = op.stationarity(values, eps, stick, shut)
+        values = op.solve(f, closed, stick)
+        res, k_u = op.stationarity(values, stick, shut)
 
         # K alone: contact has no J, and a penalty step reads r on x1 rows
         # only, where J has no entry
@@ -299,13 +315,13 @@ def _active_set_solve(op, eps, max_outer, start=None):
 
     # the repeat is the answer if it passes the solves' backward-error test
     r_norm = res * (op.Fnorm if op.Fnorm > 0.0 else 1.0)
-    scale = op.Fnorm + op.factor.max_abs * np.linalg.norm(values)
+    scale = op.Fnorm + op.factor.max_abs * fem.norm(values)
     if not r_norm <= fem.BACKWARD_TOL * scale:   # a NaN residual fails too
         raise NoConvergence("%s stabilised at residual %.3e, backward error %.3e"
                             % (name, res, r_norm / scale))
     report = SolveReport(iterations=it, residual=res, active_sizes=history,
                          configuration=(closed, sgn, ind))
-    return values, closed, lam, report
+    return values, lam, report
 
 
 def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
@@ -314,11 +330,10 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
     Returns the solution, its ``ActiveSet`` and the ``SolveReport``; the
     report's residual leaves out the rows that carry contact reactions.
     """
-    op = _InterfaceOperator(mesh, laws, elast, g)
-    values, active, lam, report = _active_set_solve(op, None, max_outer)
-    aset = ActiveSet(lam=np.where(active, lam, 0.0),  # inactive: no multiplier
-                     active=active)
-    return fem.DofField(values), aset, report
+    op = _InterfaceOperator(mesh, laws, elast, g, None)
+    values, lam, report = _active_set_solve(op, max_outer)
+    active = report.configuration[0]   # an inactive node carries no multiplier
+    return fem.DofField(values), ActiveSet(np.where(active, lam, 0.0), active), report
 
 
 # ----------------------------------------------------------------------
@@ -338,16 +353,17 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     ``SolveReport`` and the operator, which keeps the mesh's factor and the
     final Newton matrix's coupling for ``solve_adjoint``.
     """
-    op = _InterfaceOperator(mesh, laws, elast, g, base)
-    values, _, _, report = _active_set_solve(op, eps, max_outer, start)
+    op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
+    values, _, report = _active_set_solve(op, max_outer, start)
     return fem.DofField(values), report, op
 
 
-def solve_adjoint(op, u_eps, z_obs, eps):
+def solve_adjoint(op, u_eps, z_obs):
     """Solve the linear adjoint equation for the misfit against ``z_obs``.
 
-    The system matrix is the state's Newton matrix on the penetration set
-    of ``u_eps`` (beta' of the state jump, exact for the discrete law),
+    The system matrix is the state's Newton matrix, at the state's penalty
+    eps, on the penetration set of ``u_eps`` (beta' of the state jump,
+    exact for the discrete law),
     unmerged: with the discrete laws the friction/cohesion second
     derivatives vanish so no tangential coupling remains. ``op`` solves it
     on the mesh's factor, with the state's coupling when the state's last
@@ -359,4 +375,4 @@ def solve_adjoint(op, u_eps, z_obs, eps):
     rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
                                               - np.asarray(z_obs).reshape(-1))
     closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-    return fem.DofField(op.solve(rhs, closed, np.zeros_like(closed), eps))
+    return fem.DofField(op.solve(rhs, closed, np.zeros_like(closed)))

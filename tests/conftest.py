@@ -2,7 +2,11 @@
 reused by the driver, shape and acceptance tests; acceptance pass/fail lines
 are collected and echoed in the terminal summary."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import configuration
 
 from crackid import cli, driver, solvers
 from crackid.geometry import build_mesh
@@ -14,6 +18,12 @@ def record_acceptance(name, ok, detail):
     line = "ACCEPTANCE %-14s %s  (%s)" % (name, "PASS" if ok else "FAIL", detail)
     ACCEPTANCE_LINES.append(line)
     print(line)
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the tested modules, at collection,
+    # under its home directory, ./.hypothesis by default: keep it out of the tree
+    configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "crackid-hypothesis")
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -57,7 +67,7 @@ def contact_state(contact_config, contact_measurement):
     mesh = build_mesh(psi, h)
     u, rep, op = solvers.solve_penalty_state(mesh, laws, elast, g, cfg.eps)
     z_vec = driver.interp_measurement(mesh, contact_measurement["meas"])
-    v = solvers.solve_adjoint(op, u, z_vec, cfg.eps)
+    v = solvers.solve_adjoint(op, u, z_vec)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
                 u=u, v=v, z_vec=z_vec, report=rep, op=op)
 

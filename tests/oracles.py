@@ -177,13 +177,13 @@ def dense_adjoint_solve(mesh, laws, elast, u, z, eps):
     return v
 
 
-def hadamard_estimate(grad, vel):
+def hadamard_estimate(s, grad, lam2):
     """Coarse-node quadrature of the boundary form int (nu . Lambda) D3 dS
-    restricted to interior nodes (endpoint motion is driven by D1)."""
-    s = grad.s
+    over the coarse nodes ``s``, restricted to interior nodes (endpoint
+    motion is driven by D1), for the nodal velocity ``lam2``."""
     w = np.zeros(s.size)
     w[1:-1] = 0.5 * (s[2:] - s[:-2])
-    return float(np.sum(vel.lam2 * grad.d3 * w))
+    return float(np.sum(lam2 * grad.d3 * w))
 
 
 def constant_graph(height, n_nodes=11):
@@ -476,19 +476,19 @@ def loop_aggregate(mesh, s, field):
 
 
 def whole_mesh_volumetric_derivative(mesh, psi, u_eps, v_eps, laws, elast,
-                                     eps, vel):
+                                     eps, lam2):
     """``shape.directional_derivative_volumetric`` for the one velocity
-    ``vel``, every field and the volume integrand formed on every triangle
+    ``lam2``, every field and the volume integrand formed on every triangle
     of the mesh: the value the one-pass function must give bit for bit."""
     from crackid import fem
     from crackid.laws import (beta_discrete, cohesion_discrete_prime,
                               friction_discrete_prime)
     from crackid.shape import velocity_extension
 
-    nodal = velocity_extension(mesh.vertices, psi, vel)
+    nodal = velocity_extension(mesh.vertices, psi, lam2)
 
     bnd = mesh.observation_vertices
-    if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(vel.lam2))):
+    if np.max(np.abs(nodal[bnd])) > 1e-14 * (1.0 + np.max(np.abs(lam2))):
         raise ValueError("velocity extension does not vanish on the outer boundary")
 
     gL = np.einsum("eia,eib->eab", nodal[mesh.triangles], mesh.tri_grads)
@@ -526,13 +526,8 @@ def whole_mesh_volumetric_derivative(mesh, psi, u_eps, v_eps, laws, elast,
     term_sigma = -float(np.sum(mesh.pair_lengths * div_tau * p_edge))
 
     dpsi = np.diff(psi.psi)
-    ds = np.diff(psi.s)
-    if np.array_equal(vel.s, psi.s):
-        dl2 = np.diff(vel.lam2)
-    else:
-        dl2 = np.diff(vel(psi.s))
-    seg = np.hypot(ds, dpsi)
-    term_perim = elast.rho_reg * float(np.sum(dpsi * dl2 / seg))
+    seg = np.hypot(np.diff(psi.s), dpsi)
+    term_perim = elast.rho_reg * float(np.sum(dpsi * np.diff(lam2) / seg))
 
     return term_vol + term_sigma + term_perim
 
@@ -543,7 +538,6 @@ def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
     from crackid import fem
     from crackid.laws import (beta_discrete, beta_discrete_prime,
                               cohesion_discrete_prime, friction_discrete_prime)
-    from crackid.shape import _edge_midpoint_pairs
 
     def grad(values):
         nodal = np.asarray(values).reshape(-1, 2)[mesh.triangles]
@@ -558,7 +552,9 @@ def full_mesh_pair_densities(mesh, u_eps, v_eps, laws, elast, eps):
     gu_j = gu[tp] - gu[tm]
     gv_j = gv[tp] - gv[tm]
     nu, tau = mesh.normals, mesh.tangents
-    ju1m, ju2m, jv1m, jv2m = _edge_midpoint_pairs(mesh, u_eps.values, v_eps.values)
+    ju1m, ju2m, jv1m, jv2m = (0.5 * (j[:-1] + j[1:])
+                              for j in (mesh.jump(w.values, c)
+                                        for w in (u_eps, v_eps) for c in (0, 1)))
     fric = friction_discrete_prime(ju1m, laws)
     coh_beta = cohesion_discrete_prime(ju2m, laws) + beta_discrete(ju2m, eps)
     beta_p = beta_discrete_prime(ju2m, eps)

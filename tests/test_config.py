@@ -1,12 +1,18 @@
 """The config file's schema: ``cli.CONFIG_SECTIONS`` over the fields of
-``driver.ExperimentConfig``, the README's example and unknown names."""
+``driver.ExperimentConfig``, the README's example and unknown names; every
+key at edge and extreme values; and config and measurement files mutated
+by property."""
 
+import contextlib
 import dataclasses
+import io
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crackid import cli, driver
 
@@ -96,10 +102,13 @@ def test_every_key_at_every_edge_value(tmp_path, capsys, section, key, value):
     assert len(err.splitlines()) == (rc != 0), err
 
 
+# the largest double and the smallest subnormal, and values whose squares
+# or products overflow or underflow a double
+EXTREME_VALUES = ("1e308", "1e160", "1e-160", "1e-300", "2e-308", "5e-324")
 EXTREME_ROWS = [(command, section, key, value)
-                for command in ("identify", "laws-check")
+                for command in ("identify", "gradient-check", "laws-check")
                 for section, keys in cli.CONFIG_SECTIONS.items()
-                for key in keys for value in ("1e308", "5e-324")]
+                for key in keys for value in EXTREME_VALUES]
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +124,8 @@ def coarse_measurement(tmp_path_factory):
                          ids=["%s-%s=%s" % (row[0], *row[2:]) for row in EXTREME_ROWS])
 def test_every_key_at_the_double_extremes(tmp_path, capsys, coarse_measurement,
                                           command, section, key, value):
-    # the largest double and the smallest subnormal, through a 3-iteration
-    # identify on a coarse measurement and through laws-check: a documented
+    # each extreme value, through a 3-iteration identify on a coarse
+    # measurement, a coarse gradient-check and laws-check: a documented
     # exit code, one line for a config or solver error, no warning and no
     # traceback, and no PASS on a value that is not finite
     cfg = write_config(tmp_path / "extreme.cfg",
@@ -152,3 +161,76 @@ def test_size_guard_counts_band_and_coupling(tmp_path, capsys, monkeypatch):
     assert size >> 20 == 1234
     assert err == ("config error: h_measure = 0.0025 needs %.3g bytes for its band "
                    "factor and coupling, above the 1024 MiB budget\n" % size)
+
+
+VALID_CONFIG = """[material]
+young = 73000
+poisson = 0.34
+[laws]
+friction_bound = 1e-5
+friction_delta = 1e-3
+toughness = 1e-3
+cohesion_length = 1e-2
+[penalty]
+eps = 1e-8
+[geometry]
+h_measure = 0.05
+coarse_spacing = 0.1
+psi0 = 0.25
+[algorithm]
+load_case = contact
+n_max = 2
+"""
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """``lines`` with one or two mutations: a number set to nan, inf, the
+    smallest subnormal or 1e308, a line cut short, or a line duplicated
+    or swapped with another."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["value", "truncate", "duplicate", "swap"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "value":
+            spans = [(k, m.span()) for k, line in enumerate(lines)
+                     for m in NUMBER.finditer(line)]
+            k, (a, b) = draw(st.sampled_from(spans))
+            value = draw(st.sampled_from(["nan", "inf", "5e-324", "1e308"]))
+            lines[k] = lines[k][:a] + value + lines[k][b:]
+        elif kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["config", "measurement"]))
+def test_mutated_input_files(coarse_measurement, data, target):
+    # identify on a valid config and measurement, one of them mutated: a
+    # documented exit code, no traceback and no warning, and exactly one
+    # stderr line on a config or solver error
+    texts = {"config": VALID_CONFIG, "measurement": Path(coarse_measurement).read_text()}
+    lines = data.draw(mutated_lines(texts[target].splitlines()))
+    texts[target] = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = Path(tmp) / name
+            paths[name].write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc = cli.main(["identify", "--config", str(paths["config"]),
+                           "--measurement", str(paths["measurement"]),
+                           "--out", str(Path(tmp) / "o")])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert rc in (0, 2, 3, 4)
+    assert len(err.splitlines()) == (rc in (2, 3)), err

@@ -59,12 +59,12 @@ def test_identify_at_eps_1e_20_converges():
     assert len(log.rows) == 6
 
 
-def test_cli_identify_at_eps_near_the_floor_exit_3(tmp_path, capsys):
-    # eps = 2e-22 passes the config floor of 1.74e-22, but the penalty's
-    # active sets cycle on the first iterate: exit 3 in one line
+def identify_stderr(tmp_path, capsys, setting):
+    """Measure, then identify, at h_measure = 0.05 with ``setting`` on top;
+    the identify run must exit 3 in one stderr line, which is returned."""
     from crackid import cli
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("[penalty]\neps = 2e-22\n[geometry]\nh_measure = 0.05\n"
+    cfg.write_text(setting + "[geometry]\nh_measure = 0.05\n"
                    "[algorithm]\nload_case = contact\nn_max = 2\n")
     mout = str(tmp_path / "m")
     assert cli.main(["measure", "--config", str(cfg), "--out", mout]) == 0
@@ -75,7 +75,21 @@ def test_cli_identify_at_eps_near_the_floor_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert len(err.splitlines()) == 1, err
-    assert "penalty solver did not stabilise in 50 iterations" in err, err
+    return err
+
+
+def test_cli_identify_at_eps_near_the_floor_exit_3(tmp_path, capsys):
+    # eps = 2e-22 passes the config floor of 1.74e-22, but the penalty's
+    # active sets cycle on the first iterate: named at their first repeat
+    err = identify_stderr(tmp_path, capsys, "[penalty]\neps = 2e-22\n")
+    assert "penalty solver cycles with period 2 from step " in err, err
+
+
+def test_cli_identify_at_young_0_5_exit_3(tmp_path, capsys):
+    # a valid, soft material, every other key at its default: the active
+    # sets cycle with period 6, named after 11 steps and not 50
+    err = identify_stderr(tmp_path, capsys, "[material]\nyoung = 0.5\n")
+    assert "penalty solver cycles with period 6 from step 5: " in err, err
 
 
 def test_degenerate_element_rejected():

@@ -226,9 +226,9 @@ class TestSolvePath:
         # with nothing coupled, the operator solves the plain free-dof
         # selection K[free][:, free], zero on the Dirichlet dofs
         mesh = build_mesh(constant_graph(0.25), 0.05)
-        op = solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT)
+        op = solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
         none = np.zeros(op.interior.size, dtype=bool)
-        x = op.solve(op.F, none, none, 1e-8)
+        x = op.solve(op.F, none, none)
         free = mesh.free_dofs
         ref = oracles.full_band_solve(op.K[free][:, free], op.F[free])
         assert np.linalg.norm(x[free] - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -264,7 +264,7 @@ class TestSolvePath:
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         assert rep.iterations == 1 and np.array_equal(u.values, st["u"].values)
-        solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
+        solvers.solve_adjoint(op, u, st["z_vec"])
         closed = int(np.count_nonzero(st["report"].configuration[0]))
         assert len(made) == 1 and ranks == [0, closed] and closed > 0
 
@@ -284,7 +284,7 @@ class TestSolvePath:
         ranks = counting_couplings(monkeypatch)
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps)
-        v = solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
+        v = solvers.solve_adjoint(op, u, st["z_vec"])
         assert len(factored) == 1
         assert rep.iterations > 2 and len(ranks) > 2
         assert np.array_equal(u.values, st["u"].values)
@@ -298,29 +298,13 @@ class TestSolvePath:
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         fresh_op = solvers._InterfaceOperator(st["mesh"], st["laws"],
-                                              st["elast"], st["g"])
+                                              st["elast"], st["g"], st["cfg"].eps)
         assert len(made) == 2 and len(ranks) == 3
-        reused = solvers.solve_adjoint(op, u, st["z_vec"], st["cfg"].eps)
+        reused = solvers.solve_adjoint(op, u, st["z_vec"])
         assert len(made) == 2 and len(ranks) == 3
-        fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"], st["cfg"].eps)
+        fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"])
         assert len(made) == 2 and len(ranks) == 4
         assert np.array_equal(reused.values, fresh.values)
-
-    def test_adjoint_at_another_eps_factors_its_own_matrix(self, monkeypatch):
-        # the kept coupling is keyed on eps too: asked at another eps, the
-        # operator couples the jump mass of that eps, as a fresh operator does
-        mesh = build_mesh(constant_graph(0.25), 0.05)
-        u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
-        assert rep.configuration[0].any()
-        z = np.zeros(mesh.n_dofs)
-        ranks = counting_couplings(monkeypatch)
-        solvers.solve_adjoint(op, u, z, 1e-8)
-        assert ranks == []
-        kept = solvers.solve_adjoint(op, u, z, 1e-6)
-        fresh = solvers.solve_adjoint(
-            solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT), u, z, 1e-6)
-        assert len(ranks) == 3
-        assert np.array_equal(kept.values, fresh.values)
 
     def test_sticking_state_returns_no_factor(self, monkeypatch):
         # at zero load the interior nodes away from the clamped ends stick,
@@ -333,7 +317,7 @@ class TestSolvePath:
         assert np.isinf(op.factor.coupling[2]).sum() == np.count_nonzero(slip == 0.0)
         made = counting_factorisations(monkeypatch)
         ranks = counting_couplings(monkeypatch)
-        solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs), 1e-8)
+        solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs))
         assert made == [] and len(ranks) == 1
 
 
@@ -453,15 +437,6 @@ class TestWarmStart:
         assert rep_w.residual == rep_c.residual
         assert rep_w.iterations < rep_c.iterations
 
-    def test_wrong_length_seed_is_cold(self):
-        _, mesh, u, rep = self._base()
-        short = tuple(a[:-1] for a in rep.configuration)
-        u2, rep2, _ = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT,
-                                                  1e-8, start=short)
-        assert np.array_equal(u2.values, u.values)
-        assert rep2.iterations == rep.iterations
-        assert rep2.active_sizes == rep.active_sizes
-
 
 @pytest.fixture(scope="module")
 def penalty_sweep(contact_measurement):
@@ -482,7 +457,7 @@ class TestAdjoint:
     def test_zero_misfit_gives_zero(self, contact_state):
         st = contact_state
         z_eq_u = st["u"].values.copy()
-        v = solvers.solve_adjoint(st["op"], st["u"], z_eq_u, st["cfg"].eps)
+        v = solvers.solve_adjoint(st["op"], st["u"], z_eq_u)
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_dense_oracle(self):
@@ -494,7 +469,7 @@ class TestAdjoint:
         obs = mesh.observation_vertices
         z[2 * obs] = 0.01 * rng.standard_normal(obs.size)
         z[2 * obs + 1] = 0.01 * rng.standard_normal(obs.size)
-        v = solvers.solve_adjoint(op, u, z, eps)
+        v = solvers.solve_adjoint(op, u, z)
         v_ref = oracles.dense_adjoint_solve(mesh, LAWS, ELAST, u.values, z, eps)
         assert np.max(np.abs(v.values - v_ref)) < 1e-10 * max(np.max(np.abs(v_ref)), 1e-30)
 
@@ -505,11 +480,10 @@ class TestAdjoint:
 
     def test_linearity_in_misfit(self, contact_state):
         st = contact_state
-        eps = st["cfg"].eps
-        v1 = solvers.solve_adjoint(st["op"], st["u"], st["z_vec"], eps)
+        v1 = solvers.solve_adjoint(st["op"], st["u"], st["z_vec"])
         # scale the misfit: z' = u - 3 (u - z)  =>  v' = 3 v
         z_scaled = st["u"].values - 3.0 * (st["u"].values - st["z_vec"])
-        v3 = solvers.solve_adjoint(st["op"], st["u"], z_scaled, eps)
+        v3 = solvers.solve_adjoint(st["op"], st["u"], z_scaled)
         assert np.allclose(v3.values, 3.0 * v1.values, rtol=1e-9, atol=1e-14)
 
 
