@@ -6,7 +6,8 @@ directional derivative against central finite differences; ``gradient_check``
 is the one home of that check, which the tests call too), laws-check
 (verify the smooth-law bounds). Every subcommand places its outputs through
 a run manifest (``Manifest``), which creates ``--out``, records each output
-and echoes the full parameter set; it is written last.
+and echoes the full parameter set; it is written last. Every table is one
+``np.savetxt`` call, which ``np.loadtxt`` reads back bit for bit.
 
 Exit codes: 0 ok, 2 configuration error (an output that cannot be written
 included), 3 solver failure, 4 check failure.
@@ -24,8 +25,13 @@ import numpy as np
 
 from . import __version__, driver, shape, solvers, svgplot
 from .errors import BoundViolated, ConfigError, CrackidError
-from .geometry import HEIGHT, build_mesh, write_interface
+from .geometry import HEIGHT, build_mesh
 from .laws import smooth_law_bounds_check
+
+ITERATIONS_FORMAT = "%d,%.17g,%.17g,%.17g,%d,%d,%d"
+GRADIENTS_FORMAT = "%d,%.17g,%.17g,%.17g"
+TABLE_FORMAT = "%.17g"
+INTERFACE_HEADER = "# interface v1"
 
 CONFIG_SECTIONS = {
     "material": {"young": "E_Y", "poisson": "nu_P", "rho": "rho_reg"},
@@ -161,11 +167,14 @@ def cmd_identify(args):
     log = driver.identify(config, meas, record_gradients=args.dump_gradients)
     manifest.phase("identify")
 
-    with open(manifest.output("iterations.csv"), "w") as fh:
-        fh.write(log.to_csv())
+    rows = [[r[c] for c in log.CSV_COLUMNS] for r in log.rows]
+    np.savetxt(manifest.output("iterations.csv"), np.reshape(rows, (-1, 7)),
+               fmt=ITERATIONS_FORMAT, header=",".join(log.CSV_COLUMNS), comments="")
 
     for n, snap in sorted(log.snapshots.items()):
-        write_interface(manifest.output("interface_n%03d.txt" % n), snap)
+        np.savetxt(manifest.output("interface_n%03d.txt" % n),
+                   np.column_stack([snap.s, snap.psi]), fmt=TABLE_FORMAT,
+                   header=INTERFACE_HEADER, comments="")
 
     if log.rows:
         svgplot.ratio_curves(manifest.output("ratios.svg"), log.column("n"),
@@ -174,11 +183,10 @@ def cmd_identify(args):
                                   config.true_graph())
 
     if args.dump_gradients:
-        with open(manifest.output("gradients.csv"), "w") as fh:
-            fh.write("n,s_H,D3,Lambda2\n")
-            for n, s, d3, lam2 in log.gradients:
-                for sk, dk, lk in zip(s, d3, lam2):
-                    fh.write("%d,%.17g,%.17g,%.17g\n" % (n, sk, dk, lk))
+        blocks = [np.column_stack([np.full(s.size, n), s, d3, lam2])
+                  for n, s, d3, lam2 in log.gradients]
+        np.savetxt(manifest.output("gradients.csv"), np.reshape(blocks, (-1, 4)),
+                   fmt=GRADIENTS_FORMAT, header="n,s_H,D3,Lambda2", comments="")
     manifest.phase("outputs")
 
     if log.rows:
@@ -194,7 +202,7 @@ def cmd_identify(args):
 
 def cmd_gradient_check(args):
     config = load_config(args.config, _overrides(args))
-    h = config.resolved_h_identify()
+    h = config.h_identify
     steps = (1e-3 * h, 1e-4 * h)
     # a probe moves a node by up to steps[0]; its mesh needs build_mesh's 2h
     if min(config.psi0 - steps[0], HEIGHT - (config.psi0 + steps[0])) < 2.0 * h - 1e-12:
@@ -218,10 +226,8 @@ def cmd_gradient_check(args):
         print("%4d  %5.2f  %14.6e  %14.6e  %14.6e  %8.2e" % (k, s, ana, *fds, rel))
     ok = all(r[-1] <= 0.05 for r in rows)
 
-    with open(manifest.output("gradient_check.csv"), "w") as fh:
-        fh.write("s_H,analytic,fd_coarse,fd_fine,rel_err\n")
-        for r in rows:
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % r)
+    np.savetxt(manifest.output("gradient_check.csv"), rows, fmt=TABLE_FORMAT, comments="",
+               delimiter=",", header="s_H,analytic,fd_coarse,fd_fine,rel_err")
     manifest.write()
     print("gradient-check: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 4
@@ -237,7 +243,7 @@ def gradient_check(config, meas, steps):
     mesh shares. Returns one ``(s, analytic, [fd per step])`` per node.
     """
     laws, elast, g = config.cohesive(), config.elasticity(), config.traction()
-    h, psi, eps = config.resolved_h_identify(), config.initial_graph(), config.eps
+    h, psi, eps = config.h_identify, config.initial_graph(), config.eps
     mesh = build_mesh(psi, h)
     u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
                                                 max_outer=config.max_outer)

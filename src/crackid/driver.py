@@ -3,14 +3,14 @@ identification loop on the offset mesh, objective and shape-error tracking.
 
 The measurement side solves the contact variational inequality for the true
 breaking line and stores its trace at the mesh topology's
-``observation_points``;
-identification starts from the flat line psi = 0.25 and walks the
+``observation_points``, in the file format that this module alone writes
+and reads; identification starts from the flat line psi = 0.25 and walks the
 penalty/adjoint/descent loop for a fixed number of iterations, logging
 objective and shape-error ratios. The two meshes use different column
-counts (h_identify defaults to h_measure * 8/7) so synthetic data is never
-inverted on its own grid: the config refuses h_identify == h_measure, and
-``identify`` refuses a measurement file whose recorded h equals
-h_identify.
+counts (an unset h_identify resolves to h_measure * 8/7) so synthetic data
+is never inverted on its own grid: the config refuses h_identify ==
+h_measure, and ``identify`` refuses a measurement file whose recorded h
+equals h_identify.
 """
 
 import warnings
@@ -56,9 +56,9 @@ class ExperimentConfig:
     K_c: float = 1.0e-3
     kappa: float = 1.0e-2
     eps: float = 1.0e-8
-    rho_reg: Optional[float] = None      # None -> 1/mu_L
+    rho_reg: Optional[float] = None      # None: resolved to 1/mu_L
     h_measure: float = 1.0e-2
-    h_identify: Optional[float] = None   # None -> h_measure * 8/7
+    h_identify: Optional[float] = None   # None: resolved to h_measure * 8/7
     H: float = 0.1
     psi0: float = 0.25
     n_max: int = 200
@@ -74,20 +74,24 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigError("%s must be finite and > 0, got %r" % (name, value))
+        if self.h_identify is None:
+            object.__setattr__(self, "h_identify", self.h_measure * (1.0 + 1.0 / 7.0))
         # below this the jump mass w/eps (w about h) exceeds the stiffness
         # (about E) by more than 2^52: the state is contact to roundoff
-        floor = 2.0 ** -52 * self.resolved_h_identify()
+        floor = 2.0 ** -52 * self.h_identify
         if not self.eps * self.E_Y >= floor:
             raise ConfigError("eps = %r is below 2^-52 h_identify / E_Y = %.3g, where the "
                               "penalty swamps the stiffness in double precision"
                               % (self.eps, floor / self.E_Y))
         try:
-            self.elasticity()
+            object.__setattr__(self, "rho_reg", self.elasticity().rho_reg)
             self.cohesive()
         except (InvalidPoisson, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        for name, h in (("h_measure", self.h_measure),
-                        ("h_identify", self.resolved_h_identify())):
+        if not np.isfinite(self.rho_reg):
+            raise ConfigError("rho = 1/mu_L is not finite at young = %r" % self.E_Y)
+        for name in ("h_measure", "h_identify"):
+            h = getattr(self, name)
             size = np.inf   # below h = 1e-100 the counts overflow a float
             if h > 1e-100:
                 # the band, and Y = L^-1 U of a first PDAS step, which
@@ -100,13 +104,13 @@ class ExperimentConfig:
                                   % (name, h, size, BAND_BUDGET >> 20))
         n_coarse = 1.0 / self.H
         # 1/H in [2, identify columns]: an interior node, a bounded coarse graph
-        columns = grid_counts(self.resolved_h_identify())[0]
+        columns = grid_counts(self.h_identify)[0]
         if not np.isfinite(n_coarse) or not 2 <= round(n_coarse) <= columns \
                 or abs(n_coarse - round(n_coarse)) > 1e-9 * n_coarse:
             raise ConfigError("1/H must be an integer in [2, %d], the column count "
                               "at h_identify; got H = %r" % (columns, self.H))
         # build_mesh needs each interface 2h clear of the top and bottom
-        margin = 2.0 * self.resolved_h_identify()
+        margin = 2.0 * self.h_identify
         if not margin <= self.psi0 <= HEIGHT - margin:
             raise ConfigError("psi0 must lie in [2h, 0.5 - 2h] = [%.4g, %.4g] "
                               "at h_identify, got %r"
@@ -122,13 +126,9 @@ class ExperimentConfig:
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1, got %r"
                               % self.snapshot_every)
-        if self.resolved_h_identify() == self.h_measure:
+        if self.h_identify == self.h_measure:
             raise ConfigError(
                 "h_identify must differ from h_measure (inverse-crime guard)")
-
-    def resolved_h_identify(self):
-        return self.h_identify if self.h_identify is not None \
-            else self.h_measure * (1.0 + 1.0 / 7.0)
 
     def elasticity(self):
         return fem.IsotropicElasticity.from_young(self.E_Y, self.nu_P,
@@ -189,28 +189,29 @@ def synthesize_measurement(config):
 
 
 def write_measurement(path, meas):
-    with open(path, "w") as fh:
-        fh.write(MEASUREMENT_HEADER + "\n")
-        fh.write("# h = %.17g\n" % meas.h)
-        fh.write("# load_case = %s\n" % meas.load_case)
-        for (x, y), (u1, u2) in zip(meas.points, meas.disp):
-            fh.write("%.17g %.17g %.17g %.17g\n" % (x, y, u1, u2))
+    np.savetxt(path, np.hstack([meas.points, meas.disp]), fmt="%.17g", comments="",
+               header="%s\n# h = %.17g\n# load_case = %s"
+               % (MEASUREMENT_HEADER, meas.h, meas.load_case))
 
 
 def read_measurement(path):
-    """Read a measurement v1 file; a malformed one raises ConfigError."""
+    """Read a measurement v1 file; a malformed one raises ConfigError. The
+    rows may come in any order; those within 1e-12 of x2 = 0 or 0.5 make up
+    the observation edges, each reaching from x1 = 0 to 1 at distinct x1."""
     with open(path) as fh:
         try:
             header = fh.readline().strip()
             if header != MEASUREMENT_HEADER:
                 raise ConfigError("not a measurement v1 file: %r" % header)
-            h = float(fh.readline().split("=")[1])
-            load_case = fh.readline().split("=")[1].strip()
+            (hk, h), (ck, load_case) = (fh.readline().split("=") for _ in range(2))
+            if (hk.strip(), ck.strip()) != ("# h", "# load_case"):
+                raise ConfigError("header keys must be '# h' and '# load_case'")
+            h, load_case = float(h), load_case.strip()
             with warnings.catch_warnings():
                 # a file without rows gets a warning from loadtxt, not an error
                 warnings.simplefilter("error", UserWarning)
                 data = np.loadtxt(fh, ndmin=2)
-        except (IndexError, ValueError, UserWarning) as exc:
+        except (ValueError, UserWarning) as exc:
             raise ConfigError("malformed measurement: %s" % exc) from exc
     if not (np.isfinite(h) and h > 0.0):
         raise ConfigError("measurement h must be finite and > 0, got %r" % h)
@@ -223,11 +224,13 @@ def read_measurement(path):
         raise ConfigError("measurement holds non-finite values")
     on_edge = [np.abs(data[:, 1] - y) < 1e-12 for y in (0.0, HEIGHT)]
     for y, on in zip((0.0, HEIGHT), on_edge):    # the observation edges
+        x1 = np.sort(data[on, 0])
         # interp_measurement would extend an edge's end samples flat over a gap
-        if not (np.any(on) and data[on, 0].min() <= 1e-12
-                and data[on, 0].max() >= WIDTH - 1e-12):
+        if not (x1.size and x1[0] <= 1e-12 and x1[-1] >= WIDTH - 1e-12):
             raise ConfigError("measurement samples on the edge x2 = %g do not reach "
                               "from x1 = 0 to x1 = %g" % (y, WIDTH))
+        if not np.all(np.diff(x1) > 0.0):   # np.interp needs increasing abscissae
+            raise ConfigError("measurement samples on the edge x2 = %g repeat an x1" % y)
     off = ~(on_edge[0] | on_edge[1]) | (data[:, 0] < 0.0) | (data[:, 0] > WIDTH)
     if np.any(off):
         k = int(np.argmax(off))
@@ -241,13 +244,14 @@ def read_measurement(path):
 def interp_measurement(mesh, meas):
     """Arclength-linear interpolation of the measurement onto the mesh's
     observation nodes; returns a full-length dof vector (zero elsewhere).
-    It reads only the topology's ``observation_points``, so one result
-    serves every mesh of one topology."""
+    Each edge takes the samples ``read_measurement`` puts on it, in x1
+    order. It reads only the topology's ``observation_points``, so one
+    result serves every mesh of one topology."""
     z = np.zeros(mesh.n_dofs)
     pts = mesh.observation_points
-    for y_group in np.unique(meas.points[:, 1]):
-        src = np.abs(meas.points[:, 1] - y_group) < 1e-12
-        on = np.abs(pts[:, 1] - y_group) < 1e-12
+    for y in (0.0, HEIGHT):
+        src = np.abs(meas.points[:, 1] - y) < 1e-12   # read_measurement's edge rule
+        on = pts[:, 1] == y
         dst = mesh.observation_vertices[on]
         xs = meas.points[src, 0]
         order = np.argsort(xs)
@@ -285,6 +289,8 @@ def shape_error(psi_a, psi_b):
 
 @dataclass
 class IterationLog:
+    """One dict per iteration in ``rows``, keyed by ``CSV_COLUMNS``."""
+
     rows: list = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)
     gradients: list = field(default_factory=list)   # (n, s, d3, lam2) tuples
@@ -301,14 +307,6 @@ class IterationLog:
 
     def min_ratio(self, name):
         return float(np.min(self.column(name)))
-
-    def to_csv(self):
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append("%d,%.17g,%.17g,%.17g,%d,%d,%d" % (
-                r["n"], r["J"], r["J_ratio"], r["shape_error_ratio"],
-                r["pdas_na"], r["penalty_iters"], r["clamped"]))
-        return "\n".join(lines) + "\n"
 
 
 def identify(config, meas, record_gradients=False):
@@ -328,7 +326,7 @@ def identify(config, meas, record_gradients=False):
     laws = config.cohesive()
     elast = config.elasticity()
     g = config.traction(meas.load_case)
-    h = config.resolved_h_identify()
+    h = config.h_identify
     if meas.h == h:
         raise ConfigError("measurement h = %r equals h_identify "
                           "(inverse-crime guard)" % meas.h)

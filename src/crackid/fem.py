@@ -80,7 +80,7 @@ class IsotropicElasticity:
     def from_young(cls, E_Y, nu_P, rho_reg=None):
         mu, lam = lame_from_young(E_Y, nu_P)
         if rho_reg is None:
-            rho_reg = 1.0 / mu
+            rho_reg = 1.0 / mu if mu > 0.0 else np.inf   # mu_L may underflow
         return cls(E_Y=float(E_Y), nu_P=float(nu_P), mu_L=mu, lambda_L=lam,
                    rho_reg=float(rho_reg))
 

@@ -45,8 +45,6 @@ from .errors import DegenerateElement, InterfaceTooClose
 WIDTH = 1.0
 HEIGHT = 0.5
 
-INTERFACE_HEADER = "# interface v1"
-
 
 # ----------------------------------------------------------------------
 # Interface graph
@@ -91,14 +89,6 @@ def uniform_graph(values):
     """Graph on the uniform coarse grid implied by len(values)."""
     values = np.asarray(values, dtype=float)
     return InterfaceGraph(np.linspace(0.0, 1.0, values.size), values)
-
-
-def write_interface(path, graph):
-    lines = [INTERFACE_HEADER]
-    for sk, pk in zip(graph.s, graph.psi):
-        lines.append("%.17g %.17g" % (sk, pk))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def coarse_curvature(graph):

@@ -57,12 +57,38 @@ def stretch_measurement(stretch_config):
 
 
 @pytest.fixture(scope="session")
+def coarse_measurement(tmp_path_factory):
+    """Path of the measurement.txt that ``measure`` writes at h_measure = 0.05."""
+    out = tmp_path_factory.mktemp("coarse")
+    cfg = out / "measure.cfg"
+    cfg.write_text("[geometry]\nh_measure = 0.05\n")
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out / "m")]) == 0
+    return str(out / "m" / "measurement.txt")
+
+
+@pytest.fixture(scope="session")
+def coarse_identify(tmp_path_factory, coarse_measurement):
+    """``identify --dump-gradients`` of 3 iterations on the coarse
+    measurement, a snapshot at each: its output directory and the log of
+    ``driver.identify`` on the same inputs."""
+    out = tmp_path_factory.mktemp("coarse_identify")
+    cfg = out / "identify.cfg"
+    cfg.write_text("[geometry]\nh_measure = 0.05\n"
+                   "[algorithm]\nn_max = 3\nsnapshot_every = 1\n")
+    assert cli.main(["identify", "--config", str(cfg), "--measurement", coarse_measurement,
+                     "--out", str(out / "i"), "--dump-gradients"]) == 0
+    log = driver.identify(cli.load_config(str(cfg)),
+                          driver.read_measurement(coarse_measurement))
+    return dict(out=out / "i", log=log)
+
+
+@pytest.fixture(scope="session")
 def contact_state(contact_config, contact_measurement):
     """Penalty state + adjoint at the flat initial interface (contact case)."""
     cfg = contact_config
     laws, elast = cfg.cohesive(), cfg.elasticity()
     g = cfg.traction()
-    h = cfg.resolved_h_identify()
+    h = cfg.h_identify
     psi = cfg.initial_graph()
     mesh = build_mesh(psi, h)
     u, rep, op = solvers.solve_penalty_state(mesh, laws, elast, g, cfg.eps)
@@ -76,7 +102,7 @@ def contact_state(contact_config, contact_measurement):
 def contact_gradient_check(contact_config, contact_measurement):
     """``cli.gradient_check`` of the contact case at the CLI's steps 1e-3 h
     and 1e-4 h: one (s, analytic, [fd per step]) row per interior node."""
-    h = contact_config.resolved_h_identify()
+    h = contact_config.h_identify
     return cli.gradient_check(contact_config, contact_measurement["meas"],
                               (1e-3 * h, 1e-4 * h))
 

@@ -155,7 +155,7 @@ def test_criterion_5_gradient_check(contact_config, contact_measurement):
     1e-4*h for every interior coarse node of the contact configuration,
     by the check the CLI runs (``cli.gradient_check``)."""
     t0 = time.time()
-    step = 1e-4 * contact_config.resolved_h_identify()
+    step = 1e-4 * contact_config.h_identify
     rels = [abs(ana - fd) / max(abs(ana), abs(fd), 1e-30)
             for _, ana, (fd,) in cli.gradient_check(
                 contact_config, contact_measurement["meas"], (step,))]

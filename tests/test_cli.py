@@ -199,6 +199,18 @@ class TestIdentify:
         assert len(err) == 1 and "contact" in err[0] and "stretch" in err[0]
         assert not os.path.exists(out)
 
+    def test_manifest_records_the_resolved_h_identify_and_rho(self, tmp_path,
+                                                              coarse_measurement):
+        # the defaults: h_identify = h_measure 8/7 and rho = 1/mu_L
+        cfg = tmp_path / "n0.cfg"
+        cfg.write_text("[algorithm]\nn_max = 0\n")
+        out = str(tmp_path / "i")
+        assert run(["identify", "--config", str(cfg), "--measurement",
+                    coarse_measurement, "--out", out]) == 0
+        parameters = json.load(open(os.path.join(out, "manifest.json")))["parameters"]
+        assert parameters["h_identify"] == 0.011428571428571429
+        assert parameters["rho_reg"] == 3.671232876712329e-05
+
     def test_missing_measurement_exit_2(self, config_path, tmp_path):
         out = str(tmp_path / "ix")
         rc = run(["identify", "--config", config_path, "--measurement",
@@ -263,7 +275,7 @@ class TestGradientCheck:
             made.append(self)
 
         monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
-        h = config.resolved_h_identify()
+        h = config.h_identify
         rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
         assert len(rows) == 9 and len(made) == 1
 
@@ -273,7 +285,7 @@ class TestGradientCheck:
         # psi0 = 2h (or 0.5 - 2h) passes the config check, but the probes
         # move it by 1e-3 h past build_mesh's bound
         from crackid import driver
-        two_h = 2.0 * ExperimentConfig(h_measure=0.05).resolved_h_identify()
+        two_h = 2.0 * ExperimentConfig(h_measure=0.05).h_identify
         psi0 = two_h if edge == "bottom" else 0.5 - two_h
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG_SMALL.format(n_max=0).replace(
@@ -290,7 +302,7 @@ class TestGradientCheck:
 
     def test_identify_at_psi0_2h_runs(self, tmp_path):
         # identify makes no probe: psi0 = 2h is a valid start for it
-        two_h = 2.0 * ExperimentConfig(h_measure=0.05).resolved_h_identify()
+        two_h = 2.0 * ExperimentConfig(h_measure=0.05).h_identify
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(CONFIG_SMALL.format(n_max=1).replace(
             "psi0 = 0.25", "psi0 = %r" % two_h))
@@ -350,6 +362,10 @@ INVALID_CONFIGS = [
     ("young-not-a-number", "[material]\nyoung = abc\n", [], None),
     ("young-percent-sign", "[material]\nyoung = 5%\n", [], None),
     ("rho-nan", "[material]\nrho = nan\n", [], None),
+    # rho = auto is 1/mu_L, which overflows, or divides by a mu_L of 0
+    ("rho-auto-overflows", "[penalty]\neps = 1e300\n[material]\nyoung = 1e-308\n", [], None),
+    ("rho-auto-mu-underflows", "[penalty]\neps = 1e308\n[material]\nyoung = 5e-324\n",
+     [], None),
     ("max-outer-zero", "[algorithm]\nmax_outer = 0\n", [], None),
     ("cohesion-length-negative", "[laws]\ncohesion_length = -1\n", [], None),
     ("cohesion-length-nan", "[laws]\ncohesion_length = nan\n", [], None),
@@ -374,9 +390,17 @@ INVALID_CONFIGS = [
      measurement_text(rows="0 0 0 0\n1 0 0 0\n0.5 0.25 1e-6 0\n0 0.5 0 0\n1 0.5 0 0\n")),
     ("measurement-x1-outside", "", [],
      measurement_text(rows="0 0 0 0\n1 0 0 0\n0 0.5 0 0\n1.25 0.5 0 0\n")),
+    # np.interp needs strictly increasing abscissae on each edge
+    ("measurement-repeated-abscissa", "", [], measurement_text(
+        rows="0 0 0 0\n0.5 0 1e-6 0\n0.5 0 2e-6 0\n1 0 0 0\n0 0.5 0 0\n1 0.5 0 0\n")),
+    # the header's keys are read, not only the values after "="
+    ("measurement-header-key", "", [],
+     measurement_text().replace("# h =", "# anything =")),
+    ("measurement-header-load-case-key", "", [],
+     measurement_text().replace("# load_case =", "# whatever =")),
     # inverse-crime guard: data synthesised on the identification grid
     ("measurement-h-is-h-identify", "", [],
-     measurement_text(h="%.17g" % ExperimentConfig().resolved_h_identify())),
+     measurement_text(h="%.17g" % ExperimentConfig().h_identify)),
     # problem-size guard: the config check rejects these before any mesh
     ("h-measure-band-over-budget", "[geometry]\nh_measure = 1e-9\n", [], None),
     ("h-identify-band-over-budget", "[geometry]\nh_identify = 0.0005\n", [], None),

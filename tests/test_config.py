@@ -111,15 +111,6 @@ EXTREME_ROWS = [(command, section, key, value)
                 for key in keys for value in EXTREME_VALUES]
 
 
-@pytest.fixture(scope="module")
-def coarse_measurement(tmp_path_factory):
-    out = tmp_path_factory.mktemp("coarse")
-    cfg = out / "measure.cfg"
-    cfg.write_text("[geometry]\nh_measure = 0.05\n")
-    assert cli.main(["measure", "--config", str(cfg), "--out", str(out / "m")]) == 0
-    return str(out / "m" / "measurement.txt")
-
-
 @pytest.mark.parametrize("command,section,key,value", EXTREME_ROWS,
                          ids=["%s-%s=%s" % (row[0], *row[2:]) for row in EXTREME_ROWS])
 def test_every_key_at_the_double_extremes(tmp_path, capsys, coarse_measurement,

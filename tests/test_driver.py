@@ -3,6 +3,7 @@ identification loop behaviour."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crackid import driver, fem, geometry, solvers
 from crackid.errors import ConfigError
@@ -15,7 +16,7 @@ class TestConfig:
     def test_defaults_match_experiment(self):
         cfg = driver.ExperimentConfig()
         assert cfg.E_Y == 73000.0 and cfg.nu_P == 0.34
-        assert cfg.resolved_h_identify() == pytest.approx(0.01 * 8.0 / 7.0)
+        assert cfg.h_identify == pytest.approx(0.01 * 8.0 / 7.0)
         assert cfg.coarse_count() == 11
 
     def test_inverse_crime_guard(self):
@@ -73,6 +74,23 @@ class TestMeasurement:
         ids = mesh.observation_vertices
         for c in (0, 1):
             assert np.allclose(zv[2 * ids + c], z.as_points()[ids, c], atol=1e-15)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_interp_reads_each_edge_whole(coarse_measurement, data):
+    # read_measurement takes a sample within 1e-12 of its edge, in any row
+    # order; interp_measurement reads the same edges, to the same bits
+    meas = driver.read_measurement(coarse_measurement)
+    cfg = driver.ExperimentConfig(h_measure=0.05)
+    mesh = build_mesh(cfg.initial_graph(), cfg.h_identify)
+    n = len(meas.points)
+    order = data.draw(st.permutations(range(n)))
+    shift = data.draw(st.lists(st.floats(-9e-13, 9e-13), min_size=n, max_size=n))
+    points = meas.points[order] + np.column_stack([np.zeros(n), shift])
+    moved = driver.Measurement(meas.h, meas.load_case, points, meas.disp[order])
+    assert driver.interp_measurement(mesh, moved).tobytes() \
+        == driver.interp_measurement(mesh, meas).tobytes()
 
 
 class TestObjective:
@@ -156,12 +174,18 @@ class TestIdentify:
         assert 0 in contact_run.snapshots and 200 in contact_run.snapshots
         assert all(n % 10 == 0 for n in contact_run.snapshots)
 
-    def test_csv_layout(self, contact_run):
-        text = contact_run.to_csv()
-        lines = text.strip().split("\n")
+    def test_csv_layout(self, coarse_identify):
+        # the iterations.csv of an identify run: the header, then one row
+        # per logged iteration, which reads back to the log bit for bit
+        log = coarse_identify["log"]
+        path = coarse_identify["out"] / "iterations.csv"
+        lines = path.read_text().splitlines()
         assert lines[0] == "n,J,J_ratio,shape_error_ratio,pdas_na,penalty_iters,clamped"
-        assert len(lines) == len(contact_run.rows) + 1
+        assert len(lines) == len(log.rows) + 1 == 5
         assert all(len(l.split(",")) == 7 for l in lines[1:])
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for k, name in enumerate(log.CSV_COLUMNS):
+            assert back[:, k].tobytes() == log.column(name).astype(float).tobytes()
 
     def test_determinism(self, contact_measurement):
         # cold caches, warm caches, then cold again after clearing them
@@ -175,7 +199,7 @@ class TestIdentify:
         for cache in caches:
             cache.cache_clear()
         log3 = driver.identify(cfg, contact_measurement["meas"])
-        assert log1.to_csv() == log2.to_csv() == log3.to_csv()
+        assert log1.rows == log2.rows == log3.rows
 
     def test_seeded_iterations_log_the_cold_objective(self):
         # each iteration seeds its state solve with the previous one's
@@ -186,7 +210,7 @@ class TestIdentify:
         log = driver.identify(cfg, meas)
         assert log.aborted is None and sorted(log.snapshots) == [0, 1, 2, 3]
         laws, elast = cfg.cohesive(), cfg.elasticity()
-        h = cfg.resolved_h_identify()
+        h = cfg.h_identify
         for row in log.rows:
             psi = log.snapshots[row["n"]]
             mesh = build_mesh(psi, h)

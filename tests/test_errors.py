@@ -1,6 +1,7 @@
 """Error paths of the solvers and assembly guards."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -59,9 +60,10 @@ def test_identify_at_eps_1e_20_converges():
     assert len(log.rows) == 6
 
 
-def identify_stderr(tmp_path, capsys, setting):
-    """Measure, then identify, at h_measure = 0.05 with ``setting`` on top;
-    the identify run must exit 3 in one stderr line, which is returned."""
+def identify_stderr(tmp_path, capsys, setting, *extra):
+    """Measure, then identify (with the arguments ``extra``), at h_measure =
+    0.05 with ``setting`` on top; the identify run must exit 3 in one
+    stderr line, which is returned."""
     from crackid import cli
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(setting + "[geometry]\nh_measure = 0.05\n"
@@ -71,7 +73,7 @@ def identify_stderr(tmp_path, capsys, setting):
     capsys.readouterr()
     rc = cli.main(["identify", "--config", str(cfg),
                    "--measurement", mout + "/measurement.txt",
-                   "--out", str(tmp_path / "i")])
+                   "--out", str(tmp_path / "i"), *extra])
     err = capsys.readouterr().err
     assert rc == 3
     assert len(err.splitlines()) == 1, err
@@ -90,6 +92,18 @@ def test_cli_identify_at_young_0_5_exit_3(tmp_path, capsys):
     # sets cycle with period 6, named after 11 steps and not 50
     err = identify_stderr(tmp_path, capsys, "[material]\nyoung = 0.5\n")
     assert "penalty solver cycles with period 6 from step 5: " in err, err
+
+
+def test_cli_identify_aborted_at_iteration_0_writes_empty_tables(tmp_path, capsys):
+    # no iterate is logged: iterations.csv and gradients.csv hold their
+    # header line alone, and the manifest lists both
+    identify_stderr(tmp_path, capsys, "[material]\nyoung = 0.5\n", "--dump-gradients")
+    out = tmp_path / "i"
+    assert (out / "iterations.csv").read_text() \
+        == "n,J,J_ratio,shape_error_ratio,pdas_na,penalty_iters,clamped\n"
+    assert (out / "gradients.csv").read_text() == "n,s_H,D3,Lambda2\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["iterations.csv", "gradients.csv"]
 
 
 def test_degenerate_element_rejected():

@@ -621,7 +621,7 @@ class TestFreeBand:
 def coupling_mesh(name):
     if name == "identify":
         cfg = ExperimentConfig()
-        return build_mesh(cfg.initial_graph(), cfg.resolved_h_identify())
+        return build_mesh(cfg.initial_graph(), cfg.h_identify)
     return build_mesh(*MESHES[name])
 
 
@@ -777,7 +777,7 @@ class TestBorrowedFactor:
         # |r| <= eps (|b| + max|A| |x|) in a few steps, with no factor made
         cfg = ExperimentConfig()
         psi = cfg.initial_graph()
-        h = cfg.resolved_h_identify() if name == "identify" else MESHES[name][1]
+        h = cfg.h_identify if name == "identify" else MESHES[name][1]
         base_mesh = build_mesh(psi, h)
         mesh = build_mesh(psi.with_psi(psi.psi + step * h * np.eye(psi.s.size)[4]), h)
         assert mesh.topology is base_mesh.topology

@@ -11,7 +11,7 @@ from crackid import geometry
 from crackid.driver import TRUE_INTERFACES, ExperimentConfig
 from crackid.errors import InterfaceTooClose
 from crackid.geometry import (HEIGHT, InterfaceGraph, build_mesh, coarse_curvature,
-                              triangle_geometry, uniform_graph, write_interface)
+                              triangle_geometry, uniform_graph)
 
 import oracles
 from oracles import constant_graph
@@ -40,14 +40,17 @@ class TestInterfaceGraph:
         expect = 0.6 * np.sqrt(1.0 + 1.0 / 9.0) + 0.4
         assert KINKED.length() == pytest.approx(expect, rel=1e-14)
 
-    def test_file_roundtrip_bitwise(self, tmp_path):
-        g = uniform_graph(0.25 + 0.01 * np.sin(np.linspace(0, np.pi, 11)))
-        path = tmp_path / "iface.txt"
-        write_interface(path, g)
-        assert path.read_text().splitlines()[0] == geometry.INTERFACE_HEADER
-        back = np.loadtxt(path, ndmin=2)
-        assert np.array_equal(back[:, 0], g.s)
-        assert np.array_equal(back[:, 1], g.psi)
+    def test_file_roundtrip_bitwise(self, coarse_identify):
+        # each interface snapshot of an identify run reads back bit for bit
+        log, out = coarse_identify["log"], coarse_identify["out"]
+        assert sorted(log.snapshots) == [0, 1, 2, 3]
+        assert np.any(log.snapshots[3].psi != log.snapshots[0].psi)
+        for n, snap in log.snapshots.items():
+            path = out / ("interface_n%03d.txt" % n)
+            assert path.read_text().splitlines()[0] == "# interface v1"
+            back = np.loadtxt(path, ndmin=2)
+            assert back[:, 0].tobytes() == snap.s.tobytes()
+            assert back[:, 1].tobytes() == snap.psi.tobytes()
 
 
 class TestBuildMesh:
@@ -240,7 +243,7 @@ def observation_meshes():
     meshes = [build_mesh(graph, h, **pinned)
               for graph, h, pinned in ORACLE_MESHES.values()]
     cfg = ExperimentConfig()
-    meshes.append(build_mesh(cfg.initial_graph(), cfg.resolved_h_identify()))
+    meshes.append(build_mesh(cfg.initial_graph(), cfg.h_identify))
     rng = np.random.default_rng(29)
     for h in (0.1, 0.05, 1.0 / 35.0, 0.02, 0.01 * 8.0 / 7.0):
         for _ in range(6):

@@ -193,7 +193,7 @@ class TestOnePassVolumetric:
         return {"contact": contact_measurement,
                 "stretch": stretch_measurement}[request.param]["meas"]
 
-    @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, CFG.resolved_h_identify()],
+    @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, CFG.h_identify],
                              ids=["h0.05", "h1/35", "h-identify"])
     @pytest.mark.parametrize("psi", LINES, ids=LINE_IDS)
     def test_matches_the_whole_mesh_oracle(self, measurement, psi, h):
@@ -309,7 +309,7 @@ class TestGradientMagnitude:
     def test_flat_start_gap_shrinks_with_h(self, request, load):
         meas = request.getfixturevalue(load + "_measurement")["meas"]
         gaps = [normwise_gap(CFG.initial_graph(), h, load, meas)
-                for h in (0.05, 0.02, CFG.resolved_h_identify(), 0.008)]
+                for h in (0.05, 0.02, CFG.h_identify, 0.008)]
         assert max(gaps) <= 0.10, gaps
         assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
 
@@ -318,5 +318,5 @@ class TestGradientMagnitude:
     def test_iterate_gap_within_ten_percent(self, request, load, n):
         run = request.getfixturevalue(load + "_run")
         meas = request.getfixturevalue(load + "_measurement")["meas"]
-        gap = normwise_gap(run.snapshots[n], CFG.resolved_h_identify(), load, meas)
+        gap = normwise_gap(run.snapshots[n], CFG.h_identify, load, meas)
         assert gap <= 0.10, gap
