@@ -238,7 +238,8 @@ def gradient_check(config, meas, steps):
     of each interior coarse node's hat against central differences of the
     objective, one per step. Each probe re-meshes through this module's
     ``build_mesh``, solves the state on the base mesh's factor from the
-    base state's active sets and ends in one ``driver.objective`` against
+    base state's active sets, so its coupling takes the base's Y = L^-1 U
+    (``fem.FactorizedSPD``), and ends in one ``driver.objective`` against
     the base mesh's measurement trace, whose observation rows every probe
     mesh shares. Returns one ``(s, analytic, [fd per step])`` per node.
     """

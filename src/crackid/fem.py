@@ -19,7 +19,8 @@ K's free block and its band from the cached pattern, and ``FactorizedSPD``
 factors the band in place by a band Cholesky (LAPACK ``dpbtrf``; George and
 Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981), or
 solves on the factor of a nearby mesh of the same topology, such as a
-finite-difference probe's base, refining against its own block. Its rows
+finite-difference probe's base, refining against its own block and taking
+the base's Y = L^-1 U and Y^T Y where it couples the base's rows. Its rows
 are the mesh's free dofs in their one order, the lower subdomain first, so
 the block is block diagonal, one band per subdomain, and the mesh's
 topology says where the blocks end. Every Newton matrix of the mesh is that
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import InvalidPoisson, NotPositiveDefinite
+from .errors import InvalidPoisson, NotPositiveDefinite, NumericalOverflow
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
 # |Ax - b| <= tol (|b| + max|A| |x|): every FactorizedSPD.solve, and the
@@ -329,7 +330,9 @@ class FactorizedSPD:
     row first, and the minus dof takes the plus dof's value after. A solve
     refines x against ``matrix``, one step if coupled; on a ``borrowing``
     factor until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon, or
-    it factors B after ``REFINE_CAP`` steps.
+    it factors B after ``REFINE_CAP`` steps and drops its base. Y and Y^T Y
+    depend on L and the rows alone: a borrower coupled on its base's current
+    rows, on the base's L, takes both, Y read-only, and forms only C.
 
     Each solve's backward error is checked against ``matrix`` on every
     row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
@@ -337,11 +340,12 @@ class FactorizedSPD:
     (``BACKWARD_TOL``). A nonpositive pivot of B or C, a negligible pivot
     of B (min diag(L)^2 <= 1e-12 max diag(L)^2, the rank check; a NaN
     fails it too), a weight that is not > 0 and a failed check raise
-    ``NotPositiveDefinite``. ``lu`` holds the factor.
+    ``NotPositiveDefinite``; a Y^T Y that overflows raises
+    ``NumericalOverflow``. ``lu`` holds the factor.
     """
 
     def __init__(self, band, matrix, block_end, band_max):
-        self.fallback = None   # a borrowing factor's builder of B's band
+        self.fallback = self._base = None   # a borrower's builder of B's band, and base
         self.diag = band[0].copy()
         self.band_max = band_max
         try:
@@ -362,29 +366,39 @@ class FactorizedSPD:
         """``matrix`` on the L of ``base``; it factors nothing, nor runs ``__init__``."""
         self = cls.__new__(cls)
         self.fallback, self.diag, self.band_max = band, matrix.diagonal(), band_max
-        self.matrix, self.block_end, self.lu = matrix, base.block_end, base.lu
+        self.matrix, self.block_end, self.lu, self._base = matrix, base.block_end, base.lu, base
         self.couple((), (), ())
         return self
 
     def couple(self, plus, minus, weights):
         """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
         an empty one solves B alone."""
-        self.coupling = self.y = self.c = None   # let the old one go first
+        self.coupling = self.y = self.yty = self.c = None   # let the old one go first
         self.max_abs = self.band_max
         d = np.asarray(weights, dtype=float)
         if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
             raise NotPositiveDefinite("coupling weights must be positive")
         if d.size == 0:
             return
-        y = self._trailing_solves(plus, minus)
+        base = self._base   # Y = L^-1 U depends on L and the rows alone
+        rows = base is not None and base.lu is self.lu and base.coupling
+        if rows and all(map(np.array_equal, (plus, minus), rows[:2])):
+            y, yty = base.y, base.yty
+        else:
+            y = self._trailing_solves(plus, minus)
+            y.setflags(write=False)   # a borrower on the same rows shares it
+            with np.errstate(over="ignore", invalid="ignore"):
+                yty = y.T @ y
+            if not np.isfinite(yty).all():
+                raise NumericalOverflow("coupling Y^T Y overflows double precision "
+                                        "(max |Y| %.3g)" % np.abs(y).max())
         with np.errstate(over="ignore"):   # 1/d = inf, the d -> 0 limit: mu_k = 0
             inverse = 1.0 / d
         try:
-            self.c = cholesky(np.diag(inverse) + y.T @ y, lower=True,
-                              check_finite=False)
+            self.c = cholesky(np.diag(inverse) + yty, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
-        self.y, self.coupling = y, (plus, minus, d)
+        self.y, self.yty, self.coupling = y, yty, (plus, minus, d)
         self.shut = np.flatnonzero(np.isinf(d))
         self.pen = np.flatnonzero(np.isfinite(d))
         for side in (plus, minus):

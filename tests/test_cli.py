@@ -331,6 +331,9 @@ def measurement_text(h="0.05", load_case="contact",
     return "# measurement v1\n# h = %s\n# load_case = %s\n%s" % (h, load_case, rows)
 
 
+COUPLING_OVERFLOWS = ("[penalty]\neps = 1e300\n[material]\nyoung = 1e-308\nrho = 1\n"
+                      "[geometry]\nh_measure = 0.05\n")
+
 INVALID_CONFIGS = [
     # (id, config text, extra CLI arguments, measurement text or None);
     # a row with a measurement runs identify on it, the others measure
@@ -409,6 +412,9 @@ INVALID_CONFIGS = [
     ("h-measure-subnormal", "[geometry]\nh_measure = 1e-320\n", [], None),
     # in range, but the load norm overflows: the solver rejects it
     ("young-overflows", "[material]\nyoung = 1e300\n", [], None),
+    # the Woodbury capacitance Y^T Y overflows: max |Y| is about 1e154
+    ("coupling-overflows", COUPLING_OVERFLOWS, [], None),
+    ("coupling-overflows-identify", COUPLING_OVERFLOWS, [], measurement_text()),
     # a config file that is not UTF-8
     ("config-not-utf-8", b"\xff\xfe[material]\n", [], None),
     # an output that cannot be opened: a directory stands in its place
@@ -417,7 +423,7 @@ INVALID_CONFIGS = [
 ]
 
 # rows that pass the config check and stop at the solver's own check
-SOLVER_ERROR_ROWS = {"young-overflows"}
+SOLVER_ERROR_ROWS = {"young-overflows", "coupling-overflows", "coupling-overflows-identify"}
 
 # rows that run another subcommand, with a directory where it writes a file
 BLOCKED_OUTPUT_ROWS = {"out-measurement-is-a-directory": ("measure", "measurement.txt"),
@@ -428,9 +434,11 @@ BLOCKED_OUTPUT_ROWS = {"out-measurement-is-a-directory": ("measure", "measuremen
                          ids=[c[0] for c in INVALID_CONFIGS])
 def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement):
     # exit 2 with one "config error" line; 3 and "solver error" for the
-    # rows of SOLVER_ERROR_ROWS
+    # rows of SOLVER_ERROR_ROWS, or identify's one abort line
     code, prefix = (3, "solver error: ") if name in SOLVER_ERROR_ROWS \
         else (2, "config error: ")
+    if code == 3 and measurement is not None:
+        prefix = "identify: aborted -- iteration 0: "
     cfg = tmp_path / "bad.cfg"
     if isinstance(text, bytes):
         cfg.write_bytes(text)
@@ -453,6 +461,8 @@ def test_invalid_config_exit_2(tmp_path, capsys, name, text, extra, measurement)
     assert rc == code
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
     assert "Traceback" not in err
+    if name.startswith("coupling-overflows"):
+        assert "coupling Y^T Y overflows double precision (max |Y| " in err
 
 
 @pytest.mark.parametrize("rows,row", [

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from crackid import driver, fem
+from crackid import cli, driver, fem
 from crackid.driver import ExperimentConfig
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
@@ -843,6 +843,122 @@ class TestBorrowedFactor:
         counts = self.counting(monkeypatch)
         assert factor.solve(rhs).tobytes() == x.tobytes()
         assert counts == {"factor": 0, "substitute": 1 + coupled}
+
+    @staticmethod
+    def probe_pair(case="penalty"):
+        """The identify mesh's factor coupled on ``case``'s rows, and a probe
+        mesh with its stiffness: one coarse node moved by 1e-3 h."""
+        cfg = ExperimentConfig()
+        psi, h = cfg.initial_graph(), cfg.h_identify
+        base_mesh = build_mesh(psi, h)
+        mesh = build_mesh(psi.with_psi(psi.psi + 1e-3 * h * np.eye(psi.s.size)[4]), h)
+        base = fem.subdomain_factor(base_mesh, fem.assemble_stiffness(base_mesh, ELAST))
+        return TestBorrowedFactor.coupled(base, base_mesh, case), mesh, \
+            fem.assemble_stiffness(mesh, ELAST)
+
+    @staticmethod
+    def counting_trailing_solves(monkeypatch):
+        """The factors ``FactorizedSPD._trailing_solves`` runs on, one per call."""
+        on = []
+        trailing = fem.FactorizedSPD._trailing_solves
+
+        def counted(self, plus, minus):
+            on.append(self)
+            return trailing(self, plus, minus)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "_trailing_solves", counted)
+        return on
+
+    @pytest.mark.parametrize("case", ["penalty", "penalty-and-sticking"])
+    def test_borrower_on_the_base_rows_takes_the_base_y(self, monkeypatch, case):
+        # Y = L^-1 U and Y^T Y depend on L and the coupled rows alone: on the
+        # base's rows a borrower takes both, read-only, and solves bit for bit
+        # as a borrower that formed its own Y on those rows
+        base, mesh, K = self.probe_pair(case)
+        on = self.counting_trailing_solves(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        assert on == []
+        assert borrowed.y is base.y and borrowed.yty is base.yty
+        assert not base.y.flags.writeable
+        assert not np.array_equal(borrowed.coupling[2], base.coupling[2])   # D moves
+        base_y = base.y
+        base.couple((), (), ())   # no rows to take: the next borrower forms its own Y
+        own_y = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        assert on == [own_y] and own_y.y is not base_y
+        assert own_y.y.tobytes() == base_y.tobytes()
+        rhs = self.load(mesh)
+        assert borrowed.solve(rhs).tobytes() == own_y.solve(rhs).tobytes()
+
+    def test_borrower_on_other_rows_forms_its_own_y(self, monkeypatch):
+        base, mesh, K = self.probe_pair("penalty")
+        on = self.counting_trailing_solves(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh,
+                                "penalty-and-sticking")
+        assert on == [borrowed] and borrowed.y is not base.y
+        assert borrowed.y.shape[1] > base.y.shape[1]
+
+    def test_recoupling_the_base_leaves_the_borrower(self):
+        base, mesh, K = self.probe_pair("penalty")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, "penalty")
+        y, rhs = borrowed.y, self.load(mesh)
+        x = borrowed.solve(rhs)
+        self.coupled(base, mesh, "penalty-and-sticking")   # the rows are the topology's
+        assert base.y is not y and borrowed.y is y
+        assert borrowed.solve(rhs).tobytes() == x.tobytes()
+
+    def test_fallen_back_borrower_recouples_on_its_own_l(self, monkeypatch):
+        # B = 2 B_base never converges on the base's L (as in the far-block
+        # test): the B it factors takes the link to the base with the base's
+        # L, and the coupling is formed anew on its own L
+        mesh = build_mesh(*MESHES["perturbed"])
+        base = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+                            mesh, "penalty")
+        K = fem.assemble_stiffness(mesh, IsotropicElasticity.from_young(2.0 * ELAST.E_Y,
+                                                                        ELAST.nu_P))
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, "penalty")
+        assert borrowed.y is base.y
+        on = self.counting_trailing_solves(monkeypatch)
+        rhs = self.load(mesh)
+        x = borrowed.solve(rhs)
+        assert borrowed.fallback is None and borrowed.lu is not base.lu
+        assert on == [borrowed] and borrowed.y is not base.y
+        borrowed.couple(*borrowed.coupling)   # no base to take from now
+        assert on == [borrowed] * 2
+        own = self.coupled(fem.subdomain_factor(mesh, K), mesh, "penalty")
+        assert borrowed.y.tobytes() == own.y.tobytes()
+        assert x.tobytes() == own.solve(rhs).tobytes()
+
+    @pytest.mark.parametrize("h_measure,formed", [(0.05, 3), (0.01, 8)])
+    def test_gradient_check_forms_y_for_the_base_state_alone(self, monkeypatch,
+                                                             h_measure, formed):
+        # the 36 probes couple on the base state's converged rows, so every
+        # Y of a round is formed by the base state's own couplings: 8 at the
+        # benchmark's configuration (h_measure 0.01), where the probes formed
+        # 36 more
+        config = ExperimentConfig(h_measure=h_measure)
+        meas = driver.synthesize_measurement(config)[0]
+        borrowers, coupled = [], []
+        borrowing, couple_ = fem.FactorizedSPD.borrowing.__func__, fem.FactorizedSPD.couple
+
+        def record_borrowing(cls, *args):
+            borrowers.append(borrowing(cls, *args))
+            return borrowers[-1]
+
+        def record_couple(self, plus, minus, weights):
+            couple_(self, plus, minus, weights)
+            if len(weights):
+                coupled.append(self)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "borrowing", classmethod(record_borrowing))
+        monkeypatch.setattr(fem.FactorizedSPD, "couple", record_couple)
+        on = self.counting_trailing_solves(monkeypatch)
+        h = config.h_identify
+        rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        probes = [f for f in coupled if any(f is b for b in borrowers)]
+        assert len(rows) == 9 and len(borrowers) == len(probes) == 36
+        assert on and all(f.fallback is None for f in on)
+        assert not any(f is b for f in on for b in borrowers)
+        assert len(on) == len(coupled) - len(probes) == formed
 
 
 class TestBandOrder:

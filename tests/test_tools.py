@@ -190,3 +190,72 @@ def test_a_traction_defect_lands_far_outside_the_envelope(tmp_path, envelope_too
                          lines[rel])
         assert note, lines[rel]
         assert float(note.group(1)) >= 1e3, lines[rel]
+
+
+# the last lines perfbench/run.py prints for an untraced and a traced run
+UNTRACED_STDOUT = (
+    'environment: {"nproc": 2}\n'
+    '{"correct": true, "attempted": 72, "failed": 0, "metrics": '
+    '{"setup_s": {"value": 0.5, "unit": "s"}, "wall_s": {"value": 0.7, "unit": "s"}, '
+    '"step_ms.p50": {"value": 12.0, "unit": "ms"}}}\n')
+TRACED_STDOUT = (
+    '{"correct": true, "attempted": 36, "failed": 0, "metrics": '
+    '{"fem.lu_factor.calls": {"value": 2.0, "unit": "count"}}}\n')
+# the record of the untraced run: (raw, scaled) seconds
+RECORD = {"workload": "gradient-check", "trace": 0, "environment": {"nproc": 2},
+          "imports": [0.3, 0.2], "setups": [[0.4, 0.2], [0.5, 0.3], [0.6, 0.4]],
+          "rounds": [[0.8, 0.6], [0.9, 0.7], [1.0, 0.8]],
+          "steps": [[0.02, 0.011], [0.02, 0.012], [0.02, 0.013], [0.02, 0.014],
+                    [0.02, 0.015]]}
+
+
+@pytest.fixture(scope="module")
+def snapshot_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", REPO / "tools" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_snapshot_entry_of_a_canned_result_line(snapshot_tool):
+    entry = snapshot_tool.workload_entry(snapshot_tool.result_line(UNTRACED_STDOUT),
+                                         snapshot_tool.result_line(TRACED_STDOUT), RECORD)
+    assert entry["correct"] and (entry["attempted"], entry["failed"]) == (72, 0)
+    assert entry["per_layer"] == {"fem.lu_factor.calls": {"value": 2.0, "unit": "count"}}
+    # the quartiles of the scaled samples whose median run.py reports
+    e2e = entry["end_to_end"]
+    for name, median, q1, q3 in (("setup_s", 0.5, 0.45, 0.55), ("wall_s", 0.7, 0.65, 0.75),
+                                 ("step_ms.p50", 12.0, 12.0, 14.0)):
+        assert e2e[name]["value"] == median
+        assert (e2e[name]["q1"], e2e[name]["q3"]) == pytest.approx((q1, q3))
+
+
+def test_snapshot_writes_bench_json(snapshot_tool, tmp_path, monkeypatch):
+    # the writer alone: no benchmark or crackid process is run
+    tree = tmp_path / "tree"
+    (tree / "src" / "crackid").mkdir(parents=True)
+    (tree / "src" / "crackid" / "fem.py").write_text("")
+    (tree / "BENCHMARK.json").write_text(
+        '{"run_seconds": 4, "workloads": [{"name": "gradient-check"}]}')
+    calls = []
+
+    def benchmark(path, workload, seconds, trace):
+        calls.append((path, workload, seconds, trace))
+        stdout = TRACED_STDOUT if trace else UNTRACED_STDOUT
+        return snapshot_tool.result_line(stdout), dict(RECORD, trace=trace)
+
+    monkeypatch.setattr(snapshot_tool, "benchmark", benchmark)
+    monkeypatch.setattr(snapshot_tool, "end_to_end_runs",
+                        lambda path: {"measure-contact": {"median_s": 0.6}})
+    monkeypatch.setattr(snapshot_tool, "reference_kernel_s", lambda path: 0.05)
+    monkeypatch.setattr(snapshot_tool, "ROOT", tmp_path)
+    assert snapshot_tool.main(["7", "--tree", str(tree)]) == 0
+    data = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert calls == [(tree, "gradient-check", 4, 0), (tree, "gradient-check", 4, 1)]
+    assert data["n"] == 7 and data["seconds"] == 4 and data["reference_kernel_s"] == 0.05
+    assert data["commit"] is None and len(data["src_sha256"]) == 64
+    assert data["environment"]["nproc"] == 2
+    assert data["runs"] == {"measure-contact": {"median_s": 0.6}}
+    assert data["workloads"]["gradient-check"]["end_to_end"]["wall_s"]["q3"] == \
+        pytest.approx(0.75)
