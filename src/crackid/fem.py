@@ -27,7 +27,8 @@ topology says where the blocks end. Every Newton matrix of the mesh is that
 block plus a low-rank coupling on interface jump dofs, which the factor
 solves through the Woodbury identity: a penalty's jump mass, or a pair
 merged shut as the infinite-weight limit. The factor checks definiteness
-and rank when it factors and the backward error of every solve.
+and rank when it factors; a coupled or borrowed solve refines until its
+residual is at roundoff, and every solve's backward error is checked.
 """
 
 import functools
@@ -45,7 +46,7 @@ GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
 # |Ax - b| <= tol (|b| + max|A| |x|): every FactorizedSPD.solve, and the
 # stationarity residual of every converged solvers._active_set_solve state
 BACKWARD_TOL = 1e-10
-REFINE_CAP = 8   # refinement steps on a borrowed factor before it factors
+REFINE_CAP = 8   # refinement steps of a solve; a borrowed factor then factors
 
 
 def norm(v):
@@ -327,10 +328,11 @@ class FactorizedSPD:
     A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
     the pair shut, and mu_k is the reaction that keeps it shut. Such a
     solve is the Galerkin merge's: the minus row's load moves onto the plus
-    row first, and the minus dof takes the plus dof's value after. A solve
-    refines x against ``matrix``, one step if coupled; on a ``borrowing``
-    factor until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon, or
-    it factors B after ``REFINE_CAP`` steps and drops its base. Y and Y^T Y
+    row first, and the minus dof takes the plus dof's value after each
+    substitution. A coupled or ``borrowing`` solve refines x against
+    ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon;
+    after ``REFINE_CAP`` steps a borrower factors B and drops its base, and
+    an own factor stops; an uncoupled own solve takes no step. Y and Y^T Y
     depend on L and the rows alone: a borrower coupled on its base's current
     rows, on the base's L, takes both, Y read-only, and forms only C.
 
@@ -442,15 +444,18 @@ class FactorizedSPD:
             rhs[p] += rhs[m]   # the merge's R^T b: zero stays exactly zero
             rhs[m] = 0.0
         x, mu = self._substitute(rhs)
+        x[m] = x[p]
         res = self._apply(x, mu) - rhs
-        # the Woodbury update cancels in the coupled directions, and one step
-        # restores a Cholesky solve's accuracy (Yip, SIAM J. Sci. Stat. Comput.
-        # 7, 1986); on a borrowed L each step cuts r by about |B - B_base|/|B|
-        for step in range(REFINE_CAP + 1 if self.fallback else self.coupling is not None):
-            if self.fallback and norm(res) <= np.finfo(float).eps * (
-                    norm(rhs) + self.max_abs * norm(x)):
+        # the Woodbury update may cancel in the coupled directions (Yip, SIAM J.
+        # Sci. Stat. Comput. 7, 1986), and on a borrowed L a step cuts r by
+        # about |B - B_base|/|B|; a step pays only while r is above roundoff
+        # (Skeel, Math. Comp. 35, 1980), and a band solve alone is stable
+        for step in range(REFINE_CAP + 1 if self.fallback or self.coupling else 0):
+            if norm(res) <= np.finfo(float).eps * (norm(rhs) + self.max_abs * norm(x)):
                 break
-            if step == REFINE_CAP:   # borrowed, not converged: factor B, solve on it
+            if step == REFINE_CAP:   # a borrowed factor factors B; an own one stops
+                if not self.fallback:
+                    break
                 coupling = self.coupling or ((), (), ())
                 self.__init__(self.fallback(), self.matrix, self.block_end, self.band_max)
                 self.couple(*coupling)

@@ -597,8 +597,9 @@ class TestFreeBand:
     @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
     def test_refinement_step_cuts_the_backward_error(self, name, closed, eps):
         # the Woodbury solve alone cancels in the coupled directions; on the
-        # contact load its one refinement step brings the normwise backward
-        # error against the whole (K + J) free block down 50x or more
+        # contact load it starts above roundoff, and refinement brings the
+        # normwise backward error against the whole (K + J) free block down
+        # 50x or more
         cfg = ExperimentConfig()
         mesh = coupling_mesh(name)
         K = fem.assemble_stiffness(mesh, ELAST)
@@ -735,7 +736,8 @@ BORROW_CASES = {
 class TestBorrowedFactor:
     """A factor that solves on the L of a nearby matrix with the same
     blocks (a finite-difference probe's on its base mesh's) and refines
-    against its own block; an own factor keeps its one step."""
+    against its own block; a coupled own factor refines by the same eps
+    test, an uncoupled one takes no step."""
 
     @staticmethod
     def coupled(factor, mesh, case):
@@ -813,36 +815,82 @@ class TestBorrowedFactor:
         borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
         rhs = self.load(mesh)
         x = borrowed.solve(rhs)
-        one_own = 1 + (own.coupling is not None)   # substitutions of an own solve
-        assert counts == {"factor": 1, "substitute": 1 + fem.REFINE_CAP + one_own}
+        fallen = counts["substitute"]
         assert borrowed.fallback is None and borrowed.lu is not base.lu
         assert np.array_equal(borrowed.lu.lower, own.lu.lower)
         assert x.tobytes() == own.solve(rhs).tobytes()
+        # one substitution and REFINE_CAP steps on the base's L, then what an
+        # own solve makes
+        assert fallen - (1 + fem.REFINE_CAP) == counts["substitute"] - fallen
         assert borrowed.solve(2.0 * rhs).tobytes() == own.solve(2.0 * rhs).tobytes()
         assert counts["factor"] == 1
 
     @pytest.mark.parametrize("case", list(BORROW_CASES))
-    def test_own_factor_solve_is_one_step_when_coupled(self, monkeypatch, case):
-        # an own factor substitutes once, and refines once when coupled: the
-        # merge's fold, the Woodbury solve, one refinement step, the merge
+    def test_own_factor_steps_only_above_eps(self, monkeypatch, case):
+        # an own factor refines while its residual is above roundoff, as a
+        # borrowed one does, and an uncoupled solve takes no step: the
+        # merge's fold, one substitution, the tie of the shut pairs, and one
+        # step only where |r| > eps (|b| + max|A| |x|); on the contact load
+        # the coupled cases leave about 3 eps, and one step is enough
         mesh = build_mesh(*MESHES["perturbed"])
         factor = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
                               mesh, case)
         rhs = self.load(mesh)
-        coupled = factor.coupling is not None
-        b = rhs.copy()
-        if coupled:
+        b, p, m = rhs.copy(), slice(0), slice(0)
+        if factor.coupling is not None:
             plus, minus, _ = factor.coupling
             p, m = plus[factor.shut], minus[factor.shut]
             b[p] += b[m]
             b[m] = 0.0
+
+        def above_eps(x, mu):
+            return fem.norm(factor._apply(x, mu) - b) > np.finfo(float).eps * (
+                fem.norm(b) + factor.max_abs * fem.norm(x))
+
         x, mu = factor._substitute(b)
-        if coupled:
-            x = x - factor._substitute(factor._apply(x, mu) - b)[0]
+        x[m] = x[p]
+        steps = int(factor.coupling is not None and above_eps(x, mu))
+        if steps:
+            dx, dmu = factor._substitute(factor._apply(x, mu) - b)
+            x, mu = x - dx, mu - dmu
             x[m] = x[p]
+            assert not above_eps(x, mu)
         counts = self.counting(monkeypatch)
         assert factor.solve(rhs).tobytes() == x.tobytes()
-        assert counts == {"factor": 0, "substitute": 1 + coupled}
+        assert counts == {"factor": 0, "substitute": 1 + steps}
+        assert steps == {"uncoupled": 0, "penalty": 1, "penalty-and-sticking": 1}[case]
+
+    def test_unrefined_coupled_solve_ties_the_shut_pairs(self, monkeypatch):
+        # the tie follows the first substitution, so a coupled solve that
+        # takes no step returns x[minus] = x[plus] on every shut pair, bitwise
+        mesh = build_mesh(*MESHES["flat"])
+        interior = np.flatnonzero(mesh.interface_interior())
+        factor = couple(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+                        mesh, interior[:0], [], interior[::2])
+        plus, minus, _ = factor.coupling
+        counts = self.counting(monkeypatch)
+        x = factor.solve(self.load(mesh))
+        assert counts["substitute"] == 1 and factor.shut.size == plus.size > 0
+        assert x[minus].tobytes() == x[plus].tobytes()
+
+    def test_contact_identify_substitutes_once_a_solve(self, monkeypatch, coarse_measurement):
+        # every state and adjoint solve of a contact identify meets eps on its
+        # first substitution here: 12 substitutions for 12 solves, where one
+        # refinement step a coupled solve made 24
+        config = ExperimentConfig(h_measure=0.05, n_max=3)
+        meas = driver.read_measurement(coarse_measurement)
+        solves = []
+        solve = fem.FactorizedSPD.solve
+
+        def counted_solve(self, rhs):
+            solves.append(self)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(fem.FactorizedSPD, "solve", counted_solve)
+        counts = self.counting(monkeypatch)
+        driver.identify(config, meas)
+        assert len(solves) == 12 and all(f.coupling is not None for f in solves)
+        assert counts == {"factor": 4, "substitute": 12}
 
     @staticmethod
     def probe_pair(case="penalty"):

@@ -126,6 +126,44 @@ def test_plots_are_compared_byte_for_byte(tmp_path):
     assert "MISSING" in out
 
 
+def test_the_largest_envelope_multiple_is_named(tmp_path):
+    # the last line names the largest multiple over every file and column,
+    # that of iterations.csv per prefix n' <= n, and where it is; the
+    # verdicts and the exit status are those without an envelope
+    edits = {
+        "m_contact/measurement.txt": [("1.25e-05", "1.2500000000001e-05")],  # 8e-14
+        "i_contact/iterations.csv": [("1.25e-09,", "1.2500000001e-09,")],   # J 8e-11 at n=1
+        "i_contact/interface_n000.txt": [("1 0.25", "1 0.2500001")],        # 1e-7
+    }
+    env = {"files": {
+        "m_contact/measurement.txt": {"columns": {"2": 1e-12, "3": 1e-12}},
+        "i_contact/iterations.csv": {
+            "columns": {"J": 1e-10, "shape_error_ratio": 1e-10},
+            "rows": {"n": [0, 1, 2], "J": [0.0, 1e-11, 2e-11],
+                     "shape_error_ratio": [0.0, 0.0, 0.0]}},
+        "i_contact/interface_n000.txt": {"columns": {"*": 1e-6}},
+    }}
+    path = tmp_path / "envelope.json"
+    path.write_text(json.dumps(env))
+    parent, change = tree(tmp_path / "p"), tree(tmp_path / "c", edits)
+    plain_code, plain = compare(parent, change)
+    code, out = compare(parent, change, "--envelope", str(path))
+    assert code == plain_code == 0
+    lines = out.splitlines()
+    assert "J 8.00e-11 at n=1 (<= 1e-09; envelope n<=2 4x)" in out
+    assert "; 0.08x envelope 1.00e-12)" in out and "(0.1x envelope 1.00e-06)" in out
+    assert lines[:-1][-1] == plain.splitlines()[-1]
+    assert lines[-1] == "largest envelope multiple: 4x at i_contact/iterations.csv J n<=2"
+    # the largest taken over a whole file names the file alone
+    env["files"]["i_contact/interface_n000.txt"]["columns"]["*"] = 1e-8
+    path.write_text(json.dumps(env))
+    assert compare(parent, change, "--envelope", str(path))[1].splitlines()[-1] == \
+        "largest envelope multiple: 10x at i_contact/interface_n000.txt"
+    # no difference: no place
+    assert compare(parent, parent, "--envelope", str(path))[1].splitlines()[-1] == \
+        "largest envelope multiple: 0x"
+
+
 # a coarse measurement and five iterations: the recipe runs in about a second
 SMALL_CONFIG = "[geometry]\nh_measure = 0.05\n[algorithm]\nn_max = 5\n"
 
@@ -177,10 +215,11 @@ def test_a_traction_defect_lands_far_outside_the_envelope(tmp_path, envelope_too
     plain_code, plain = compare(out / "base", tmp_path / "defect")
     code, text = compare(out / "base", tmp_path / "defect",
                          "--envelope", str(out / "envelope.json"))
-    # the envelope adds notes, and changes no verdict
+    # the envelope adds notes and a last line, and changes no verdict
     assert code == plain_code
-    assert [l.split()[:2] for l in text.splitlines()] == \
+    assert [l.split()[:2] for l in text.splitlines()[:-1]] == \
         [l.split()[:2] for l in plain.splitlines()]
+    assert text.splitlines()[-1].startswith("largest envelope multiple: ")
     lines = {l.split()[0]: l for l in text.splitlines()}
     for rel, column in (("m_contact/measurement.txt", "2"),
                         ("m_stretch/measurement.txt", "3"),

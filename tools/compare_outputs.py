@@ -35,7 +35,10 @@ With ``--envelope FILE``, the output of ``tools/roundoff_envelope.py``,
 each difference is also printed as a multiple of the envelope, the
 largest spread that moving K's last bits gives the same file and column;
 for ``iterations.csv`` that multiple is taken over n <= N, for every 50th
-N and the last. The bounds and the exit status do not change.
+N and the last. A last line names the largest multiple over all files and
+columns and where it is, such as ``largest envelope multiple: 3.27x at
+i_contact/interface_n180.txt``: the one number a stated tolerance is
+checked against. The bounds and the exit status do not change.
 """
 
 import filecmp
@@ -107,52 +110,54 @@ def load(path):
     return head, names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
-def times(got, env):
-    """got as a multiple of the envelope env."""
-    if got == 0.0:
-        return "0x"
-    return "%.3gx" % (got / env) if env > 0.0 else "infx"
+def multiple(got, env):
+    """got as a multiple of the envelope env: 0 where got is, inf where
+    only env is."""
+    return 0.0 if got == 0.0 else got / env if env > 0.0 else np.inf
 
 
-def prefix_times(diff, spread, n):
-    """For every 50th n and the last: the largest of ``diff`` over the rows
-    n' <= n as a multiple of the largest of ``spread`` there."""
-    ends = [k for k, nk in enumerate(n) if nk % 50 == 0 and nk > 0]
-    ends = sorted(set(ends) | {len(n) - 1})
-    diff = np.maximum.accumulate(diff)
-    spread = np.maximum.accumulate(np.asarray(spread, dtype=float))
-    return ", ".join("n<=%g %s" % (n[k], times(diff[k], spread[k])) for k in ends)
+def times(x):
+    return "infx" if x == np.inf else "%.3gx" % x
 
 
 def against(env, name, got, rows=None, n=None):
     """The note that sets a difference against the envelope ``env`` of its
-    file: ``got`` over the whole file, or ``rows`` per row of n."""
+    file, and [(multiple, where)]: ``got`` over the whole file, or ``rows``
+    per row of n, taken over n' <= n for every 50th n and the last."""
     if name not in env.get("columns", {}):
-        return "no envelope"
+        return "no envelope", []
     if rows is not None and name in env.get("rows", {}):
         spread = env["rows"][name]
         if len(spread) == len(rows) and np.array_equal(env["rows"]["n"], n):
-            return "envelope " + prefix_times(rows, spread, n)
-    return "%s envelope %.2e" % (times(got, env["columns"][name]), env["columns"][name])
+            ends = [k for k, nk in enumerate(n) if nk % 50 == 0 and nk > 0]
+            diff = np.maximum.accumulate(rows)
+            spread = np.maximum.accumulate(np.asarray(spread, dtype=float))
+            found = [(multiple(diff[k], spread[k]), "n<=%g" % n[k])
+                     for k in sorted(set(ends) | {len(n) - 1})]
+            return "envelope " + ", ".join("%s %s" % (at, times(x)) for x, at in found), found
+    x = multiple(got, env["columns"][name])
+    return "%s envelope %.2e" % (times(x), env["columns"][name]), [(x, "")]
 
 
 def compare(parent, change, env=None):
-    """(ok, verdict) for one pair of files that differ in their bytes; with
-    ``env``, the envelope of the file ({} for none), each difference is
-    also set against it."""
+    """(ok, verdict, multiples) for one pair of files that differ in their
+    bytes; with ``env``, the envelope of the file ({} for none), each
+    difference is also set against it, and ``multiples`` lists each
+    multiple with the column and rows it is taken over."""
     head_p, names, data_p = load(parent)
     head_c, names_c, data_c = load(change)
     if head_p != head_c or names != names_c or data_p.shape != data_c.shape:
-        return False, "EXCEEDS  header or shape differs"
+        return False, "EXCEEDS  header or shape differs", []
     col = {name: k for k, name in enumerate(names)}
     rule = RULES.get(os.path.basename(parent))
     if rule is None:
         got = normwise(data_p, data_c)[0]
-        note = "" if env is None else " (%s)" % against(env, "*", got)
-        return True, "UNBOUND  max relative difference %.2e%s" % (got, note)
+        note, found = ("", []) if env is None else against(env, "*", got)
+        note = note and " (%s)" % note
+        return True, "UNBOUND  max relative difference %.2e%s" % (got, note), found
     exact, bounds = rule
     ok = True
-    notes = []
+    notes, multiples = [], []
     for name in exact:
         same = np.array_equal(data_p[:, col[name]], data_c[:, col[name]])
         ok = ok and same
@@ -169,9 +174,11 @@ def compare(parent, change, env=None):
             if env is not None:
                 rows = relative(data_p[:, col[name]], data_c[:, col[name]]) \
                     if measure is entrywise else None
-                note = "; " + against(env, name, got, rows, data_p[:, 0])
+                note, found = against(env, name, got, rows, data_p[:, 0])
+                note = "; " + note
+                multiples += [(x, " ".join((name, where)).strip()) for x, where in found]
             notes.append("%s %.2e%s (<= %.0e%s)" % (name, got, at, bound, note))
-    return ok, ("WITHIN   " if ok else "EXCEEDS  ") + ", ".join(notes)
+    return ok, ("WITHIN   " if ok else "EXCEEDS  ") + ", ".join(notes), multiples
 
 
 def main(argv=None):
@@ -188,6 +195,7 @@ def main(argv=None):
     files_p, files_c = output_files(parent), output_files(change)
     failed = 0
     tally = {}
+    largest = (0.0, "")
     for rel in sorted(files_p | files_c):
         if rel not in files_p or rel not in files_c:
             ok, verdict = False, "MISSING  only in %s" % (
@@ -198,14 +206,20 @@ def main(argv=None):
         elif os.path.basename(rel) in PLOTS:
             ok, verdict = True, "UNBOUND  bytes differ"
         else:
-            ok, verdict = compare(os.path.join(parent, rel), os.path.join(change, rel),
-                                  None if envelope is None else envelope.get(rel, {}))
+            ok, verdict, found = compare(os.path.join(parent, rel), os.path.join(change, rel),
+                                         None if envelope is None else envelope.get(rel, {}))
+            for x, where in found:
+                if x > largest[0]:
+                    largest = (x, " ".join((rel, where)).strip())
         failed += not ok
         kind = verdict.split()[0]
         tally[kind] = tally.get(kind, 0) + 1
         print("%-40s %s" % (rel, verdict))
     print("%d files: %s" % (sum(tally.values()), ", ".join(
         "%d %s" % (n, kind.lower()) for kind, n in sorted(tally.items()))))
+    if envelope is not None:
+        x, where = largest
+        print("largest envelope multiple: %s%s" % (times(x), where and " at " + where))
     return 1 if failed or not tally else 0
 
 
