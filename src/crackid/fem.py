@@ -19,8 +19,10 @@ K's free block and its band from the cached pattern, and ``FactorizedSPD``
 factors the band in place by a band Cholesky (LAPACK ``dpbtrf``; George and
 Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981), or
 solves on the factor of a nearby mesh of the same topology, such as a
-finite-difference probe's base, refining against its own block and taking
-the base's Y = L^-1 U and Y^T Y where it couples the base's rows. Its rows
+finite-difference probe's base, refining against its own block, from a
+nearby solution where one is given (the probe's first from the base state)
+and otherwise from a first substitution, and taking the base's
+Y = L^-1 U and Y^T Y where it couples the base's rows. Its rows
 are the mesh's free dofs in their one order, the lower subdomain first, so
 the block is block diagonal, one band per subdomain, and the mesh's
 topology says where the blocks end. Every Newton matrix of the mesh is that
@@ -330,9 +332,13 @@ class FactorizedSPD:
     solve is the Galerkin merge's: the minus row's load moves onto the plus
     row first, and the minus dof takes the plus dof's value after each
     substitution. A coupled or ``borrowing`` solve refines x against
-    ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon;
-    after ``REFINE_CAP`` steps a borrower factors B and drops its base, and
-    an own factor stops; an uncoupled own solve takes no step. Y and Y^T Y
+    ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon,
+    starting from ``start`` where given, with no reaction on the shut pairs
+    (a probe's first solve starts from its base's state, as close as a
+    substitution on the base's L and one substitution cheaper), and
+    otherwise from one substitution; after ``REFINE_CAP`` steps a borrower
+    factors B, drops its base and solves again with no start, and an own
+    factor stops; an uncoupled own solve takes no step. Y and Y^T Y
     depend on L and the rows alone: a borrower coupled on its base's current
     rows, on the base's L, takes both, Y read-only, and forms only C.
 
@@ -435,7 +441,7 @@ class FactorizedSPD:
                 y[lo:end, chunk] = dtbtrs(lower[:, lo:end], rhs, uplo="L")[0]
         return y
 
-    def solve(self, rhs):
+    def solve(self, rhs, start=None):
         given, p, m = rhs, slice(0), slice(0)
         if self.coupling is not None:
             plus, minus, _ = self.coupling
@@ -443,7 +449,10 @@ class FactorizedSPD:
             rhs = rhs.copy()
             rhs[p] += rhs[m]   # the merge's R^T b: zero stays exactly zero
             rhs[m] = 0.0
-        x, mu = self._substitute(rhs)
+        if start is None:
+            x, mu = self._substitute(rhs)
+        else:   # a nearby solution, with no reaction on the shut pairs
+            x, mu = start.copy(), np.zeros(0 if self.c is None else len(self.c))
         x[m] = x[p]
         res = self._apply(x, mu) - rhs
         # the Woodbury update may cancel in the coupled directions (Yip, SIAM J.

@@ -104,6 +104,7 @@ class _InterfaceOperator:
         self.m2 = 2 * mesh.iface_minus + 1
         same = base is not None and base.mesh.topology is mesh.topology
         self.factor = fem.subdomain_factor(mesh, self.K, base.factor if same else None)
+        self.start = base.state if same else None   # the first solve refines from it
         self._key = None
 
     def jumps(self, values):
@@ -153,7 +154,8 @@ class _InterfaceOperator:
             self._key = key
         free = self.mesh.free_dofs
         x = np.zeros(rhs.size)
-        x[free] = self.factor.solve(rhs[free])
+        x[free] = self.factor.solve(rhs[free], self.start)
+        self.start = None
         return x
 
     def friction_update(self, r, j1, sgn, flips):
@@ -237,7 +239,8 @@ def _active_set_solve(op, max_outer, start=None):
     otherwise, or without a repeat in ``max_outer`` steps, it raises
     ``NoConvergence``.
 
-    On one factor a step is a function of the state (closed, sgn, ind,
+    On one factor, and after a probe's first solve, which refines from the
+    base state, a step is a function of the state (closed, sgn, ind,
     flips), so a state that comes back means the sets cycle for good: the
     first repeat raises ``NoConvergence`` with the period, the step the
     cycle starts at and how many nodes flip in each set.
@@ -275,7 +278,7 @@ def _active_set_solve(op, max_outer, start=None):
     seen = {}   # each state's step and sets, in step order
 
     for it in range(1, max_outer + 1):
-        state = (op.factor.fallback is None,
+        state = (op.factor.fallback is None, op.start is None,
                  *(a.tobytes() for a in (closed, sgn, ind, flips)))
         if state in seen:
             first = seen[state][0]
@@ -349,12 +352,15 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     ``configuration`` of an earlier report on a mesh with the same
     interface nodes (the previous identification iterate, or the base state
     of a finite-difference probe); ``base``, an operator of such a state,
-    lends its factor (``fem.subdomain_factor``). Returns the state, the
+    lends its factor (``fem.subdomain_factor``) and its converged state,
+    which the first solve on the lent factor refines from in place of a
+    first substitution (``fem.FactorizedSPD.solve``). Returns the state, the
     ``SolveReport`` and the operator, which keeps the mesh's factor and the
     final Newton matrix's coupling for ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
     values, _, report = _active_set_solve(op, max_outer, start)
+    op.state = values[mesh.free_dofs]   # a probe on op's factor starts from it
     return fem.DofField(values), report, op
 
 

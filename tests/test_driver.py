@@ -1,11 +1,13 @@
 """Measurement synthesis, objective/shape-error bookkeeping and the
 identification loop behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackid import driver, fem, geometry, solvers
+from crackid import cli, driver, fem, geometry, solvers
 from crackid.errors import ConfigError
 from crackid.geometry import build_mesh
 
@@ -226,3 +228,41 @@ class TestIdentify:
         k = int(np.argmin(J))
         assert k < J.size - 1
         assert np.max(J[k:]) > 1.10 * J[k]
+
+
+class TestUnitsInvariance:
+    """E, F_b and K_c scaled by c and eps by 1/c, with rho given: the load
+    is mu_L times a fixed profile, so the displacements, the jumps, J and
+    the gradient do not move, and the solver depends only on the ratios of
+    F_b, K_c and 1/eps to E. For c a power of 4 every operation scales
+    exactly, so the outputs are bitwise equal. A tolerance, guard or seed
+    written in stress units, such as a probe's start, would break that."""
+
+    @staticmethod
+    def outputs(config):
+        meas = driver.synthesize_measurement(config)[0]
+        log = driver.identify(config, meas, record_gradients=True)
+        h = config.h_identify
+        checked = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        return {"aborted": np.array(log.aborted),
+                "iterations": np.array([[r[c] for c in log.CSV_COLUMNS] for r in log.rows]),
+                "gradients": np.vstack([np.column_stack([np.full(s.size, n), s, d3, lam2])
+                                        for n, s, d3, lam2 in log.gradients]),
+                "gradient_check": np.array([(s, ana, *fds) for s, ana, fds in checked])}
+
+    @pytest.mark.parametrize("load_case,F_b", [("contact", 1e-5), ("stretch", 1e-5),
+                                               ("contact", 1e3)])
+    def test_scaled_stress_units_give_the_same_bits(self, load_case, F_b):
+        # F_b = 1e3 sticks 14 pairs of the base state, which the probes merge;
+        # its identify cycles at iteration 6, and the message is pinned too
+        config = driver.ExperimentConfig(h_measure=0.05, n_max=10, load_case=load_case,
+                                         F_b=F_b)
+        ref = self.outputs(config)
+        assert ref["iterations"].shape[0] == (6 if F_b > 1.0 else 11)
+        for c in (4.0, 0.25, 2.0 ** 20):
+            scaled = dataclasses.replace(config, E_Y=c * config.E_Y, F_b=c * config.F_b,
+                                         K_c=c * config.K_c, eps=config.eps / c,
+                                         rho_reg=config.rho_reg)
+            assert scaled.elasticity().mu_L == c * config.elasticity().mu_L
+            for name, table in self.outputs(scaled).items():
+                assert np.array_equal(table, ref[name]), (c, name)

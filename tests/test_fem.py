@@ -826,6 +826,57 @@ class TestBorrowedFactor:
         assert counts["factor"] == 1
 
     @pytest.mark.parametrize("case", list(BORROW_CASES))
+    def test_start_at_the_base_solution_agrees_with_a_cold_solve(self, monkeypatch, case):
+        # a probe that refines from its base's solution, not from a first
+        # substitution, saves that substitution; both meet the eps test, so
+        # their difference, folded onto the merge's kept rows, is a few eps
+        base, mesh, K = self.probe_pair(case)
+        rhs = self.load(mesh)
+        start = base.solve(rhs)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        counts = self.counting(monkeypatch)
+        warm = borrowed.solve(rhs, start)
+        steps = counts["substitute"]
+        cold = borrowed.solve(rhs)
+        assert counts == {"factor": 0, "substitute": 2 * steps + 1} and steps >= 1
+        assert borrowed.lu is base.lu
+        mu = np.zeros(0 if borrowed.c is None else len(borrowed.c))
+        r, b = borrowed._apply(warm - cold, mu), rhs.copy()
+        if borrowed.coupling is not None:
+            plus, minus, _ = borrowed.coupling
+            p, m = plus[borrowed.shut], minus[borrowed.shut]
+            assert np.array_equal(warm[p], warm[m])
+            for v in (r, b):
+                v[p] += v[m]
+                v[m] = 0.0
+        eps = np.finfo(float).eps
+        assert fem.norm(r) <= 3.0 * eps * (fem.norm(b) + borrowed.max_abs * fem.norm(cold))
+
+    @pytest.mark.parametrize("case", list(BORROW_CASES))
+    def test_start_that_reaches_the_cap_falls_back_bitwise(self, monkeypatch, case):
+        # B = 2 B_base, as in the far-block test: from the base's solution
+        # the steps never contract either; at REFINE_CAP the factor factors
+        # B and solves cold, as a factor made from B's band does
+        mesh = build_mesh(*MESHES["perturbed"])
+        base = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+                            mesh, case)
+        K = fem.assemble_stiffness(mesh, IsotropicElasticity.from_young(2.0 * ELAST.E_Y,
+                                                                        ELAST.nu_P))
+        own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
+        rhs = self.load(mesh)
+        start = base.solve(rhs)
+        counts = self.counting(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        x = borrowed.solve(rhs, start)
+        fallen = counts["substitute"]
+        assert borrowed.fallback is None and borrowed.lu is not base.lu
+        assert np.array_equal(borrowed.lu.lower, own.lu.lower)
+        assert x.tobytes() == own.solve(rhs).tobytes()
+        # REFINE_CAP steps from the start, none before them, then a cold solve
+        assert fallen - fem.REFINE_CAP == counts["substitute"] - fallen
+        assert counts["factor"] == 1
+
+    @pytest.mark.parametrize("case", list(BORROW_CASES))
     def test_own_factor_steps_only_above_eps(self, monkeypatch, case):
         # an own factor refines while its residual is above roundoff, as a
         # borrowed one does, and an uncoupled solve takes no step: the
@@ -882,15 +933,62 @@ class TestBorrowedFactor:
         solves = []
         solve = fem.FactorizedSPD.solve
 
-        def counted_solve(self, rhs):
+        def counted_solve(self, rhs, start=None):
             solves.append(self)
-            return solve(self, rhs)
+            return solve(self, rhs, start)
 
         monkeypatch.setattr(fem.FactorizedSPD, "solve", counted_solve)
         counts = self.counting(monkeypatch)
         driver.identify(config, meas)
         assert len(solves) == 12 and all(f.coupling is not None for f in solves)
         assert counts == {"factor": 4, "substitute": 12}
+
+    @pytest.mark.parametrize("kw,measure,check,stick", [
+        pytest.param({}, 18, 100, 0, id="default"),
+        pytest.param({"h_measure": 0.05, "F_b": 1e3}, 8, 97, 14, id="h0.05-sticking")])
+    def test_gradient_check_probes_refine_from_the_base_state(self, monkeypatch,
+                                                              kw, measure, check, stick):
+        # each probe's one Newton step refines from the base state on the
+        # base's L: 3 substitutions at the coarse step and 2 at the fine one,
+        # where a first substitution made them 4 and 3. The benchmark's round
+        # (its measurement and the check) makes 118, where it made 154; with
+        # F_b = 1e3 the check makes 97, not 133, its probes merging shut the
+        # base's sticking pairs from a start with no reaction on them
+        config = ExperimentConfig(**kw)
+        on, borrowers = [], []
+        substitute = fem.FactorizedSPD._substitute
+        borrowing = fem.FactorizedSPD.borrowing.__func__
+
+        def counted(self, rhs):
+            on.append(self)
+            return substitute(self, rhs)
+
+        def record_borrowing(cls, *args):
+            borrowers.append(borrowing(cls, *args))
+            return borrowers[-1]
+
+        monkeypatch.setattr(fem.FactorizedSPD, "_substitute", counted)
+        monkeypatch.setattr(fem.FactorizedSPD, "borrowing", classmethod(record_borrowing))
+        meas = driver.synthesize_measurement(config)[0]
+        assert len(on) == measure
+        h = config.h_identify
+        cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        assert len(on) - measure == check
+        per_probe = [sum(f is b for f in on) for b in borrowers]
+        assert np.array_equal(np.reshape(per_probe, (9, 2, 2)),
+                              np.broadcast_to([[3, 3], [2, 2]], (9, 2, 2)))
+        assert all(b.fallback is not None and b.shut.size == stick for b in borrowers)
+
+    @pytest.mark.parametrize("load_case,substitutions", [("contact", 34), ("stretch", 29)])
+    def test_identify_round_substitutions(self, monkeypatch, load_case, substitutions):
+        # the benchmark's identify round, 10 iterations at h_measure 0.01 on
+        # a measurement made before it, borrows no factor: no start reaches it
+        config = ExperimentConfig(load_case=load_case, n_max=10)
+        meas = driver.synthesize_measurement(config)[0]
+        counts = self.counting(monkeypatch)
+        log = driver.identify(config, meas)
+        assert log.aborted is None and len(log.rows) == 11
+        assert counts["substitute"] == substitutions
 
     @staticmethod
     def probe_pair(case="penalty"):

@@ -366,7 +366,7 @@ class TestFactorReuse:
             couple(self, *args)
             self.tag = object()   # each coupling set, the empty one included
 
-        def refactor(self, rhs):
+        def refactor(self, rhs, start=None):
             if any(self.tag is seen for seen in solved):
                 # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
@@ -379,7 +379,7 @@ class TestFactorReuse:
                 self = fresh
             else:
                 solved.append(self.tag)
-            return solve(self, rhs)
+            return solve(self, rhs, start)
 
         def marked_adjoint(*args):
             in_adjoint[0] = True
