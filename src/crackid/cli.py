@@ -237,11 +237,11 @@ def gradient_check(config, meas, steps):
     """The one home of the gradient check: the volumetric shape derivative
     of each interior coarse node's hat against central differences of the
     objective, one per step. Each probe re-meshes through this module's
-    ``build_mesh``, solves the state on the base mesh's factor from the
-    base state's active sets, so its coupling takes the base's Y = L^-1 U
-    (``fem.FactorizedSPD``), and its first solve refines from the base
-    state, not from a first substitution (3 substitutions at the coarse
-    step and 2 at the fine one on the default config). It ends in one
+    ``build_mesh`` and solves the state on the base mesh's band factor
+    from the base state's active sets, so its coupling takes the Y = L^-1 U
+    the factor kept (``fem.FactorizedSPD``), and its first solve refines
+    from the base state (3 substitutions at the coarse step and 2 at the
+    fine one on the default config). It ends in one
     ``driver.objective`` against the base mesh's measurement trace, whose
     observation rows every probe mesh shares. Returns one
     ``(s, analytic, [fd per step])`` per node.

@@ -15,22 +15,19 @@ topology, which every mesh of it holds bit for bit (``geometry``), so the
 load and the mass are formed once per topology and kept read-only. Dirichlet
 dofs are eliminated by row/column removal, so every free block stays
 symmetric positive definite. Once per mesh, ``subdomain_factor`` gathers
-K's free block and its band from the cached pattern, and ``FactorizedSPD``
-factors the band in place by a band Cholesky (LAPACK ``dpbtrf``; George and
-Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981), or
-solves on the factor of a nearby mesh of the same topology, such as a
-finite-difference probe's base, refining against its own block, from a
-nearby solution where one is given (the probe's first from the base state)
-and otherwise from a first substitution, and taking the base's
-Y = L^-1 U and Y^T Y where it couples the base's rows. Its rows
-are the mesh's free dofs in their one order, the lower subdomain first, so
-the block is block diagonal, one band per subdomain, and the mesh's
-topology says where the blocks end. Every Newton matrix of the mesh is that
-block plus a low-rank coupling on interface jump dofs, which the factor
-solves through the Woodbury identity: a penalty's jump mass, or a pair
-merged shut as the infinite-weight limit. The factor checks definiteness
-and rank when it factors; a coupled or borrowed solve refines until its
-residual is at roundoff, and every solve's backward error is checked.
+K's free block and its band from the cached pattern into a
+``CoupledSystem``, which solves on ``FactorizedSPD``, the block's band
+Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981), or on the factor of a nearby mesh
+of the same topology, such as a finite-difference probe's base, refining
+against its own block. Its rows are the mesh's free dofs in their one
+order, the lower subdomain first, so the block is block diagonal, one band
+per subdomain, and the mesh's topology says where the blocks end. Every
+Newton matrix of the mesh is that block plus a low-rank coupling on
+interface jump dofs, solved through the Woodbury identity: a penalty's jump
+mass, or a pair merged shut as the infinite-weight limit; a coupling on the
+rows of the factor's last Y = L^-1 U takes it. A coupled or borrowed solve
+refines until its residual is at roundoff.
 """
 
 import functools
@@ -45,10 +42,10 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import InvalidPoisson, NotPositiveDefinite, NumericalOverflow
 
 GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # on [0, 1]
-# |Ax - b| <= tol (|b| + max|A| |x|): every FactorizedSPD.solve, and the
+# |Ax - b| <= tol (|b| + max|A| |x|): every CoupledSystem.solve, and the
 # stationarity residual of every converged solvers._active_set_solve state
 BACKWARD_TOL = 1e-10
-REFINE_CAP = 8   # refinement steps of a solve; a borrowed factor then factors
+REFINE_CAP = 8   # refinement steps of a solve; a borrower then factors
 
 
 def norm(v):
@@ -219,15 +216,15 @@ def assemble_stiffness(mesh, elast):
 
 
 def subdomain_factor(mesh, K, base=None):
-    """``FactorizedSPD`` of the free block of K, the mesh's
-    ``assemble_stiffness``: the mesh's band factor, or one on ``base``'s L.
+    """``CoupledSystem`` of the free block of K (``assemble_stiffness``), on
+    the mesh's band factor or on ``base``, one of a mesh of this topology.
 
     No entry of K joins the two subdomains, so in the order of
     ``mesh.free_dofs`` its free block is block diagonal, one band per
     subdomain, the blocks ending at ``mesh.block_end``. The block and its
     band are gathered from K's data by the cached pattern; the band is laid
-    out in LAPACK's column-major order, so the factor overwrites it (one on
-    the L of ``base``, of a mesh of this topology, builds it to fall back on).
+    out in LAPACK's column-major order, so the factor overwrites it (on
+    ``base``, the system builds it to fall back on).
     """
     src, indptr, indices, lower, slot, kd = _free_block(mesh.topology)
     n_free = mesh.free_dofs.size
@@ -242,8 +239,10 @@ def subdomain_factor(mesh, K, base=None):
     block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
     band_max = max(vals.max(initial=0.0), -vals.min(initial=0.0))
     if base is None:
-        return FactorizedSPD(band(), block, mesh.block_end, band_max)
-    return FactorizedSPD.borrowing(base, block, band_max, band)
+        own = band()   # the factor overwrites it: diag(B) is copied first
+        return CoupledSystem(block, own[0].copy(), band_max,
+                             FactorizedSPD(own, mesh.block_end))
+    return CoupledSystem(block, block.diagonal(), band_max, base, band)
 
 
 def assemble_traction(mesh, g):
@@ -311,51 +310,22 @@ class _Band(NamedTuple):
 
 
 class FactorizedSPD:
-    """Band Cholesky factor of an SPD matrix B, and the solves of
-    B + U D U^T for a low-rank coupling that ``couple`` sets.
+    """Band Cholesky factor L of an SPD matrix B; nothing changes L once built.
 
     ``band`` is B in LAPACK lower band storage; ``dpbtrf`` factors it in
-    place when it is Fortran-ordered, so the caller hands it over, with
-    ``band_max`` = max|B|, which the caller takes from the entries it wrote
-    into the band. The factor keeps diag(B), which ``couple`` reads, taken
-    before the band is overwritten. ``matrix`` is B as a sparse matrix; a
-    solve takes and returns vectors in the order of B's rows. ``block_end``
-    lists where B's diagonal blocks end: no entry of B joins the rows above
-    such an end to the rows below it, so L^-1 keeps a column in its block.
-    A coupling is (plus, minus, d): U's column k is e(plus_k) - e(minus_k),
-    plus_k and minus_k rows of B, with weight d_k > 0. With B = L L^T,
-    Y = L^-1 U and C = D^-1 + Y^T Y factored densely, a solve is
-    x = L^-T (z - Y mu), z = L^-1 b, mu = C^-1 Y^T z (Woodbury; Hager,
-    SIAM Review 31, 1989).
-    A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
-    the pair shut, and mu_k is the reaction that keeps it shut. Such a
-    solve is the Galerkin merge's: the minus row's load moves onto the plus
-    row first, and the minus dof takes the plus dof's value after each
-    substitution. A coupled or ``borrowing`` solve refines x against
-    ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine epsilon,
-    starting from ``start`` where given, with no reaction on the shut pairs
-    (a probe's first solve starts from its base's state, as close as a
-    substitution on the base's L and one substitution cheaper), and
-    otherwise from one substitution; after ``REFINE_CAP`` steps a borrower
-    factors B, drops its base and solves again with no start, and an own
-    factor stops; an uncoupled own solve takes no step. Y and Y^T Y
-    depend on L and the rows alone: a borrower coupled on its base's current
-    rows, on the base's L, takes both, Y read-only, and forms only C.
-
-    Each solve's backward error is checked against ``matrix`` on every
-    row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
-    pair, and max|A| taken over B and the finite coupled diagonals
-    (``BACKWARD_TOL``). A nonpositive pivot of B or C, a negligible pivot
-    of B (min diag(L)^2 <= 1e-12 max diag(L)^2, the rank check; a NaN
-    fails it too), a weight that is not > 0 and a failed check raise
+    place when it is Fortran-ordered, so the caller hands it over.
+    ``block_end`` lists where B's diagonal blocks end: no entry of B joins
+    the rows above such an end to the rows below it, so L^-1 keeps a column
+    in its block. Y = L^-1 U and Y^T Y (``products``) depend on L and U's
+    rows alone, so the factor keeps the last pair it formed, with the rows,
+    for any coupling on them (a probe's on its base's L), and drops it
+    before it forms the next. A nonpositive pivot, or a negligible one
+    (min diag(L)^2 <= 1e-12 max diag(L)^2; a NaN fails it too), raises
     ``NotPositiveDefinite``; a Y^T Y that overflows raises
     ``NumericalOverflow``. ``lu`` holds the factor.
     """
 
-    def __init__(self, band, matrix, block_end, band_max):
-        self.fallback = self._base = None   # a borrower's builder of B's band, and base
-        self.diag = band[0].copy()
-        self.band_max = band_max
+    def __init__(self, band, block_end):
         try:
             lower = cholesky_banded(band, lower=True, overwrite_ab=True,
                                     check_finite=False)
@@ -364,54 +334,25 @@ class FactorizedSPD:
         diag = lower[0]
         if diag.size and not diag.min() ** 2 > 1e-12 * diag.max() ** 2:
             raise NotPositiveDefinite("matrix numerically rank deficient")
-        self.matrix = matrix
         self.block_end = np.asarray(block_end)
         self.lu = _Band(lower, lower.size)
-        self.couple((), (), ())
+        self._kept = None   # (plus, minus, Y, Y^T Y) of the last Y formed
 
-    @classmethod
-    def borrowing(cls, base, matrix, band_max, band):
-        """``matrix`` on the L of ``base``; it factors nothing, nor runs ``__init__``."""
-        self = cls.__new__(cls)
-        self.fallback, self.diag, self.band_max = band, matrix.diagonal(), band_max
-        self.matrix, self.block_end, self.lu, self._base = matrix, base.block_end, base.lu, base
-        self.couple((), (), ())
-        return self
-
-    def couple(self, plus, minus, weights):
-        """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
-        an empty one solves B alone."""
-        self.coupling = self.y = self.yty = self.c = None   # let the old one go first
-        self.max_abs = self.band_max
-        d = np.asarray(weights, dtype=float)
-        if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
-            raise NotPositiveDefinite("coupling weights must be positive")
-        if d.size == 0:
-            return
-        base = self._base   # Y = L^-1 U depends on L and the rows alone
-        rows = base is not None and base.lu is self.lu and base.coupling
-        if rows and all(map(np.array_equal, (plus, minus), rows[:2])):
-            y, yty = base.y, base.yty
-        else:
-            y = self._trailing_solves(plus, minus)
-            y.setflags(write=False)   # a borrower on the same rows shares it
-            with np.errstate(over="ignore", invalid="ignore"):
-                yty = y.T @ y
-            if not np.isfinite(yty).all():
-                raise NumericalOverflow("coupling Y^T Y overflows double precision "
-                                        "(max |Y| %.3g)" % np.abs(y).max())
-        with np.errstate(over="ignore"):   # 1/d = inf, the d -> 0 limit: mu_k = 0
-            inverse = 1.0 / d
-        try:
-            self.c = cholesky(np.diag(inverse) + yty, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
-        self.y, self.yty, self.coupling = y, yty, (plus, minus, d)
-        self.shut = np.flatnonzero(np.isinf(d))
-        self.pen = np.flatnonzero(np.isfinite(d))
-        for side in (plus, minus):
-            self.max_abs = max(self.max_abs,
-                               (self.diag[side] + d)[self.pen].max(initial=0.0))
+    def products(self, plus, minus):
+        """Y = L^-1 U, read-only, and Y^T Y for the rows (plus, minus)."""
+        kept = self._kept
+        if kept and all(map(np.array_equal, (plus, minus), kept[:2])):
+            return kept[2:]
+        self._kept = None   # let the old Y go first
+        y = self._trailing_solves(plus, minus)
+        y.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            yty = y.T @ y
+        if not np.isfinite(yty).all():
+            raise NumericalOverflow("coupling Y^T Y overflows double precision "
+                                    "(max |Y| %.3g)" % np.abs(y).max())
+        self._kept = (plus, minus, y, yty)
+        return y, yty
 
     def _trailing_solves(self, plus, minus):
         """Y = L^-1 U, row-major. In each diagonal block of L, a column of U
@@ -441,6 +382,75 @@ class FactorizedSPD:
                 y[lo:end, chunk] = dtbtrs(lower[:, lo:end], rhs, uplo="L")[0]
         return y
 
+    def solve(self, rhs, y, c):
+        """One substitution: x = L^-T (z - Y mu) and mu = C^-1 Y^T z,
+        z = L^-1 rhs, with C the lower Cholesky factor; x = B^-1 rhs and an
+        empty mu for Y None."""
+        z = dtbtrs(self.lu.lower, rhs, uplo="L")[0]
+        mu = np.zeros(0)
+        if y is not None:
+            mu = cho_solve((c, True), y.T @ z, check_finite=False)
+            z -= y @ mu
+        return dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0], mu
+
+
+class CoupledSystem:
+    """The Newton matrices of one mesh: B + U D U^T on a ``FactorizedSPD``.
+
+    ``matrix`` is B, sparse, in the order of a solve's vectors, with
+    ``diag`` = diag(B) and ``band_max`` = max|B|. ``factor`` is B's, or,
+    with the builder of B's band as ``fallback``, that of a nearby matrix
+    with the same blocks (a probe's base). A coupling (``couple``) is
+    (plus, minus, d): U's column k is e(plus_k) - e(minus_k), rows of B,
+    with weight d_k > 0. With Y = L^-1 U and C = D^-1 + Y^T Y factored
+    densely, a substitution is Woodbury's (Hager, SIAM Review 31, 1989).
+    A weight d_k = inf, a zero of D^-1, is the d -> inf limit: it merges
+    the pair shut, and mu_k is the reaction that keeps it shut. Such a
+    solve is the Galerkin merge's: the minus row's load moves onto the plus
+    row first, and the minus dof takes the plus dof's value after each
+    substitution. A coupled solve, or one on a borrowed factor, refines x
+    against ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine
+    epsilon, from ``start`` where given, with no reaction on the shut pairs,
+    and otherwise from one substitution; after ``REFINE_CAP`` steps a
+    borrower factors B, couples again and solves with no start, and an own
+    factor stops; an uncoupled own solve takes no step.
+
+    Each solve's backward error is checked against ``matrix`` on every
+    row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
+    pair, and max|A| taken over B and the finite coupled diagonals
+    (``BACKWARD_TOL``). A nonpositive pivot of C, a weight that is not > 0
+    and a failed check raise ``NotPositiveDefinite``.
+    """
+
+    def __init__(self, matrix, diag, band_max, factor, fallback=None):
+        self.matrix, self.diag, self.band_max = matrix, diag, band_max
+        self.factor, self.fallback = factor, fallback
+        self.couple((), (), ())
+
+    def couple(self, plus, minus, weights):
+        """Set the coupling (plus, minus, weights) that ``solve`` adds to B;
+        an empty one solves B alone."""
+        self.coupling = self.y = self.c = None   # let the old one go first
+        self.max_abs = self.band_max
+        d = np.asarray(weights, dtype=float)
+        if not np.all(d > 0.0):   # with D <= 0, C may factor; A would not
+            raise NotPositiveDefinite("coupling weights must be positive")
+        if d.size == 0:
+            return
+        y, yty = self.factor.products(plus, minus)
+        with np.errstate(over="ignore"):   # 1/d = inf, the d -> 0 limit: mu_k = 0
+            inverse = 1.0 / d
+        try:
+            self.c = cholesky(np.diag(inverse) + yty, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise NotPositiveDefinite(str(exc)) from exc
+        self.y, self.coupling = y, (plus, minus, d)
+        self.shut = np.flatnonzero(np.isinf(d))
+        self.pen = np.flatnonzero(np.isfinite(d))
+        for side in (plus, minus):
+            self.max_abs = max(self.max_abs,
+                               (self.diag[side] + d)[self.pen].max(initial=0.0))
+
     def solve(self, rhs, start=None):
         given, p, m = rhs, slice(0), slice(0)
         if self.coupling is not None:
@@ -450,7 +460,7 @@ class FactorizedSPD:
             rhs[p] += rhs[m]   # the merge's R^T b: zero stays exactly zero
             rhs[m] = 0.0
         if start is None:
-            x, mu = self._substitute(rhs)
+            x, mu = self.factor.solve(rhs, self.y, self.c)
         else:   # a nearby solution, with no reaction on the shut pairs
             x, mu = start.copy(), np.zeros(0 if self.c is None else len(self.c))
         x[m] = x[p]
@@ -462,14 +472,14 @@ class FactorizedSPD:
         for step in range(REFINE_CAP + 1 if self.fallback or self.coupling else 0):
             if norm(res) <= np.finfo(float).eps * (norm(rhs) + self.max_abs * norm(x)):
                 break
-            if step == REFINE_CAP:   # a borrowed factor factors B; an own one stops
+            if step == REFINE_CAP:   # a borrower factors B; an own factor stops
                 if not self.fallback:
                     break
-                coupling = self.coupling or ((), (), ())
-                self.__init__(self.fallback(), self.matrix, self.block_end, self.band_max)
-                self.couple(*coupling)
+                self.factor = FactorizedSPD(self.fallback(), self.factor.block_end)
+                self.fallback = None
+                self.couple(*(self.coupling or ((), (), ())))
                 return self.solve(given)
-            dx, dmu = self._substitute(res)
+            dx, dmu = self.factor.solve(res, self.y, self.c)
             x, mu = x - dx, mu - dmu
             x[m] = x[p]
             res = self._apply(x, mu) - rhs
@@ -481,17 +491,8 @@ class FactorizedSPD:
                 "(residual %.3e)" % res)
         return x
 
-    def _substitute(self, rhs):
-        """x = L^-T (z - Y mu) and mu = C^-1 Y^T z, z = L^-1 rhs."""
-        z = dtbtrs(self.lu.lower, rhs, uplo="L")[0]
-        mu = np.zeros(0)
-        if self.coupling is not None:
-            mu = cho_solve((self.c, True), self.y.T @ z, check_finite=False)
-            z -= self.y @ mu
-        return dtbtrs(self.lu.lower, z, uplo="L", trans="T")[0], mu
-
     def _apply(self, x, mu):
-        """The factored matrix times x, ``matrix`` and the coupling, with
+        """The coupled matrix times x, ``matrix`` and the coupling, with
         the reactions mu on the shut pairs."""
         ax = self.matrix @ x
         if self.coupling is not None:

@@ -19,9 +19,9 @@ the operator holds with its penalty eps:
 
 ``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
 final state Newton matrix, on the state's operator and so at its eps.
-Every linear solve goes through one method,
-``_InterfaceOperator.solve``. The operator factors K once per mesh, one
-band per subdomain (``fem.subdomain_factor``), or borrows a ``base``
+Every linear solve goes through one method, ``_InterfaceOperator.solve``,
+on the operator's ``fem.CoupledSystem`` (``fem.subdomain_factor``): on K's
+band factor, made once per mesh, one band per subdomain, or on a ``base``
 operator's on a mesh of its topology (a probe's); its rows are the mesh's
 free dofs in their one order. Each Newton matrix is that factor with a
 low-rank coupling on the interface pairs, their rows read from
@@ -76,7 +76,7 @@ class ActiveSet:
 class _InterfaceOperator:
     """Shared assembly context for one (mesh, laws, elast, g, eps) tuple,
     ``eps`` the penalty or None for exact contact, and the owner of the
-    mesh's factor and the current Newton matrix's coupling on it."""
+    mesh's coupled system, the current Newton matrix."""
 
     def __init__(self, mesh, laws, elast, g, eps, base=None):
         self.mesh = mesh
@@ -103,7 +103,7 @@ class _InterfaceOperator:
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
         same = base is not None and base.mesh.topology is mesh.topology
-        self.factor = fem.subdomain_factor(mesh, self.K, base.factor if same else None)
+        self.system = fem.subdomain_factor(mesh, self.K, base.system.factor if same else None)
         self.start = base.state if same else None   # the first solve refines from it
         self._key = None
 
@@ -147,14 +147,14 @@ class _InterfaceOperator:
             normal = self.w[closed] / self.eps if self.eps is not None \
                 else np.full(np.count_nonzero(closed), np.inf)
             row = self.mesh.free_row
-            self.factor.couple(
+            self.system.couple(
                 row[np.concatenate([self.p2[closed], self.p1[stick]])],
                 row[np.concatenate([self.m2[closed], self.m1[stick]])],
                 np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
             self._key = key
         free = self.mesh.free_dofs
         x = np.zeros(rhs.size)
-        x[free] = self.factor.solve(rhs[free], self.start)
+        x[free] = self.system.solve(rhs[free], self.start)
         self.start = None
         return x
 
@@ -233,7 +233,7 @@ def _active_set_solve(op, max_outer, start=None):
     same matrix for the same load. The state is accepted if its
     stationarity residual r passes the test each factored solve passes,
     ||r|| <= ``fem.BACKWARD_TOL`` (||F|| + max|A| ||u||), with max|A| the
-    factor's ``max_abs`` for the final coupling and the norms
+    system's ``max_abs`` for the final coupling and the norms
     ``fem.norm``'s (a normwise backward error, after Rigal and Gaches;
     Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7);
     otherwise, or without a repeat in ``max_outer`` steps, it raises
@@ -278,7 +278,7 @@ def _active_set_solve(op, max_outer, start=None):
     seen = {}   # each state's step and sets, in step order
 
     for it in range(1, max_outer + 1):
-        state = (op.factor.fallback is None, op.start is None,
+        state = (op.system.fallback is None, op.start is None,
                  *(a.tobytes() for a in (closed, sgn, ind, flips)))
         if state in seen:
             first = seen[state][0]
@@ -318,7 +318,7 @@ def _active_set_solve(op, max_outer, start=None):
 
     # the repeat is the answer if it passes the solves' backward-error test
     r_norm = res * (op.Fnorm if op.Fnorm > 0.0 else 1.0)
-    scale = op.Fnorm + op.factor.max_abs * fem.norm(values)
+    scale = op.Fnorm + op.system.max_abs * fem.norm(values)
     if not r_norm <= fem.BACKWARD_TOL * scale:   # a NaN residual fails too
         raise NoConvergence("%s stabilised at residual %.3e, backward error %.3e"
                             % (name, res, r_norm / scale))
@@ -352,11 +352,10 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     ``configuration`` of an earlier report on a mesh with the same
     interface nodes (the previous identification iterate, or the base state
     of a finite-difference probe); ``base``, an operator of such a state,
-    lends its factor (``fem.subdomain_factor``) and its converged state,
-    which the first solve on the lent factor refines from in place of a
-    first substitution (``fem.FactorizedSPD.solve``). Returns the state, the
-    ``SolveReport`` and the operator, which keeps the mesh's factor and the
-    final Newton matrix's coupling for ``solve_adjoint``.
+    lends its band factor and its converged state, which the first solve
+    on it refines from (``fem.CoupledSystem.solve``). Returns the state, the
+    ``SolveReport`` and the operator, whose system keeps the final Newton
+    matrix's coupling for ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
     values, _, report = _active_set_solve(op, max_outer, start)

@@ -3,7 +3,8 @@
 Everything here is deliberately written as plain loops over elements,
 edges and nodes with dense linear algebra, sharing no assembly code with
 the package. Only usable on tiny meshes. The vectorised references at the
-end keep the formulas that faster package code must match bit for bit.
+end keep the formulas that faster package code must match bit for bit;
+``record_calls`` counts the package's work by wrapping a function.
 """
 
 import numpy as np
@@ -682,3 +683,19 @@ def vertex_boundary_mass(mesh):
     return sp.coo_matrix((np.concatenate(vals),
                           (np.concatenate(rows), np.concatenate(cols))),
                          shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+
+
+def record_calls(monkeypatch, owner, name, entry=None, calls=None):
+    """Patch ``owner.name`` to call through and then append ``entry`` of
+    the call's arguments to ``calls``, or the first argument (a method's
+    self) without ``entry``. Returns ``calls``, a new list by default."""
+    calls = [] if calls is None else calls
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(args[0] if entry is None else entry(*args, **kwargs))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

@@ -214,8 +214,9 @@ def test_criterion_6_property_suites(contact_measurement):
     x = np.zeros(mesh.n_dofs)
     B = Kp[col][:, col]
     band = oracles.tril_band(B)
-    factor = fem.FactorizedSPD(band, B, [col.size], np.abs(band).max())
-    x[col] = factor.solve(rhs[col])
+    system = fem.CoupledSystem(B, B.diagonal(), np.abs(band).max(),
+                               fem.FactorizedSPD(band, [col.size]))
+    x[col] = system.solve(rhs[col])
     patch_err = float(np.max(np.abs(x + lift - u_exact)) / np.abs(u_exact).max())
     patch_ok = patch_err < 1e-8
 

@@ -14,6 +14,8 @@ import pytest
 from crackid import cli
 from crackid.driver import ExperimentConfig
 
+import oracles
+
 CONFIG_SMALL = """
 [material]
 young = 73000
@@ -244,16 +246,9 @@ class TestGradientCheck:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG_SMALL.format(n_max=0))
         events = []
-        build, objective = cli.build_mesh, driver.objective
-
-        def record(name, fn):
-            def recorded(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-            return recorded
-
-        monkeypatch.setattr(cli, "build_mesh", record("mesh", build))
-        monkeypatch.setattr(driver, "objective", record("objective", objective))
+        oracles.record_calls(monkeypatch, cli, "build_mesh", lambda *a, **k: "mesh", events)
+        oracles.record_calls(monkeypatch, driver, "objective",
+                             lambda *a, **k: "objective", events)
         assert run(["gradient-check", "--config", str(cfg),
                     "--out", str(tmp_path / "g")]) == 0
         interior = cli.load_config(str(cfg)).initial_graph().s.size - 2
@@ -267,14 +262,7 @@ class TestGradientCheck:
         from crackid import driver, fem
         config = cli.load_config(config_path)
         meas = driver.synthesize_measurement(config)[0]
-        made = []
-        init = fem.FactorizedSPD.__init__
-
-        def record(self, *args):
-            init(self, *args)
-            made.append(self)
-
-        monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         h = config.h_identify
         rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
         assert len(rows) == 9 and len(made) == 1

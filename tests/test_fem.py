@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from crackid import cli, driver, fem
+from crackid import cli, driver, fem, solvers
 from crackid.driver import ExperimentConfig
 from crackid.errors import InvalidPoisson, NotPositiveDefinite
 from crackid.fem import IsotropicElasticity, lame_from_young
@@ -30,9 +30,10 @@ MESHES = {
 
 
 def factor_of(A):
-    """Band Cholesky of a sparse SPD matrix, checked against it."""
+    """A sparse SPD matrix's system on its band Cholesky, checked against it."""
     band = oracles.tril_band(A)
-    return fem.FactorizedSPD(band, A, [A.shape[0]], np.abs(band).max())
+    return fem.CoupledSystem(A, A.diagonal(), np.abs(band).max(),
+                             fem.FactorizedSPD(band, [A.shape[0]]))
 
 
 def free_solve(matrix, rhs, free):
@@ -479,19 +480,19 @@ class TestFreeBand:
     # each mesh, and whether no entry of its stiffness sums to exactly zero
     MESH_CASES = [("flat", False), ("perturbed", True), ("kinked", False)]
 
-    def factor(self, name, closed):
+    def system(self, name, closed):
         mesh = build_mesh(*MESHES[name])
         K = fem.assemble_stiffness(mesh, ELAST)
         weights = mesh.interface_nodal_weights() / 1e-8
         nodes = closed_nodes(mesh, closed)
-        factor = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
-        return mesh, K, weights, nodes, factor
+        system = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
+        return mesh, K, weights, nodes, system
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
     def test_band_and_factor_match_the_sparse_route_bitwise(self, name, nonzero,
                                                             closed):
-        mesh, K, _, nodes, factor = self.factor(name, closed)
+        mesh, K, _, nodes, system = self.system(name, closed)
         # a flat or kinked mesh keeps exact zeros in K, and in the band
         assert (np.count_nonzero(K.data) == K.nnz) == nonzero
         free = mesh.free_dofs
@@ -500,26 +501,27 @@ class TestFreeBand:
         ref = oracles.tril_band(K[free][:, free])
         # the factor consumed its band; B's band holds the same bits, and
         # the diagonal and max|B| it kept were taken from it
-        assert oracles.tril_band(factor.matrix).tobytes() == ref.tobytes()
-        assert factor.diag.tobytes() == ref[0].tobytes()
-        assert factor.band_max == np.abs(ref).max()
+        assert oracles.tril_band(system.matrix).tobytes() == ref.tobytes()
+        assert system.diag.tobytes() == ref[0].tobytes()
+        assert system.band_max == np.abs(ref).max()
         ref_lower = cholesky_banded(ref, lower=True, check_finite=False)
-        assert np.array_equal(factor.lu.lower, ref_lower)
+        assert np.array_equal(system.factor.lu.lower, ref_lower)
         # the blocks end where the mesh says; the size counts the band only
         lower = np.count_nonzero(free // 2 < mesh.iface_plus[0])
-        assert np.array_equal(factor.block_end, [lower, free.size])
-        assert factor.lu.nnz == ref.size
+        assert np.array_equal(system.factor.block_end, [lower, free.size])
+        assert system.factor.lu.nnz == ref.size
 
     @pytest.mark.parametrize("name", sorted(MESHES) + ["identify"])
     def test_block_end_is_the_topology_split(self, name):
         # the lower block holds 2 (rows below + 1) (columns - 1) free dofs,
         # and no entry of L joins the blocks there
         mesh = coupling_mesh(name)
-        factor = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
+        system = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
         n_cols = oracles.column_count(mesh)
         rows_below = mesh.iface_minus[0] // (n_cols + 1)
         lower = 2 * (rows_below + 1) * (n_cols - 1)
-        assert np.array_equal(factor.block_end, [lower, mesh.free_dofs.size])
+        assert np.array_equal(system.factor.block_end, [lower, mesh.free_dofs.size])
+        factor = system.factor
         assert np.array_equal(factor.block_end, oracles.block_end_scan(factor.lu.lower))
         if name == "identify":
             assert lower == 4002
@@ -530,14 +532,14 @@ class TestFreeBand:
         # as K x does on the free rows, less products with zeros
         mesh = coupling_mesh(name)
         K = fem.assemble_stiffness(mesh, ELAST)
-        factor = fem.subdomain_factor(mesh, K)
+        system = fem.subdomain_factor(mesh, K)
         free = mesh.free_dofs
         x = np.random.default_rng(17).standard_normal(free.size)
         full = np.zeros(mesh.n_dofs)
         full[free] = x
-        assert (factor.matrix @ x).tobytes() == (K @ full)[free].tobytes()
+        assert (system.matrix @ x).tobytes() == (K @ full)[free].tobytes()
         # the block holds every entry of K that joins two free dofs
-        assert factor.matrix.nnz == K[free][:, free].nnz
+        assert system.matrix.nnz == K[free][:, free].nnz
 
     @pytest.mark.parametrize("h", [0.05, 1.0 / 35.0, 0.01 * 8.0 / 7.0, 0.01],
                              ids=["flat", "flat-fine", "identify", "measure"])
@@ -545,24 +547,24 @@ class TestFreeBand:
         # the size guard's prediction is the band the factor builds
         mesh = build_mesh(constant_graph(0.25), h)
         K = fem.assemble_stiffness(mesh, ELAST)
-        factor = fem.subdomain_factor(mesh, K)
-        assert band_shape(h) == oracles.tril_band(factor.matrix).shape
-        assert band_shape(h) == factor.lu.lower.shape
+        system = fem.subdomain_factor(mesh, K)
+        assert band_shape(h) == oracles.tril_band(system.matrix).shape
+        assert band_shape(h) == system.factor.lu.lower.shape
 
     @pytest.mark.parametrize("name,nonzero", MESH_CASES)
     @pytest.mark.parametrize("closed", ["none", "every-other", "all"])
     def test_solve_matches_the_full_band_route(self, name, nonzero, closed):
-        mesh, K, weights, nodes, factor = self.factor(name, closed)
+        mesh, K, weights, nodes, system = self.system(name, closed)
         # the reference bands K + J in column order, where it stays banded
         col = oracles.column_order(mesh)
         A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[col][:, col]
         rhs = np.random.default_rng(8).standard_normal(mesh.n_dofs)
         ref = oracles.full_band_solve(A, rhs[col])
         x = np.zeros(mesh.n_dofs)
-        x[mesh.free_dofs] = factor.solve(rhs[mesh.free_dofs])
+        x[mesh.free_dofs] = system.solve(rhs[mesh.free_dofs])
         assert np.linalg.norm(x[col] - ref) <= 1e-12 * np.linalg.norm(ref)
         # the backward-error check scales by max|A| of the whole matrix
-        assert factor.max_abs == abs(A).max()
+        assert system.max_abs == abs(A).max()
 
     @pytest.mark.parametrize("block", [0, 1], ids=["lower", "upper"])
     def test_indefinite_block_rejected(self, block):
@@ -578,19 +580,19 @@ class TestFreeBand:
         mesh = build_mesh(*MESHES["perturbed"])
         K = fem.assemble_stiffness(mesh, ELAST)
         nodes = closed_nodes(mesh, "all")
-        factor = fem.subdomain_factor(mesh, K)
+        system = fem.subdomain_factor(mesh, K)
         with pytest.raises(NotPositiveDefinite, match="coupling"):
-            couple(factor, mesh, nodes, -mesh.interface_nodal_weights()[nodes] / 1e-8)
+            couple(system, mesh, nodes, -mesh.interface_nodal_weights()[nodes] / 1e-8)
 
     def test_sign_flipped_coupling_fails_the_backward_error_check(self):
         # the check applies the coupling: against K - J, the solve of K + J fails
-        mesh, _, _, _, factor = self.factor("perturbed", "every-other")
-        plus, minus, d = factor.coupling
+        mesh, _, _, _, system = self.system("perturbed", "every-other")
+        plus, minus, d = system.coupling
         rhs = np.ones(mesh.free_dofs.size)
-        factor.solve(rhs)
-        factor.coupling = (plus, minus, -d)
+        system.solve(rhs)
+        system.coupling = (plus, minus, -d)
         with pytest.raises(NotPositiveDefinite, match="backward-error"):
-            factor.solve(rhs)
+            system.solve(rhs)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-10])
     @pytest.mark.parametrize("closed", ["every-other", "all"])
@@ -605,7 +607,7 @@ class TestFreeBand:
         K = fem.assemble_stiffness(mesh, ELAST)
         weights = mesh.interface_nodal_weights() / eps
         nodes = closed_nodes(mesh, closed)
-        factor = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
+        system = couple(fem.subdomain_factor(mesh, K), mesh, nodes, weights[nodes])
         free = mesh.free_dofs
         A = (K + oracles.interface_nodal_jump_matrix(mesh, weights, nodes))[free][:, free]
         rhs = fem.assemble_traction(mesh, cfg.traction("contact"))[free]
@@ -615,8 +617,9 @@ class TestFreeBand:
             return np.linalg.norm(A @ x - rhs) / (max_abs * np.linalg.norm(x)
                                                   + np.linalg.norm(rhs))
 
-        refined = backward_error(factor.solve(rhs))
-        assert refined <= backward_error(factor._substitute(rhs)[0]) / 3.0
+        refined = backward_error(system.solve(rhs))
+        unrefined = system.factor.solve(rhs, system.y, system.c)[0]
+        assert refined <= backward_error(unrefined) / 3.0
 
 
 def coupling_mesh(name):
@@ -647,26 +650,26 @@ class TestCoupling:
             np.flatnonzero(mesh.interface_interior()))
         weights = np.concatenate([mesh.interface_nodal_weights()[penalty] / 1e-8,
                                   np.full(shut.size, np.inf)])
-        factor = couple(fem.subdomain_factor(mesh, K), mesh,
+        system = couple(fem.subdomain_factor(mesh, K), mesh,
                         np.concatenate([penalty, shut]), weights, stick)
         A = K + oracles.interface_nodal_jump_matrix(
             mesh, mesh.interface_nodal_weights() / 1e-8, penalty)
         plus, minus = pair_dofs(mesh, shut, stick)
-        return mesh, A, factor, plus, minus
+        return mesh, A, system, plus, minus
 
     @staticmethod
-    def solve(mesh, factor, rhs):
+    def solve(mesh, system, rhs):
         x = np.zeros(mesh.n_dofs)
-        x[mesh.free_dofs] = factor.solve(rhs[mesh.free_dofs])
+        x[mesh.free_dofs] = system.solve(rhs[mesh.free_dofs])
         return x
 
     @pytest.mark.parametrize("case", list(COUPLING_CASES))
     @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
     def test_constrained_solve_matches_the_merged_oracle(self, name, case):
-        mesh, A, factor, plus, minus = self.coupled(name, case)
+        mesh, A, system, plus, minus = self.coupled(name, case)
         rhs = np.random.default_rng(8).standard_normal(mesh.n_dofs)
         ref = oracles.merged_solve(A, rhs, oracles.column_order(mesh), minus, plus)
-        x = self.solve(mesh, factor, rhs)
+        x = self.solve(mesh, system, rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         # every merged jump is exactly zero, as the merge makes it
         assert np.array_equal(x[plus], x[minus])
@@ -674,32 +677,32 @@ class TestCoupling:
     @pytest.mark.parametrize("case", list(COUPLING_CASES))
     def test_load_the_merge_cancels_gives_exact_zero(self, case):
         # equal and opposite loads on the merged pairs: R^T b = 0, so x = 0
-        mesh, _, factor, plus, minus = self.coupled("perturbed", case)
+        mesh, _, system, plus, minus = self.coupled("perturbed", case)
         rhs = np.zeros(mesh.n_dofs)
         rhs[plus] = np.linspace(1.0, 2.0, plus.size)
         rhs[minus] = -rhs[plus]
-        assert not np.any(self.solve(mesh, factor, rhs))
+        assert not np.any(self.solve(mesh, system, rhs))
 
     @pytest.mark.parametrize("case", list(COUPLING_CASES))
     @pytest.mark.parametrize("name", ["perturbed", "identify"])
     def test_block_solves_equal_one_solve_from_the_top(self, name, case):
         # Y = L^-1 U solved per block from each column's first row equals,
         # bit for bit, one solve of all of U from row 0; it is row-major
-        mesh, _, factor, _, _ = self.coupled(name, case)
-        plus, minus, d = factor.coupling
+        mesh, _, system, _, _ = self.coupled(name, case)
+        plus, minus, d = system.coupling
         u = np.zeros((mesh.free_dofs.size, d.size))
         u[plus, np.arange(d.size)] = 1.0
         u[minus, np.arange(d.size)] = -1.0
-        ref = dtbtrs(factor.lu.lower, u, uplo="L")[0]
-        assert np.array_equal(factor.y, ref)
-        assert factor.y.flags.c_contiguous
+        ref = dtbtrs(system.factor.lu.lower, u, uplo="L")[0]
+        assert np.array_equal(system.y, ref)
+        assert system.y.flags.c_contiguous
 
     @pytest.mark.parametrize("case", list(COUPLING_CASES))
     @pytest.mark.parametrize("name", ["flat", "perturbed", "kinked", "identify"])
     def test_refinement_step_cuts_the_constrained_backward_error(self, name, case):
         # the merged system's normwise backward error, with the solution
         # read on the kept dofs, on the contact load
-        mesh, A, factor, plus, minus = self.coupled(name, case)
+        mesh, A, system, plus, minus = self.coupled(name, case)
         R, kept = oracles.merge_map(mesh.n_dofs, mesh.free_dofs, minus, plus)
         A_r = R.T @ A @ R
         rhs = fem.assemble_traction(mesh, ExperimentConfig().traction("contact"))
@@ -716,8 +719,8 @@ class TestCoupling:
         folded = rhs.copy()
         folded[plus] += folded[minus]
         folded[minus] = 0.0
-        x0[free] = factor._substitute(folded[free])[0]
-        refined = backward_error(self.solve(mesh, factor, rhs))
+        x0[free] = system.factor.solve(folded[free], system.y, system.c)[0]
+        refined = backward_error(self.solve(mesh, system, rhs))
         unrefined = backward_error(x0)
         # merged pairs alone add no large weight, so the solve starts at
         # roundoff; the penalty's w/eps cancels, and the step cuts it 20x
@@ -734,35 +737,19 @@ BORROW_CASES = {
 
 
 class TestBorrowedFactor:
-    """A factor that solves on the L of a nearby matrix with the same
+    """A system that solves on the L of a nearby matrix with the same
     blocks (a finite-difference probe's on its base mesh's) and refines
-    against its own block; a coupled own factor refines by the same eps
-    test, an uncoupled one takes no step."""
+    against its own block; a coupled own system refines by the same eps
+    test, an uncoupled one takes no step. Factorisations are counted as
+    ``FactorizedSPD.__init__`` calls, substitutions as ``FactorizedSPD.solve``
+    calls (a solve's first, and one per refinement step) and the Y formed
+    as ``FactorizedSPD._trailing_solves`` calls."""
 
     @staticmethod
-    def coupled(factor, mesh, case):
+    def coupled(system, mesh, case):
         penalty, stick = BORROW_CASES[case](np.flatnonzero(mesh.interface_interior()))
-        return couple(factor, mesh, penalty,
+        return couple(system, mesh, penalty,
                       mesh.interface_nodal_weights()[penalty] / 1e-8, stick)
-
-    @staticmethod
-    def counting(monkeypatch):
-        """Count ``FactorizedSPD.__init__`` (the factorisations) and
-        ``_substitute`` (the solve plus one per refinement step)."""
-        counts = {"factor": 0, "substitute": 0}
-        init, substitute = fem.FactorizedSPD.__init__, fem.FactorizedSPD._substitute
-
-        def counted_init(self, *args):
-            counts["factor"] += 1
-            init(self, *args)
-
-        def counted_substitute(self, rhs):
-            counts["substitute"] += 1
-            return substitute(self, rhs)
-
-        monkeypatch.setattr(fem.FactorizedSPD, "__init__", counted_init)
-        monkeypatch.setattr(fem.FactorizedSPD, "_substitute", counted_substitute)
-        return counts
 
     @staticmethod
     def load(mesh):
@@ -786,44 +773,46 @@ class TestBorrowedFactor:
         base = fem.subdomain_factor(base_mesh, fem.assemble_stiffness(base_mesh, ELAST))
         K = fem.assemble_stiffness(mesh, ELAST)
         own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
-        counts = self.counting(monkeypatch)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
         # diag(B) and max|A| hold the bits the probe's own band gives
         assert borrowed.diag.tobytes() == own.diag.tobytes()
-        assert borrowed.max_abs == own.max_abs and borrowed.lu is base.lu
+        assert borrowed.max_abs == own.max_abs and borrowed.factor is base.factor
         rhs = self.load(mesh)
         x = borrowed.solve(rhs)
         # no fallback: the loop left on the roundoff bound before the cap
-        assert counts["factor"] == 0
-        assert borrowed.fallback is not None and borrowed.lu is base.lu
-        assert 1 <= counts["substitute"] - 1 <= 4, counts
+        assert made == []
+        assert borrowed.fallback is not None and borrowed.factor is base.factor
+        assert 1 <= len(substituted) - 1 <= 4, len(substituted)
         ref = own.solve(rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("case", list(BORROW_CASES))
     def test_far_block_falls_back_on_its_own_factor_bitwise(self, monkeypatch, case):
         # B = 2 B_base: each step maps the error e to -e, so the residual
-        # never contracts; after REFINE_CAP steps the factor factors B once
-        # and solves as a factor made from B's band does, then and after
+        # never contracts; after REFINE_CAP steps the system factors B once
+        # and solves as a system made from B's band does, then and after
         mesh = build_mesh(*MESHES["perturbed"])
         base = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
         stiff = IsotropicElasticity.from_young(2.0 * ELAST.E_Y, ELAST.nu_P)
         K = fem.assemble_stiffness(mesh, stiff)
         assert np.array_equal(K.data, 2.0 * fem.assemble_stiffness(mesh, ELAST).data)
         own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
-        counts = self.counting(monkeypatch)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
         rhs = self.load(mesh)
         x = borrowed.solve(rhs)
-        fallen = counts["substitute"]
-        assert borrowed.fallback is None and borrowed.lu is not base.lu
-        assert np.array_equal(borrowed.lu.lower, own.lu.lower)
+        fallen = len(substituted)
+        assert borrowed.fallback is None and borrowed.factor is not base.factor
+        assert np.array_equal(borrowed.factor.lu.lower, own.factor.lu.lower)
         assert x.tobytes() == own.solve(rhs).tobytes()
         # one substitution and REFINE_CAP steps on the base's L, then what an
         # own solve makes
-        assert fallen - (1 + fem.REFINE_CAP) == counts["substitute"] - fallen
+        assert fallen - (1 + fem.REFINE_CAP) == len(substituted) - fallen
         assert borrowed.solve(2.0 * rhs).tobytes() == own.solve(2.0 * rhs).tobytes()
-        assert counts["factor"] == 1
+        assert made == [borrowed.factor]
 
     @pytest.mark.parametrize("case", list(BORROW_CASES))
     def test_start_at_the_base_solution_agrees_with_a_cold_solve(self, monkeypatch, case):
@@ -833,13 +822,14 @@ class TestBorrowedFactor:
         base, mesh, K = self.probe_pair(case)
         rhs = self.load(mesh)
         start = base.solve(rhs)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
-        counts = self.counting(monkeypatch)
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
         warm = borrowed.solve(rhs, start)
-        steps = counts["substitute"]
+        steps = len(substituted)
         cold = borrowed.solve(rhs)
-        assert counts == {"factor": 0, "substitute": 2 * steps + 1} and steps >= 1
-        assert borrowed.lu is base.lu
+        assert made == [] and len(substituted) == 2 * steps + 1 and steps >= 1
+        assert borrowed.factor is base.factor
         mu = np.zeros(0 if borrowed.c is None else len(borrowed.c))
         r, b = borrowed._apply(warm - cold, mu), rhs.copy()
         if borrowed.coupling is not None:
@@ -855,8 +845,8 @@ class TestBorrowedFactor:
     @pytest.mark.parametrize("case", list(BORROW_CASES))
     def test_start_that_reaches_the_cap_falls_back_bitwise(self, monkeypatch, case):
         # B = 2 B_base, as in the far-block test: from the base's solution
-        # the steps never contract either; at REFINE_CAP the factor factors
-        # B and solves cold, as a factor made from B's band does
+        # the steps never contract either; at REFINE_CAP the system factors
+        # B and solves cold, as a system made from B's band does
         mesh = build_mesh(*MESHES["perturbed"])
         base = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
                             mesh, case)
@@ -865,50 +855,52 @@ class TestBorrowedFactor:
         own = self.coupled(fem.subdomain_factor(mesh, K), mesh, case)
         rhs = self.load(mesh)
         start = base.solve(rhs)
-        counts = self.counting(monkeypatch)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
         x = borrowed.solve(rhs, start)
-        fallen = counts["substitute"]
-        assert borrowed.fallback is None and borrowed.lu is not base.lu
-        assert np.array_equal(borrowed.lu.lower, own.lu.lower)
+        fallen = len(substituted)
+        assert borrowed.fallback is None and borrowed.factor is not base.factor
+        assert np.array_equal(borrowed.factor.lu.lower, own.factor.lu.lower)
         assert x.tobytes() == own.solve(rhs).tobytes()
         # REFINE_CAP steps from the start, none before them, then a cold solve
-        assert fallen - fem.REFINE_CAP == counts["substitute"] - fallen
-        assert counts["factor"] == 1
+        assert fallen - fem.REFINE_CAP == len(substituted) - fallen
+        assert made == [borrowed.factor]
 
     @pytest.mark.parametrize("case", list(BORROW_CASES))
     def test_own_factor_steps_only_above_eps(self, monkeypatch, case):
-        # an own factor refines while its residual is above roundoff, as a
-        # borrowed one does, and an uncoupled solve takes no step: the
-        # merge's fold, one substitution, the tie of the shut pairs, and one
-        # step only where |r| > eps (|b| + max|A| |x|); on the contact load
-        # the coupled cases leave about 3 eps, and one step is enough
+        # an own system refines while its residual is above roundoff, as a
+        # borrower does, and an uncoupled solve takes no step: the merge's
+        # fold, one substitution, the tie of the shut pairs, and one step
+        # only where |r| > eps (|b| + max|A| |x|); on the contact load the
+        # coupled cases leave about 3 eps, and one step is enough
         mesh = build_mesh(*MESHES["perturbed"])
-        factor = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+        system = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
                               mesh, case)
         rhs = self.load(mesh)
         b, p, m = rhs.copy(), slice(0), slice(0)
-        if factor.coupling is not None:
-            plus, minus, _ = factor.coupling
-            p, m = plus[factor.shut], minus[factor.shut]
+        if system.coupling is not None:
+            plus, minus, _ = system.coupling
+            p, m = plus[system.shut], minus[system.shut]
             b[p] += b[m]
             b[m] = 0.0
 
         def above_eps(x, mu):
-            return fem.norm(factor._apply(x, mu) - b) > np.finfo(float).eps * (
-                fem.norm(b) + factor.max_abs * fem.norm(x))
+            return fem.norm(system._apply(x, mu) - b) > np.finfo(float).eps * (
+                fem.norm(b) + system.max_abs * fem.norm(x))
 
-        x, mu = factor._substitute(b)
+        x, mu = system.factor.solve(b, system.y, system.c)
         x[m] = x[p]
-        steps = int(factor.coupling is not None and above_eps(x, mu))
+        steps = int(system.coupling is not None and above_eps(x, mu))
         if steps:
-            dx, dmu = factor._substitute(factor._apply(x, mu) - b)
+            dx, dmu = system.factor.solve(system._apply(x, mu) - b, system.y, system.c)
             x, mu = x - dx, mu - dmu
             x[m] = x[p]
             assert not above_eps(x, mu)
-        counts = self.counting(monkeypatch)
-        assert factor.solve(rhs).tobytes() == x.tobytes()
-        assert counts == {"factor": 0, "substitute": 1 + steps}
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        assert system.solve(rhs).tobytes() == x.tobytes()
+        assert made == [] and len(substituted) == 1 + steps
         assert steps == {"uncoupled": 0, "penalty": 1, "penalty-and-sticking": 1}[case]
 
     def test_unrefined_coupled_solve_ties_the_shut_pairs(self, monkeypatch):
@@ -916,12 +908,12 @@ class TestBorrowedFactor:
         # takes no step returns x[minus] = x[plus] on every shut pair, bitwise
         mesh = build_mesh(*MESHES["flat"])
         interior = np.flatnonzero(mesh.interface_interior())
-        factor = couple(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
+        system = couple(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
                         mesh, interior[:0], [], interior[::2])
-        plus, minus, _ = factor.coupling
-        counts = self.counting(monkeypatch)
-        x = factor.solve(self.load(mesh))
-        assert counts["substitute"] == 1 and factor.shut.size == plus.size > 0
+        plus, minus, _ = system.coupling
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        x = system.solve(self.load(mesh))
+        assert len(substituted) == 1 and system.shut.size == plus.size > 0
         assert x[minus].tobytes() == x[plus].tobytes()
 
     def test_contact_identify_substitutes_once_a_solve(self, monkeypatch, coarse_measurement):
@@ -930,69 +922,66 @@ class TestBorrowedFactor:
         # refinement step a coupled solve made 24
         config = ExperimentConfig(h_measure=0.05, n_max=3)
         meas = driver.read_measurement(coarse_measurement)
-        solves = []
-        solve = fem.FactorizedSPD.solve
-
-        def counted_solve(self, rhs, start=None):
-            solves.append(self)
-            return solve(self, rhs, start)
-
-        monkeypatch.setattr(fem.FactorizedSPD, "solve", counted_solve)
-        counts = self.counting(monkeypatch)
+        solves = oracles.record_calls(monkeypatch, fem.CoupledSystem, "solve")
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
         driver.identify(config, meas)
-        assert len(solves) == 12 and all(f.coupling is not None for f in solves)
-        assert counts == {"factor": 4, "substitute": 12}
+        assert len(solves) == 12 and all(s.coupling is not None for s in solves)
+        assert len(made) == 4 and len(substituted) == 12
 
-    @pytest.mark.parametrize("kw,measure,check,stick", [
-        pytest.param({}, 18, 100, 0, id="default"),
-        pytest.param({"h_measure": 0.05, "F_b": 1e3}, 8, 97, 14, id="h0.05-sticking")])
-    def test_gradient_check_probes_refine_from_the_base_state(self, monkeypatch,
-                                                              kw, measure, check, stick):
+    @pytest.mark.parametrize("kw,measure,check,stick,steps", [
+        pytest.param({}, 18, 100, 0, 44, id="default"),
+        pytest.param({"h_measure": 0.05, "F_b": 1e3}, 8, 97, 14, 42, id="h0.05-sticking")])
+    def test_gradient_check_probes_refine_from_the_base_state(self, monkeypatch, kw,
+                                                              measure, check, stick, steps):
         # each probe's one Newton step refines from the base state on the
         # base's L: 3 substitutions at the coarse step and 2 at the fine one,
         # where a first substitution made them 4 and 3. The benchmark's round
-        # (its measurement and the check) makes 118, where it made 154; with
-        # F_b = 1e3 the check makes 97, not 133, its probes merging shut the
-        # base's sticking pairs from a start with no reaction on them
+        # (its measurement and the check) makes 118, where it made 154, with
+        # 2 factorisations and 44 Newton steps; with F_b = 1e3 the check
+        # makes 97, not 133, its probes merging shut the base's sticking
+        # pairs from a start with no reaction on them
         config = ExperimentConfig(**kw)
-        on, borrowers = [], []
-        substitute = fem.FactorizedSPD._substitute
-        borrowing = fem.FactorizedSPD.borrowing.__func__
-
-        def counted(self, rhs):
-            on.append(self)
-            return substitute(self, rhs)
-
-        def record_borrowing(cls, *args):
-            borrowers.append(borrowing(cls, *args))
-            return borrowers[-1]
-
-        monkeypatch.setattr(fem.FactorizedSPD, "_substitute", counted)
-        monkeypatch.setattr(fem.FactorizedSPD, "borrowing", classmethod(record_borrowing))
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        systems = oracles.record_calls(monkeypatch, fem.CoupledSystem, "__init__")
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        # each system solve, with the substitutions made up to its return
+        solves = oracles.record_calls(monkeypatch, fem.CoupledSystem, "solve",
+                                      lambda system, *args: (system, len(substituted)))
         meas = driver.synthesize_measurement(config)[0]
-        assert len(on) == measure
+        assert len(substituted) == measure
+        reports = oracles.record_calls(monkeypatch, solvers.SolveReport, "__init__")
         h = config.h_identify
         cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
-        assert len(on) - measure == check
-        per_probe = [sum(f is b for f in on) for b in borrowers]
-        assert np.array_equal(np.reshape(per_probe, (9, 2, 2)),
+        assert len(substituted) - measure == check and len(made) == 2
+        assert len(reports) == 37 and sum(r.iterations for r in reports) == steps
+        per_system = {}
+        for (system, after), (_, before) in zip(solves, [(None, 0)] + solves):
+            per_system[system] = per_system.get(system, 0) + after - before
+        borrowers = [s for s in systems if s.fallback is not None]
+        assert np.array_equal(np.reshape([per_system[b] for b in borrowers], (9, 2, 2)),
                               np.broadcast_to([[3, 3], [2, 2]], (9, 2, 2)))
-        assert all(b.fallback is not None and b.shut.size == stick for b in borrowers)
+        assert all(b.shut.size == stick for b in borrowers)
 
     @pytest.mark.parametrize("load_case,substitutions", [("contact", 34), ("stretch", 29)])
     def test_identify_round_substitutions(self, monkeypatch, load_case, substitutions):
         # the benchmark's identify round, 10 iterations at h_measure 0.01 on
-        # a measurement made before it, borrows no factor: no start reaches it
+        # a measurement made before it, borrows no factor: no start reaches it.
+        # With its measurement it makes 12 factorisations, and 23 (contact)
+        # or 18 (stretch) Newton steps
         config = ExperimentConfig(load_case=load_case, n_max=10)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         meas = driver.synthesize_measurement(config)[0]
-        counts = self.counting(monkeypatch)
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
         log = driver.identify(config, meas)
         assert log.aborted is None and len(log.rows) == 11
-        assert counts["substitute"] == substitutions
+        assert len(substituted) == substitutions and len(made) == 12
+        steps = sum(row["penalty_iters"] for row in log.rows)
+        assert steps == {"contact": 23, "stretch": 18}[load_case]
 
     @staticmethod
     def probe_pair(case="penalty"):
-        """The identify mesh's factor coupled on ``case``'s rows, and a probe
+        """The identify mesh's system coupled on ``case``'s rows, and a probe
         mesh with its stiffness: one coarse node moved by 1e-3 h."""
         cfg = ExperimentConfig()
         psi, h = cfg.initial_graph(), cfg.h_identify
@@ -1002,50 +991,38 @@ class TestBorrowedFactor:
         return TestBorrowedFactor.coupled(base, base_mesh, case), mesh, \
             fem.assemble_stiffness(mesh, ELAST)
 
-    @staticmethod
-    def counting_trailing_solves(monkeypatch):
-        """The factors ``FactorizedSPD._trailing_solves`` runs on, one per call."""
-        on = []
-        trailing = fem.FactorizedSPD._trailing_solves
-
-        def counted(self, plus, minus):
-            on.append(self)
-            return trailing(self, plus, minus)
-
-        monkeypatch.setattr(fem.FactorizedSPD, "_trailing_solves", counted)
-        return on
-
     @pytest.mark.parametrize("case", ["penalty", "penalty-and-sticking"])
     def test_borrower_on_the_base_rows_takes_the_base_y(self, monkeypatch, case):
         # Y = L^-1 U and Y^T Y depend on L and the coupled rows alone: on the
-        # base's rows a borrower takes both, read-only, and solves bit for bit
-        # as a borrower that formed its own Y on those rows
+        # rows of the factor's last Y a borrower takes both, read-only, and
+        # solves bit for bit as a borrower that formed its own Y on them
         base, mesh, K = self.probe_pair(case)
-        on = self.counting_trailing_solves(monkeypatch)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
-        assert on == []
-        assert borrowed.y is base.y and borrowed.yty is base.yty
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
+        assert formed == []
+        assert borrowed.y is base.y and base.factor._kept[2] is base.y
         assert not base.y.flags.writeable
         assert not np.array_equal(borrowed.coupling[2], base.coupling[2])   # D moves
         base_y = base.y
-        base.couple((), (), ())   # no rows to take: the next borrower forms its own Y
-        own_y = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, case)
-        assert on == [own_y] and own_y.y is not base_y
+        other = {"penalty": "penalty-and-sticking", "penalty-and-sticking": "penalty"}[case]
+        self.coupled(base, mesh, other)   # the factor's last Y is on other rows now
+        own_y = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
+        assert formed == [base.factor] * 2 and own_y.y is not base_y
         assert own_y.y.tobytes() == base_y.tobytes()
         rhs = self.load(mesh)
         assert borrowed.solve(rhs).tobytes() == own_y.solve(rhs).tobytes()
 
     def test_borrower_on_other_rows_forms_its_own_y(self, monkeypatch):
         base, mesh, K = self.probe_pair("penalty")
-        on = self.counting_trailing_solves(monkeypatch)
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh,
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh,
                                 "penalty-and-sticking")
-        assert on == [borrowed] and borrowed.y is not base.y
+        assert formed == [base.factor] and borrowed.y is not base.y
         assert borrowed.y.shape[1] > base.y.shape[1]
 
     def test_recoupling_the_base_leaves_the_borrower(self):
         base, mesh, K = self.probe_pair("penalty")
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, "penalty")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, "penalty")
         y, rhs = borrowed.y, self.load(mesh)
         x = borrowed.solve(rhs)
         self.coupled(base, mesh, "penalty-and-sticking")   # the rows are the topology's
@@ -1054,57 +1031,97 @@ class TestBorrowedFactor:
 
     def test_fallen_back_borrower_recouples_on_its_own_l(self, monkeypatch):
         # B = 2 B_base never converges on the base's L (as in the far-block
-        # test): the B it factors takes the link to the base with the base's
-        # L, and the coupling is formed anew on its own L
+        # test): the system swaps in a factor of its own B and forms its Y
+        # there once; coupling again on the same rows takes that Y
         mesh = build_mesh(*MESHES["perturbed"])
         base = self.coupled(fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST)),
                             mesh, "penalty")
         K = fem.assemble_stiffness(mesh, IsotropicElasticity.from_young(2.0 * ELAST.E_Y,
                                                                         ELAST.nu_P))
-        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base), mesh, "penalty")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, "penalty")
         assert borrowed.y is base.y
-        on = self.counting_trailing_solves(monkeypatch)
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
         rhs = self.load(mesh)
         x = borrowed.solve(rhs)
-        assert borrowed.fallback is None and borrowed.lu is not base.lu
-        assert on == [borrowed] and borrowed.y is not base.y
-        borrowed.couple(*borrowed.coupling)   # no base to take from now
-        assert on == [borrowed] * 2
+        assert borrowed.fallback is None and borrowed.factor is not base.factor
+        assert formed == [borrowed.factor] and borrowed.y is not base.y
+        borrowed.couple(*borrowed.coupling)
+        assert formed == [borrowed.factor] and borrowed.factor._kept[2] is borrowed.y
         own = self.coupled(fem.subdomain_factor(mesh, K), mesh, "penalty")
         assert borrowed.y.tobytes() == own.y.tobytes()
         assert x.tobytes() == own.solve(rhs).tobytes()
 
+    @pytest.mark.parametrize("case", ["penalty", "penalty-and-sticking"])
+    def test_fallback_leaves_the_base_factor_alone(self, monkeypatch, case):
+        # a borrower that reaches REFINE_CAP (B = 2 B_base, as in the
+        # far-block test) swaps in its own factor: the base's L keeps its
+        # bits and its kept Y, which the next borrower on its rows takes
+        base, mesh, K = self.probe_pair(case)
+        lower, y = base.factor.lu.lower.tobytes(), base.y
+        rhs = self.load(mesh)
+        x = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case).solve(rhs)
+        far = fem.assemble_stiffness(mesh, IsotropicElasticity.from_young(2.0 * ELAST.E_Y,
+                                                                          ELAST.nu_P))
+        fallen = self.coupled(fem.subdomain_factor(mesh, far, base.factor), mesh, case)
+        fallen.solve(rhs)
+        assert fallen.fallback is None and fallen.factor is not base.factor
+        assert base.factor.lu.lower.tobytes() == lower and base.factor._kept[2] is y
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        after = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, case)
+        assert formed == [] and after.y is y
+        assert after.solve(rhs).tobytes() == x.tobytes()
+
+    @staticmethod
+    def y_formed(monkeypatch, config):
+        """``cli.gradient_check``'s rows, and the Y its probes' couplings
+        and the other couplings formed (``_trailing_solves`` calls)."""
+        meas = driver.synthesize_measurement(config)[0]
+        systems = oracles.record_calls(monkeypatch, fem.CoupledSystem, "__init__")
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        # each nonempty coupling, with the Y formed up to its return
+        coupled = oracles.record_calls(
+            monkeypatch, fem.CoupledSystem, "couple",
+            lambda system, plus, minus, weights: (system, len(weights), len(formed)))
+        h = config.h_identify
+        rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        probes = [s for s in systems if s.fallback is not None]
+        by_probes = sum(after - before for (s, rank, after), (_, _, before)
+                        in zip(coupled, [(None, 0, 0)] + coupled)
+                        if rank and any(s is p for p in probes))
+        assert len(rows) == 9 and len(probes) == 36
+        return rows, by_probes, len(formed) - by_probes
+
     @pytest.mark.parametrize("h_measure,formed", [(0.05, 3), (0.01, 8)])
     def test_gradient_check_forms_y_for_the_base_state_alone(self, monkeypatch,
                                                              h_measure, formed):
-        # the 36 probes couple on the base state's converged rows, so every
-        # Y of a round is formed by the base state's own couplings: 8 at the
-        # benchmark's configuration (h_measure 0.01), where the probes formed
-        # 36 more
-        config = ExperimentConfig(h_measure=h_measure)
-        meas = driver.synthesize_measurement(config)[0]
-        borrowers, coupled = [], []
-        borrowing, couple_ = fem.FactorizedSPD.borrowing.__func__, fem.FactorizedSPD.couple
+        # the 36 probes couple on the base state's converged rows, the rows
+        # of the factor's last Y, so every Y of a round is formed by the base
+        # state's own couplings: 8 at the benchmark's configuration
+        # (h_measure 0.01), where the probes formed 36 more
+        _, by_probes, by_base = self.y_formed(monkeypatch,
+                                              ExperimentConfig(h_measure=h_measure))
+        assert by_probes == 0 and by_base == formed
 
-        def record_borrowing(cls, *args):
-            borrowers.append(borrowing(cls, *args))
-            return borrowers[-1]
+    def test_sticking_probes_share_one_y_bitwise(self, monkeypatch):
+        # with F_b = 1e3 the base's adjoint couples on other rows than its
+        # state's last step, so the first probe forms the Y of the state's
+        # rows and the other 35 take it from the factor; forming a Y for
+        # every coupling, as each probe once did, gives the same rows
+        config = ExperimentConfig(h_measure=0.05, F_b=1e3)
+        rows, by_probes, _ = self.y_formed(monkeypatch, config)
+        assert by_probes == 1
+        monkeypatch.undo()
+        products = fem.FactorizedSPD.products
 
-        def record_couple(self, plus, minus, weights):
-            couple_(self, plus, minus, weights)
-            if len(weights):
-                coupled.append(self)
+        def fresh(factor, plus, minus):
+            factor._kept = None
+            return products(factor, plus, minus)
 
-        monkeypatch.setattr(fem.FactorizedSPD, "borrowing", classmethod(record_borrowing))
-        monkeypatch.setattr(fem.FactorizedSPD, "couple", record_couple)
-        on = self.counting_trailing_solves(monkeypatch)
-        h = config.h_identify
-        rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
-        probes = [f for f in coupled if any(f is b for b in borrowers)]
-        assert len(rows) == 9 and len(borrowers) == len(probes) == 36
-        assert on and all(f.fallback is None for f in on)
-        assert not any(f is b for f in on for b in borrowers)
-        assert len(on) == len(coupled) - len(probes) == formed
+        monkeypatch.setattr(fem.FactorizedSPD, "products", fresh)
+        fresh_rows, by_probes, _ = self.y_formed(monkeypatch, config)
+        assert by_probes == 36
+        for row, fresh_row in zip(rows, fresh_rows):
+            assert row[:2] == fresh_row[:2] and np.array_equal(row[2], fresh_row[2])
 
 
 class TestBandOrder:
@@ -1114,18 +1131,12 @@ class TestBandOrder:
         cfg = ExperimentConfig()
         mesh = coupling_mesh("identify")
         K = fem.assemble_stiffness(mesh, ELAST)
-        factored = []
-        init = fem.FactorizedSPD.__init__
-
-        def record(self, band, *args):
-            factored.append(band.shape[0] - 1)
-            init(self, band, *args)
-
-        monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
+        factored = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__",
+                                        lambda factor, band, block_end: band.shape[0] - 1)
         interior = np.flatnonzero(mesh.interface_interior())
-        factor = fem.subdomain_factor(mesh, K)
-        couple(factor, mesh, interior, np.full(interior.size, np.inf), interior)
-        factor.solve(np.ones(mesh.free_dofs.size))
+        system = fem.subdomain_factor(mesh, K)
+        couple(system, mesh, interior, np.full(interior.size, np.inf), interior)
+        system.solve(np.ones(mesh.free_dofs.size))
         per_column = mesh.n_vertices // (oracles.column_count(mesh) + 1)
         assert len(factored) == 1
         # a block column holds half the vertices of a mesh column

@@ -124,7 +124,7 @@ class TestPdasRandomLines:
         u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_STRETCH, 1e-8)
         assert rep.residual > 1e-10
         backward = rep.residual * op.Fnorm / (
-            op.Fnorm + op.factor.max_abs * np.linalg.norm(u.values))
+            op.Fnorm + op.system.max_abs * np.linalg.norm(u.values))
         assert backward <= np.finfo(float).eps
         assert np.min(mesh.jump(u.values, 1)) >= 0.0
 
@@ -194,31 +194,10 @@ def jump_newton_matrix(st):
         st["mesh"], st["op"].w / st["cfg"].eps, np.flatnonzero(closed))
 
 
-def counting_factorisations(monkeypatch):
-    """Patch ``FactorizedSPD.__init__`` to list the factors it makes."""
-    made = []
-    init = fem.FactorizedSPD.__init__
-
-    def record(self, *args):
-        init(self, *args)
-        made.append(self)
-
-    monkeypatch.setattr(fem.FactorizedSPD, "__init__", record)
-    return made
-
-
-def counting_couplings(monkeypatch):
-    """Patch ``FactorizedSPD.couple`` to list the rank of each coupling it
-    sets, the empty one of a new factor included."""
-    ranks = []
-    couple = fem.FactorizedSPD.couple
-
-    def record(self, plus, minus, weights):
-        couple(self, plus, minus, weights)
-        ranks.append(len(weights))
-
-    monkeypatch.setattr(fem.FactorizedSPD, "couple", record)
-    return ranks
+def rank(system, plus, minus, weights):
+    """What ``oracles.record_calls`` lists of a ``CoupledSystem.couple``
+    call: the rank of the coupling, the empty one of a new system included."""
+    return len(weights)
 
 
 class TestSolvePath:
@@ -235,7 +214,7 @@ class TestSolvePath:
         clamped = oracles.dirichlet_vertices(mesh)
         assert not x[2 * clamped].any()
         assert not x[2 * clamped + 1].any()
-        assert op.factor.coupling is None
+        assert op.system.coupling is None
 
     def test_unmerged_residual_reads_k_alone(self, contact_state):
         # an unmerged penalty step forms r = f - K u, not f - (K + J) u: the
@@ -258,8 +237,8 @@ class TestSolvePath:
             raise AssertionError("sparse K + J built")
 
         monkeypatch.setattr(sp.csr_matrix, "__add__", refuse)
-        made = counting_factorisations(monkeypatch)
-        ranks = counting_couplings(monkeypatch)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
@@ -273,15 +252,9 @@ class TestSolvePath:
         # every Newton step of the cold contact state, the stick-merged
         # first ones included, and its adjoint couple onto one band factor
         st = contact_state
-        factored = []
-        cholesky_banded = fem.cholesky_banded
-
-        def record(*args, **kwargs):
-            factored.append(args[0].shape)
-            return cholesky_banded(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "cholesky_banded", record)
-        ranks = counting_couplings(monkeypatch)
+        factored = oracles.record_calls(monkeypatch, fem, "cholesky_banded",
+                                        lambda band, **kwargs: band.shape)
+        ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps)
         v = solvers.solve_adjoint(op, u, st["z_vec"])
@@ -292,8 +265,8 @@ class TestSolvePath:
 
     def test_adjoint_reuses_state_factor_bitwise(self, monkeypatch, contact_state):
         st = contact_state
-        made = counting_factorisations(monkeypatch)
-        ranks = counting_couplings(monkeypatch)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         u, _, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
@@ -314,9 +287,9 @@ class TestSolvePath:
         u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, ZERO_LOAD, 1e-8)
         slip = mesh.jump(u.values, 0)[mesh.interface_interior()]
         assert np.count_nonzero(slip == 0.0) > slip.size // 2
-        assert np.isinf(op.factor.coupling[2]).sum() == np.count_nonzero(slip == 0.0)
-        made = counting_factorisations(monkeypatch)
-        ranks = counting_couplings(monkeypatch)
+        assert np.isinf(op.system.coupling[2]).sum() == np.count_nonzero(slip == 0.0)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs))
         assert made == [] and len(ranks) == 1
 
@@ -343,8 +316,8 @@ class TestFactorReuse:
         # 12 Newton steps on 7 meshes each. Contact couples 10 distinct
         # matrices (each step's closed pairs, and the 21 sticking pairs of
         # the first step); stretch only the first step's sticking pairs
-        made = counting_factorisations(monkeypatch)
-        ranks = counting_couplings(monkeypatch)
+        made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
+        ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         log = driver.identify(*coarse_problems[load_case])
         steps = sum(row["penalty_iters"] for row in log.rows)
         assert log.aborted is None and steps == 12
@@ -356,7 +329,7 @@ class TestFactorReuse:
                                                load_case, reused):
         cfg, meas = coarse_problems[load_case]
         plain = driver.identify(cfg, meas)
-        solve, couple = fem.FactorizedSPD.solve, fem.FactorizedSPD.couple
+        solve, couple = fem.CoupledSystem.solve, fem.CoupledSystem.couple
         adjoint = solvers.solve_adjoint
         solved = []
         state_reuses = [0]
@@ -370,10 +343,11 @@ class TestFactorReuse:
             if any(self.tag is seen for seen in solved):
                 # a coupling solved with before is a kept one
                 state_reuses[0] += not in_adjoint[0]
-                # the kept factor consumed its band: refactor from B's
-                fresh = fem.FactorizedSPD(oracles.tril_band(self.matrix),
-                                          self.matrix, self.block_end,
-                                          self.band_max)
+                # the kept factor consumed its band: refactor from B's, on
+                # which the coupling forms its own Y
+                fresh = fem.CoupledSystem(self.matrix, self.diag, self.band_max,
+                                          fem.FactorizedSPD(oracles.tril_band(self.matrix),
+                                                            self.factor.block_end))
                 if self.coupling is not None:
                     fresh.couple(*self.coupling)
                 self = fresh
@@ -388,8 +362,8 @@ class TestFactorReuse:
             finally:
                 in_adjoint[0] = False
 
-        monkeypatch.setattr(fem.FactorizedSPD, "couple", tagged_couple)
-        monkeypatch.setattr(fem.FactorizedSPD, "solve", refactor)
+        monkeypatch.setattr(fem.CoupledSystem, "couple", tagged_couple)
+        monkeypatch.setattr(fem.CoupledSystem, "solve", refactor)
         monkeypatch.setattr(solvers, "solve_adjoint", marked_adjoint)
         fresh = driver.identify(cfg, meas)
         assert state_reuses[0] == reused
