@@ -238,11 +238,8 @@ def subdomain_factor(mesh, K, base=None):
 
     block = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
     band_max = max(vals.max(initial=0.0), -vals.min(initial=0.0))
-    if base is None:
-        own = band()   # the factor overwrites it: diag(B) is copied first
-        return CoupledSystem(block, own[0].copy(), band_max,
-                             FactorizedSPD(own, mesh.block_end))
-    return CoupledSystem(block, block.diagonal(), band_max, base, band)
+    return CoupledSystem(block, band_max, base or FactorizedSPD(band(), mesh.block_end),
+                         band if base else None)
 
 
 def assemble_traction(mesh, g):
@@ -398,7 +395,7 @@ class CoupledSystem:
     """The Newton matrices of one mesh: B + U D U^T on a ``FactorizedSPD``.
 
     ``matrix`` is B, sparse, in the order of a solve's vectors, with
-    ``diag`` = diag(B) and ``band_max`` = max|B|. ``factor`` is B's, or,
+    ``band_max`` = max|B|. ``factor`` is B's, or,
     with the builder of B's band as ``fallback``, that of a nearby matrix
     with the same blocks (a probe's base). A coupling (``couple``) is
     (plus, minus, d): U's column k is e(plus_k) - e(minus_k), rows of B,
@@ -422,8 +419,8 @@ class CoupledSystem:
     and a failed check raise ``NotPositiveDefinite``.
     """
 
-    def __init__(self, matrix, diag, band_max, factor, fallback=None):
-        self.matrix, self.diag, self.band_max = matrix, diag, band_max
+    def __init__(self, matrix, band_max, factor, fallback=None):
+        self.matrix, self.diag, self.band_max = matrix, matrix.diagonal(), band_max
         self.factor, self.fallback = factor, fallback
         self.couple((), (), ())
 

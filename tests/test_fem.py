@@ -32,7 +32,7 @@ MESHES = {
 def factor_of(A):
     """A sparse SPD matrix's system on its band Cholesky, checked against it."""
     band = oracles.tril_band(A)
-    return fem.CoupledSystem(A, A.diagonal(), np.abs(band).max(),
+    return fem.CoupledSystem(A, np.abs(band).max(),
                              fem.FactorizedSPD(band, [A.shape[0]]))
 
 
@@ -499,8 +499,8 @@ class TestFreeBand:
         # the whole free block in the mesh's order: no entry of K joins the
         # blocks, so its band is the two blocks' bands side by side
         ref = oracles.tril_band(K[free][:, free])
-        # the factor consumed its band; B's band holds the same bits, and
-        # the diagonal and max|B| it kept were taken from it
+        # the factor consumed its band; B's band holds the same bits, max|B|
+        # was taken from it, and diag(B) holds its diagonal's bits
         assert oracles.tril_band(system.matrix).tobytes() == ref.tobytes()
         assert system.diag.tobytes() == ref[0].tobytes()
         assert system.band_max == np.abs(ref).max()
@@ -1029,6 +1029,24 @@ class TestBorrowedFactor:
         assert base.y is not y and borrowed.y is y
         assert borrowed.solve(rhs).tobytes() == x.tobytes()
 
+    def test_borrower_back_on_the_base_rows_forms_their_y_again(self, monkeypatch):
+        # the factor keeps the last Y it formed, not the base's current one:
+        # a borrower that couples on other rows and then on the base's again
+        # forms the base's Y once more, bit for bit, and the factor keeps it
+        # beside the base's own until it forms the next
+        base, mesh, K = self.probe_pair("penalty")
+        borrowed = self.coupled(fem.subdomain_factor(mesh, K, base.factor), mesh, "penalty")
+        assert borrowed.y is base.y
+        rhs = self.load(mesh)
+        x = borrowed.solve(rhs)
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        self.coupled(borrowed, mesh, "penalty-and-sticking")
+        self.coupled(borrowed, mesh, "penalty")
+        assert formed == [base.factor] * 2 and borrowed.y is not base.y
+        assert borrowed.y.tobytes() == base.y.tobytes()
+        assert base.factor._kept[2] is borrowed.y
+        assert borrowed.solve(rhs).tobytes() == x.tobytes()
+
     def test_fallen_back_borrower_recouples_on_its_own_l(self, monkeypatch):
         # B = 2 B_base never converges on the base's L (as in the far-block
         # test): the system swaps in a factor of its own B and forms its Y
@@ -1073,23 +1091,28 @@ class TestBorrowedFactor:
 
     @staticmethod
     def y_formed(monkeypatch, config):
-        """``cli.gradient_check``'s rows, and the Y its probes' couplings
-        and the other couplings formed (``_trailing_solves`` calls)."""
+        """``cli.gradient_check``'s rows; the probes' nonempty couplings and
+        the Y they formed (``_trailing_solves`` calls); and the same for
+        the other systems' couplings."""
         meas = driver.synthesize_measurement(config)[0]
         systems = oracles.record_calls(monkeypatch, fem.CoupledSystem, "__init__")
         formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
-        # each nonempty coupling, with the Y formed up to its return
+        # each coupling, with the Y formed up to its return
         coupled = oracles.record_calls(
             monkeypatch, fem.CoupledSystem, "couple",
             lambda system, plus, minus, weights: (system, len(weights), len(formed)))
         h = config.h_identify
         rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
         probes = [s for s in systems if s.fallback is not None]
-        by_probes = sum(after - before for (s, rank, after), (_, _, before)
-                        in zip(coupled, [(None, 0, 0)] + coupled)
-                        if rank and any(s is p for p in probes))
         assert len(rows) == 9 and len(probes) == 36
-        return rows, by_probes, len(formed) - by_probes
+        count = {True: [0, 0], False: [0, 0]}   # by a probe: [couplings, Y formed]
+        for (s, rank, after), (_, _, before) in zip(coupled, [(None, 0, 0)] + coupled):
+            if rank:
+                tally = count[any(s is p for p in probes)]
+                tally[0] += 1
+                tally[1] += after - before
+        assert count[True][1] + count[False][1] == len(formed)
+        return rows, count[True], count[False]
 
     @pytest.mark.parametrize("h_measure,formed", [(0.05, 3), (0.01, 8)])
     def test_gradient_check_forms_y_for_the_base_state_alone(self, monkeypatch,
@@ -1097,10 +1120,11 @@ class TestBorrowedFactor:
         # the 36 probes couple on the base state's converged rows, the rows
         # of the factor's last Y, so every Y of a round is formed by the base
         # state's own couplings: 8 at the benchmark's configuration
-        # (h_measure 0.01), where the probes formed 36 more
+        # (h_measure 0.01), where the probes formed 36 more; each probe
+        # couples once, and each of the base's couplings forms its Y
         _, by_probes, by_base = self.y_formed(monkeypatch,
                                               ExperimentConfig(h_measure=h_measure))
-        assert by_probes == 0 and by_base == formed
+        assert by_probes == [36, 0] and by_base == [formed, formed]
 
     def test_sticking_probes_share_one_y_bitwise(self, monkeypatch):
         # with F_b = 1e3 the base's adjoint couples on other rows than its
@@ -1108,8 +1132,8 @@ class TestBorrowedFactor:
         # rows and the other 35 take it from the factor; forming a Y for
         # every coupling, as each probe once did, gives the same rows
         config = ExperimentConfig(h_measure=0.05, F_b=1e3)
-        rows, by_probes, _ = self.y_formed(monkeypatch, config)
-        assert by_probes == 1
+        rows, by_probes, by_base = self.y_formed(monkeypatch, config)
+        assert by_probes == [36, 1] and by_base == [6, 6]
         monkeypatch.undo()
         products = fem.FactorizedSPD.products
 
@@ -1118,8 +1142,8 @@ class TestBorrowedFactor:
             return products(factor, plus, minus)
 
         monkeypatch.setattr(fem.FactorizedSPD, "products", fresh)
-        fresh_rows, by_probes, _ = self.y_formed(monkeypatch, config)
-        assert by_probes == 36
+        fresh_rows, by_probes, by_base = self.y_formed(monkeypatch, config)
+        assert by_probes == [36, 36] and by_base == [6, 6]
         for row, fresh_row in zip(rows, fresh_rows):
             assert row[:2] == fresh_row[:2] and np.array_equal(row[2], fresh_row[2])
 

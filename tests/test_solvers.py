@@ -345,7 +345,7 @@ class TestFactorReuse:
                 state_reuses[0] += not in_adjoint[0]
                 # the kept factor consumed its band: refactor from B's, on
                 # which the coupling forms its own Y
-                fresh = fem.CoupledSystem(self.matrix, self.diag, self.band_max,
+                fresh = fem.CoupledSystem(self.matrix, self.band_max,
                                           fem.FactorizedSPD(oracles.tril_band(self.matrix),
                                                             self.factor.block_end))
                 if self.coupling is not None:
