@@ -407,10 +407,11 @@ class CoupledSystem:
     row first, and the minus dof takes the plus dof's value after each
     substitution. A coupled solve, or one on a borrowed factor, refines x
     against ``matrix`` until |r| <= eps (|b| + max|A| |x|), eps the machine
-    epsilon, from ``start`` where given, with no reaction on the shut pairs,
-    and otherwise from one substitution; after ``REFINE_CAP`` steps a
-    borrower factors B, couples again and solves with no start, and an own
-    factor stops; an uncoupled own solve takes no step.
+    epsilon, from ``start`` where given (a probe's predictor, tied on the
+    shut pairs and with no reaction on them; a start that meets the test
+    takes no substitution), and otherwise from one substitution; after
+    ``REFINE_CAP`` steps a borrower factors B, couples again and solves with
+    no start, and an own factor stops; an uncoupled own solve takes no step.
 
     Each solve's backward error is checked against ``matrix`` on every
     row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut

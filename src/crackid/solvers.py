@@ -76,9 +76,11 @@ class ActiveSet:
 class _InterfaceOperator:
     """Shared assembly context for one (mesh, laws, elast, g, eps) tuple,
     ``eps`` the penalty or None for exact contact, and the owner of the
-    mesh's coupled system, the current Newton matrix."""
+    mesh's coupled system, the current Newton matrix. On the factor of a
+    ``base`` of the same topology, its first solve refines from ``guess``,
+    free-dof values, where given."""
 
-    def __init__(self, mesh, laws, elast, g, eps, base=None):
+    def __init__(self, mesh, laws, elast, g, eps, base=None, guess=None):
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
@@ -104,7 +106,7 @@ class _InterfaceOperator:
         self.m2 = 2 * mesh.iface_minus + 1
         same = base is not None and base.mesh.topology is mesh.topology
         self.system = fem.subdomain_factor(mesh, self.K, base.system.factor if same else None)
-        self.start = base.state if same else None   # the first solve refines from it
+        self.start = guess if same else None   # the first solve refines from it
         self._key = None
 
     def jumps(self, values):
@@ -239,11 +241,11 @@ def _active_set_solve(op, max_outer, start=None):
     otherwise, or without a repeat in ``max_outer`` steps, it raises
     ``NoConvergence``.
 
-    On one factor, and after a probe's first solve, which refines from the
-    base state, a step is a function of the state (closed, sgn, ind,
-    flips), so a state that comes back means the sets cycle for good: the
-    first repeat raises ``NoConvergence`` with the period, the step the
-    cycle starts at and how many nodes flip in each set.
+    On one factor, and after a probe's first solve, which refines from its
+    guess, a step is a function of the state (closed, sgn, ind, flips), so
+    a state that comes back means the sets cycle for good: the first repeat
+    raises ``NoConvergence`` with the period, the step the cycle starts at
+    and how many nodes flip in each set.
 
     ``start`` seeds the normal set, the signs and the indicator with a
     converged ``(closed, sgn, ind)`` (``SolveReport.configuration``) of a
@@ -343,7 +345,8 @@ def solve_vi_pdas(mesh, laws, elast, g, max_outer=50):
 # Penalty state and adjoint
 # ----------------------------------------------------------------------
 
-def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, base=None):
+def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, base=None,
+                        guess=None):
     """Solve the penalty-regularised state equation.
 
     Semismooth Newton on the penalty term, stopped by the engine's one
@@ -352,14 +355,14 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     ``configuration`` of an earlier report on a mesh with the same
     interface nodes (the previous identification iterate, or the base state
     of a finite-difference probe); ``base``, an operator of such a state,
-    lends its band factor and its converged state, which the first solve
-    on it refines from (``fem.CoupledSystem.solve``). Returns the state, the
-    ``SolveReport`` and the operator, whose system keeps the final Newton
-    matrix's coupling for ``solve_adjoint``.
+    lends its band factor, and ``guess``, the mesh's free-dof values near
+    the state (a probe's predictor, ``cli.gradient_check``), is where the
+    first solve on it refines from (``fem.CoupledSystem.solve``). Returns
+    the state, the ``SolveReport`` and the operator, whose system keeps the
+    final Newton matrix's coupling for ``solve_adjoint``.
     """
-    op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
+    op = _InterfaceOperator(mesh, laws, elast, g, eps, base, guess)
     values, _, report = _active_set_solve(op, max_outer, start)
-    op.state = values[mesh.free_dofs]   # a probe on op's factor starts from it
     return fem.DofField(values), report, op
 
 

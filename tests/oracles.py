@@ -4,7 +4,9 @@ Everything here is deliberately written as plain loops over elements,
 edges and nodes with dense linear algebra, sharing no assembly code with
 the package. Only usable on tiny meshes. The vectorised references at the
 end keep the formulas that faster package code must match bit for bit;
-``record_calls`` counts the package's work by wrapping a function.
+``record_calls`` counts the package's work by wrapping a function, and
+``gradient_check_from_the_base_state`` keeps the gradient check whose
+probes all start from the base state.
 """
 
 import numpy as np
@@ -699,3 +701,41 @@ def record_calls(monkeypatch, owner, name, entry=None, calls=None):
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def gradient_check_from_the_base_state(config, meas, steps):
+    """``cli.gradient_check`` with every probe starting from the base
+    state's free-dof values on the base's band factor, not from the
+    interpolant of its hat's solved states. Returns its rows and the
+    probes' objectives, four a hat in the order +coarse, -coarse, +fine,
+    -fine."""
+    from crackid import driver, shape, solvers
+    from crackid.geometry import build_mesh
+
+    laws, elast, g = config.cohesive(), config.elasticity(), config.traction()
+    h, psi, eps = config.h_identify, config.initial_graph(), config.eps
+    mesh = build_mesh(psi, h)
+    u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
+                                                max_outer=config.max_outer)
+    zv = driver.interp_measurement(mesh, meas)
+    v = solvers.solve_adjoint(op, u, zv)
+    hats = np.eye(psi.s.size)[1:-1]
+    anas = shape.directional_derivative_volumetric(mesh, psi, u, v, laws, elast,
+                                                   eps, hats)
+    rows, js = [], []
+    for s, hat, ana in zip(psi.s[1:-1], hats, anas):
+        fds = []
+        for st in steps:
+            pair = []
+            for sign in (1.0, -1.0):
+                line = psi.with_psi(psi.psi + sign * st * hat)
+                m = build_mesh(line, h)
+                up = solvers.solve_penalty_state(
+                    m, laws, elast, g, eps, max_outer=config.max_outer,
+                    start=report.configuration, base=op,
+                    guess=u.values[mesh.free_dofs])[0]
+                pair.append(driver.objective(m, up, zv, elast.rho_reg, line))
+            fds.append((pair[0] - pair[1]) / (2.0 * st))
+            js += pair
+        rows.append((s, ana, fds))
+    return rows, js

@@ -267,6 +267,34 @@ class TestGradientCheck:
         rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
         assert len(rows) == 9 and len(made) == 1
 
+    @pytest.mark.parametrize("kw", [{}, {"h_measure": 0.05, "F_b": 1e3}],
+                             ids=["default", "h0.05-sticking"])
+    def test_interpolated_start_moves_no_answer(self, monkeypatch, kw):
+        # a probe starts from the interpolant of its hat's solved states and
+        # accepts by the same tests as one that starts from the base state:
+        # each hat's first probe starts from the base state's own array, so
+        # its J is the oracle's bit for bit; the others move by roundoff,
+        # within compare_outputs' 1e-5 on the differences. With F_b = 1e3
+        # the probes merge 14 sticking pairs shut, and every start ties them
+        from crackid import driver, fem
+        config = ExperimentConfig(**kw)
+        meas = driver.synthesize_measurement(config)[0]
+        h = config.h_identify
+        steps = (1e-3 * h, 1e-4 * h)
+        ref_rows, ref_js = oracles.gradient_check_from_the_base_state(config, meas, steps)
+        js = oracles.record_calls(monkeypatch, driver, "objective", driver.objective)
+        ties = oracles.record_calls(
+            monkeypatch, fem.CoupledSystem, "solve",
+            lambda system, rhs, start=None: start is None or system.coupling is None or
+            np.array_equal(start[system.coupling[1][system.shut]],
+                           start[system.coupling[0][system.shut]]))
+        rows = cli.gradient_check(config, meas, steps)
+        assert len(js) == len(ref_js) == 36 and all(ties)
+        assert np.array_equal(js[::4], ref_js[::4])
+        for (s, ana, fds), (s_ref, ana_ref, fds_ref) in zip(rows, ref_rows, strict=True):
+            assert s == s_ref and ana == ana_ref
+            assert np.all(np.abs(np.subtract(fds, fds_ref)) <= 1e-5 * np.abs(fds_ref))
+
     @pytest.mark.parametrize("edge", ["bottom", "top"])
     def test_psi0_at_the_edge_exit_2_before_any_solve(self, tmp_path, capsys,
                                                       monkeypatch, edge):
@@ -312,6 +340,26 @@ class TestLawsCheck:
                     "--eps", "1e-6"]) == 0
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["parameters"]["eps"] == 1e-6
+
+    @pytest.mark.parametrize("passes", [True, False], ids=["pass", "fail"])
+    def test_both_paths_time_the_check_on_a_monotonic_clock(self, config_path, tmp_path,
+                                                           monkeypatch, passes):
+        # the FAIL path, exit 4, records its check phase as the PASS path
+        # does; a wall clock that steps back an hour at every reading moves
+        # no timing, so none is negative
+        import time
+        from crackid import laws
+        if not passes:
+            monkeypatch.setattr(laws, "beta_smooth",
+                                lambda s, eps: -2.0 * np.maximum(0.0, -np.asarray(s)) / eps)
+        clock = iter(range(0, -3600 * 100, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        out = str(tmp_path / "l")
+        assert run(["laws-check", "--config", config_path, "--out", out]) == (0 if passes
+                                                                              else 4)
+        timings = json.load(open(os.path.join(out, "manifest.json")))["timings_s"]
+        assert sorted(timings) == ["check", "total"]
+        assert all(t >= 0.0 for t in timings.values())
 
 
 def measurement_text(h="0.05", load_case="contact",

@@ -929,18 +929,20 @@ class TestBorrowedFactor:
         assert len(solves) == 12 and all(s.coupling is not None for s in solves)
         assert len(made) == 4 and len(substituted) == 12
 
-    @pytest.mark.parametrize("kw,measure,check,stick,steps", [
-        pytest.param({}, 18, 100, 0, 44, id="default"),
-        pytest.param({"h_measure": 0.05, "F_b": 1e3}, 8, 97, 14, 42, id="h0.05-sticking")])
-    def test_gradient_check_probes_refine_from_the_base_state(self, monkeypatch, kw,
-                                                              measure, check, stick, steps):
-        # each probe's one Newton step refines from the base state on the
-        # base's L: 3 substitutions at the coarse step and 2 at the fine one,
-        # where a first substitution made them 4 and 3. The benchmark's round
-        # (its measurement and the check) makes 118, where it made 154, with
-        # 2 factorisations and 44 Newton steps; with F_b = 1e3 the check
-        # makes 97, not 133, its probes merging shut the base's sticking
-        # pairs from a start with no reaction on them
+    @pytest.mark.parametrize("kw,measure,check,stick,steps,pattern", [
+        pytest.param({}, 18, 55, 0, 44, [3, 2, 0, 0], id="default"),
+        pytest.param({"h_measure": 0.05, "F_b": 1e3}, 8, 70, 14, 42, [3, 2, 1, 1],
+                     id="h0.05-sticking")])
+    def test_gradient_check_probes_start_interpolated(
+            self, monkeypatch, kw, measure, check, stick, steps, pattern):
+        # each probe's one Newton step refines on the base's L from the
+        # interpolant of its hat's states solved so far, the base state first:
+        # 3, 2, 0 and 0 substitutions at +-coarse, +-fine, where a start at the
+        # base state made them 3, 3, 2 and 2. The benchmark's round (its
+        # measurement and the check) makes 73, where it made 118, with 2
+        # factorisations and 44 Newton steps; with F_b = 1e3 the check makes
+        # 70, not 97, its probes merging shut the base's sticking pairs from
+        # a start with no reaction on them, so a fine probe takes one step
         config = ExperimentConfig(**kw)
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         systems = oracles.record_calls(monkeypatch, fem.CoupledSystem, "__init__")
@@ -959,8 +961,8 @@ class TestBorrowedFactor:
         for (system, after), (_, before) in zip(solves, [(None, 0)] + solves):
             per_system[system] = per_system.get(system, 0) + after - before
         borrowers = [s for s in systems if s.fallback is not None]
-        assert np.array_equal(np.reshape([per_system[b] for b in borrowers], (9, 2, 2)),
-                              np.broadcast_to([[3, 3], [2, 2]], (9, 2, 2)))
+        assert np.array_equal(np.reshape([per_system[b] for b in borrowers], (9, 4)),
+                              np.broadcast_to(pattern, (9, 4)))
         assert all(b.shut.size == stick for b in borrowers)
 
     @pytest.mark.parametrize("load_case,substitutions", [("contact", 34), ("stretch", 29)])
