@@ -26,8 +26,8 @@ per subdomain, and the mesh's topology says where the blocks end. Every
 Newton matrix of the mesh is that block plus a low-rank coupling on
 interface jump dofs, solved through the Woodbury identity: a penalty's jump
 mass, or a pair merged shut as the infinite-weight limit; a coupling on the
-rows of the factor's last Y = L^-1 U takes it. A coupled or borrowed solve
-refines until its residual is at roundoff.
+rows of the factor's last Y = L^-1 U takes it. A coupled or borrowed solve,
+or one given a start, refines until its residual is at roundoff.
 """
 
 import functools
@@ -411,7 +411,8 @@ class CoupledSystem:
     shut pairs and with no reaction on them; a start that meets the test
     takes no substitution), and otherwise from one substitution; after
     ``REFINE_CAP`` steps a borrower factors B, couples again and solves with
-    no start, and an own factor stops; an uncoupled own solve takes no step.
+    no start, and an own factor stops. An uncoupled own solve from no start
+    takes no step; from a start it refines as a coupled one does.
 
     Each solve's backward error is checked against ``matrix`` on every
     row, with d (x[plus] - x[minus]) on the coupled rows, or mu for a shut
@@ -467,7 +468,8 @@ class CoupledSystem:
         # Sci. Stat. Comput. 7, 1986), and on a borrowed L a step cuts r by
         # about |B - B_base|/|B|; a step pays only while r is above roundoff
         # (Skeel, Math. Comp. 35, 1980), and a band solve alone is stable
-        for step in range(REFINE_CAP + 1 if self.fallback or self.coupling else 0):
+        for step in range(REFINE_CAP + 1 if start is not None or self.fallback
+                          or self.coupling else 0):
             if norm(res) <= np.finfo(float).eps * (norm(rhs) + self.max_abs * norm(x)):
                 break
             if step == REFINE_CAP:   # a borrower factors B; an own factor stops

@@ -27,10 +27,10 @@ free dofs in their one order. Each Newton matrix is that factor with a
 low-rank coupling on the interface pairs, their rows read from
 ``mesh.free_row``: the w/eps jump mass of the closed pairs for a penalty,
 and the contact-closed and sticking pairs merged shut. No sparse K + J is
-built. The coupling is keyed on the ``(closed, stick)`` pair of normal and
-stick sets, so a Newton step that changes only the load (slip
-signs, cohesion indicator) solves with the previous step's coupling, and
-the adjoint with the state's when its last step merged nothing.
+built. Every solve couples anew; the factor keeps the last Y = L^-1 U it
+formed, so a Newton step that changes only the load (slip signs, cohesion
+indicator) forms no Y, nor does the adjoint of a state whose last step
+merged nothing.
 
 The operator is also the one home of the nodal interface forces: it
 scatters them onto the plus and minus dofs (``interface_load``) and reads
@@ -76,11 +76,10 @@ class ActiveSet:
 class _InterfaceOperator:
     """Shared assembly context for one (mesh, laws, elast, g, eps) tuple,
     ``eps`` the penalty or None for exact contact, and the owner of the
-    mesh's coupled system, the current Newton matrix. On the factor of a
-    ``base`` of the same topology, its first solve refines from ``guess``,
-    free-dof values, where given."""
+    mesh's coupled system, on its own band factor or on that of ``base``,
+    an operator on a mesh of the same topology."""
 
-    def __init__(self, mesh, laws, elast, g, eps, base=None, guess=None):
+    def __init__(self, mesh, laws, elast, g, eps, base=None):
         self.mesh = mesh
         self.laws = laws
         self.elast = elast
@@ -104,10 +103,7 @@ class _InterfaceOperator:
         self.p2 = 2 * mesh.iface_plus + 1
         self.m1 = 2 * mesh.iface_minus
         self.m2 = 2 * mesh.iface_minus + 1
-        same = base is not None and base.mesh.topology is mesh.topology
-        self.system = fem.subdomain_factor(mesh, self.K, base.system.factor if same else None)
-        self.start = guess if same else None   # the first solve refines from it
-        self._key = None
+        self.system = fem.subdomain_factor(mesh, self.K, base and base.system.factor)
 
     def jumps(self, values):
         return self.mesh.jump(values, 0), self.mesh.jump(values, 1)
@@ -133,31 +129,27 @@ class _InterfaceOperator:
         w in ``load_scale``."""
         return self.interface_load(self.load_scale[0] * sgn, self.load_scale[1] * ind)
 
-    def solve(self, rhs, closed, stick):
+    def solve(self, rhs, closed, stick, start=None):
         """Solve the Newton matrix of the normal set ``closed`` and the
-        sticking nodes ``stick`` for the full-length load ``rhs``; the
-        solution is zero on the Dirichlet dofs.
+        sticking nodes ``stick`` for the full-length load ``rhs``, refining
+        from ``start``, free-dof values, where given; the solution is zero
+        on the Dirichlet dofs.
 
         The matrix is K, factored once per mesh, coupled on the closed
         pairs' x2 dofs and the sticking pairs' x1 dofs: with the w/eps jump
         mass for a penalty ``eps``, merged shut in contact (``eps`` None)
-        and for a sticking pair. The coupling is kept while
-        ``(closed, stick)`` repeat.
+        and for a sticking pair.
         """
-        key = (closed.tobytes(), stick.tobytes())
-        if key != self._key:
-            normal = self.w[closed] / self.eps if self.eps is not None \
-                else np.full(np.count_nonzero(closed), np.inf)
-            row = self.mesh.free_row
-            self.system.couple(
-                row[np.concatenate([self.p2[closed], self.p1[stick]])],
-                row[np.concatenate([self.m2[closed], self.m1[stick]])],
-                np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
-            self._key = key
+        normal = self.w[closed] / self.eps if self.eps is not None \
+            else np.full(np.count_nonzero(closed), np.inf)
+        row = self.mesh.free_row
+        self.system.couple(
+            row[np.concatenate([self.p2[closed], self.p1[stick]])],
+            row[np.concatenate([self.m2[closed], self.m1[stick]])],
+            np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
         free = self.mesh.free_dofs
         x = np.zeros(rhs.size)
-        x[free] = self.system.solve(rhs[free], self.start)
-        self.start = None
+        x[free] = self.system.solve(rhs[free], start)
         return x
 
     def friction_update(self, r, j1, sgn, flips):
@@ -223,7 +215,7 @@ class _InterfaceOperator:
 # The active-set engine and its two normal laws
 # ----------------------------------------------------------------------
 
-def _active_set_solve(op, max_outer, start=None):
+def _active_set_solve(op, max_outer, start=None, guess=None):
     """One active-set iteration for both normal laws, the operator's.
 
     ``closed`` is the normal set. For exact contact (``op.eps`` None) its
@@ -241,11 +233,12 @@ def _active_set_solve(op, max_outer, start=None):
     otherwise, or without a repeat in ``max_outer`` steps, it raises
     ``NoConvergence``.
 
-    On one factor, and after a probe's first solve, which refines from its
-    guess, a step is a function of the state (closed, sgn, ind, flips), so
-    a state that comes back means the sets cycle for good: the first repeat
-    raises ``NoConvergence`` with the period, the step the cycle starts at
-    and how many nodes flip in each set.
+    On one factor, and after the first step, whose solve refines from
+    ``guess`` (free-dof values) where given, a step is a function of the
+    state (closed, sgn, ind, flips), so a state that comes back means the
+    sets cycle for good: the first repeat raises ``NoConvergence`` with the
+    period, the step the cycle starts at and how many nodes flip in each
+    set.
 
     ``start`` seeds the normal set, the signs and the indicator with a
     converged ``(closed, sgn, ind)`` (``SolveReport.configuration``) of a
@@ -253,11 +246,6 @@ def _active_set_solve(op, max_outer, start=None):
     converges superlinearly from a nearby set (Hintermueller, Ito and
     Kunisch, SIAM J. Optim. 13, 2002); a seed equal to the converged
     configuration makes the first step the last.
-
-    A step's matrix is keyed on ``(closed, stick)``, stick being the
-    interior nodes with ``sgn == 0``; the slip signs and the indicator
-    reach only the load, so a step that repeats the previous step's key
-    solves with its coupling (``_InterfaceOperator.solve``).
 
     Returns (values, lam, report), with ``lam`` the contact multiplier
     estimate and the converged normal set ``report.configuration[0]``.
@@ -280,7 +268,8 @@ def _active_set_solve(op, max_outer, start=None):
     seen = {}   # each state's step and sets, in step order
 
     for it in range(1, max_outer + 1):
-        state = (op.system.fallback is None, op.start is None,
+        given = guess if it == 1 else None
+        state = (op.system.fallback is None, given is None,
                  *(a.tobytes() for a in (closed, sgn, ind, flips)))
         if state in seen:
             first = seen[state][0]
@@ -294,7 +283,7 @@ def _active_set_solve(op, max_outer, start=None):
         shut = closed & contact   # no pair is shut under a penalty
         stick = interior & (sgn == 0.0)
         f = op.F - op.lagged_load(sgn, ind)
-        values = op.solve(f, closed, stick)
+        values = op.solve(f, closed, stick, given)
         res, k_u = op.stationarity(values, stick, shut)
 
         # K alone: contact has no J, and a penalty step reads r on x1 rows
@@ -354,15 +343,16 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     test (``_active_set_solve``). ``start`` seeds the active sets with the
     ``configuration`` of an earlier report on a mesh with the same
     interface nodes (the previous identification iterate, or the base state
-    of a finite-difference probe); ``base``, an operator of such a state,
-    lends its band factor, and ``guess``, the mesh's free-dof values near
-    the state (a probe's predictor, ``cli.gradient_check``), is where the
-    first solve on it refines from (``fem.CoupledSystem.solve``). Returns
-    the state, the ``SolveReport`` and the operator, whose system keeps the
-    final Newton matrix's coupling for ``solve_adjoint``.
+    of a finite-difference probe); ``base``, an operator on a mesh of the
+    same topology, lends its band factor, and ``guess``, the mesh's
+    free-dof values near the state (a probe's predictor,
+    ``cli.gradient_check``), is where the first solve refines from
+    (``fem.CoupledSystem.solve``). Returns the state, the ``SolveReport``
+    and the operator, whose factor keeps the final Newton matrix's Y for
+    ``solve_adjoint``.
     """
-    op = _InterfaceOperator(mesh, laws, elast, g, eps, base, guess)
-    values, _, report = _active_set_solve(op, max_outer, start)
+    op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
+    values, _, report = _active_set_solve(op, max_outer, start, guess)
     return fem.DofField(values), report, op
 
 
@@ -373,8 +363,8 @@ def solve_adjoint(op, u_eps, z_obs):
     eps, on the penetration set of ``u_eps`` (beta' of the state jump,
     exact for the discrete law),
     unmerged: with the discrete laws the friction/cohesion second
-    derivatives vanish so no tangential coupling remains. ``op`` solves it
-    on the mesh's factor, with the state's coupling when the state's last
+    derivatives vanish so no tangential coupling remains. ``op`` couples it
+    on the mesh's factor, taking the Y of the state's last step when that
     step merged nothing.
     ``z_obs`` is a full-length dof vector holding the measurement trace on
     the observation nodes. Returns the adjoint field.

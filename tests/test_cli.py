@@ -267,6 +267,31 @@ class TestGradientCheck:
         rows = cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
         assert len(rows) == 9 and len(made) == 1
 
+    def test_a_probe_guess_reaches_its_first_solve_alone(self, monkeypatch):
+        # the guess is an argument of the probe's first solve, not state
+        # that the operator keeps: each of the 36 borrowing systems is given
+        # a start on its first solve and none on the later ones (its other
+        # Newton steps, the fallback's cold solve); the base's solves get none
+        from crackid import driver, fem
+        config = ExperimentConfig()
+        meas = driver.synthesize_measurement(config)[0]
+        borrowers = oracles.record_calls(
+            monkeypatch, fem.CoupledSystem, "__init__",
+            lambda system, *args: system if system.fallback else None)
+        solves = oracles.record_calls(monkeypatch, fem.CoupledSystem, "solve",
+                                      lambda system, rhs, start=None: (system, start))
+        h = config.h_identify
+        cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        borrowers = [b for b in borrowers if b is not None]
+        assert len(borrowers) == 36
+        starts = {}
+        for system, start in solves:
+            starts.setdefault(system, []).append(start is not None)
+        for system, given in starts.items():
+            first = any(system is b for b in borrowers)
+            assert given == [first] + [False] * (len(given) - 1)
+        assert all(b in starts for b in borrowers)
+
     @pytest.mark.parametrize("kw", [{}, {"h_measure": 0.05, "F_b": 1e3}],
                              ids=["default", "h0.05-sticking"])
     def test_interpolated_start_moves_no_answer(self, monkeypatch, kw):

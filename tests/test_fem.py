@@ -903,6 +903,26 @@ class TestBorrowedFactor:
         assert made == [] and len(substituted) == 1 + steps
         assert steps == {"uncoupled": 0, "penalty": 1, "penalty-and-sticking": 1}[case]
 
+    def test_uncoupled_own_solve_refines_from_a_start(self, monkeypatch):
+        # a start meets the eps test on an uncoupled own factor too: one
+        # about 1e-11 off the solution is refined, not handed back as it is
+        mesh = build_mesh(*MESHES["flat"])
+        system = fem.subdomain_factor(mesh, fem.assemble_stiffness(mesh, ELAST))
+        rhs = self.load(mesh)
+        cold = system.solve(rhs)
+        start = cold * (1.0 + 1e-11 * np.cos(np.arange(cold.size)))
+        eps = np.finfo(float).eps
+
+        def backward_error(x):
+            return fem.norm(system.matrix @ x - rhs) / (
+                fem.norm(rhs) + system.max_abs * fem.norm(x))
+
+        assert backward_error(start) > 1e3 * eps
+        substituted = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "solve")
+        x = system.solve(rhs, start)
+        assert system.coupling is None and system.fallback is None
+        assert len(substituted) >= 1 and backward_error(x) <= eps
+
     def test_unrefined_coupled_solve_ties_the_shut_pairs(self, monkeypatch):
         # the tie follows the first substitution, so a coupled solve that
         # takes no step returns x[minus] = x[plus] on every shut pair, bitwise
@@ -1123,19 +1143,22 @@ class TestBorrowedFactor:
         # of the factor's last Y, so every Y of a round is formed by the base
         # state's own couplings: 8 at the benchmark's configuration
         # (h_measure 0.01), where the probes formed 36 more; each probe
-        # couples once, and each of the base's couplings forms its Y
+        # couples once, and the base's adjoint, and at h_measure 0.05 a step
+        # that repeats the previous step's sets, take the kept Y
         _, by_probes, by_base = self.y_formed(monkeypatch,
                                               ExperimentConfig(h_measure=h_measure))
-        assert by_probes == [36, 0] and by_base == [formed, formed]
+        couplings = {0.05: 5, 0.01: 9}[h_measure]
+        assert by_probes == [36, 0] and by_base == [couplings, formed]
 
     def test_sticking_probes_share_one_y_bitwise(self, monkeypatch):
         # with F_b = 1e3 the base's adjoint couples on other rows than its
         # state's last step, so the first probe forms the Y of the state's
         # rows and the other 35 take it from the factor; forming a Y for
-        # every coupling, as each probe once did, gives the same rows
+        # every coupling, as each probe once did, gives the same rows. One
+        # of the base's 7 couplings repeats the previous step's sets
         config = ExperimentConfig(h_measure=0.05, F_b=1e3)
         rows, by_probes, by_base = self.y_formed(monkeypatch, config)
-        assert by_probes == [36, 1] and by_base == [6, 6]
+        assert by_probes == [36, 1] and by_base == [7, 6]
         monkeypatch.undo()
         products = fem.FactorizedSPD.products
 
@@ -1145,7 +1168,7 @@ class TestBorrowedFactor:
 
         monkeypatch.setattr(fem.FactorizedSPD, "products", fresh)
         fresh_rows, by_probes, by_base = self.y_formed(monkeypatch, config)
-        assert by_probes == [36, 36] and by_base == [6, 6]
+        assert by_probes == [36, 36] and by_base == [7, 7]
         for row, fresh_row in zip(rows, fresh_rows):
             assert row[:2] == fresh_row[:2] and np.array_equal(row[2], fresh_row[2])
 

@@ -230,7 +230,8 @@ class TestSolvePath:
                                                           contact_state):
         # seeded with its converged sets, the state solve is one step; it
         # factors K once, couples the closed pairs on that factor without
-        # adding a sparse J to K, and the adjoint solves with that coupling
+        # adding a sparse J to K, and the adjoint couples them again, on the
+        # Y the factor kept
         st = contact_state
 
         def refuse(*args):
@@ -239,13 +240,15 @@ class TestSolvePath:
         monkeypatch.setattr(sp.csr_matrix, "__add__", refuse)
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         assert rep.iterations == 1 and np.array_equal(u.values, st["u"].values)
         solvers.solve_adjoint(op, u, st["z_vec"])
         closed = int(np.count_nonzero(st["report"].configuration[0]))
-        assert len(made) == 1 and ranks == [0, closed] and closed > 0
+        assert len(made) == 1 and ranks == [0, closed, closed] and closed > 0
+        assert formed == [op.system.factor]
 
     def test_cold_contact_state_and_adjoint_factor_once(self, monkeypatch,
                                                         contact_state):
@@ -264,19 +267,22 @@ class TestSolvePath:
         assert np.array_equal(v.values, st["v"].values)
 
     def test_adjoint_reuses_state_factor_bitwise(self, monkeypatch, contact_state):
+        # the adjoint couples on the state's factor and takes the Y of the
+        # state's last step; on a fresh operator's factor it forms its own
         st = contact_state
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
         u, _, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         fresh_op = solvers._InterfaceOperator(st["mesh"], st["laws"],
                                               st["elast"], st["g"], st["cfg"].eps)
-        assert len(made) == 2 and len(ranks) == 3
+        assert len(made) == 2 and len(ranks) == 3 and len(formed) == 1
         reused = solvers.solve_adjoint(op, u, st["z_vec"])
-        assert len(made) == 2 and len(ranks) == 3
+        assert len(made) == 2 and len(ranks) == 4 and len(formed) == 1
         fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"])
-        assert len(made) == 2 and len(ranks) == 4
+        assert len(made) == 2 and len(ranks) == 5 and formed[1] is fresh_op.system.factor
         assert np.array_equal(reused.values, fresh.values)
 
     def test_sticking_state_returns_no_factor(self, monkeypatch):
@@ -306,71 +312,54 @@ def coarse_problems():
 
 
 class TestFactorReuse:
-    """Each mesh is factored once; a Newton step whose (closed, stick) sets
-    repeat the previous step's has the same matrix, so it solves with the
-    kept coupling."""
+    """Each mesh is factored once, and every Newton step and adjoint
+    couples onto it; a coupling on the rows of the factor's last Y (a step
+    whose (closed, stick) sets repeat the previous step's) takes that Y."""
 
-    @pytest.mark.parametrize("load_case,couplings", [("contact", 10), ("stretch", 1)])
+    @pytest.mark.parametrize("load_case,couplings", [("contact", 18), ("stretch", 1)])
     def test_one_factorisation_per_mesh(self, monkeypatch, coarse_problems,
                                         load_case, couplings):
-        # 12 Newton steps on 7 meshes each. Contact couples 10 distinct
-        # matrices (each step's closed pairs, and the 21 sticking pairs of
-        # the first step); stretch only the first step's sticking pairs
+        # 12 Newton steps on 7 meshes each. Contact couples pairs 18 times
+        # (each step's closed pairs, the 21 sticking pairs of the first step,
+        # and each adjoint's closed pairs) on 10 distinct rows, so it forms
+        # 10 Y; stretch couples only the first step's sticking pairs
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
         log = driver.identify(*coarse_problems[load_case])
         steps = sum(row["penalty_iters"] for row in log.rows)
         assert log.aborted is None and steps == 12
         assert len(made) == len(log.rows) == 7
         assert np.count_nonzero(ranks) == couplings
+        assert len(formed) == {"contact": 10, "stretch": 1}[load_case]
 
-    @pytest.mark.parametrize("load_case,reused", [("contact", 2), ("stretch", 4)])
+    @pytest.mark.parametrize("load_case,taken", [("contact", 8), ("stretch", 0)])
     def test_kept_factor_solves_as_a_fresh_one(self, monkeypatch, coarse_problems,
-                                               load_case, reused):
+                                               load_case, taken):
+        # a coupling that takes the factor's kept Y solves bit for bit as one
+        # that forms its own Y on the same rows. Contact takes it 8 times (of
+        # 18 couplings); stretch couples pairs only once, so it takes none
         cfg, meas = coarse_problems[load_case]
+        asked = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "products")
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
         plain = driver.identify(cfg, meas)
-        solve, couple = fem.CoupledSystem.solve, fem.CoupledSystem.couple
-        adjoint = solvers.solve_adjoint
-        solved = []
-        state_reuses = [0]
-        in_adjoint = [False]
+        assert len(asked) - len(formed) == taken
+        monkeypatch.undo()
+        products = fem.FactorizedSPD.products
 
-        def tagged_couple(self, *args):
-            couple(self, *args)
-            self.tag = object()   # each coupling set, the empty one included
+        def fresh(factor, plus, minus):
+            factor._kept = None
+            return products(factor, plus, minus)
 
-        def refactor(self, rhs, start=None):
-            if any(self.tag is seen for seen in solved):
-                # a coupling solved with before is a kept one
-                state_reuses[0] += not in_adjoint[0]
-                # the kept factor consumed its band: refactor from B's, on
-                # which the coupling forms its own Y
-                fresh = fem.CoupledSystem(self.matrix, self.band_max,
-                                          fem.FactorizedSPD(oracles.tril_band(self.matrix),
-                                                            self.factor.block_end))
-                if self.coupling is not None:
-                    fresh.couple(*self.coupling)
-                self = fresh
-            else:
-                solved.append(self.tag)
-            return solve(self, rhs, start)
-
-        def marked_adjoint(*args):
-            in_adjoint[0] = True
-            try:
-                return adjoint(*args)
-            finally:
-                in_adjoint[0] = False
-
-        monkeypatch.setattr(fem.CoupledSystem, "couple", tagged_couple)
-        monkeypatch.setattr(fem.CoupledSystem, "solve", refactor)
-        monkeypatch.setattr(solvers, "solve_adjoint", marked_adjoint)
-        fresh = driver.identify(cfg, meas)
-        assert state_reuses[0] == reused
+        monkeypatch.setattr(fem.FactorizedSPD, "products", fresh)
+        asked = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "products")
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        fresh_log = driver.identify(cfg, meas)
+        assert len(formed) == len(asked) > 0
         for name in driver.IterationLog.CSV_COLUMNS:
-            assert np.array_equal(fresh.column(name), plain.column(name)), name
+            assert np.array_equal(fresh_log.column(name), plain.column(name)), name
         last = max(plain.snapshots)
-        assert np.array_equal(fresh.snapshots[last].psi, plain.snapshots[last].psi)
+        assert np.array_equal(fresh_log.snapshots[last].psi, plain.snapshots[last].psi)
 
 
 class TestWarmStart:
