@@ -237,15 +237,18 @@ def gradient_check(config, meas, steps):
     """The one home of the gradient check: the volumetric shape derivative
     of each interior coarse node's hat against central differences of the
     objective, one per step. Each probe re-meshes through this module's
-    ``build_mesh`` and solves the state on the base mesh's band factor
-    from the base state's active sets, so its coupling takes the Y = L^-1 U
-    the factor kept (``fem.FactorizedSPD``). Its first solve refines from
-    a guess: the Lagrange interpolant, at its offset, of the hat's states
-    solved so far, offset 0 (the base state, passed as it is) first. That
-    is a continuation method's predictor (Allgower and Georg, Numerical
-    Continuation Methods, 1990): O(step^2) off at -coarse and below the
-    solve's eps test at +-fine, so the probes at +coarse, -coarse, +fine
-    and -fine take 3, 2, 0 and 0 substitutions on the default config. It
+    ``build_mesh``, re-sums into the base's K only the stiffness entries
+    its hat's moved triangles touch, on one plan a hat
+    (``fem.assemble_stiffness``), and solves the state on the base mesh's
+    band factor from the base state's active sets, so its coupling takes
+    the Y = L^-1 U the factor kept (``fem.FactorizedSPD``). Its first
+    solve refines from a guess: the Lagrange interpolant, at its offset, of
+    the hat's states solved so far, offset 0 (the base state, passed as it
+    is) first. That is a continuation method's predictor (Allgower and
+    Georg, Numerical Continuation Methods, 1990): O(step^2) off at -coarse
+    and below the solve's eps test at +-fine, so the probes at +coarse,
+    -coarse, +fine and -fine take 3, 2, 0 and 0 substitutions on the
+    default config. It
     ends in one ``driver.objective`` against the base mesh's measurement
     trace, whose observation rows every probe mesh shares. Returns one
     ``(s, analytic, [fd per step])`` per node.

@@ -9,20 +9,24 @@ scipy's COO -> CSR conversion with the entries that sum to zero, and the
 entry each term of the blocks goes to are derived once per mesh topology;
 each assembly then sums the terms into their entries by one
 ``np.bincount``, in the order of the raveled blocks, which this module
-fixes and not the installed scipy. The boundary load, the boundary mass and
-the misfit read the Neumann edges' end points and lengths from the mesh's
-topology, which every mesh of it holds bit for bit (``geometry``), so the
-load and the mass are formed once per topology and kept read-only. Dirichlet
-dofs are eliminated by row/column removal, so every free block stays
-symmetric positive definite. Once per mesh, ``subdomain_factor`` gathers
-K's free block and its band from the cached pattern into a
-``CoupledSystem``, which solves on ``FactorizedSPD``, the block's band
-Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981), or on the factor of a nearby mesh
-of the same topology, such as a finite-difference probe's base, refining
-against its own block. Its rows are the mesh's free dofs in their one
-order, the lower subdomain first, so the block is block diagonal, one band
-per subdomain, and the mesh's topology says where the blocks end. Every
+fixes and not the installed scipy. A finite-difference probe's assembly,
+given its base's mesh and K, re-sums only the entries its moved triangles
+touch, each from all of its terms in that order, into a copy of the base's
+data, on one plan per topology and moved set (a hat's four probes share
+it), so its K is a full assembly's bit for bit. The boundary load, the
+boundary mass and the misfit read the Neumann edges' end points and
+lengths from the mesh's topology, which every mesh of it holds bit for bit
+(``geometry``), so the load and the mass are formed once per topology and
+kept read-only. Dirichlet dofs are eliminated by row/column removal, so
+every free block stays symmetric positive definite. Once per mesh,
+``subdomain_factor`` gathers K's free block and its band from the cached
+pattern into a ``CoupledSystem``, which solves on ``FactorizedSPD``, the
+block's band Cholesky (LAPACK ``dpbtrf``; George and Liu, Computer Solution
+of Large Sparse Positive Definite Systems, 1981), or on the factor of a
+nearby mesh of the same topology, such as a finite-difference probe's base,
+refining against its own block. Its rows are the mesh's free dofs in their
+one order, the lower subdomain first, so the block is block diagonal, one
+band per subdomain, and the mesh's topology says where the blocks end. Every
 Newton matrix of the mesh is that block plus a low-rank coupling on
 interface jump dofs, solved through the Woodbury identity: a penalty's jump
 mass, or a pair merged shut as the infinite-weight limit; a coupling on the
@@ -199,7 +203,7 @@ def _free_block(topology):
     return out + (kd,)
 
 
-def assemble_stiffness(mesh, elast):
+def assemble_stiffness(mesh, elast, base=None):
     """Bulk stiffness over the broken domain (full, pre-elimination).
 
     The CSR pattern, and the entry each term of the element blocks goes
@@ -207,12 +211,58 @@ def assemble_stiffness(mesh, elast):
     terms into their entries by one ``np.bincount``, which starts every
     entry at zero and adds its terms in the blocks' raveled order. An entry
     that sums to exactly zero stays in the pattern.
+
+    ``base``, the (mesh, K) of a mesh of this topology with K assembled for
+    ``elast`` (a finite-difference probe's base), re-sums only the entries
+    that get a term from a moved triangle, one with a vertex whose bits
+    differ from the base mesh's, each from all of its terms in the same
+    order, into a copy of the base's data; the others are the base's, so K
+    is the one assembled without ``base``, bit for bit (``_probe_plan``).
     """
     indptr, indices, slot = _stiffness_pattern(mesh.topology)
-    flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
-    data = np.bincount(slot, weights=flat, minlength=indices.size)
+    if base is None:
+        flat = element_stiffness(mesh.tri_area, mesh.tri_grads, elast.dmatrix()).reshape(-1)
+        data = np.bincount(slot, weights=flat, minlength=indices.size)
+    else:
+        base_mesh, base_K = base
+        moved = np.any(mesh.vertices.view(np.int64) != base_mesh.vertices.view(np.int64),
+                       axis=1)
+        entries, tris, terms, into = _probe_plan(
+            mesh.topology, np.packbits(moved[mesh.triangles].any(axis=1)).tobytes())
+        flat = element_stiffness(mesh.tri_area[tris], mesh.tri_grads[tris], elast.dmatrix())
+        data = base_K.data.copy()
+        data[entries] = np.bincount(into, weights=flat.reshape(-1)[terms],
+                                    minlength=entries.size)
     return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                          shape=(mesh.n_dofs, mesh.n_dofs))
+
+
+@functools.lru_cache(maxsize=1)
+def _probe_plan(topology, moved_bits):
+    """The re-sum plan of a probe mesh of ``topology`` whose moved
+    triangles are ``moved_bits`` (``np.packbits`` of their mask): a pure
+    function of its key, built once for the four probes of a hat.
+
+    Returns (entries, tris, terms, into): the entries that get a term from
+    a moved triangle, ascending; the triangles that give any of their
+    terms; and those terms, in the raveled order, as positions in the
+    blocks of ``tris`` alone, each going to entry ``entries[into]``.
+    """
+    _, indices, slot = _stiffness_pattern(topology)
+    nt = topology.triangles.shape[0]
+    moved = np.unpackbits(np.frombuffer(moved_bits, np.uint8), count=nt).view(bool)
+    blocks = slot.reshape(-1, nt)   # term t = block * nt + triangle
+    touched = np.zeros(indices.size, bool)
+    touched[blocks[:, moved]] = True
+    needed = touched[blocks]   # row-major, so ascending: each entry's own order
+    tris = np.flatnonzero(needed.any(axis=0))
+    entries = np.flatnonzero(touched)
+    rank = np.empty(indices.size, np.intp)   # read at the touched entries alone
+    rank[entries] = np.arange(entries.size)
+    out = (entries, tris, np.flatnonzero(needed[:, tris]), rank[blocks[needed]])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def subdomain_factor(mesh, K, base=None):

@@ -77,7 +77,9 @@ class _InterfaceOperator:
     """Shared assembly context for one (mesh, laws, elast, g, eps) tuple,
     ``eps`` the penalty or None for exact contact, and the owner of the
     mesh's coupled system, on its own band factor or on that of ``base``,
-    an operator on a mesh of the same topology."""
+    an operator on a mesh of the same topology; with the same ``elast``,
+    the stiffness re-sums only the entries the moved triangles touch
+    (``fem.assemble_stiffness``)."""
 
     def __init__(self, mesh, laws, elast, g, eps, base=None):
         self.mesh = mesh
@@ -88,7 +90,8 @@ class _InterfaceOperator:
         self.w = mesh.interface_nodal_weights()
         # an overflow is reported below, once, as the solver error it is
         with np.errstate(over="ignore", invalid="ignore"):
-            self.K = fem.assemble_stiffness(mesh, elast)
+            self.K = fem.assemble_stiffness(
+                mesh, elast, (base.mesh, base.K) if base and base.elast == elast else None)
             self.F = fem.assemble_traction(mesh, g)
             self.Fnorm = np.linalg.norm(self.F[self.free_mask])
             self.load_scale = (self.w * laws.F_b, self.w * (laws.K_c / laws.kappa))

@@ -247,6 +247,92 @@ class TestElementStiffness:
         assert abs(K - K.T).max() < 1e-12 * abs(K).max()
 
 
+class TestProbeAssembly:
+    """``assemble_stiffness`` on a probe's base: only the entries its moved
+    triangles touch are re-summed."""
+
+    @staticmethod
+    def probes(config):
+        """The mesh of every probe of ``cli.gradient_check``: +-coarse, then
+        +-fine, hat by hat."""
+        psi, h = config.initial_graph(), config.h_identify
+        for hat in np.eye(psi.s.size)[1:-1]:
+            for t in (1e-3 * h, -1e-3 * h, 1e-4 * h, -1e-4 * h):
+                yield build_mesh(psi.with_psi(psi.psi + t * hat), h)
+
+    @pytest.mark.parametrize("kw", [{}, {"h_measure": 0.05, "F_b": 1e3}],
+                             ids=["default", "h0.05-sticking"])
+    def test_base_path_equals_a_full_assembly_bitwise(self, kw):
+        # the plan is keyed on the moved triangles, so the next hat's
+        # probes cannot take the last hat's, and a hat builds it once
+        config = ExperimentConfig(**kw)
+        elast = config.elasticity()
+        base_mesh = build_mesh(config.initial_graph(), config.h_identify)
+        base = base_mesh, fem.assemble_stiffness(base_mesh, elast)
+        fem._probe_plan.cache_clear()
+        for mesh in self.probes(config):
+            K = fem.assemble_stiffness(mesh, elast, base)
+            ref = fem.assemble_stiffness(mesh, elast)
+            assert np.array_equal(K.data.view(np.int64), ref.data.view(np.int64))
+            assert np.array_equal(K.indptr, ref.indptr)
+            assert np.array_equal(K.indices, ref.indices)
+        info = fem._probe_plan.cache_info()
+        assert (info.misses, info.hits) == (9, 27)
+
+    @staticmethod
+    def key(mesh, base_mesh):
+        """The plan's key: the triangles with a vertex whose bits moved."""
+        moved = np.any(mesh.vertices.view(np.int64) != base_mesh.vertices.view(np.int64),
+                       axis=1)
+        return np.packbits(moved[mesh.triangles].any(axis=1)).tobytes()
+
+    def test_untouched_entries_are_the_base_data(self):
+        # a probe copies the entries no moved triangle touches from its
+        # base's K as they are, moves and all; with no vertex moved, that
+        # is all of them
+        config = ExperimentConfig(h_measure=0.05)
+        elast = config.elasticity()
+        base_mesh = build_mesh(config.initial_graph(), config.h_identify)
+        base_K = fem.assemble_stiffness(base_mesh, elast)
+        base_K.data[:] = np.nextafter(base_K.data, np.inf)
+        same = build_mesh(config.initial_graph(), config.h_identify)
+        K = fem.assemble_stiffness(same, elast, (base_mesh, base_K))
+        assert K.data is not base_K.data and K.data.tobytes() == base_K.data.tobytes()
+        mesh = next(self.probes(config))
+        K = fem.assemble_stiffness(mesh, elast, (base_mesh, base_K))
+        ref = fem.assemble_stiffness(mesh, elast)
+        touched = np.zeros(K.nnz, bool)
+        touched[fem._probe_plan(mesh.topology, self.key(mesh, base_mesh))[0]] = True
+        assert 0 < np.count_nonzero(touched) < K.nnz // 2
+        assert np.array_equal(K.data[touched], ref.data[touched])
+        assert np.array_equal(K.data[~touched], base_K.data[~touched])
+
+    def test_a_base_of_another_material_assembles_in_full(self):
+        config = ExperimentConfig(h_measure=0.05)
+        laws, elast, g = config.cohesive(), config.elasticity(), config.traction()
+        mesh = build_mesh(config.initial_graph(), config.h_identify)
+        base = solvers._InterfaceOperator(mesh, laws, elast, g, config.eps)
+        other = IsotropicElasticity.from_young(2.0 * elast.E_Y, elast.nu_P)
+        probe = next(self.probes(config))
+        op = solvers._InterfaceOperator(probe, laws, other, g, config.eps, base)
+        assert op.K.data.tobytes() == fem.assemble_stiffness(probe, other).data.tobytes()
+
+    def test_gradient_check_assembles_every_probe_on_its_base(self, monkeypatch):
+        # the base state assembles in full; each probe on the base's K,
+        # with one plan a hat
+        config = ExperimentConfig(h_measure=0.05)
+        meas = driver.synthesize_measurement(config)[0]
+        bases = oracles.record_calls(monkeypatch, fem, "assemble_stiffness",
+                                     lambda mesh, elast, base=None: base)
+        fem._probe_plan.cache_clear()
+        h = config.h_identify
+        cli.gradient_check(config, meas, (1e-3 * h, 1e-4 * h))
+        assert bases[0] is None and len(bases) == 37
+        assert all(b is not None and b[1] is bases[1][1] for b in bases[1:])
+        info = fem._probe_plan.cache_info()
+        assert (info.misses, info.hits) == (9, 27)
+
+
 class TestTraction:
     def test_zero_load(self):
         mesh = small_mesh()

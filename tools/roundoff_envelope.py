@@ -71,12 +71,15 @@ def run_recipe(out, config):
 def moved_stiffness(fem, seed, ulps):
     """``fem.assemble_stiffness`` with each nonzero entry of every matrix it
     returns moved by ``ulps`` ulps, up or down, with probability
-    ``FRACTION``, drawn from one generator seeded by ``seed``."""
+    ``FRACTION``, drawn from one generator seeded by ``seed``. A
+    finite-difference probe's K copies the entries its moved triangles do
+    not touch from its base's K, so those carry the base's moves plus the
+    probe's own."""
     rng = np.random.default_rng(seed)
     assemble = fem.assemble_stiffness
 
-    def moved(mesh, elast):
-        K = assemble(mesh, elast)
+    def moved(mesh, elast, base=None):
+        K = assemble(mesh, elast, base)
         pick = (rng.random(K.nnz) < FRACTION) & (K.data != 0.0)
         toward = np.where(rng.random(K.nnz) < 0.5, np.inf, -np.inf)[pick]
         for _ in range(ulps):
