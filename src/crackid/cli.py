@@ -235,20 +235,20 @@ def cmd_gradient_check(args):
 
 def gradient_check(config, meas, steps):
     """The one home of the gradient check: the volumetric shape derivative
-    of each interior coarse node's hat against central differences of the
-    objective, one per step. Each probe re-meshes through this module's
-    ``build_mesh``, re-sums into the base's K only the stiffness entries
-    its hat's moved triangles touch, on one plan a hat
-    (``fem.assemble_stiffness``), and solves the state on the base mesh's
-    band factor from the base state's active sets, so its coupling takes
-    the Y = L^-1 U the factor kept (``fem.FactorizedSPD``). Its first
-    solve refines from a guess: the Lagrange interpolant, at its offset, of
-    the hat's states solved so far, offset 0 (the base state, passed as it
-    is) first. That is a continuation method's predictor (Allgower and
-    Georg, Numerical Continuation Methods, 1990): O(step^2) off at -coarse
-    and below the solve's eps test at +-fine, so the probes at +coarse,
-    -coarse, +fine and -fine take 3, 2, 0 and 0 substitutions on the
-    default config. It
+    of each interior coarse node's hat, on the adjoint of the base state's
+    last Newton matrix, against central differences of the objective, one
+    per step. Each probe re-meshes through this module's ``build_mesh``,
+    re-sums into the base's K only the stiffness entries its hat's moved
+    triangles touch, on one plan a hat (``fem.assemble_stiffness``), and
+    solves the state on the base mesh's band factor from the base state's
+    active sets, so its coupling takes the Y = L^-1 U the factor kept
+    (``fem.FactorizedSPD``). Its first solve refines from a guess, a state:
+    the Lagrange interpolant, at its offset, of the hat's states solved so
+    far, offset 0 (the base state, passed as it is) first. That is a
+    continuation method's predictor (Allgower and Georg, Numerical
+    Continuation Methods, 1990): O(step^2) off at -coarse and below the
+    solve's eps test at +-fine, so the probes at +coarse, -coarse, +fine
+    and -fine take 3, 2, 0 and 0 substitutions on the default config. It
     ends in one ``driver.objective`` against the base mesh's measurement
     trace, whose observation rows every probe mesh shares. Returns one
     ``(s, analytic, [fd per step])`` per node.
@@ -259,13 +259,13 @@ def gradient_check(config, meas, steps):
     u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
                                                 max_outer=config.max_outer)
     zv = driver.interp_measurement(mesh, meas)
-    v = solvers.solve_adjoint(op, u, zv)
+    v = solvers.solve_adjoint(op, u, zv, report.configuration)
     hats = np.eye(psi.s.size)[1:-1]
     anas = shape.directional_derivative_volumetric(mesh, psi, u, v, laws, elast,
                                                    eps, hats)
     rows = []
     for s, hat, ana in zip(psi.s[1:-1], hats, anas):
-        offsets, states = [0.0], [u.values[mesh.free_dofs]]   # the hat's solved states
+        offsets, states = [0.0], [u.values]   # the hat's solved states
         fds = []
         for st in steps:
             js = []
@@ -278,7 +278,7 @@ def gradient_check(config, meas, steps):
                     start=report.configuration, base=op,
                     guess=_interpolant(offsets, states, t))[0]
                 offsets.append(t)
-                states.append(up.values[m.free_dofs])
+                states.append(up.values)
                 js.append(driver.objective(m, up, zv, elast.rho_reg, line))
             fds.append((js[0] - js[1]) / (2.0 * st))
         rows.append((s, ana, fds))

@@ -368,7 +368,7 @@ def identify(config, meas, record_gradients=False):
             break
 
         try:
-            v = solvers.solve_adjoint(op, u, z_vec)
+            v = solvers.solve_adjoint(op, u, z_vec, rep.configuration)
             grad = shape.boundary_gradient(mesh, psi, u, v, laws, elast,
                                            config.eps)
             lam2 = shape.descent_velocity(grad, h)

@@ -17,20 +17,21 @@ the operator holds with its penalty eps:
   penetration set carries a w/eps nodal jump mass (the penalty term is
   piecewise linear, so each semismooth Newton step is an exact solve).
 
-``solve_adjoint`` solves the linear adjoint equation, whose matrix is the
-final state Newton matrix, on the state's operator and so at its eps.
-Every linear solve goes through one method, ``_InterfaceOperator.solve``,
-on the operator's ``fem.CoupledSystem`` (``fem.subdomain_factor``): on K's
-band factor, made once per mesh, one band per subdomain, or on a ``base``
-operator's on a mesh of its topology (a probe's); its rows are the mesh's
-free dofs in their one order. Each Newton matrix is that factor with a
-low-rank coupling on the interface pairs, their rows read from
-``mesh.free_row``: the w/eps jump mass of the closed pairs for a penalty,
-and the contact-closed and sticking pairs merged shut. No sparse K + J is
-built. Every solve couples anew; the factor keeps the last Y = L^-1 U it
-formed, so a Newton step that changes only the load (slip signs, cohesion
-indicator) forms no Y, nor does the adjoint of a state whose last step
-merged nothing.
+``solve_adjoint`` solves the linear adjoint equation on the state's
+operator, and so at its eps, with the matrix of the state's last Newton
+step: a ``SolveReport.configuration`` (closed, sgn, ind) is the one name
+of a Newton matrix. Every linear solve goes through one method,
+``_InterfaceOperator.solve``, on the operator's ``fem.CoupledSystem``
+(``fem.subdomain_factor``): on K's band factor, made once per mesh, one
+band per subdomain, or on a ``base`` operator's on a mesh of its topology
+(a probe's); its rows are the mesh's free dofs in their one order, which
+no caller sees. Each Newton matrix is that factor with a low-rank
+coupling on the interface pairs, their rows read from ``mesh.free_row``:
+the w/eps jump mass of the closed pairs for a penalty, and the
+contact-closed and sticking (sgn = 0) pairs merged shut. No sparse K + J
+is built. Every solve couples anew; the factor keeps the last Y = L^-1 U
+it formed, so a Newton step that changes only the load (slip signs,
+cohesion indicator) forms no Y, nor does the adjoint.
 
 The operator is also the one home of the nodal interface forces: it
 scatters them onto the plus and minus dofs (``interface_load``) and reads
@@ -61,7 +62,7 @@ class SolveReport:
     residual: float
     active_sizes: list = field(default_factory=list)
     damped_steps: int = 0   # always 0: no damped step remains; the benchmark reads it
-    configuration: tuple = None   # converged (closed, sgn, ind), a seed
+    configuration: tuple = None   # the last step's (closed, sgn, ind): its matrix, a seed
 
 
 @dataclass
@@ -132,17 +133,15 @@ class _InterfaceOperator:
         w in ``load_scale``."""
         return self.interface_load(self.load_scale[0] * sgn, self.load_scale[1] * ind)
 
-    def solve(self, rhs, closed, stick, start=None):
-        """Solve the Newton matrix of the normal set ``closed`` and the
-        sticking nodes ``stick`` for the full-length load ``rhs``, refining
-        from ``start``, free-dof values, where given; the solution is zero
-        on the Dirichlet dofs.
-
-        The matrix is K, factored once per mesh, coupled on the closed
-        pairs' x2 dofs and the sticking pairs' x1 dofs: with the w/eps jump
-        mass for a penalty ``eps``, merged shut in contact (``eps`` None)
-        and for a sticking pair.
-        """
+    def solve(self, rhs, closed, sgn, start=None):
+        """Solve the Newton matrix of the sets (closed, sgn) of a
+        ``SolveReport.configuration`` for the full-length load ``rhs``,
+        refining from the full-length state ``start`` where given; the solution
+        is zero on the Dirichlet dofs. The matrix is K, factored once per mesh,
+        coupled on the closed pairs' x2 dofs and the sticking pairs' (interior,
+        sgn = 0) x1 dofs: with the w/eps jump mass for a penalty ``eps``,
+        merged shut in contact (``eps`` None) and for a sticking pair."""
+        stick = self.interior & (sgn == 0.0)
         normal = self.w[closed] / self.eps if self.eps is not None \
             else np.full(np.count_nonzero(closed), np.inf)
         row = self.mesh.free_row
@@ -152,7 +151,7 @@ class _InterfaceOperator:
             np.concatenate([normal, np.full(np.count_nonzero(stick), np.inf)]))
         free = self.mesh.free_dofs
         x = np.zeros(rhs.size)
-        x[free] = self.system.solve(rhs[free], start)
+        x[free] = self.system.solve(rhs[free], None if start is None else start[free])
         return x
 
     def friction_update(self, r, j1, sgn, flips):
@@ -179,16 +178,17 @@ class _InterfaceOperator:
         new_flips[jdx[cycling]] = 0
         return new, new_flips
 
-    def stationarity(self, values, stick, shut):
+    def stationarity(self, values, closed, sgn):
         """Relative residual of K u + f_int(u) - F on the free rows, with
         f_int the discrete friction and cohesion laws plus, for a penalty
         operator, the penalty law; Euclidean (``fem.norm``), relative to
         the load norm.
         Returns it with the product K u.
 
-        Rows that carry constraint reactions are excused: the x2 rows of
-        the ``shut`` (contact-merged) pairs drop out, and sticking nodes,
-        whose zero slip admits a tangential reaction |t| <= F_b that the
+        Rows that carry constraint reactions of the Newton matrix of
+        (closed, sgn) (``solve``) are excused: in contact the x2 rows of
+        the closed (merged shut) pairs drop out, and sticking nodes, whose
+        zero slip admits a tangential reaction |t| <= F_b that the
         pointwise sgn law cannot express, count only the excess above it.
         """
         j1, j2 = self.jumps(values)
@@ -198,14 +198,14 @@ class _InterfaceOperator:
             t2 = t2 + self.w * beta_discrete(j2, self.eps)
         k_u = self.K @ values
         r = k_u - self.F + self.interface_load(t1, t2)
-        idx = np.nonzero(stick)[0]
+        idx = np.flatnonzero(self.interior & (sgn == 0.0))
         t = self.traction(r, 0, idx)
         excess = self.w[idx] * np.maximum(0.0, np.abs(t) - self.laws.F_b)
         r[self.p1[idx]] = excess
         r[self.m1[idx]] = -excess
+        shut = closed & (self.eps is None)   # no pair is shut under a penalty
         rows = self.free_mask.copy()
-        rows[self.p2[shut]] = False
-        rows[self.m2[shut]] = False
+        rows[np.concatenate([self.p2[shut], self.m2[shut]])] = False
         scale = self.Fnorm if self.Fnorm > 0.0 else 1.0
         return float(fem.norm(r[rows]) / scale), k_u
 
@@ -223,22 +223,23 @@ def _active_set_solve(op, max_outer, start=None, guess=None):
 
     ``closed`` is the normal set. For exact contact (``op.eps`` None) its
     x2 pairs are merged shut; it starts fully closed and is re-guessed from
-    lambda + (mu_L/h) [[u]]_2 < 0. With a penalty eps it is the
-    penetration set {[[u]]_2 < 0}, carrying the w/eps jump mass. The loop
-    stops when the normal set, signs and indicator repeat: the active-set
-    Newton method has then converged, and a further step would solve the
-    same matrix for the same load. The state is accepted if its
-    stationarity residual r passes the test each factored solve passes,
+    lambda + (mu_L/h) [[u]]_2 < 0. With a penalty eps it is the penetration
+    set {[[u]]_2 < 0}, carrying the w/eps jump mass. A step hands (closed,
+    sgn) to the operator, which derives the sticking and shut pairs from
+    them (``solve``, ``stationarity``). The loop stops when the normal set,
+    signs and indicator repeat: the active-set Newton method has then
+    converged, and a further step would solve the same matrix for the same
+    load. The state is accepted if its stationarity residual r passes the
+    test each factored solve passes,
     ||r|| <= ``fem.BACKWARD_TOL`` (||F|| + max|A| ||u||), with max|A| the
-    system's ``max_abs`` for the final coupling and the norms
-    ``fem.norm``'s (a normwise backward error, after Rigal and Gaches;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7);
-    otherwise, or without a repeat in ``max_outer`` steps, it raises
-    ``NoConvergence``.
+    system's ``max_abs`` for the final coupling and the norms ``fem.norm``'s
+    (a normwise backward error, after Rigal and Gaches; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 7); otherwise, or
+    without a repeat in ``max_outer`` steps, it raises ``NoConvergence``.
 
     On one factor, and after the first step, whose solve refines from
-    ``guess`` (free-dof values) where given, a step is a function of the
-    state (closed, sgn, ind, flips), so a state that comes back means the
+    ``guess``, a full-length state, where given, a step is a function of
+    the state (closed, sgn, ind, flips), so a state that comes back means the
     sets cycle for good: the first repeat raises ``NoConvergence`` with the
     period, the step the cycle starts at and how many nodes flip in each
     set.
@@ -251,7 +252,8 @@ def _active_set_solve(op, max_outer, start=None, guess=None):
     configuration makes the first step the last.
 
     Returns (values, lam, report), with ``lam`` the contact multiplier
-    estimate and the converged normal set ``report.configuration[0]``.
+    estimate and ``report.configuration`` the sets of the last step, which
+    name its Newton matrix.
     """
     contact = op.eps is None
     name = "PDAS" if contact else "penalty solver"
@@ -283,11 +285,9 @@ def _active_set_solve(op, max_outer, start=None, guess=None):
                                 "friction and %d cohesion nodes flip"
                                 % (name, it - first, first, *flipping))
         seen[state] = (it, closed, sgn, ind)
-        shut = closed & contact   # no pair is shut under a penalty
-        stick = interior & (sgn == 0.0)
         f = op.F - op.lagged_load(sgn, ind)
-        values = op.solve(f, closed, stick, given)
-        res, k_u = op.stationarity(values, stick, shut)
+        values = op.solve(f, closed, sgn, given)
+        res, k_u = op.stationarity(values, closed, sgn)
 
         # K alone: contact has no J, and a penalty step reads r on x1 rows
         # only, where J has no entry
@@ -347,33 +347,32 @@ def solve_penalty_state(mesh, laws, elast, g, eps, max_outer=50, start=None, bas
     ``configuration`` of an earlier report on a mesh with the same
     interface nodes (the previous identification iterate, or the base state
     of a finite-difference probe); ``base``, an operator on a mesh of the
-    same topology, lends its band factor, and ``guess``, the mesh's
-    free-dof values near the state (a probe's predictor,
+    same topology, lends its band factor, and ``guess``, a full-length
+    state of the mesh near the solution (a probe's predictor,
     ``cli.gradient_check``), is where the first solve refines from
-    (``fem.CoupledSystem.solve``). Returns the state, the ``SolveReport``
-    and the operator, whose factor keeps the final Newton matrix's Y for
-    ``solve_adjoint``.
+    (``fem.CoupledSystem.solve``). Returns the state, the ``SolveReport``,
+    whose ``configuration`` names the final Newton matrix, and the
+    operator, whose factor keeps that matrix's Y for ``solve_adjoint``.
     """
     op = _InterfaceOperator(mesh, laws, elast, g, eps, base)
     values, _, report = _active_set_solve(op, max_outer, start, guess)
     return fem.DofField(values), report, op
 
 
-def solve_adjoint(op, u_eps, z_obs):
+def solve_adjoint(op, u_eps, z_obs, configuration):
     """Solve the linear adjoint equation for the misfit against ``z_obs``.
 
-    The system matrix is the state's Newton matrix, at the state's penalty
-    eps, on the penetration set of ``u_eps`` (beta' of the state jump,
-    exact for the discrete law),
-    unmerged: with the discrete laws the friction/cohesion second
-    derivatives vanish so no tangential coupling remains. ``op`` couples it
-    on the mesh's factor, taking the Y of the state's last step when that
-    step merged nothing.
+    The system matrix is the state's last Newton matrix, the one its
+    ``configuration`` (``SolveReport.configuration``) names: at the state's
+    penalty eps, the w/eps jump mass on the penetration set (beta' of the
+    state jump, exact for the discrete law) and the sticking pairs merged
+    shut, the linearised constraint of the Lagrange approach. The discrete
+    friction/cohesion second derivatives vanish, so no other tangential
+    coupling remains. ``op.solve`` couples it on the mesh's factor, on the
+    rows of the state's last step, whose Y the factor kept.
     ``z_obs`` is a full-length dof vector holding the measurement trace on
     the observation nodes. Returns the adjoint field.
     """
-    mesh = op.mesh
-    rhs = fem.assemble_boundary_mass(mesh) @ (u_eps.values
-                                              - np.asarray(z_obs).reshape(-1))
-    closed = op.interior & (mesh.jump(u_eps.values, 1) < 0.0)
-    return fem.DofField(op.solve(rhs, closed, np.zeros_like(closed)))
+    rhs = fem.assemble_boundary_mass(op.mesh) @ (u_eps.values
+                                                 - np.asarray(z_obs).reshape(-1))
+    return fem.DofField(op.solve(rhs, *configuration[:2]))

@@ -93,7 +93,7 @@ def contact_state(contact_config, contact_measurement):
     mesh = build_mesh(psi, h)
     u, rep, op = solvers.solve_penalty_state(mesh, laws, elast, g, cfg.eps)
     z_vec = driver.interp_measurement(mesh, contact_measurement["meas"])
-    v = solvers.solve_adjoint(op, u, z_vec)
+    v = solvers.solve_adjoint(op, u, z_vec, rep.configuration)
     return dict(cfg=cfg, laws=laws, elast=elast, g=g, h=h, psi=psi, mesh=mesh,
                 u=u, v=v, z_vec=z_vec, report=rep, op=op)
 

@@ -705,10 +705,9 @@ def record_calls(monkeypatch, owner, name, entry=None, calls=None):
 
 def gradient_check_from_the_base_state(config, meas, steps):
     """``cli.gradient_check`` with every probe starting from the base
-    state's free-dof values on the base's band factor, not from the
-    interpolant of its hat's solved states. Returns its rows and the
-    probes' objectives, four a hat in the order +coarse, -coarse, +fine,
-    -fine."""
+    state on the base's band factor, not from the interpolant of its hat's
+    solved states. Returns its rows and the probes' objectives, four a hat
+    in the order +coarse, -coarse, +fine, -fine."""
     from crackid import driver, shape, solvers
     from crackid.geometry import build_mesh
 
@@ -718,7 +717,7 @@ def gradient_check_from_the_base_state(config, meas, steps):
     u, report, op = solvers.solve_penalty_state(mesh, laws, elast, g, eps,
                                                 max_outer=config.max_outer)
     zv = driver.interp_measurement(mesh, meas)
-    v = solvers.solve_adjoint(op, u, zv)
+    v = solvers.solve_adjoint(op, u, zv, report.configuration)
     hats = np.eye(psi.s.size)[1:-1]
     anas = shape.directional_derivative_volumetric(mesh, psi, u, v, laws, elast,
                                                    eps, hats)
@@ -733,7 +732,7 @@ def gradient_check_from_the_base_state(config, meas, steps):
                 up = solvers.solve_penalty_state(
                     m, laws, elast, g, eps, max_outer=config.max_outer,
                     start=report.configuration, base=op,
-                    guess=u.values[mesh.free_dofs])[0]
+                    guess=u.values)[0]
                 pair.append(driver.objective(m, up, zv, elast.rho_reg, line))
             fds.append((pair[0] - pair[1]) / (2.0 * st))
             js += pair

@@ -1237,14 +1237,15 @@ class TestBorrowedFactor:
         assert by_probes == [36, 0] and by_base == [couplings, formed]
 
     def test_sticking_probes_share_one_y_bitwise(self, monkeypatch):
-        # with F_b = 1e3 the base's adjoint couples on other rows than its
-        # state's last step, so the first probe forms the Y of the state's
-        # rows and the other 35 take it from the factor; forming a Y for
-        # every coupling, as each probe once did, gives the same rows. One
-        # of the base's 7 couplings repeats the previous step's sets
+        # with F_b = 1e3 the base state's last step merges sticking pairs;
+        # its adjoint couples that step's rows again, so the base's adjoint
+        # and all 36 probes take the one Y of the state's last step from the
+        # factor; forming a Y for every coupling, as each probe once did,
+        # gives the same rows. One of the base's 6 state couplings repeats
+        # the previous step's sets
         config = ExperimentConfig(h_measure=0.05, F_b=1e3)
         rows, by_probes, by_base = self.y_formed(monkeypatch, config)
-        assert by_probes == [36, 1] and by_base == [7, 6]
+        assert by_probes == [36, 0] and by_base == [7, 5]
         monkeypatch.undo()
         products = fem.FactorizedSPD.products
 

@@ -198,9 +198,10 @@ class TestOnePassVolumetric:
     @pytest.mark.parametrize("psi", LINES, ids=LINE_IDS)
     def test_matches_the_whole_mesh_oracle(self, measurement, psi, h):
         mesh = build_mesh(psi, h)
-        u, _, op = solvers.solve_penalty_state(
+        u, rep, op = solvers.solve_penalty_state(
             mesh, LAWS, ELAST, CFG.traction(measurement.load_case), EPS)
-        v = solvers.solve_adjoint(op, u, driver.interp_measurement(mesh, measurement))
+        v = solvers.solve_adjoint(op, u, driver.interp_measurement(mesh, measurement),
+                                  rep.configuration)
         # every interior hat, a smooth field that is nonzero on every
         # triangle, and the zero field, nonzero on none
         vels = list(np.eye(psi.s.size)[1:-1])
@@ -259,10 +260,10 @@ class TestVolumetricDerivative:
         gaps = {}
         for h in (1.0 / 50.0, 1.0 / 100.0):
             mesh = build_mesh(psi, h)
-            u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST,
-                                                   cfg.traction(), EPS)
+            u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST,
+                                                     cfg.traction(), EPS)
             zv = driver.interp_measurement(mesh, meas)
-            v = solvers.solve_adjoint(op, u, zv)
+            v = solvers.solve_adjoint(op, u, zv, rep.configuration)
             grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
             # contact/penetration sits right of x = 0.8; probe the open part
             rels = []
@@ -289,8 +290,9 @@ def normwise_gap(psi, h, load, meas):
     the loop's boundary gradient against the volumetric derivative that
     criterion 5 ties to finite differences, in magnitude."""
     mesh = build_mesh(psi, h)
-    u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, CFG.traction(load), EPS)
-    v = solvers.solve_adjoint(op, u, driver.interp_measurement(mesh, meas))
+    u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, CFG.traction(load), EPS)
+    v = solvers.solve_adjoint(op, u, driver.interp_measurement(mesh, meas),
+                              rep.configuration)
     grad = shape.boundary_gradient(mesh, psi, u, v, LAWS, ELAST, EPS)
     hats = np.eye(psi.s.size)[1:-1]
     vol = np.array(shape.directional_derivative_volumetric(

@@ -206,8 +206,8 @@ class TestSolvePath:
         # selection K[free][:, free], zero on the Dirichlet dofs
         mesh = build_mesh(constant_graph(0.25), 0.05)
         op = solvers._InterfaceOperator(mesh, LAWS, ELAST, G_CONTACT, 1e-8)
-        none = np.zeros(op.interior.size, dtype=bool)
-        x = op.solve(op.F, none, none)
+        # no pair closed, and every pair slipping (sgn = 0 would stick it)
+        x = op.solve(op.F, np.zeros(op.interior.size, dtype=bool), np.ones(op.interior.size))
         free = mesh.free_dofs
         ref = oracles.full_band_solve(op.K[free][:, free], op.F[free])
         assert np.linalg.norm(x[free] - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -245,7 +245,7 @@ class TestSolvePath:
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         assert rep.iterations == 1 and np.array_equal(u.values, st["u"].values)
-        solvers.solve_adjoint(op, u, st["z_vec"])
+        solvers.solve_adjoint(op, u, st["z_vec"], rep.configuration)
         closed = int(np.count_nonzero(st["report"].configuration[0]))
         assert len(made) == 1 and ranks == [0, closed, closed] and closed > 0
         assert formed == [op.system.factor]
@@ -260,7 +260,7 @@ class TestSolvePath:
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps)
-        v = solvers.solve_adjoint(op, u, st["z_vec"])
+        v = solvers.solve_adjoint(op, u, st["z_vec"], rep.configuration)
         assert len(factored) == 1
         assert rep.iterations > 2 and len(ranks) > 2
         assert np.array_equal(u.values, st["u"].values)
@@ -273,31 +273,33 @@ class TestSolvePath:
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
         formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
-        u, _, op = solvers.solve_penalty_state(
+        u, rep, op = solvers.solve_penalty_state(
             st["mesh"], st["laws"], st["elast"], st["g"], st["cfg"].eps,
             start=st["report"].configuration)
         fresh_op = solvers._InterfaceOperator(st["mesh"], st["laws"],
                                               st["elast"], st["g"], st["cfg"].eps)
         assert len(made) == 2 and len(ranks) == 3 and len(formed) == 1
-        reused = solvers.solve_adjoint(op, u, st["z_vec"])
+        reused = solvers.solve_adjoint(op, u, st["z_vec"], rep.configuration)
         assert len(made) == 2 and len(ranks) == 4 and len(formed) == 1
-        fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"])
+        fresh = solvers.solve_adjoint(fresh_op, u, st["z_vec"], rep.configuration)
         assert len(made) == 2 and len(ranks) == 5 and formed[1] is fresh_op.system.factor
         assert np.array_equal(reused.values, fresh.values)
 
     def test_sticking_state_returns_no_factor(self, monkeypatch):
         # at zero load the interior nodes away from the clamped ends stick,
-        # so the final Newton matrix merges their x1 pairs: the adjoint's
-        # unmerged matrix is another coupling on the same band factor
+        # so the final Newton matrix merges their x1 pairs: the adjoint
+        # couples that same matrix again on the same band factor, on the
+        # Y the factor kept
         mesh = build_mesh(constant_graph(0.25), 0.05)
-        u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, ZERO_LOAD, 1e-8)
+        u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, ZERO_LOAD, 1e-8)
         slip = mesh.jump(u.values, 0)[mesh.interface_interior()]
         assert np.count_nonzero(slip == 0.0) > slip.size // 2
         assert np.isinf(op.system.coupling[2]).sum() == np.count_nonzero(slip == 0.0)
         made = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "__init__")
         ranks = oracles.record_calls(monkeypatch, fem.CoupledSystem, "couple", rank)
-        solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs))
-        assert made == [] and len(ranks) == 1
+        formed = oracles.record_calls(monkeypatch, fem.FactorizedSPD, "_trailing_solves")
+        solvers.solve_adjoint(op, u, np.zeros(mesh.n_dofs), rep.configuration)
+        assert made == [] and len(ranks) == 1 and formed == []
 
 
 @pytest.fixture(scope="module")
@@ -420,19 +422,19 @@ class TestAdjoint:
     def test_zero_misfit_gives_zero(self, contact_state):
         st = contact_state
         z_eq_u = st["u"].values.copy()
-        v = solvers.solve_adjoint(st["op"], st["u"], z_eq_u)
+        v = solvers.solve_adjoint(st["op"], st["u"], z_eq_u, st["report"].configuration)
         assert np.max(np.abs(v.values)) == 0.0
 
     def test_dense_oracle(self):
         mesh = tiny_mesh()
         eps = 1e-8
-        u, _, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, eps)
+        u, rep, op = solvers.solve_penalty_state(mesh, LAWS, ELAST, G_CONTACT, eps)
         rng = np.random.default_rng(2)
         z = np.zeros(mesh.n_dofs)
         obs = mesh.observation_vertices
         z[2 * obs] = 0.01 * rng.standard_normal(obs.size)
         z[2 * obs + 1] = 0.01 * rng.standard_normal(obs.size)
-        v = solvers.solve_adjoint(op, u, z)
+        v = solvers.solve_adjoint(op, u, z, rep.configuration)
         v_ref = oracles.dense_adjoint_solve(mesh, LAWS, ELAST, u.values, z, eps)
         assert np.max(np.abs(v.values - v_ref)) < 1e-10 * max(np.max(np.abs(v_ref)), 1e-30)
 
@@ -443,10 +445,10 @@ class TestAdjoint:
 
     def test_linearity_in_misfit(self, contact_state):
         st = contact_state
-        v1 = solvers.solve_adjoint(st["op"], st["u"], st["z_vec"])
+        v1 = solvers.solve_adjoint(st["op"], st["u"], st["z_vec"], st["report"].configuration)
         # scale the misfit: z' = u - 3 (u - z)  =>  v' = 3 v
         z_scaled = st["u"].values - 3.0 * (st["u"].values - st["z_vec"])
-        v3 = solvers.solve_adjoint(st["op"], st["u"], z_scaled)
+        v3 = solvers.solve_adjoint(st["op"], st["u"], z_scaled, st["report"].configuration)
         assert np.allclose(v3.values, 3.0 * v1.values, rtol=1e-9, atol=1e-14)
 
 

@@ -6,8 +6,9 @@ referenced somewhere in the package outside its own definition -- by name,
 as an attribute, in an import, or in its module's ``__all__``; every
 public field, method or property of a ``crackid`` class must be read as an
 attribute somewhere in the package, the benchmark or the tools outside its
-own definition; and every error class must be raised somewhere in the
-package.
+own definition; every error class must be raised somewhere in the
+package; and no module but ``geometry``, ``fem`` and ``solvers`` reads the
+free-dof order (``free_dofs``, ``free_row``).
 """
 
 import ast
@@ -113,3 +114,20 @@ def test_every_error_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert classes and classes - raised == set()
+
+
+# the modules that know the free-dof order: the mesh defines it, ``fem``
+# factors in it and ``solvers`` gathers into it; every other module hands
+# over full-length states
+FREE_ORDER_READERS = {"geometry", "fem", "solvers"}
+
+
+def free_order_readers():
+    """The ``crackid`` modules that read ``free_dofs`` or ``free_row``."""
+    return {path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("free_dofs", "free_row")
+                   for sub in ast.walk(ast.parse(path.read_text())))}
+
+
+def test_only_the_solver_layers_read_the_free_dof_order():
+    assert free_order_readers() - FREE_ORDER_READERS == set()

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from crackid import fem
+from crackid.driver import ExperimentConfig
+from crackid.geometry import build_mesh
 
 REPO = Path(__file__).resolve().parents[1]
 TOOL = REPO / "tools" / "compare_outputs.py"
@@ -229,6 +231,30 @@ def test_a_traction_defect_lands_far_outside_the_envelope(tmp_path, envelope_too
                          lines[rel])
         assert note, lines[rel]
         assert float(note.group(1)) >= 1e3, lines[rel]
+
+
+def test_a_probe_moves_only_the_entries_it_re_sums(envelope_tool):
+    # a probe's assembly re-sums its plan's entries and copies the others
+    # from its base's K, which the tool has moved already: those carry the
+    # base's moves exactly, and the re-summed ones move once
+    config = ExperimentConfig(h_measure=0.05)
+    elast, psi, h = config.elasticity(), config.initial_graph(), config.h_identify
+    base_mesh = build_mesh(psi, h)
+    mesh = build_mesh(psi.with_psi(psi.psi + 1e-3 * h * np.eye(psi.s.size)[5]), h)
+    exact = fem.assemble_stiffness(mesh, elast)
+    with envelope_tool.moved_stiffness(fem, 0, 1):
+        base_K = fem.assemble_stiffness(base_mesh, elast)
+        K = fem.assemble_stiffness(mesh, elast, (base_mesh, base_K))
+    moved = np.any(mesh.vertices != base_mesh.vertices, axis=1)
+    entries = fem._probe_plan(mesh.topology,
+                              np.packbits(moved[mesh.triangles].any(axis=1)).tobytes())[0]
+    kept = np.ones(K.nnz, bool)
+    kept[entries] = False
+    assert 0 < entries.size < K.nnz // 2
+    assert K.data[kept].tobytes() == base_K.data[kept].tobytes()
+    assert np.count_nonzero(base_K.data != fem.assemble_stiffness(base_mesh, elast).data)
+    ulps = np.abs(K.data[entries].view(np.int64) - exact.data[entries].view(np.int64))
+    assert ulps.max() == 1 and np.count_nonzero(ulps) > 0
 
 
 # the last lines perfbench/run.py prints for an untraced and a traced run

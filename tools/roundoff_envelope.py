@@ -69,28 +69,37 @@ def run_recipe(out, config):
 
 @contextlib.contextmanager
 def moved_stiffness(fem, seed, ulps):
-    """``fem.assemble_stiffness`` with each nonzero entry of every matrix it
-    returns moved by ``ulps`` ulps, up or down, with probability
-    ``FRACTION``, drawn from one generator seeded by ``seed``. A
-    finite-difference probe's K copies the entries its moved triangles do
-    not touch from its base's K, so those carry the base's moves plus the
-    probe's own."""
+    """``fem.assemble_stiffness`` with each nonzero entry it sums moved by
+    ``ulps`` ulps, up or down, with probability ``FRACTION``, drawn from one
+    generator seeded by ``seed``. A finite-difference probe's assembly sums
+    only the entries of its re-sum plan (``fem._probe_plan``) and copies
+    the others from its base's K, so only the plan's entries move: the
+    others carry exactly the base's moves, as each entry is rounded once."""
     rng = np.random.default_rng(seed)
-    assemble = fem.assemble_stiffness
+    assemble, plan = fem.assemble_stiffness, fem._probe_plan
+    planned = []   # the entries of the plan the current assembly took
+
+    def recorded(topology, moved_bits):
+        out = plan(topology, moved_bits)
+        planned.append(out[0])
+        return out
 
     def moved(mesh, elast, base=None):
+        planned.clear()
         K = assemble(mesh, elast, base)
-        pick = (rng.random(K.nnz) < FRACTION) & (K.data != 0.0)
+        summed = np.zeros(K.nnz, bool)
+        summed[planned[0] if planned else slice(None)] = True
+        pick = (rng.random(K.nnz) < FRACTION) & (K.data != 0.0) & summed
         toward = np.where(rng.random(K.nnz) < 0.5, np.inf, -np.inf)[pick]
         for _ in range(ulps):
             K.data[pick] = np.nextafter(K.data[pick], toward)
         return K
 
-    fem.assemble_stiffness = moved
+    fem.assemble_stiffness, fem._probe_plan = moved, recorded
     try:
         yield
     finally:
-        fem.assemble_stiffness = assemble
+        fem.assemble_stiffness, fem._probe_plan = assemble, plan
 
 
 def spreads(base, run):
